@@ -254,6 +254,62 @@ def test_bench_refine_prunes_the_grid():
     print(f"  results -> {RESULTS_PATH.name}")
 
 
+#: (n_mult, n_alu, n_ram) -> (RT classes, stress_8 schedule length) of
+#: the synthesized core.  Its instruction set is fully parallel, so the
+#: closed family of allowed types doubles with every class.
+CLASS_COUNT_GROWTH = {
+    (1, 1, 1): (9, 12),
+    (2, 2, 2): (13, 11),
+    (3, 3, 2): (15, 11),
+    (4, 4, 2): (17, 11),
+}
+
+
+def test_bench_class_count_growth():
+    """Compile time as the synthesized core's RT-class count grows.
+
+    The compiler holds the instruction set as its compatibility graph,
+    so compile time must not follow the 2^classes allowed types.  The
+    guard is machine-independent: the widest core may cost at most 10x
+    the narrowest.  Each time is the best of three cold compiles.
+    """
+    dfg = stress_application(8, seed=3)
+    rows = []
+    for (n_mult, n_alu, n_ram), (n_classes, cycles) in \
+            CLASS_COUNT_GROWTH.items():
+        core = intermediate_architecture(
+            [dfg], Allocation(n_mult=n_mult, n_alu=n_alu, n_ram=n_ram))
+        toolchain = Toolchain(core, cache=None)
+        seconds = []
+        for _ in range(3):
+            t0 = time.perf_counter()
+            compiled = toolchain.compile(dfg)
+            seconds.append(time.perf_counter() - t0)
+        assert len(compiled.conflict_model.table) == n_classes
+        assert compiled.n_cycles == cycles
+        rows.append({
+            "allocation": [n_mult, n_alu, n_ram],
+            "rt_classes": n_classes,
+            "schedule_length": cycles,
+            "compile_ms": round(min(seconds) * 1e3, 3),
+        })
+
+    growth = rows[-1]["compile_ms"] / rows[0]["compile_ms"]
+    assert growth <= 10, \
+        f"{rows[-1]['rt_classes']}-class compile is {growth:.1f}x the " \
+        f"{rows[0]['rt_classes']}-class one"
+
+    results = json.loads(RESULTS_PATH.read_text()) \
+        if RESULTS_PATH.exists() else {}
+    results["class_count_growth"] = rows
+    RESULTS_PATH.write_text(json.dumps(results, indent=2) + "\n")
+    print(f"\nstress_8 compile vs RT classes ({growth:.2f}x from "
+          f"{rows[0]['rt_classes']} to {rows[-1]['rt_classes']}):")
+    for row in rows:
+        print(f"  {row['rt_classes']:3d} classes : {row['compile_ms']:8.2f} ms "
+              f"({row['schedule_length']} cycles)")
+
+
 def test_bench_explore_cached_resweep(benchmark):
     """The designer's inner loop: re-sweeping with a warm cache."""
     dfgs = application_set()

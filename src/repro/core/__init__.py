@@ -4,8 +4,8 @@
 Workflow::
 
     table = ClassTable.from_core(core)          # section 6.1
-    iset = InstructionSet.from_desired(          # section 6.2, rules 1-4
-        table.names, core.instruction_types)
+    iset = InstructionSet.from_desired(          # section 6.2: the class-
+        table.names, core.instruction_types)     # compatibility graph
     model = impose_instruction_set(rts, table, iset)   # section 6.3
     # model.rts now carry artificial clique resources; any scheduler
     # honouring plain resource conflicts also honours the instruction set.

@@ -61,7 +61,8 @@ def impose_instruction_set(
         ``"greedy"`` (default), ``"exact"`` or ``"edge"`` — see
         :mod:`repro.core.clique_cover`.
     """
-    instruction_set.validate()
+    if instruction_set.hand_written is not None:  # else closed by construction
+        instruction_set.validate()
     graph = ConflictGraph.from_instruction_set(instruction_set)
     if cover is None:
         algorithms = {

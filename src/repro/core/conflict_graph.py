@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from itertools import combinations
 
-from .instruction_set import InstructionSet, compatible_pairs
+from .instruction_set import InstructionSet
 
 
 class ConflictGraph:
@@ -30,29 +30,18 @@ class ConflictGraph:
 
     @staticmethod
     def from_instruction_set(iset: InstructionSet) -> "ConflictGraph":
-        return ConflictGraph.from_types(
-            iset.class_names, sorted(iset.types, key=sorted)
-        )
+        """The complement of the set's compatibility graph.
 
-    @staticmethod
-    def from_types(
-        class_names: list[str], types: list[frozenset[str]]
-    ) -> "ConflictGraph":
-        """Build directly from (desired) instruction types.
-
-        The conflict graph only depends on the pairwise compatibility
-        relation, which construction rules 3-4 leave untouched — so the
-        *desired* types give the same graph as the full closure, at
-        polynomial cost.  This is why the static model scales where
-        enumerating the closed instruction set does not.
+        Rules 3-4 never change the pairwise compatibility relation, so
+        this costs only the class pairs, never the closed family.
         """
-        compatible = compatible_pairs(types)
+        names = sorted(iset.class_names)
         edges = {
             frozenset(pair)
-            for pair in combinations(sorted(class_names), 2)
-            if frozenset(pair) not in compatible
+            for pair in combinations(names, 2)
+            if not iset.compatible(*pair)
         }
-        return ConflictGraph(sorted(class_names), edges)
+        return ConflictGraph(names, edges)
 
     # ------------------------------------------------------------------
 

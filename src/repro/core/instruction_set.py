@@ -13,9 +13,10 @@ constraints" demands four construction rules:
 Rules 3 + 4 together say that an allowed instruction set is *exactly*
 the family of cliques of its class-compatibility graph — which is why
 the restrictions can be modelled with fixed pairwise conflicts before
-scheduling (section 6.3).  :func:`closure` computes the smallest
-allowed superset of any desired types; :meth:`InstructionSet.violations`
-explains which rule a hand-written set breaks.
+scheduling (section 6.3).  :class:`InstructionSet` holds just that
+graph; :func:`closure` enumerates its cliques for reports, and
+:meth:`InstructionSet.violations` explains which rule a hand-written
+set breaks.
 """
 
 from __future__ import annotations
@@ -72,7 +73,6 @@ def closure(
 
     result: set[frozenset[str]] = {NOP}
     order = sorted(class_names)
-    index = {name: i for i, name in enumerate(order)}
 
     def extend(clique: tuple[str, ...], candidates: list[str]) -> None:
         result.add(frozenset(clique))
@@ -82,17 +82,18 @@ def closure(
 
     for i, name in enumerate(order):
         extend((name,), order[i + 1:])
-    _ = index  # ordering used implicitly via `order`
     return result
 
 
 class InstructionSet:
-    """A validated (or validatable) instruction set over named classes."""
+    """An instruction set held as its class-compatibility graph :attr:`pairs`;
+    hand-written ``types`` stay in :attr:`hand_written` for :meth:`violations`."""
 
     def __init__(self, class_names: list[str], types: set[frozenset[str]]):
-        _check_classes(class_names, sorted(types, key=sorted))
+        self.hand_written: set[frozenset[str]] | None = set(types)
+        _check_classes(class_names, sorted(self.hand_written, key=sorted))
         self.class_names = list(class_names)
-        self.types = set(types)
+        self.pairs = compatible_pairs(self.hand_written)
 
     # -- construction -----------------------------------------------------
 
@@ -100,32 +101,36 @@ class InstructionSet:
     def from_desired(
         class_names: list[str], desired_types: list[frozenset[str]]
     ) -> "InstructionSet":
-        """Close the desired types under construction rules 1-4."""
-        return InstructionSet(class_names, closure(class_names, desired_types))
+        """The desired types closed under rules 1-4 by construction."""
+        instruction_set = InstructionSet(class_names, desired_types)
+        instruction_set.hand_written = None
+        return instruction_set
 
     # -- rule checking ------------------------------------------------------
 
     def violations(self) -> list[str]:
         """Human-readable construction-rule violations (empty = allowed)."""
+        if self.hand_written is None:
+            return []
         problems: list[str] = []
-        if NOP not in self.types:
+        if NOP not in self.hand_written:
             problems.append("rule 1: the NOP (empty instruction) is missing")
         for name in self.class_names:
-            if frozenset({name}) not in self.types:
+            if frozenset({name}) not in self.hand_written:
                 problems.append(
                     f"rule 2: individual class {{{name}}} is not a valid "
                     f"instruction type"
                 )
-        for instruction_type in sorted(self.types, key=lambda t: (len(t), sorted(t))):
+        for instruction_type in sorted(self.hand_written, key=lambda t: (len(t), sorted(t))):
             for size in range(1, len(instruction_type)):
                 for subset in combinations(sorted(instruction_type), size):
-                    if frozenset(subset) not in self.types:
+                    if frozenset(subset) not in self.hand_written:
                         problems.append(
                             f"rule 3: {set(subset)} (sub-instruction of "
                             f"{set(sorted(instruction_type))}) is missing"
                         )
-        required = closure(self.class_names, sorted(self.types, key=sorted))
-        for instruction_type in sorted(required - self.types, key=sorted):
+        required = closure(self.class_names, sorted(self.hand_written, key=sorted))
+        for instruction_type in sorted(required - self.hand_written, key=sorted):
             if len(instruction_type) >= 3:
                 problems.append(
                     f"rule 4: all pairs of {set(sorted(instruction_type))} "
@@ -144,13 +149,19 @@ class InstructionSet:
     # -- queries ------------------------------------------------------------
 
     def allows(self, classes: frozenset[str] | set[str]) -> bool:
-        return frozenset(classes) in self.types
+        """Is ``classes`` a clique of the compatibility graph?"""
+        return set(classes) <= set(self.class_names) and all(
+            self.compatible(a, b) for a, b in combinations(classes, 2)
+        )
 
     def compatible(self, a: str, b: str) -> bool:
         """Can classes ``a`` and ``b`` appear in one instruction?"""
-        if a == b:
-            return True
-        return frozenset({a, b}) in compatible_pairs(sorted(self.types, key=sorted))
+        return a == b or frozenset({a, b}) in self.pairs
+
+    @property
+    def types(self) -> set[frozenset[str]]:
+        """Every allowed type, enumerated on demand (for reports)."""
+        return closure(self.class_names, list(self.pairs))
 
     def maximal_types(self) -> list[frozenset[str]]:
         """Types not contained in any other type (compact description)."""
@@ -158,9 +169,8 @@ class InstructionSet:
         maximal: list[frozenset[str]] = []
         for instruction_type in ordered:
             if not any(instruction_type < other for other in maximal):
-                if instruction_type or not maximal:
-                    maximal.append(instruction_type)
-        return [t for t in maximal if t] or [NOP]
+                maximal.append(instruction_type)
+        return maximal
 
     def pretty(self) -> str:
         """Render like the paper: ``I = {NOP, {S}, ..., {S, U, V}}``."""
@@ -175,4 +185,4 @@ class InstructionSet:
         return len(self.types)
 
     def __contains__(self, instruction_type) -> bool:
-        return frozenset(instruction_type) in self.types
+        return self.allows(instruction_type)

@@ -48,7 +48,7 @@ ARTIFACT_VERSIONS: dict[str, int] = {
     "base_rts": 1,          # merge: list[repro.rtgen.rt.RT]
     "capacities": 1,        # merge: dict[str, int] | None
     "merged": 1,            # merge: bool
-    "conflict_model": 1,    # impose: repro.core.artificial.ConflictModel
+    "conflict_model": 2,    # impose: repro.core.artificial.ConflictModel
     "dependence_graph": 1,  # schedule: repro.sched.dependence.DependenceGraph
     "schedule": 1,          # schedule: repro.sched.schedule.Schedule
     "allocation": 1,        # regalloc: repro.sched.regalloc.Allocation

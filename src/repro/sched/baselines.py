@@ -12,7 +12,7 @@
     placement attempt: the classes present in the candidate cycle plus
     the new RT's class must form an allowed instruction type.  It finds
     the same schedules as the static model (the legality test is
-    equivalent) but pays the set lookup on the scheduler's hot path —
+    equivalent) but pays a clique test on the scheduler's hot path —
     the cost the paper's static modelling avoids.
 """
 

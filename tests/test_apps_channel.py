@@ -7,7 +7,7 @@ import pytest
 from repro import Q15, Toolchain, audio_core, fir_core, run_reference
 from repro.apps import channel_frontend_application
 from repro.arch import Allocation, intermediate_architecture
-from repro.core import ConflictGraph, InstructionSet, compatible_pairs
+from repro.core import ConflictGraph, InstructionSet, closure, compatible_pairs
 
 
 def tone(n, amplitude=0.4, period=8.0, offset=0.1):
@@ -75,16 +75,19 @@ class TestConflictGraphInvariance:
     ])
     def test_from_types_equals_from_closure(self, desired):
         classes = sorted({c for t in desired for c in t} | {"Z"})
-        direct = ConflictGraph.from_types(classes, desired)
-        closed = ConflictGraph.from_instruction_set(
+        direct = ConflictGraph.from_instruction_set(
             InstructionSet.from_desired(classes, desired)
+        )
+        closed = ConflictGraph.from_instruction_set(
+            InstructionSet(classes, closure(classes, desired))
         )
         assert direct == closed
 
     def test_pairs_match_definition(self):
         desired = [frozenset("PQR")]
         pairs = compatible_pairs(desired)
-        graph = ConflictGraph.from_types(["P", "Q", "R", "S"], desired)
+        graph = ConflictGraph.from_instruction_set(
+            InstructionSet.from_desired(["P", "Q", "R", "S"], desired))
         for pair in pairs:
             a, b = sorted(pair)
             assert not graph.has_edge(a, b)

@@ -8,11 +8,22 @@ is
          {S,U,V}, {S,T}, {X,Y}}
 """
 
+from itertools import combinations
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core import NOP, InstructionSet, closure, compatible_pairs
+from repro import Toolchain
+from repro.apps import stress_application
+from repro.arch import Allocation, intermediate_architecture
+from repro.core import (
+    NOP,
+    ConflictGraph,
+    InstructionSet,
+    closure,
+    compatible_pairs,
+)
 from repro.errors import InstructionSetError
 
 CLASSES = ["S", "T", "U", "V", "X", "Y"]
@@ -116,8 +127,8 @@ class TestCompatiblePairs:
 
 
 @st.composite
-def desired_types(draw):
-    n = draw(st.integers(min_value=1, max_value=7))
+def desired_types(draw, max_classes=7):
+    n = draw(st.integers(min_value=1, max_value=max_classes))
     classes = [chr(ord("A") + i) for i in range(n)]
     n_types = draw(st.integers(min_value=0, max_value=4))
     types = [
@@ -132,7 +143,7 @@ class TestClosureProperties:
     @settings(max_examples=60)
     def test_closure_satisfies_all_rules(self, case):
         classes, types = case
-        iset = InstructionSet.from_desired(classes, types)
+        iset = InstructionSet(classes, closure(classes, types))
         assert iset.violations() == []
 
     @given(desired_types())
@@ -156,3 +167,56 @@ class TestClosureProperties:
         classes, types = case
         once = closure(classes, types)
         assert closure(classes, sorted(once, key=sorted)) == once
+
+
+class TestGraphModel:
+    """The compatibility-graph model answers every query exactly as
+    the enumerated closure does."""
+
+    @given(desired_types(max_classes=10))
+    @settings(max_examples=60, deadline=None)
+    def test_graph_model_equals_closure(self, case):
+        classes, types = case
+        iset = InstructionSet.from_desired(classes, types)
+        family = closure(classes, types)
+        assert iset.types == family
+        assert len(iset) == len(family)
+
+        for size in range(len(classes) + 1):
+            for subset in combinations(classes, size):
+                assert iset.allows(subset) == (frozenset(subset) in family)
+        assert not iset.allows({"unknown"})
+
+        pairs = compatible_pairs(sorted(family, key=sorted))
+        for a in classes:
+            for b in classes:
+                expected = a == b or frozenset({a, b}) in pairs
+                assert iset.compatible(a, b) == expected
+
+        maximal = {t for t in family if not any(t < other for other in family)}
+        assert set(iset.maximal_types()) == maximal
+
+        edges = {
+            frozenset(pair) for pair in combinations(sorted(classes), 2)
+            if frozenset(pair) not in pairs
+        }
+        assert ConflictGraph.from_instruction_set(iset) == \
+            ConflictGraph(sorted(classes), edges)
+
+
+def test_compile_never_enumerates_the_instruction_set(monkeypatch):
+    """Compiling for a wide fully parallel core builds only the
+    compatibility graph: no closure, no type enumeration, no rule
+    re-check."""
+    def forbidden(*args, **kwargs):
+        raise AssertionError("instruction set enumerated while compiling")
+
+    monkeypatch.setattr("repro.core.instruction_set.closure", forbidden)
+    monkeypatch.setattr(InstructionSet, "violations", forbidden)
+    monkeypatch.setattr(InstructionSet, "types", property(forbidden))
+    dfg = stress_application(8, seed=3)
+    core = intermediate_architecture(
+        [dfg], Allocation(n_mult=3, n_alu=3, n_ram=2))
+    compiled = Toolchain(core, cache=None).compile(dfg)
+    assert len(compiled.conflict_model.table) >= 15
+    assert compiled.n_cycles == 11

@@ -231,6 +231,21 @@ class TestVersioning:
         assert not state.cache_hits["assemble"]
         assert disk.stats.version_skips > 0
 
+    def test_stale_conflict_model_is_a_version_skip(self, tmp_path,
+                                                    monkeypatch):
+        """Entries from before the instruction set became a
+        compatibility graph (conflict_model v1) never restore."""
+        monkeypatch.setattr("repro.pipeline.artifacts.ARTIFACT_VERSIONS",
+                            dict(ARTIFACT_VERSIONS, conflict_model=1))
+        toolchain_on(tmp_path, budget=64).compile(SOURCE)
+        monkeypatch.undo()
+        disk = DiskCache(tmp_path)
+        state = Toolchain(audio_core(), cache=StageCache(disk=disk),
+                          budget=64).run_pipeline(SOURCE)
+        assert state.cache_hits["merge"]
+        assert not state.cache_hits["impose"]
+        assert disk.stats.version_skips > 0
+
     def test_format_version_skew_invalidates(self, tmp_path, monkeypatch):
         disk = DiskCache(tmp_path)
         disk.put("ef" * 32, {"x": 1})
