@@ -28,13 +28,17 @@ from typing import Any, Callable, Iterator
 #: meaning.  ``docs/observability.md`` documents this exact table and
 #: ``tools/check_doc_links.py`` fails CI when the two drift apart.
 COUNTERS: dict[str, str] = {
-    "stagecache.hit": "stage snapshots restored from either memory tier "
-                      "or disk",
+    "stagecache.hit": "stages restored from either memory tier or disk "
+                      "(a restore covers its whole prefix)",
     "stagecache.disk_hit": "subset of stagecache.hit served by the "
                            "persistent disk tier",
-    "stagecache.miss": "stage lookups that fell through to execution",
-    "stagecache.store": "stage snapshots written to the memory tier",
+    "stagecache.miss": "stages the cache did not cover, so they executed",
+    "stagecache.store": "stage snapshots serialized into the memory tier",
     "stagecache.eviction": "memory-tier LRU evictions",
+    "stagecache.restore": "stage snapshots deserialized (one per "
+                          "resolved key run that hit)",
+    "stagecache.bytes_stored": "bytes of the serialized stage snapshots "
+                               "stored",
     "diskcache.hit": "on-disk entries read back successfully",
     "diskcache.miss": "on-disk lookups that found no usable entry",
     "diskcache.store": "on-disk entries published atomically",

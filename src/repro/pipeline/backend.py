@@ -111,6 +111,8 @@ class MemoryBackend:
         self.name = name
         #: key -> (envelope bytes, monotonic last-use stamp)
         self._entries: dict[str, tuple[bytes, float]] = {}
+        #: running sum of the stored envelopes' lengths
+        self._bytes = 0
         self._lock = threading.Lock()
         self.stats = DiskCacheStats()
 
@@ -144,7 +146,7 @@ class MemoryBackend:
             with self._lock:
                 self.stats.version_skips += 1
                 self.stats.misses += 1
-                self._entries.pop(key, None)
+                self._pop_locked(key)
             obs.count("diskcache.version_skip")
             obs.count("diskcache.miss")
             return None
@@ -152,12 +154,15 @@ class MemoryBackend:
             with self._lock:
                 self.stats.corrupt += 1
                 self.stats.misses += 1
-                self._entries.pop(key, None)
+                self._pop_locked(key)
             obs.count("diskcache.corrupt")
             obs.count("diskcache.miss")
             return None
         with self._lock:
-            self._entries[key] = (blob, time.monotonic())
+            # Refresh recency only if no other thread replaced or
+            # dropped the entry meanwhile (the byte total counts it).
+            if self._entries.get(key) is entry:
+                self._entries[key] = (blob, time.monotonic())
             self.stats.hits += 1
         obs.count("diskcache.hit")
         return obj
@@ -172,17 +177,25 @@ class MemoryBackend:
             current_telemetry().count("diskcache.write_error")
             return
         with self._lock:
+            self._pop_locked(key)
             self._entries[key] = (blob, time.monotonic())
+            self._bytes += len(blob)
             self.stats.stores += 1
-            over = self._size_locked() > self.max_bytes
+            over = self._bytes > self.max_bytes
         current_telemetry().count("diskcache.store")
         if over:
             self.gc(self.max_bytes)
 
     # -- admin ---------------------------------------------------------
 
-    def _size_locked(self) -> int:
-        return sum(len(blob) for blob, _ in self._entries.values())
+    def _pop_locked(self, key: str) -> bool:
+        """Remove one entry and its bytes from the total (lock held);
+        True when it existed."""
+        entry = self._entries.pop(key, None)
+        if entry is None:
+            return False
+        self._bytes -= len(entry[0])
+        return True
 
     def keys(self) -> list[str]:
         with self._lock:
@@ -191,11 +204,11 @@ class MemoryBackend:
     def delete(self, key: str) -> bool:
         """Remove one entry; True when it existed."""
         with self._lock:
-            return self._entries.pop(key, None) is not None
+            return self._pop_locked(key)
 
     def size_bytes(self) -> int:
         with self._lock:
-            return self._size_locked()
+            return self._bytes
 
     def gc(self, max_bytes: int | None = None, *,
            min_age: float = 0.0, pinned: Iterable[str] = ()) -> int:
@@ -205,17 +218,15 @@ class MemoryBackend:
         removed = 0
         obs = current_telemetry()
         with self._lock:
-            total = self._size_locked()
             by_age = sorted(self._entries.items(), key=lambda kv: kv[1][1])
-            for key, (blob, stamp) in by_age:
-                if total <= bound:
+            for key, (_, stamp) in by_age:
+                if self._bytes <= bound:
                     break
                 if key in keep or stamp > cutoff:
                     continue
-                del self._entries[key]
+                self._pop_locked(key)
                 self.stats.evictions += 1
                 removed += 1
-                total -= len(blob)
         for _ in range(removed):
             obs.count("diskcache.eviction")
         if removed:
@@ -238,14 +249,14 @@ class MemoryBackend:
                 report.version_skew += 1
                 report.dropped.append(key)
                 with self._lock:
-                    self._entries.pop(key, None)
+                    self._pop_locked(key)
                 obs.count("cache.verify_failures")
                 continue
             except CacheEntryError:
                 report.corrupt += 1
                 report.dropped.append(key)
                 with self._lock:
-                    self._entries.pop(key, None)
+                    self._pop_locked(key)
                 obs.count("cache.verify_failures")
                 continue
             report.ok += 1
@@ -255,6 +266,7 @@ class MemoryBackend:
         with self._lock:
             removed = len(self._entries)
             self._entries.clear()
+            self._bytes = 0
         return removed
 
 

@@ -27,7 +27,11 @@ Design constraints, in order:
   on one cache directory race benignly (last write wins, readers see
   either a complete entry or none).
 * **Bounded.**  ``max_bytes`` caps the store; eviction removes the
-  least-recently-used entries (reads refresh an entry's mtime).
+  least-recently-used entries (reads refresh an entry's mtime).  A
+  running size estimate per directory, shared by every
+  :class:`DiskCache` of the process, decides when that scanning pass
+  runs; the directory is scanned to seed it once per process, not once
+  per cache object (a compile server opens one per job).
 
 Entry layout on disk (``<dir>/objects/<aa>/<fingerprint>.rpdc``)::
 
@@ -57,11 +61,19 @@ from ..obs import current_telemetry
 from .artifacts import PIPELINE_VERSION
 
 #: Bump when the on-disk envelope itself changes shape.
-FORMAT_VERSION = 1
+#: v2: stage-cache entries hold the snapshot the stage cache pickled
+#: (bytes, core by reference), not the artifact dict itself.
+FORMAT_VERSION = 2
 
 _MAGIC = b"RPDC"
 _SUFFIX = ".rpdc"
 _HEADER_LIMIT = 1 << 20  # a sane bound; a bigger claim means corruption
+
+
+#: Running size estimate of each store directory (``objects`` path),
+#: shared by every :class:`DiskCache` of this process on it.
+_SIZE_ESTIMATES: dict[str, int] = {}
+_SIZE_ESTIMATES_LOCK = threading.Lock()
 
 
 class CacheEntryError(Exception):
@@ -233,10 +245,19 @@ class DiskCache:
         #: event; later ones only bump the counters (a persistently
         #: unwritable directory would otherwise flood the event log).
         self._write_error_reported = False
-        #: running size guess; None until the first put scans the store.
-        #: Only gates *when* the real (scanning) eviction runs — drift
-        #: from concurrent processes cannot over- or under-delete.
-        self._size_estimate: int | None = None
+        self._store = os.path.abspath(self.objects)
+
+    @property
+    def _size_estimate(self) -> int | None:
+        """The directory's running size guess; None until a put of this
+        process scans the store.  Only gates *when* the real (scanning)
+        eviction runs — drift from concurrent processes cannot over- or
+        under-delete."""
+        return _SIZE_ESTIMATES.get(self._store)
+
+    def _set_size_estimate(self, total: int) -> None:
+        with _SIZE_ESTIMATES_LOCK:
+            _SIZE_ESTIMATES[self._store] = total
 
     # -- paths ---------------------------------------------------------
 
@@ -334,7 +355,6 @@ class DiskCache:
         tmp = None
         try:
             blob = serialize(obj, schema)
-            path.parent.mkdir(parents=True, exist_ok=True)
             # A same-key overwrite replaces the old entry's bytes: the
             # running estimate must only grow by the *delta*, or
             # repeated re-stores of the same keys inflate it past the
@@ -343,7 +363,13 @@ class DiskCache:
                 old_size = path.stat().st_size
             except OSError:
                 old_size = 0
-            fd, tmp = tempfile.mkstemp(dir=path.parent, suffix=".tmp")
+            try:
+                fd, tmp = tempfile.mkstemp(dir=path.parent, suffix=".tmp")
+            except FileNotFoundError:
+                # First entry of its fan-out directory: only then pay
+                # for the mkdir.
+                path.parent.mkdir(parents=True, exist_ok=True)
+                fd, tmp = tempfile.mkstemp(dir=path.parent, suffix=".tmp")
             with os.fdopen(fd, "wb") as handle:
                 handle.write(blob)
             os.replace(tmp, path)
@@ -364,11 +390,14 @@ class DiskCache:
             return
         with self._lock:
             self.stats.stores += 1
-            if self._size_estimate is None:
-                self._size_estimate = self.size_bytes()
+        with _SIZE_ESTIMATES_LOCK:
+            total = _SIZE_ESTIMATES.get(self._store)
+            if total is None:
+                total = self.size_bytes()
             else:
-                self._size_estimate += len(blob) - old_size
-            over_bound = self._size_estimate > self.max_bytes
+                total += len(blob) - old_size
+            _SIZE_ESTIMATES[self._store] = total
+        over_bound = total > self.max_bytes
         current_telemetry().count("diskcache.store")
         if over_bound:
             self._evict()
@@ -380,8 +409,7 @@ class DiskCache:
         for path in self._entries():
             self._drop(path)
             removed += 1
-        with self._lock:
-            self._size_estimate = 0
+        self._set_size_estimate(0)
         return removed
 
     # -- admin (the ``repro cache`` verb and the serve endpoints) ------
@@ -431,8 +459,7 @@ class DiskCache:
             obs.count("diskcache.eviction")
             removed += 1
             total -= size
-        with self._lock:
-            self._size_estimate = total
+        self._set_size_estimate(total)
         if removed:
             obs.count("cache.gc_removed", removed)
         return removed
@@ -499,5 +526,4 @@ class DiskCache:
                 self.stats.evictions += 1
             current_telemetry().count("diskcache.eviction")
             total -= size
-        with self._lock:
-            self._size_estimate = total
+        self._set_size_estimate(total)

@@ -8,36 +8,45 @@ the batch result types — and the pre-Toolchain session classes
 wrappers that funnel their untyped keyword options through
 :class:`~repro.options.CompileOptions`.
 
-With a :class:`StageCache` attached, the driver snapshots the
-cumulative artifact state after every stage under that stage's content
-key; a later compile whose chain reaches the same key restores the
-snapshot and skips straight past it — so an identical re-compile costs
-eight cache lookups, and a compile that differs only late in the chain
-(say a new cycle budget) reuses everything up to the schedule stage.
+With a :class:`StageCache` attached, the driver pickles the cumulative
+artifact state once, right after each stage runs, and stores those
+bytes under the stage's content key.  A restore is a single unpickling
+pass, so every compile works on a private object graph
+and nothing a downstream stage (or the caller) does to its artifacts
+can reach a cached prefix.  The core is pickled by reference: restored
+artifacts point at the requesting toolchain's own core object.
 
-The memory cache can be layered over a
-:class:`~repro.pipeline.diskcache.DiskCache`: misses fall through to
-the on-disk store, hydrate the memory tier, and stores are written
-through — which is what makes a *second process* (or a warm design
-sweep the next morning) start from the artifacts instead of the source.
-:class:`BatchSession` compiles a whole application set through one
-shared cache so identical prefixes are computed once across the batch.
+The driver resolves a compile by walking the key chain and restoring
+only the deepest hit.  The parse and optimize entries are small and
+are read first, because the optimize and rtgen keys hash their DFGs;
+every key from rtgen on is a pure chain of the rtgen key and the
+request, so those stages are probed from the deepest back and one
+snapshot is deserialized.  An identical re-compile therefore restores
+three snapshots, and a compile that differs only late in the chain
+(say a new cycle budget) restores the deepest shared prefix once and
+runs the rest.
 
-Snapshots are deep copies taken at store *and* restore time, so
-downstream stages (which mutate RT programs in place, exactly like the
-old monolith) can never poison a cached prefix.  The immutable request
-inputs — the core above all — are shared across snapshots rather than
-copied.
+The memory cache can be layered over a persistent
+:class:`~repro.pipeline.backend.CacheBackend`: misses fall through to
+the store, hydrate the memory tier with the same bytes, and stores are
+written through — which is what makes a *second process* (or a warm
+design sweep the next morning) start from the artifacts instead of the
+source.  :class:`BatchSession` compiles a whole application set
+through one shared cache so identical prefixes are computed once
+across the batch.
 """
 
 from __future__ import annotations
 
-import copy
+import copyreg
+import gc
+import io
+import pickle
 import threading
 import warnings
 from collections import OrderedDict
 from dataclasses import dataclass, field
-from typing import Any
+from typing import Any, Sequence
 
 from ..arch.library import CoreSpec
 from ..arch.merge import MergeSpec
@@ -50,12 +59,53 @@ from .diskcache import DiskCache
 from .stages import PIPELINE_STAGES
 
 
+def _core_ref() -> CoreSpec:
+    """The global a pickled core reference names; only
+    :class:`_SnapshotUnpickler` resolves it (to the requesting core)."""
+    raise pickle.UnpicklingError("stage snapshots load only through "
+                                 "StageCache.restore")
+
+
+def _reduce_core(core: CoreSpec):
+    return _core_ref, ()
+
+
+#: copyreg's reducers plus one for :class:`CoreSpec`.  A per-pickler
+#: dispatch table is consulted in C, so only the core itself costs a
+#: Python call (a ``persistent_id`` hook would run once per object).
+_SNAPSHOT_REDUCERS = {**copyreg.dispatch_table, CoreSpec: _reduce_core}
+
+
+def _dumps(artifacts: dict[str, Any]) -> bytes:
+    """Pickle a snapshot with every core replaced by a reference."""
+    buffer = io.BytesIO()
+    pickler = pickle.Pickler(buffer, pickle.HIGHEST_PROTOCOL)
+    pickler.dispatch_table = _SNAPSHOT_REDUCERS
+    pickler.dump(artifacts)
+    return buffer.getvalue()
+
+
+class _SnapshotUnpickler(pickle.Unpickler):
+    """Loads a :func:`_dumps` snapshot, binding its core references to
+    ``core``."""
+
+    def __init__(self, blob: bytes, core: CoreSpec):
+        super().__init__(io.BytesIO(blob))
+        self.core = core
+
+    def find_class(self, module: str, name: str) -> Any:
+        if module == __name__ and name == _core_ref.__name__:
+            return lambda: self.core
+        return super().find_class(module, name)
+
+
 @dataclass
 class CacheStats:
     """Hit/miss/store counters of one :class:`StageCache`.
 
-    ``hits`` counts restores from either tier; ``disk_hits`` the subset
-    served by the on-disk layer (and hydrated into memory).
+    ``hits`` and ``misses`` count stages: a restore covers every stage
+    up to the restored one.  ``disk_hits`` is the subset of ``hits``
+    served by the persistent tier (and hydrated into memory).
     """
 
     hits: int = 0
@@ -66,28 +116,19 @@ class CacheStats:
 
 
 class StageCache:
-    """LRU cache of per-stage artifact snapshots, keyed by fingerprint.
+    """LRU cache of serialized per-stage snapshots, keyed by fingerprint.
 
     Thread-safe: explore workers running in threads may share one
-    cache.  Entries are cumulative artifact dicts; both :meth:`put` and
-    :meth:`get` deep-copy so cached state is immutable from the
-    outside.
+    cache.  Each entry is the pickled cumulative artifact dict of one
+    stage (:meth:`put`), so cached state is immutable by construction
+    and :meth:`restore` hands out a fresh object graph every time.
 
     ``disk`` layers a persistent backend underneath — any
     :class:`~repro.pipeline.backend.CacheBackend` (the local-directory
     :class:`DiskCache`, the in-process
-    :class:`~repro.pipeline.backend.MemoryBackend`, a remote store): a
-    memory miss consults the store (a backend hit hydrates the memory
-    tier), and every store is written through, so the artifacts survive
-    the process.
-
-    Entries are deliberately *cumulative* (each stage's snapshot holds
-    the whole prefix), so any prefix restores with exactly one read —
-    the price is that a cold compile writes each upstream artifact into
-    every downstream entry.  Reads dominate writes in the workloads
-    this serves (re-compile loops, warm sweeps), so the trade goes to
-    read speed; store-one-delta-per-stage is the alternative if write
-    volume ever matters.
+    :class:`~repro.pipeline.backend.MemoryBackend`, a remote store): it
+    receives the same bytes on every store, and a memory miss that the
+    backend serves hydrates the memory tier with them.
     """
 
     def __init__(self, max_entries: int = 256,
@@ -97,7 +138,7 @@ class StageCache:
         self.max_entries = max_entries
         self.disk = disk
         self.stats = CacheStats()
-        self._entries: OrderedDict[str, dict[str, Any]] = OrderedDict()
+        self._entries: OrderedDict[str, bytes] = OrderedDict()
         self._lock = threading.Lock()
 
     def __len__(self) -> int:
@@ -113,67 +154,96 @@ class StageCache:
         """
         return True
 
-    def get(self, key: str, shared: dict[int, Any]) -> dict[str, Any] | None:
-        """Return a private copy of the snapshot under ``key``, or None.
+    def resolve(self, keys: Sequence[str], core: CoreSpec,
+                ) -> tuple[int, dict[str, Any] | None, str | None]:
+        """Restore the deepest cached stage of a key chain.
 
-        ``shared`` is a deepcopy memo pre-seeded with the objects the
-        copy must alias rather than duplicate (the core spec).
+        ``keys`` are consecutive stages' keys; a key certifies its
+        whole prefix, so they are probed deepest first and only the
+        first hit is deserialized.  Returns ``(n, artifacts, tier)``:
+        the first ``n`` stages are hits served by ``tier`` (``"memory"``
+        or ``"disk"``) and restored as ``artifacts``; the rest are
+        misses.  ``(0, None, None)`` when nothing is cached.
         """
-        snapshot, _ = self.get_entry(key, shared)
-        return snapshot
+        artifacts = None
+        for depth in range(len(keys), 0, -1):
+            blob, tier = self.get_entry(keys[depth - 1])
+            artifacts = None if blob is None else self.restore(blob, core)
+            if artifacts is not None:
+                break
+        else:
+            depth, tier = 0, None
+        misses = len(keys) - depth
+        with self._lock:
+            self.stats.hits += depth
+            self.stats.misses += misses
+            if tier == "disk":
+                self.stats.disk_hits += depth
+        obs = current_telemetry()
+        if depth:
+            obs.count("stagecache.hit", depth)
+            if tier == "disk":
+                obs.count("stagecache.disk_hit", depth)
+        if misses:
+            obs.count("stagecache.miss", misses)
+        return depth, artifacts, tier
 
-    def get_entry(
-        self, key: str, shared: dict[int, Any],
-    ) -> tuple[dict[str, Any] | None, str | None]:
-        """Like :meth:`get`, also naming the serving tier.
+    def get_entry(self, key: str) -> tuple[bytes | None, str | None]:
+        """The serialized snapshot under ``key`` and its tier.
 
-        Returns ``(snapshot, "memory" | "disk")`` on a hit and
-        ``(None, None)`` on a miss.
+        Returns ``(bytes, "memory" | "disk")`` on a hit and
+        ``(None, None)`` on a miss; a backend hit hydrates the memory
+        tier.  Nothing is deserialized.
         """
         with self._lock:
-            snapshot = self._entries.get(key)
-            if snapshot is not None:
+            blob = self._entries.get(key)
+            if blob is not None:
                 self._entries.move_to_end(key)
-                self.stats.hits += 1
-        if snapshot is not None:
-            current_telemetry().count("stagecache.hit")
-            # Deep-copy outside the lock: snapshots are never mutated
-            # once stored, and the copy is the expensive part.
-            return copy.deepcopy(snapshot, dict(shared)), "memory"
+                return blob, "memory"
         if self.disk is not None:
             from .artifacts import ARTIFACT_VERSIONS
 
-            snapshot = self.disk.get(key, schema=ARTIFACT_VERSIONS)
-            if snapshot is not None:
-                snapshot = _realias_core(snapshot, shared)
+            blob = self.disk.get(key, schema=ARTIFACT_VERSIONS)
+            if blob is not None:
                 with self._lock:
-                    self._insert(key, snapshot)
-                    self.stats.hits += 1
-                    self.stats.disk_hits += 1
-                obs = current_telemetry()
-                obs.count("stagecache.hit")
-                obs.count("stagecache.disk_hit")
-                return copy.deepcopy(snapshot, dict(shared)), "disk"
-        with self._lock:
-            self.stats.misses += 1
-        current_telemetry().count("stagecache.miss")
+                    self._insert(key, blob)
+                return blob, "disk"
         return None, None
 
-    def put(self, key: str, artifacts: dict[str, Any],
-            shared: dict[int, Any]) -> None:
-        """Snapshot ``artifacts`` under ``key`` (and write through to
-        disk when layered).  ``shared`` as in :meth:`get`."""
-        snapshot = copy.deepcopy(artifacts, dict(shared))
-        with self._lock:
-            self._insert(key, snapshot)
-            self.stats.stores += 1
-        current_telemetry().count("stagecache.store")
-        if self.disk is not None:
-            self.disk.put(key, snapshot, schema=artifact_schema(snapshot))
+    def restore(self, blob: bytes, core: CoreSpec) -> dict[str, Any] | None:
+        """Deserialize one snapshot, its core references bound to
+        ``core``; ``None`` when the bytes do not load (the stage then
+        runs, and its store replaces the entry)."""
+        # A snapshot is thousands of fresh containers and no garbage:
+        # cyclic collections triggered mid-load would only rescan them.
+        paused = gc.isenabled()
+        gc.disable()
+        try:
+            artifacts = _SnapshotUnpickler(blob, core).load()
+        except Exception:  # noqa: BLE001 — an unloadable entry is a miss
+            return None
+        finally:
+            if paused:
+                gc.enable()
+        current_telemetry().count("stagecache.restore")
+        return artifacts
 
-    def _insert(self, key: str, snapshot: dict[str, Any]) -> None:
+    def put(self, key: str, artifacts: dict[str, Any]) -> None:
+        """Pickle ``artifacts`` once and store the bytes under ``key``
+        in memory and, when layered, in the backend."""
+        blob = _dumps(artifacts)
+        with self._lock:
+            self._insert(key, blob)
+            self.stats.stores += 1
+        obs = current_telemetry()
+        obs.count("stagecache.store")
+        obs.count("stagecache.bytes_stored", len(blob))
+        if self.disk is not None:
+            self.disk.put(key, blob, schema=artifact_schema(artifacts))
+
+    def _insert(self, key: str, blob: bytes) -> None:
         """Install an entry and enforce the LRU bound (lock held)."""
-        self._entries[key] = snapshot
+        self._entries[key] = blob
         self._entries.move_to_end(key)
         while len(self._entries) > self.max_entries:
             self._entries.popitem(last=False)
@@ -184,27 +254,6 @@ class StageCache:
         """Drop the memory tier (the disk store is untouched)."""
         with self._lock:
             self._entries.clear()
-
-
-def _realias_core(snapshot: dict[str, Any],
-                  shared: dict[int, Any]) -> dict[str, Any]:
-    """Swap the core unpickled inside a disk-loaded snapshot for the
-    session's canonical core object.
-
-    Content equality is guaranteed (core-dependent stage keys include
-    the core fingerprint); restoring *identity* makes the shared-core
-    deepcopy memo apply to every later memory-tier hit and keeps
-    restored artifacts referencing ``request.core`` itself.  Snapshots
-    from the core-independent prefix embed no core and pass through.
-    """
-    program = snapshot.get("base_program")
-    if program is None or len(shared) != 1:
-        return snapshot
-    [canonical] = shared.values()
-    embedded = getattr(program, "core", None)
-    if embedded is None or embedded is canonical:
-        return snapshot
-    return copy.deepcopy(snapshot, {id(embedded): canonical})
 
 
 class _DefaultCache:

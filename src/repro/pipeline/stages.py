@@ -8,12 +8,15 @@ phase boundaries (figure 1b) into eight composable stages::
 
 Each stage declares the artifacts it produces and a :meth:`Stage.key`
 — the content fingerprint of everything that determines its output.
-The :class:`~repro.pipeline.session.CompileSession` driver runs the
+The :meth:`repro.toolchain.Toolchain.run_pipeline` driver runs the
 chain, consults the cache keyed on these fingerprints, and can stop
 after any stage (partial compilation) or resume from a cached prefix.
 
-Keys are chained: every stage's key folds in the key of the stage
-before it, so a hit at stage *k* certifies the entire prefix.  Option
+A hit at stage *k* certifies the entire prefix: parse, optimize and
+rtgen key on the content they read, and every later stage is a
+:class:`ChainedStage` whose key folds the key of the stage before it
+into the request options it reads — no artifact — so the driver can
+compute the whole tail of the chain up front.  Option
 sensitivity is expressed through
 :meth:`repro.options.CompileOptions.fingerprint` *subsets* — each
 stage folds in the digest of exactly the option fields it reads, so a
@@ -26,6 +29,7 @@ shared across candidate cores during design-space exploration.
 
 from __future__ import annotations
 
+import dataclasses
 from collections import Counter
 
 from ..core.artificial import impose_instruction_set
@@ -43,6 +47,7 @@ from ..sched.regalloc import allocate_registers
 from ..sched.schedule import Schedule
 from .artifacts import (
     PIPELINE_VERSION,
+    CompileRequest,
     CompileState,
     dfg_fingerprint,
     fingerprint,
@@ -99,11 +104,28 @@ class Stage:
                       cache_source="executed"):
             self.run(state)
 
-    def _chain(self, state: CompileState, *parts) -> str:
-        """Fingerprint ``parts`` chained onto the previous stage's key."""
+
+class ChainedStage(Stage):
+    """A stage keyed on the upstream stage's key plus request options.
+
+    Its key reads no artifact, so a driver can compute it ahead of
+    running the chain (:meth:`chain_key`) and probe the cache for the
+    deepest stage already computed.
+    """
+
+    def key(self, state: CompileState) -> str:
         upstream = state.fingerprints.get(state.completed[-1], "") \
             if state.completed else ""
-        return fingerprint(self.name, PIPELINE_VERSION, upstream, *parts)
+        return self.chain_key(upstream, state.request)
+
+    def chain_key(self, upstream: str, request: CompileRequest) -> str:
+        """This stage's key, given the key of the stage before it."""
+        return fingerprint(self.name, PIPELINE_VERSION, upstream,
+                           *self.key_parts(request))
+
+    def key_parts(self, request: CompileRequest) -> tuple:
+        """The request fields this stage's output depends on."""
+        return ()
 
 
 class ParseStage(Stage):
@@ -180,7 +202,7 @@ class RtGenStage(Stage):
         )
 
 
-class MergeStage(Stage):
+class MergeStage(ChainedStage):
     """Apply register-file/bus merges as RT modifications (step 2a).
 
     ``base_program`` (the unmerged lowering) is kept for binary
@@ -191,8 +213,8 @@ class MergeStage(Stage):
     name = "merge"
     provides = ("program", "base_rts", "capacities", "merged")
 
-    def key(self, state: CompileState) -> str:
-        return self._chain(state, merges_key(state.request.merges))
+    def key_parts(self, request: CompileRequest) -> tuple:
+        return (merges_key(request.merges),)
 
     def run(self, state: CompileState) -> None:
         merges = state.request.merges
@@ -209,14 +231,18 @@ class MergeStage(Stage):
             state.artifacts["program"] = base
 
 
-class ImposeStage(Stage):
-    """Impose the instruction set via artificial resources (step 2b)."""
+class ImposeStage(ChainedStage):
+    """Impose the instruction set via artificial resources (step 2b).
+
+    ``program`` is replaced by a copy whose RTs carry the artificial
+    resource uses; ``base_program`` stays the plain lowering.
+    """
 
     name = "impose"
-    provides = ("conflict_model",)
+    provides = ("program", "conflict_model")
 
-    def key(self, state: CompileState) -> str:
-        return self._chain(state, state.request.options.fingerprint("cover"))
+    def key_parts(self, request: CompileRequest) -> tuple:
+        return (request.options.fingerprint("cover"),)
 
     def run(self, state: CompileState) -> None:
         request = state.request
@@ -230,20 +256,19 @@ class ImposeStage(Stage):
             program.rts, table, instruction_set,
             cover_algorithm=request.options.cover,
         )
-        program.rts = model.rts
+        state.artifacts["program"] = dataclasses.replace(program,
+                                                         rts=model.rts)
         state.artifacts["conflict_model"] = model
 
 
-class ScheduleStage(Stage):
+class ScheduleStage(ChainedStage):
     """Pack RTs into VLIW instructions within the cycle budget."""
 
     name = "schedule"
     provides = ("dependence_graph", "schedule")
 
-    def key(self, state: CompileState) -> str:
-        options = state.request.options
-        return self._chain(state,
-                           options.fingerprint("budget", "restarts", "seed"))
+    def key_parts(self, request: CompileRequest) -> tuple:
+        return (request.options.fingerprint("budget", "restarts", "seed"),)
 
     def run(self, state: CompileState) -> None:
         options = state.request.options
@@ -256,14 +281,11 @@ class ScheduleStage(Stage):
         state.artifacts["schedule"] = schedule
 
 
-class RegallocStage(Stage):
+class RegallocStage(ChainedStage):
     """Bind virtual values to physical registers along the schedule."""
 
     name = "regalloc"
     provides = ("allocation",)
-
-    def key(self, state: CompileState) -> str:
-        return self._chain(state)
 
     def run(self, state: CompileState) -> None:
         state.artifacts["allocation"] = allocate_registers(
@@ -272,7 +294,7 @@ class RegallocStage(Stage):
         )
 
 
-class AssembleStage(Stage):
+class AssembleStage(ChainedStage):
     """Emit binary microcode.
 
     For a merged core the schedule was computed against the *merged*
@@ -284,9 +306,8 @@ class AssembleStage(Stage):
     name = "assemble"
     provides = ("binary",)
 
-    def key(self, state: CompileState) -> str:
-        return self._chain(
-            state, state.request.options.fingerprint("mode", "repeat"))
+    def key_parts(self, request: CompileRequest) -> tuple:
+        return (request.options.fingerprint("mode", "repeat"),)
 
     def run(self, state: CompileState) -> None:
         options = state.request.options

@@ -47,7 +47,7 @@ from .pipeline.session import (
     StageCache,
     _DefaultCache,
 )
-from .pipeline.stages import PIPELINE_STAGES
+from .pipeline.stages import PIPELINE_STAGES, ChainedStage, Stage
 
 
 class Toolchain:
@@ -166,57 +166,77 @@ class Toolchain:
         """Run the stage chain, honoring ``options.stop_after``.
 
         Returns the :class:`CompileState` with every artifact produced
-        so far.  With a cache attached, each stage consults its content
-        key first: a later run whose chain reaches the same key
-        restores the snapshot instead of recomputing — that is what
-        makes re-compiles, partial-then-full resumption and cross-
-        process warm starts cheap.
+        so far.  With a cache attached, the chain is resolved against
+        it first: a later run whose chain reaches the same keys
+        restores the deepest cached snapshot once instead of
+        recomputing — that is what makes re-compiles, partial-then-full
+        resumption and cross-process warm starts cheap.
         """
         request = CompileRequest(
             application=application, core=self.core, options=self.options,
             io_binding=io_binding, merges=merges,
         )
         state = CompileState(request=request)
-        shared = {id(self.core): self.core}
+        stages = list(self.stages)
+        names = [stage.name for stage in stages]
+        if self.options.stop_after in names:
+            del stages[names.index(self.options.stop_after) + 1:]
         obs = self._obs()
         app_name = (application.name if isinstance(application, Dfg)
                     else None)
         with use_telemetry(obs), \
                 obs.span("compile", core=self.core.name,
                          application=app_name):
-            for stage in self.stages:
-                if self.cache is None:
+            if self.cache is None:
+                for stage in stages:
                     stage.execute(state)
                     state.completed.append(stage.name)
                     self._verify_boundary(stage.name, state, obs)
-                else:
-                    key = stage.key(state)
-                    state.fingerprints[stage.name] = key
-                    # One span covers the whole stage slot — lookup,
-                    # then restore *or* execute-and-store
-                    # (Stage.execute joins this span rather than
-                    # nesting a duplicate) — so the cache tiers' deep-
-                    # copy costs are attributed to the stage that pays
-                    # them and the tree fully accounts the compile.
-                    with obs.span(f"stage:{stage.name}",
-                                  stage=stage.name,
-                                  fingerprint=key[:16]) as span:
-                        restored, source = self.cache.get_entry(
-                            key, shared)
-                        if restored is not None:
-                            span.tag(cache_source=source)
-                            state.artifacts = restored
-                            state.cache_hits[stage.name] = True
-                            state.cache_sources[stage.name] = source
-                        else:
-                            stage.execute(state)
-                            state.cache_hits[stage.name] = False
-                            self.cache.put(key, state.artifacts, shared)
-                    state.completed.append(stage.name)
-                    self._verify_boundary(stage.name, state, obs)
-                if stage.name == self.options.stop_after:
-                    break
+            else:
+                self._run_cached(stages, state, obs)
         return state
+
+    def _run_cached(self, stages: list[Stage], state: CompileState,
+                    obs: Telemetry) -> None:
+        """The cached stage loop: resolve each run of keys, then
+        execute and store whatever the cache did not cover.
+
+        A stage whose key needs an artifact (parse, optimize, rtgen)
+        starts a run; the :class:`ChainedStage` keys after it are
+        computed up front, and :meth:`StageCache.resolve` restores the
+        deepest one cached.  Each stage keeps its own ``stage:<name>``
+        span (the run's lookup and restore are paid inside the span of
+        the stage that starts it), its own hit/miss record and its own
+        boundary verification on the restored state.
+        """
+        keys: list[str] = []
+        restored_to, source = 0, None
+        for index, stage in enumerate(stages):
+            with obs.span(f"stage:{stage.name}", stage=stage.name) as span:
+                if index == len(keys):
+                    keys.append(stage.key(state))
+                    for later in stages[index + 1:]:
+                        if not isinstance(later, ChainedStage):
+                            break
+                        keys.append(later.chain_key(keys[-1], state.request))
+                    depth, restored, source = self.cache.resolve(
+                        keys[index:], self.core)
+                    if restored is not None:
+                        state.artifacts = restored
+                    restored_to = index + depth
+                key = keys[index]
+                state.fingerprints[stage.name] = key
+                span.tag(fingerprint=key[:16])
+                if index < restored_to:
+                    span.tag(cache_source=source)
+                    state.cache_hits[stage.name] = True
+                    state.cache_sources[stage.name] = source
+                else:
+                    stage.execute(state)
+                    state.cache_hits[stage.name] = False
+                    self.cache.put(key, state.artifacts)
+            state.completed.append(stage.name)
+            self._verify_boundary(stage.name, state, obs)
 
     def _verify_boundary(self, stage_name: str, state: CompileState,
                          obs: Telemetry) -> None:

@@ -7,6 +7,9 @@ never errors), open_backend maps spec strings to shared instances, and
 when empty.
 """
 
+import sys
+import threading
+
 import pytest
 
 from repro import Toolchain, audio_core
@@ -125,6 +128,72 @@ class TestMemoryBackend:
         backend.put("a", {"x": 1})
         assert backend.delete("a") is True
         assert backend.delete("a") is False
+
+    def test_running_size_matches_the_stored_envelopes(self, monkeypatch):
+        """``size_bytes`` is a running total kept on every mutation,
+        not a scan; it must equal the sum of the stored envelopes
+        after any mix of them."""
+        def stored() -> int:
+            return sum(len(blob) for blob, _ in backend._entries.values())
+
+        one = len(diskcache.serialize({"pad": "x" * 100}, {}))
+        backend = MemoryBackend(max_bytes=6 * one)
+        steps = [
+            lambda: backend.put("a", {"pad": "x" * 100}),
+            lambda: backend.put("b", {"pad": "y" * 300}),
+            lambda: backend.put("a", {"pad": "z" * 10}),       # overwrite
+            lambda: backend.put("c", {"pad": "w" * 100}),
+            lambda: backend.put("d", {"pad": "v" * 400}),      # evicts
+            lambda: backend.delete("c"),
+            lambda: backend.gc(one),
+            lambda: backend.put("e", {"pad": "u" * 50}),
+            lambda: backend.put("f", {"pad": "t" * 50}),
+            lambda: backend.verify(),
+            lambda: backend.clear(),
+            lambda: backend.put("g", {"pad": "s" * 20}),
+        ]
+        for step in steps:
+            step()
+            assert backend.size_bytes() == stored()
+        assert backend.stats.evictions >= 2
+        # Entries dropped on read (version skew) leave the total too.
+        monkeypatch.setattr(diskcache, "PIPELINE_VERSION", 999)
+        assert backend.get("g") is None
+        assert backend.size_bytes() == stored() == 0
+
+    def test_running_size_survives_concurrent_traffic(self):
+        """Threads racing puts, overwrites, reads, deletes and gc on
+        shared keys: no update to the byte total may be lost."""
+        backend = MemoryBackend(max_bytes=4000)
+        keys = [f"k{i}" for i in range(6)]
+
+        def hammer(seed: int) -> None:
+            for step in range(300):
+                key = keys[(seed + step) % len(keys)]
+                action = (seed * 7 + step) % 5
+                if action < 2:
+                    backend.put(key, {"pad": "x" * ((seed + step) % 90)})
+                elif action == 2:
+                    backend.get(key)
+                elif action == 3:
+                    backend.delete(key)
+                else:
+                    backend.gc(2000)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=hammer, args=(n,))
+                       for n in range(8)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert backend.size_bytes() == sum(
+            len(blob) for blob, _ in backend._entries.values())
 
 
 class TestGc:

@@ -20,6 +20,7 @@ from repro.pipeline import (
     STAGE_NAMES,
     DiskCache,
     StageCache,
+    artifact_schema,
 )
 from repro.pipeline import diskcache
 from repro.pipeline.diskcache import deserialize, serialize
@@ -246,6 +247,26 @@ class TestVersioning:
         assert not state.cache_hits["impose"]
         assert disk.stats.version_skips > 0
 
+    def test_entries_holding_the_artifact_dict_are_version_skips(
+            self, tmp_path, monkeypatch):
+        """Entries from before stage snapshots were stored serialized
+        (format 1: the envelope pickled the artifact dict itself) never
+        restore; every stage runs and the binary is unchanged."""
+        reference = Toolchain(audio_core(), cache=StageCache(),
+                              budget=64).run_pipeline(SOURCE)
+        monkeypatch.setattr(diskcache, "FORMAT_VERSION", 1)
+        old = DiskCache(tmp_path)
+        for key in reference.fingerprints.values():
+            old.put(key, reference.artifacts,
+                    schema=artifact_schema(reference.artifacts))
+        monkeypatch.undo()
+        disk = DiskCache(tmp_path)
+        state = Toolchain(audio_core(), cache=StageCache(disk=disk),
+                          budget=64).run_pipeline(SOURCE)
+        assert not any(state.cache_hits.values())
+        assert disk.stats.version_skips == len(STAGE_NAMES)
+        assert state.binary.words == reference.binary.words
+
     def test_format_version_skew_invalidates(self, tmp_path, monkeypatch):
         disk = DiskCache(tmp_path)
         disk.put("ef" * 32, {"x": 1})
@@ -343,6 +364,28 @@ class TestEviction:
         disk.put(key, {"payload": "x" * 5000})
         assert disk._size_estimate > small
         assert disk._size_estimate == disk.size_bytes()
+
+    def test_new_cache_objects_share_the_estimate(self, tmp_path):
+        """A cache object per compile (what a compile server opens)
+        must not rescan the store on its first put: the estimate is
+        per directory and process, so only the first put scans, and
+        the bound still holds across the objects."""
+        one_entry = len(serialize({"payload": "x" * 1000}, {}))
+        scans = 0
+        real_size = DiskCache.size_bytes
+
+        def counting_size(self):
+            nonlocal scans
+            scans += 1
+            return real_size(self)
+
+        for index in range(12):
+            disk = DiskCache(tmp_path, max_bytes=4 * one_entry)
+            disk.size_bytes = counting_size.__get__(disk)
+            disk.put(f"{index:02d}" + "0" * 62, {"payload": "x" * 1000})
+        assert scans == 1
+        assert disk._size_estimate == real_size(disk) <= 4 * one_entry
+        assert disk.get("11" + "0" * 62) is not None
 
     def test_reads_refresh_recency(self, tmp_path):
         one_entry = len(serialize({"payload": "x" * 1000}, {}))

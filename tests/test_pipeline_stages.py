@@ -20,11 +20,13 @@ from hypothesis import strategies as st
 from repro import (
     Q15,
     CompileOptions,
+    Telemetry,
     Toolchain,
     audio_core,
     run_reference,
     tiny_core,
 )
+from repro.apps import audio_application, audio_io_binding
 from repro.errors import OptionsError
 from repro.lang import parse_source
 from repro.options import SEMANTIC_FIELDS
@@ -33,6 +35,7 @@ from repro.pipeline import (
     STAGE_NAMES,
     CompileRequest,
     CompileState,
+    DiskCache,
     StageCache,
     core_fingerprint,
     dfg_fingerprint,
@@ -63,6 +66,22 @@ def toolchain(core=None, **options):
     """A memory-cached toolchain (the sessions' classic behavior)."""
     return Toolchain(core if core is not None else audio_core(),
                      cache=StageCache(), **options)
+
+
+def words_of(compiled) -> tuple[list, list]:
+    """The bits of a compiled program, copied out."""
+    return list(compiled.binary.words), list(compiled.binary.rom_words)
+
+
+def deep_edit(compiled) -> None:
+    """Vandalize a compiled program deep inside, in place: cycles,
+    an RT's resource uses, the register allocation, the binary."""
+    for rt in compiled.schedule.cycle_of:
+        compiled.schedule.cycle_of[rt] += 3
+    compiled.rt_program.rts[0].uses = ()
+    compiled.allocation.register_of.clear()
+    compiled.allocation.pressure.clear()
+    compiled.binary.words.clear()
 
 
 class TestToolchainBasics:
@@ -207,6 +226,39 @@ class TestStageCache:
         assert second.run(stimulus()) == \
             run_reference(second.dfg, stimulus())
 
+    def test_downstream_mutation_cannot_poison_disk_tier(self, tmp_path):
+        disk = DiskCache(tmp_path)
+        tc = Toolchain(audio_core(), cache=StageCache(disk=disk), budget=64)
+        first = tc.compile(SOURCE)
+        expected = words_of(first)
+        deep_edit(first)
+        fresh = Toolchain(audio_core(), cache=StageCache(disk=disk),
+                          budget=64)
+        assert words_of(fresh.compile(SOURCE)) == expected
+        assert words_of(tc.compile(SOURCE)) == expected
+
+    def test_mutating_a_warm_result_cannot_poison_cache(self):
+        tc = toolchain(budget=64)
+        expected = words_of(tc.compile(SOURCE))
+        warm = tc.compile(SOURCE)
+        assert tc.cache.stats.hits == N_STAGES
+        deep_edit(warm)
+        assert words_of(tc.compile(SOURCE)) == expected
+        assert words_of(tc.compile(SOURCE)) == expected
+
+    def test_deep_in_place_edits_cannot_poison_cache(self):
+        tc = toolchain(budget=64)
+        first = tc.compile(SOURCE)
+        expected = words_of(first)
+        deep_edit(first)
+        assert words_of(tc.compile(SOURCE)) == expected
+        # A new budget restores the impose snapshot, whose RTs the
+        # edits reached in the live result.
+        resumed = tc.replace(budget=48).compile(SOURCE)
+        assert resumed.run(stimulus()) == \
+            run_reference(resumed.dfg, stimulus())
+        assert words_of(tc.compile(SOURCE)) == expected
+
     def test_shared_cache_across_toolchains(self):
         cache = StageCache()
         Toolchain(audio_core(), cache=cache, budget=64).compile(SOURCE)
@@ -219,6 +271,121 @@ class TestStageCache:
         Toolchain(audio_core(), cache=cache, budget=64).compile(SOURCE)
         assert len(cache) == 4
         assert cache.stats.evictions == N_STAGES - 4
+
+
+class TestSerializedSnapshots:
+    """Snapshots are pickled once per stage and restored with one
+    unpickling pass: no deep copies, the core by reference, one full
+    restore per warm compile."""
+
+    def test_no_deepcopy_on_any_compile_path(self, tmp_path, monkeypatch):
+        import copy
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("copy.deepcopy called on a compile path")
+
+        monkeypatch.setattr(copy, "deepcopy", refuse)
+        cache = StageCache(disk=DiskCache(tmp_path))
+        tc = Toolchain(audio_core(), cache=cache, budget=64)
+        cold = tc.run_pipeline(SOURCE)
+        warm = tc.run_pipeline(SOURCE)
+        prefix = tc.replace(budget=48).run_pipeline(SOURCE)
+        disk = Toolchain(audio_core(), budget=64,
+                         cache=StageCache(disk=DiskCache(tmp_path))) \
+            .run_pipeline(SOURCE)
+        assert cold.cache_counts() == {"executed": 8, "memory": 0, "disk": 0}
+        assert warm.cache_counts() == {"executed": 0, "memory": 8, "disk": 0}
+        assert prefix.cache_counts() == \
+            {"executed": 3, "memory": 5, "disk": 0}
+        assert disk.cache_counts() == {"executed": 0, "memory": 0, "disk": 8}
+        assert disk.binary.words == warm.binary.words == cold.binary.words
+
+    def test_restored_artifacts_reference_the_toolchains_core(self,
+                                                              tmp_path):
+        disk = DiskCache(tmp_path)
+        first = Toolchain(audio_core(), cache=StageCache(disk=disk),
+                          budget=64)
+        first.compile(SOURCE)
+        warm = first.run_pipeline(SOURCE)
+        assert warm.program.core is first.core
+        assert warm.base_program.core is first.core
+        # A new process brings its own (equal, distinct) core object.
+        second = Toolchain(audio_core(), cache=StageCache(disk=disk),
+                           budget=64)
+        assert second.core is not first.core
+        restored = second.run_pipeline(SOURCE)
+        assert restored.cache_counts()["disk"] == N_STAGES
+        assert restored.program.core is second.core
+        assert restored.as_compiled().core is second.core
+
+    def test_warm_strict_verification_checks_every_boundary(self):
+        obs = Telemetry()
+        tc = Toolchain("audio", CompileOptions(disk_cache=False,
+                                               verify="strict", budget=64),
+                       telemetry=obs)
+        tc.compile(SOURCE)
+        cold_checks = obs.counters["verify.checks"]
+        tc.compile(SOURCE)
+        assert tc.cache.stats.hits == N_STAGES
+        assert cold_checks > 0
+        assert obs.counters["verify.checks"] == 2 * cold_checks
+
+    def test_warm_audio_compile_restores_at_most_three_snapshots(
+            self, monkeypatch):
+        obs = Telemetry()
+        tc = Toolchain("audio", CompileOptions(disk_cache=False),
+                       telemetry=obs)
+        tc.compile(audio_application(), io_binding=audio_io_binding())
+        assert "stagecache.restore" not in obs.counters
+        restored = []
+        real_restore = StageCache.restore
+
+        def recording(self, blob, core):
+            artifacts = real_restore(self, blob, core)
+            restored.append(set(artifacts))
+            return artifacts
+
+        monkeypatch.setattr(StageCache, "restore", recording)
+        state = tc.run_pipeline(audio_application(),
+                                io_binding=audio_io_binding())
+        assert state.cache_counts()["memory"] == N_STAGES
+        assert obs.counters["stagecache.restore"] == len(restored) <= 3
+        full = [keys for keys in restored if keys == set(state.artifacts)]
+        assert len(full) == 1
+        assert obs.counters["stagecache.bytes_stored"] > 0
+
+    def test_unloadable_snapshot_is_a_miss_and_gets_replaced(self):
+        """Bytes that no longer unpickle (a class moved since they were
+        written) count as a miss: the shallower hit restores, the stage
+        runs again and its store replaces the entry."""
+        tc = toolchain(budget=64)
+        key = tc.run_pipeline(SOURCE).fingerprints["assemble"]
+        tc.cache._entries[key] = b"cno_such_module\nThing\n."
+        again = tc.run_pipeline(SOURCE)
+        assert again.cache_hits["regalloc"]
+        assert not again.cache_hits["assemble"]
+        assert tc.cache.restore(tc.cache._entries[key], tc.core) is not None
+        assert again.as_compiled().run(stimulus()) == \
+            run_reference(again.dfg, stimulus())
+
+    def test_impose_leaves_the_lowered_program_alone(self):
+        """On an unmerged core ``program`` starts as ``base_program``;
+        imposing the instruction set must not write the artificial
+        resource uses back into the plain lowering."""
+        for cache in (None, StageCache()):
+            state = Toolchain("audio", cache=cache, opt=0, budget=64) \
+                .run_pipeline(audio_application(),
+                              io_binding=audio_io_binding())
+            artificial = set(state.conflict_model.artificial_resources)
+            assert artificial  # the audio core imposes iset:ABC
+
+            def artificial_uses(program):
+                return [use for rt in program.rts for use in rt.uses
+                        if use.resource in artificial]
+
+            assert artificial_uses(state.program)
+            assert artificial_uses(state.base_program) == []
+            assert state.base_rts == state.base_program.rts
 
 
 class TestFingerprints:

@@ -27,10 +27,13 @@ def regime(**p50s):
     return out
 
 
-def record(**p50s):
+def record(warm_scale=0.1, **p50s):
+    """A profile record whose warm regime is ``warm_scale`` times the
+    cold one, stage by stage (same shares)."""
+    warm = {stage: p50 * warm_scale for stage, p50 in p50s.items()}
     return {"application": "x", "core": "audio", "runs": 5,
             "stages": [s for s in p50s],
-            "cold": regime(**p50s), "warm": regime(**p50s)}
+            "cold": regime(**p50s), "warm": regime(**warm)}
 
 
 class TestShares:
@@ -77,6 +80,26 @@ class TestCheckRegime:
         assert len(notes) == 1 and "'new'" in notes[0]
 
 
+class TestWarmRatio:
+    def test_ratio_at_the_limit_passes(self):
+        problems = []
+        tool.check_warm_ratio(record(warm_scale=0.25, a=0.010), 0.25,
+                              problems)
+        assert problems == []
+
+    def test_ratio_above_the_limit_fails(self):
+        problems = []
+        tool.check_warm_ratio(record(warm_scale=5.8, a=0.010), 0.25,
+                              problems)
+        assert len(problems) == 1
+        assert "5.80x" in problems[0] and "limit 0.25x" in problems[0]
+
+    def test_zero_cold_total_is_skipped(self):
+        problems = []
+        tool.check_warm_ratio(record(a=0.0), 0.25, problems)
+        assert problems == []
+
+
 class TestMain:
     def write(self, tmp_path, name, rec):
         path = tmp_path / name
@@ -97,6 +120,16 @@ class TestMain:
         assert tool.main(["prog", current, "--baseline", base]) == 1
         out = capsys.readouterr().out
         assert "regression" in out and "'a'" in out
+
+    def test_warm_slower_than_a_quarter_of_cold_fails(self, tmp_path,
+                                                      capsys):
+        # Identical shares, so only the regime ratio can fail.
+        current = self.write(tmp_path, "current.json",
+                             record(warm_scale=0.3, a=0.010, b=0.020))
+        base = self.write(tmp_path, "base.json", record(a=0.010, b=0.020))
+        assert tool.main(["prog", current, "--baseline", base]) == 1
+        out = capsys.readouterr().out
+        assert "warm total p50" in out and "0.30x" in out
 
     def test_committed_baseline_is_a_valid_record(self):
         """The baseline CI compares against must itself be a complete

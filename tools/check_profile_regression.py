@@ -12,7 +12,13 @@ baseline's share.  A stage whose share grew by more than ``--max-ratio``
 (default 3×) fails — that shape change survives hardware differences,
 while a uniformly slower CI runner does not trip it.
 
-Two noise guards:
+The second guard compares the two regimes of the same record: when the
+warm total p50 exceeds :data:`MAX_WARM_RATIO` (0.25) times the cold
+total p50, the stage cache no longer pays for itself and the check
+fails.  Both totals come from one run on one machine, so the ratio is
+machine-independent too.
+
+Two noise guards on the share check:
 
 * stages whose current p50 is below ``--min-seconds`` (default 2 ms)
   never fail — at sub-millisecond durations the share is timer noise;
@@ -26,7 +32,8 @@ Usage::
         [--baseline benchmarks/compile_profile_baseline.json] \
         [--max-ratio 3.0] [--min-seconds 0.002]
 
-Exits 0 when every stage's share is within bounds, 1 otherwise.
+Exits 0 when every stage's share and the warm/cold ratio are within
+bounds, 1 otherwise.
 """
 
 from __future__ import annotations
@@ -37,6 +44,9 @@ import sys
 from pathlib import Path
 
 REGIMES = ("cold", "warm")
+
+#: Largest tolerated warm/cold total p50 ratio of one record.
+MAX_WARM_RATIO = 0.25
 
 
 def shares(regime: dict[str, dict[str, float]]) -> dict[str, float]:
@@ -85,6 +95,23 @@ def check_regime(
             )
 
 
+def check_warm_ratio(current: dict, max_warm_ratio: float,
+                     problems: list[str]) -> None:
+    """Fail when the warm total p50 exceeds ``max_warm_ratio`` times
+    the cold total p50 of the same record."""
+    cold = current["cold"]["total"]["p50"]
+    warm = current["warm"]["total"]["p50"]
+    if cold <= 0.0:
+        return
+    ratio = warm / cold
+    if ratio > max_warm_ratio:
+        problems.append(
+            f"warm total p50 {warm * 1e3:.2f} ms is {ratio:.2f}x the cold "
+            f"total p50 {cold * 1e3:.2f} ms — limit {max_warm_ratio:.2f}x "
+            f"(a warm recompile must beat recomputing)"
+        )
+
+
 def main(argv: list[str]) -> int:
     parser = argparse.ArgumentParser(
         description="compare a repro profile record against the "
@@ -112,11 +139,12 @@ def main(argv: list[str]) -> int:
     for regime in REGIMES:
         check_regime(regime, current[regime], baseline[regime],
                      args.max_ratio, args.min_seconds, problems, notes)
+    check_warm_ratio(current, MAX_WARM_RATIO, problems)
 
     for note in notes:
         print(f"note: {note}")
     if problems:
-        print(f"{len(problems)} stage-share regression(s) vs "
+        print(f"{len(problems)} profile regression(s) vs "
               f"{args.baseline}:")
         for problem in problems:
             print(f"  {problem}")
@@ -126,7 +154,8 @@ def main(argv: list[str]) -> int:
         for stage in current[regime] if stage != "total"
     )
     print(f"profile shares ok: {checked} stage regimes within "
-          f"{args.max_ratio:.1f}x of baseline")
+          f"{args.max_ratio:.1f}x of baseline; warm/cold total within "
+          f"{MAX_WARM_RATIO:.2f}x")
     return 0
 
 
