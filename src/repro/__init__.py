@@ -20,10 +20,10 @@ Quick start::
 :func:`repro.arch.registry.list_cores` / :func:`register_core` — a
 ``CoreSpec`` or a JSON core file), a validated
 :class:`CompileOptions` and a two-tier stage cache, then exposes
-``compile()``, ``compile_many()``, ``run()`` and ``explore()``.  The
-pre-Toolchain entry points (:func:`compile_application`,
-:class:`CompileSession`, :class:`BatchSession`) remain as deprecated
-wrappers; see ``docs/api.md`` for the migration table.
+``compile()``, ``compile_many()``, ``run()`` and ``explore()``.  It is
+the only way to compile, and :class:`CompileOptions` fields the only
+way to pass options: the pre-Toolchain entry points were removed in
+2.0.0 (``docs/api.md`` keeps the migration table).
 
 Observability: hand a :class:`Telemetry` to
 ``Toolchain(..., telemetry=obs)`` (or scope one with
@@ -90,16 +90,13 @@ from .opt import OptReport, PassManager, optimize
 from .options import CompileOptions
 from .pipeline import (
     BatchResult,
-    BatchSession,
     CacheBackend,
     CompiledProgram,
-    CompileSession,
     CompileState,
     DiskCache,
     MemoryBackend,
     StageCache,
     backend_stats,
-    compile_application,
     open_backend,
 )
 from .serve import (
@@ -112,17 +109,15 @@ from .serve import (
 from .sim import run_batch, run_program, run_programs
 from .toolchain import Toolchain
 
-__version__ = "1.10.0"
+__version__ = "2.0.0"
 
 __all__ = [
     "Allocation",
     "BatchResult",
-    "BatchSession",
     "CacheBackend",
     "CandidateSimulation",
     "CompileOptions",
     "CompileServer",
-    "CompileSession",
     "CompileState",
     "CompiledProgram",
     "CoreSpec",
@@ -153,7 +148,6 @@ __all__ = [
     "adaptive_core",
     "audio_core",
     "backend_stats",
-    "compile_application",
     "current_telemetry",
     "explore",
     "explore_refined",

@@ -361,11 +361,12 @@ def verify_allocation(program, schedule, allocation,
 def verify_datapath(dp) -> list[Finding]:
     """The datapath style rules of the paper's architecture template.
 
-    The findings-typed core of :func:`repro.arch.validate_datapath`
-    (which remains as a legacy wrapper raising/returning strings, so
-    the messages here deliberately keep its exact wording).  Error
-    codes mark structurally unusable datapaths; warning codes mark
-    dead structure the explorer may legitimately sweep through.
+    Behind :func:`repro.arch.datapath_findings`;
+    :class:`~repro.arch.library.CoreSpec` raises an
+    :class:`~repro.errors.ArchitectureError` listing the messages of
+    the error findings.  Error codes mark structurally unusable
+    datapaths; warning codes mark dead structure the explorer may
+    legitimately sweep through.
     """
     findings: list[Finding] = []
     if not dp.opus:

@@ -66,7 +66,7 @@ from .serialize import (
     load_core,
 )
 from .storage import RegisterFile
-from .validate import datapath_findings, validate_datapath
+from .validate import datapath_findings
 
 __all__ = [
     "ARCHITECTURE_FAILURE",
@@ -129,5 +129,4 @@ __all__ = [
     "unregister_core",
     "tiny_datapath",
     "datapath_findings",
-    "validate_datapath",
 ]

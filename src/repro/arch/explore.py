@@ -53,15 +53,12 @@ import itertools
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, fields, replace
 from functools import partial
-from typing import TYPE_CHECKING
-
-if TYPE_CHECKING:
-    from ..options import CompileOptions
 
 from ..errors import ArchitectureError, ReproError
 from ..lang.dfg import Dfg, NodeKind
 from ..obs import current_telemetry
 from ..opt import optimize_machine_independent, specialize_for_core
+from ..options import CompileOptions
 from .controller import ControllerSpec
 from .datapath import Datapath
 from .library import ClassDef, CoreSpec
@@ -670,35 +667,14 @@ def _worker_evaluate(allocation: Allocation) -> ExplorationPoint:
     return _evaluate_candidate(dfgs, allocation, options)
 
 
-def _sweep_options(options: CompileOptions | None, budget: int | None,
-                   opt_level: int) -> CompileOptions:
-    """Fold the legacy ``budget=``/``opt_level=`` spelling and
-    ``options=`` into one validated :class:`CompileOptions`
-    (:meth:`CompileOptions.merge_legacy` — mixing the spellings is
-    refused, exactly as in ``CompileSession.run``).
-
-    With no ``options``, construction validates the legacy values at
-    the API boundary: an out-of-range budget is a caller error raised
-    here with a clear message, not per-candidate infeasibility, and
-    never an exception propagating out of a ``jobs=`` pool worker
-    mid-sweep.
-    """
-    from ..options import CompileOptions as Options
-
-    return Options.merge_legacy(options, budget=budget,
-                                opt_level=opt_level)
-
-
 def explore(
     dfgs: list[Dfg],
     allocations: list[Allocation],
-    budget: int | None = None,
-    opt_level: int = 1,
     jobs: int | None = None,
     cache: ExploreCache | None = None,
     cache_dir: str | None = None,
     preoptimized: bool = False,
-    options: "CompileOptions | None" = None,
+    options: CompileOptions | None = None,
     progress=None,
 ) -> list[ExplorationPoint]:
     """Compile every application on every candidate architecture.
@@ -719,18 +695,17 @@ def explore(
     handed in) builds a disk-backed :class:`ExploreCache` on that
     directory, so repeated sweeps hit disk across processes.
     ``preoptimized=True`` declares ``dfgs`` already machine-independently
-    optimized at ``opt_level`` and skips the pass — the contract
+    optimized at ``options.opt`` and skips the pass — the contract
     :func:`explore_refined` uses so its two phases optimize each
     application exactly once between them.
 
-    ``options`` hands the sweep a base
-    :class:`~repro.options.CompileOptions` instead of loose keywords:
-    its ``budget`` and ``opt`` override the ``budget``/``opt_level``
-    parameters (the spelling :meth:`repro.toolchain.Toolchain.explore`
-    uses), and its cover algorithm and scheduler ``restarts``/``seed``
-    take effect per candidate (``mode``/``repeat`` do not — evaluation
-    stops before assembly).  These knobs key the candidate memo, so
-    sweeps differing in any of them never share cache entries.
+    ``options`` is the sweep's base
+    :class:`~repro.options.CompileOptions` (``None`` = the defaults):
+    its ``budget`` and ``opt`` level, cover algorithm and scheduler
+    ``restarts``/``seed`` take effect per candidate (``mode``/``repeat``
+    do not — evaluation stops before assembly).  These knobs key the
+    candidate memo, so sweeps differing in any of them never share
+    cache entries.
 
     ``progress`` is an optional callable invoked once per candidate as
     its result resolves (memo hit during the scan, evaluation as it
@@ -743,13 +718,14 @@ def explore(
     from ..pipeline import dfg_fingerprint, fingerprint
     from ..pipeline.backend import open_backend
 
-    options = _sweep_options(options, budget, opt_level)
-    budget, opt_level = options.budget, options.opt
+    if options is None:
+        options = CompileOptions()
     if cache is None and cache_dir is not None:
         cache = ExploreCache(disk=open_backend(cache_dir))
 
     optimized = list(dfgs) if preoptimized else [
-        optimize_machine_independent(dfg, level=opt_level)[0] for dfg in dfgs
+        optimize_machine_independent(dfg, level=options.opt)[0]
+        for dfg in dfgs
     ]
     app_key = [dfg_fingerprint(dfg) for dfg in optimized]
 
@@ -787,7 +763,7 @@ def explore(
         if variant != allocation.merge_variant:
             allocation = replace(allocation, merge_variant=variant)
         key = fingerprint("explore", app_key, allocation.astuple(),
-                          budget, opt_level, options_fp)
+                          options.budget, options.opt, options_fp)
         cached = cache.get(key) if cache is not None else None
         if cached is not None:
             results[index] = cached
@@ -852,13 +828,11 @@ class RefinedSweep:
 def explore_refined(
     dfgs: list[Dfg],
     spec: SweepSpec,
-    budget: int | None = None,
-    opt_level: int = 1,
     jobs: int | None = None,
     cache: ExploreCache | None = None,
     cache_dir: str | None = None,
     axes: tuple[str, ...] | None = None,
-    options: "CompileOptions | None" = None,
+    options: CompileOptions | None = None,
     progress=None,
 ) -> RefinedSweep:
     """Two-phase coarse-to-fine sweep over a multi-dimensional grid.
@@ -879,8 +853,8 @@ def explore_refined(
     """
     from ..pipeline.backend import open_backend
 
-    options = _sweep_options(options, budget, opt_level)
-    budget, opt_level = options.budget, options.opt
+    if options is None:
+        options = CompileOptions()
     if cache is None:
         cache = ExploreCache(disk=open_backend(cache_dir)) \
             if cache_dir is not None else ExploreCache()
@@ -890,7 +864,8 @@ def explore_refined(
     # Optimize once, up front: both phases sweep the same graphs (and
     # the candidate-cache keys stay identical to a plain explore()).
     optimized = [
-        optimize_machine_independent(dfg, level=opt_level)[0] for dfg in dfgs
+        optimize_machine_independent(dfg, level=options.opt)[0]
+        for dfg in dfgs
     ]
 
     coarse_allocations = spec.coarse().allocations()
@@ -952,7 +927,7 @@ def simulate_points(
     points: list[ExplorationPoint],
     stimuli: list[dict[str, list[int]]] | dict[str, list[int]],
     *,
-    options: "CompileOptions | None" = None,
+    options: CompileOptions | None = None,
     n_frames: int | None = None,
     engine: str = "auto",
 ) -> list[CandidateSimulation]:

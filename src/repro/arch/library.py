@@ -28,10 +28,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
+from ..errors import ArchitectureError
 from .controller import ControllerSpec
 from .datapath import Datapath
 from .opu import Operation, OpuKind
-from .validate import validate_datapath
+from .validate import datapath_findings
 
 
 @dataclass(frozen=True)
@@ -56,7 +57,11 @@ class CoreSpec:
     frac_bits: int = 15
 
     def __post_init__(self) -> None:
-        validate_datapath(self.datapath)
+        errors = [f.message for f in datapath_findings(self.datapath)
+                  if f.is_error]
+        if errors:
+            raise ArchitectureError(
+                "datapath style violations:\n  - " + "\n  - ".join(errors))
 
     def class_def(self, name: str) -> ClassDef:
         for cd in self.class_defs:

@@ -14,14 +14,13 @@ instead of failing obscurely later.
 The rules themselves live in :func:`repro.analyze.verify_datapath`
 and report through the shared :class:`repro.analyze.Finding` schema
 (severity, ``arch.*`` code, location) — the same schema ``repro
-check`` uses.  :func:`validate_datapath` remains as the historical
-entry point: it raises on error findings and returns the warnings as
-bare strings.  New code should prefer :func:`datapath_findings`.
+check`` uses.  :func:`datapath_findings` is the entry point;
+:class:`~repro.arch.library.CoreSpec` raises an
+:class:`~repro.errors.ArchitectureError` on its error findings.
 """
 
 from __future__ import annotations
 
-from ..errors import ArchitectureError
 from .datapath import Datapath
 
 
@@ -40,31 +39,3 @@ def datapath_findings(dp: Datapath) -> list:
     from ..analyze.verifiers import verify_datapath
 
     return verify_datapath(dp)
-
-
-def validate_datapath(dp: Datapath) -> list[str]:
-    """Legacy wrapper over :func:`datapath_findings`; raise on errors,
-    return warnings as bare strings.
-
-    Deprecated spelling (kept working, no warning emitted: core
-    construction calls it on every ``CoreSpec``): new code should use
-    :func:`datapath_findings` and get severities, codes and locations
-    instead of parsing message strings.
-
-    Raises
-    ------
-    ArchitectureError
-        If a rule is violated (message lists every violation).
-
-    Returns
-    -------
-    list of str
-        Non-fatal warnings, e.g. register files nothing can write.
-    """
-    findings = datapath_findings(dp)
-    errors = [f.message for f in findings if f.is_error]
-    if errors:
-        raise ArchitectureError(
-            "datapath style violations:\n  - " + "\n  - ".join(errors)
-        )
-    return [f.message for f in findings if not f.is_error]

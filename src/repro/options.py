@@ -70,19 +70,6 @@ OPTIONS_SCHEMA_VERSION = 1
 SEMANTIC_FIELDS = ("opt", "budget", "cover", "mode", "repeat",
                    "restarts", "seed")
 
-#: Old keyword names (``compile_application`` and the pre-Toolchain
-#: sessions) -> :class:`CompileOptions` field.
-LEGACY_KWARGS = {
-    "opt_level": "opt",
-    "cover_algorithm": "cover",
-    "repeat_count": "repeat",
-    "budget": "budget",
-    "mode": "mode",
-    "restarts": "restarts",
-    "seed": "seed",
-    "stop_after": "stop_after",
-}
-
 
 def _stage_names() -> tuple[str, ...]:
     # Imported lazily: repro.pipeline imports this module (the request
@@ -212,45 +199,6 @@ class CompileOptions:
                 f"unknown option field(s) {', '.join(unknown)} "
                 f"(known: {', '.join(sorted(known))})")
         return cls(**data)
-
-    @classmethod
-    def from_legacy_kwargs(cls, **kwargs: Any) -> "CompileOptions":
-        """Funnel the pre-Toolchain keyword spelling (``opt_level=``,
-        ``cover_algorithm=``, ``repeat_count=`` ...) into options."""
-        fields: dict[str, Any] = {}
-        for name, value in kwargs.items():
-            field = LEGACY_KWARGS.get(name)
-            if field is None:
-                raise OptionsError(
-                    f"unknown compile option {name!r} "
-                    f"(known: {', '.join(sorted(LEGACY_KWARGS))})")
-            fields[field] = value
-        return cls(**fields)
-
-    @classmethod
-    def merge_legacy(cls, options: "CompileOptions | None",
-                     **legacy: Any) -> "CompileOptions":
-        """Fold an ``options=`` object and legacy keywords into one.
-
-        With no ``options``, the legacy keywords build (and validate) a
-        new instance.  With ``options``, any legacy keyword departing
-        from its default is refused — mixing the spellings would
-        silently drop values.  Defaults come from the class itself so
-        the guard cannot drift; both the session wrappers and the
-        explorer share this one rule.
-        """
-        if options is None:
-            return cls.from_legacy_kwargs(**legacy)
-        defaults = cls()
-        conflicts = sorted(
-            name for name, value in legacy.items()
-            if value != getattr(defaults, LEGACY_KWARGS[name])
-        )
-        if conflicts:
-            raise OptionsError(
-                f"pass options= or the legacy keyword(s) "
-                f"{', '.join(conflicts)}, not both")
-        return options
 
     # ------------------------------------------------------------------
     # Content fingerprinting (feeds the stage-cache keys)

@@ -18,31 +18,23 @@ layered in front, built as a *staged pipeline*:
 
 Each phase is a first-class :class:`~repro.pipeline.stages.Stage`
 consuming and producing typed artifacts with content fingerprints.
-:class:`repro.toolchain.Toolchain` (the typed public facade) drives
-the chain with per-stage caching, partial compilation
-(``options.stop_after``) and resumption from a cached prefix.  The
-pre-Toolchain entry points are kept as thin deprecated wrappers:
-:func:`compile_application` (the classic one-shot call, still
-byte-for-byte the classic behavior) plus :class:`CompileSession` and
-:class:`BatchSession`.
+:class:`repro.toolchain.Toolchain` (the typed public facade, and the
+only way to compile) drives the chain with per-stage caching, partial
+compilation (``options.stop_after``) and resumption from a cached
+prefix.
 
 Caching is two-tiered: the in-process LRU :class:`StageCache` can be
 layered over a persistent, content-addressed
 :class:`~repro.pipeline.diskcache.DiskCache`, so a second process (or
 a warm design-space sweep) restores stage artifacts from disk instead
-of recomputing them.  :class:`BatchSession` compiles a whole
-application set through one shared cache.  See ``docs/architecture.md``
-for the full walk-through.
+of recomputing them.
+:meth:`~repro.toolchain.Toolchain.compile_many` compiles a whole
+application set through one shared cache.  See
+``docs/architecture.md`` for the full walk-through.
 """
 
 from __future__ import annotations
 
-import warnings
-
-from ..arch.library import CoreSpec
-from ..arch.merge import MergeSpec
-from ..lang.dfg import Dfg
-from ..options import CompileOptions
 from .artifacts import (
     ARTIFACT_VERSIONS,
     PIPELINE_VERSION,
@@ -69,9 +61,7 @@ from .program import CompiledProgram
 from .session import (
     BatchEntry,
     BatchResult,
-    BatchSession,
     CacheStats,
-    CompileSession,
     StageCache,
 )
 from .stages import PIPELINE_STAGES, STAGE_EXECUTIONS, STAGE_NAMES, Stage
@@ -80,11 +70,9 @@ __all__ = [
     "ARTIFACT_VERSIONS",
     "BatchEntry",
     "BatchResult",
-    "BatchSession",
     "CacheBackend",
     "CacheStats",
     "CompileRequest",
-    "CompileSession",
     "CompileState",
     "CompiledProgram",
     "DiskCache",
@@ -100,64 +88,8 @@ __all__ = [
     "Stage",
     "StageCache",
     "artifact_schema",
-    "compile_application",
     "core_fingerprint",
     "default_cache_dir",
     "dfg_fingerprint",
     "fingerprint",
 ]
-
-
-def compile_application(
-    application: Dfg | str,
-    core: CoreSpec | str,
-    budget: int | None = None,
-    io_binding: dict[str, str] | None = None,
-    merges: MergeSpec | None = None,
-    cover_algorithm: str = "greedy",
-    restarts: int = 0,
-    seed: int = 0,
-    mode: str = "loop",
-    repeat_count: int = 1,
-    opt_level: int = 1,
-) -> CompiledProgram:
-    """Compile an application (source text or DFG) onto a core.
-
-    .. deprecated::
-        Use ``repro.Toolchain(core, options).compile(application)`` —
-        this wrapper funnels its keywords through
-        :class:`~repro.options.CompileOptions` and compiles with
-        caching disabled (one cold run of the stage chain, byte-for-
-        byte the classic behavior).
-
-    Parameters
-    ----------
-    budget:
-        The user-specified time-loop cycle budget (section 2: "the
-        cycle budget is specified by the user").  ``None`` compiles for
-        minimum length.
-    merges:
-        Register-file/bus merges of the final core (applied as RT
-        modifications, step 2a).
-    cover_algorithm:
-        Edge-clique-cover algorithm for the artificial resources.
-    restarts:
-        Extra list-scheduler attempts with jittered priorities.
-    opt_level:
-        Machine-independent optimization level (0, 1 or 2, see
-        :mod:`repro.opt`).  ``0`` lowers the graph exactly as written.
-    """
-    from ..toolchain import Toolchain
-
-    warnings.warn(
-        "compile_application() is deprecated; use "
-        "repro.Toolchain(core, options).compile(application) instead",
-        DeprecationWarning, stacklevel=2,
-    )
-    options = CompileOptions.from_legacy_kwargs(
-        budget=budget, cover_algorithm=cover_algorithm, restarts=restarts,
-        seed=seed, mode=mode, repeat_count=repeat_count, opt_level=opt_level,
-    )
-    return Toolchain(core, options, cache=None).compile(
-        application, io_binding=io_binding, merges=merges,
-    )

@@ -116,9 +116,7 @@ class CompileRequest:
     (``io_binding``, ``merges``) and one validated
     :class:`~repro.options.CompileOptions` — the request is what stages
     read their options from, and what the per-stage fingerprints are
-    derived from.  The legacy flat attributes (``budget``,
-    ``opt_level``, ...) are preserved as read-only views onto
-    ``options``.
+    derived from.
     """
 
     application: Dfg | str
@@ -126,35 +124,6 @@ class CompileRequest:
     options: CompileOptions = field(default_factory=CompileOptions)
     io_binding: dict[str, str] | None = None
     merges: MergeSpec | None = None
-
-    # Legacy views (the pre-CompileOptions attribute spelling).
-    @property
-    def budget(self) -> int | None:
-        return self.options.budget
-
-    @property
-    def cover_algorithm(self) -> str:
-        return self.options.cover
-
-    @property
-    def restarts(self) -> int:
-        return self.options.restarts
-
-    @property
-    def seed(self) -> int:
-        return self.options.seed
-
-    @property
-    def mode(self) -> str:
-        return self.options.mode
-
-    @property
-    def repeat_count(self) -> int:
-        return self.options.repeat
-
-    @property
-    def opt_level(self) -> int:
-        return self.options.opt
 
 
 @dataclass
@@ -166,7 +135,7 @@ class CompileState:
     ``completed`` lists stage names in execution order.  Artifact
     attribute access is provided for convenience::
 
-        state = session.run(source, core, stop_after="schedule")
+        state = Toolchain(core, stop_after="schedule").run_pipeline(source)
         state.schedule.length
     """
 

@@ -1,12 +1,10 @@
-"""Stage caching plus the legacy session wrappers.
+"""Stage caching: the machinery :class:`repro.toolchain.Toolchain` drives.
 
 The stage-chain *driver* lives on :class:`repro.toolchain.Toolchain`
 (the typed facade binding a core + options + cache); this module keeps
 the cache machinery it drives — :class:`StageCache`, its statistics,
-the batch result types — and the pre-Toolchain session classes
-(:class:`CompileSession`, :class:`BatchSession`) as thin deprecated
-wrappers that funnel their untyped keyword options through
-:class:`~repro.options.CompileOptions`.
+and the batch result types of
+:meth:`~repro.toolchain.Toolchain.compile_many`.
 
 With a :class:`StageCache` attached, the driver pickles the cumulative
 artifact state once, right after each stage runs, and stores those
@@ -31,9 +29,9 @@ The memory cache can be layered over a persistent
 the store, hydrate the memory tier with the same bytes, and stores are
 written through — which is what makes a *second process* (or a warm
 design sweep the next morning) start from the artifacts instead of the
-source.  :class:`BatchSession` compiles a whole application set
-through one shared cache so identical prefixes are computed once
-across the batch.
+source.  :meth:`~repro.toolchain.Toolchain.compile_many` compiles a
+whole application set through one shared cache so identical prefixes
+are computed once across the batch.
 """
 
 from __future__ import annotations
@@ -43,20 +41,14 @@ import gc
 import io
 import pickle
 import threading
-import warnings
 from collections import OrderedDict
 from dataclasses import dataclass, field
 from typing import Any, Sequence
 
 from ..arch.library import CoreSpec
-from ..arch.merge import MergeSpec
-from ..lang.dfg import Dfg
 from ..obs import current_telemetry
-from ..options import CompileOptions
 from .artifacts import CompileState, artifact_schema
 from .backend import CacheBackend
-from .diskcache import DiskCache
-from .stages import PIPELINE_STAGES
 
 
 def _core_ref() -> CoreSpec:
@@ -125,7 +117,7 @@ class StageCache:
 
     ``disk`` layers a persistent backend underneath — any
     :class:`~repro.pipeline.backend.CacheBackend` (the local-directory
-    :class:`DiskCache`, the in-process
+    :class:`~repro.pipeline.diskcache.DiskCache`, the in-process
     :class:`~repro.pipeline.backend.MemoryBackend`, a remote store): it
     receives the same bytes on every store, and a memory miss that the
     backend serves hydrates the memory tier with them.
@@ -257,12 +249,12 @@ class StageCache:
 
 
 class _DefaultCache:
-    """Sentinel *type* for "create a private cache for this session".
+    """Sentinel *type* for "create a private cache for this toolchain".
 
-    A real class (not a bare ``object()``) so the ``cache`` parameters
-    of :class:`repro.toolchain.Toolchain` and the session wrappers can
-    be annotated ``StageCache | None | _DefaultCache`` — type checkers
-    then see honest signatures instead of an ``object`` escape hatch.
+    A real class (not a bare ``object()``) so the ``cache`` parameter
+    of :class:`repro.toolchain.Toolchain` can be annotated
+    ``StageCache | None | _DefaultCache`` — type checkers then see an
+    honest signature instead of an ``object`` escape hatch.
     """
 
     __slots__ = ()
@@ -271,87 +263,12 @@ class _DefaultCache:
         return "<default cache>"
 
 
-#: The one sentinel instance: "create a private cache for this session".
+#: The one sentinel instance: "create a private cache for this toolchain".
 _DEFAULT_CACHE = _DefaultCache()
 
 
-def _warn_deprecated(old: str, new: str) -> None:
-    warnings.warn(
-        f"{old} is deprecated; use {new} instead",
-        DeprecationWarning, stacklevel=3,
-    )
-
-
-class CompileSession:
-    """Deprecated pre-``Toolchain`` driver (one session, many cores).
-
-    .. deprecated::
-        Bind the core once with :class:`repro.toolchain.Toolchain`
-        instead; a session is now a thin wrapper that builds a
-        toolchain per call around its shared cache.  The untyped
-        ``**options`` keywords (``opt_level=``, ``cover_algorithm=``,
-        ...) are funneled through
-        :class:`~repro.options.CompileOptions`; new code should pass
-        ``options=CompileOptions(...)`` — or better, a toolchain.
-
-    ``CompileSession()`` owns a private :class:`StageCache`; pass
-    ``cache=None`` to disable caching, or share one :class:`StageCache`
-    between sessions to reuse artifacts across them.
-    """
-
-    def __init__(
-        self, cache: StageCache | None | _DefaultCache = _DEFAULT_CACHE,
-    ):
-        _warn_deprecated("CompileSession", "repro.Toolchain")
-        self.cache: StageCache | None = (
-            StageCache() if isinstance(cache, _DefaultCache) else cache
-        )
-        self.stages = PIPELINE_STAGES
-
-    # ------------------------------------------------------------------
-
-    def run(
-        self,
-        application: Dfg | str,
-        core: CoreSpec,
-        budget: int | None = None,
-        io_binding: dict[str, str] | None = None,
-        merges: MergeSpec | None = None,
-        cover_algorithm: str = "greedy",
-        restarts: int = 0,
-        seed: int = 0,
-        mode: str = "loop",
-        repeat_count: int = 1,
-        opt_level: int = 1,
-        stop_after: str | None = None,
-        *,
-        options: CompileOptions | None = None,
-    ) -> CompileState:
-        """Run the pipeline, optionally stopping after ``stop_after``.
-
-        Returns the :class:`CompileState` with every artifact produced
-        so far.  A later :meth:`run` with the same session resumes from
-        the cached prefix (each already-computed stage is a cache hit).
-        """
-        from ..toolchain import Toolchain
-
-        options = CompileOptions.merge_legacy(
-            options, budget=budget, cover_algorithm=cover_algorithm,
-            restarts=restarts, seed=seed, mode=mode,
-            repeat_count=repeat_count, opt_level=opt_level,
-            stop_after=stop_after,
-        )
-        return Toolchain(core, options, cache=self.cache).run_pipeline(
-            application, io_binding=io_binding, merges=merges,
-        )
-
-    def compile(self, application: Dfg | str, core: CoreSpec, **options):
-        """Run the full pipeline and return a :class:`CompiledProgram`."""
-        return self.run(application, core, **options).as_compiled()
-
-
 # ----------------------------------------------------------------------
-# Batched multi-application sessions
+# Batched multi-application compiles
 
 
 @dataclass
@@ -400,47 +317,3 @@ class BatchResult:
             for tier, n in entry.state.cache_counts().items():
                 counts[tier] += n
         return counts
-
-
-class BatchSession:
-    """Deprecated pre-``Toolchain`` batch driver.
-
-    .. deprecated::
-        Use :meth:`repro.toolchain.Toolchain.compile_many` — the
-        toolchain already binds the core and the shared (optionally
-        disk-backed) cache this class existed to carry.
-    """
-
-    def __init__(self, cache: StageCache | None | _DefaultCache = _DEFAULT_CACHE,
-                 disk: DiskCache | None = None):
-        _warn_deprecated("BatchSession", "repro.Toolchain.compile_many")
-        if isinstance(cache, _DefaultCache):
-            cache = StageCache(disk=disk)
-        elif disk is not None:
-            raise ValueError("pass either a prebuilt cache or disk=, not both")
-        self.cache: StageCache | None = cache
-
-    def compile_many(
-        self,
-        applications: list[Dfg | str],
-        core: CoreSpec,
-        names: list[str] | None = None,
-        stop_after: str | None = None,
-        io_binding: dict[str, str] | None = None,
-        merges: MergeSpec | None = None,
-        **options,
-    ) -> BatchResult:
-        """Run every application through one shared cache.
-
-        ``names`` labels the batch entries (defaults to the DFG names /
-        ``app[i]`` for text sources); ``options`` are the usual legacy
-        keywords, applied to every application — as are ``io_binding``
-        and ``merges``, which this wrapper always accepted.
-        """
-        from ..toolchain import Toolchain
-
-        compile_options = CompileOptions.from_legacy_kwargs(
-            stop_after=stop_after, **options)
-        toolchain = Toolchain(core, compile_options, cache=self.cache)
-        return toolchain.compile_many(applications, names=names,
-                                      io_binding=io_binding, merges=merges)

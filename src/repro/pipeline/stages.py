@@ -1,7 +1,7 @@
 """First-class compilation stages.
 
-The monolithic ``compile_application`` body, split along the paper's
-phase boundaries (figure 1b) into eight composable stages::
+The compiler, split along the paper's phase boundaries (figure 1b)
+into eight composable stages::
 
     parse -> optimize -> rtgen -> merge -> impose -> schedule
           -> regalloc -> assemble
@@ -80,7 +80,7 @@ class Stage:
     def execute(self, state: CompileState) -> None:
         """Run the stage body, counting the execution.
 
-        The session driver calls this (never :meth:`run` directly) so
+        The toolchain's driver calls this (never :meth:`run` directly) so
         :data:`STAGE_EXECUTIONS` stays an exact record of work done.
         When telemetry is live, the body runs inside a
         ``stage:<name>`` span tagged ``cache_source="executed"``.  A

@@ -15,14 +15,13 @@ every verb is a method::
     result = toolchain.compile_many(sources)        # BatchResult
     sweep = toolchain.explore(sources, spec, refine=True)
 
-The facade *is* the engine: the stage-chain driver lives here, and the
-pre-Toolchain entry points (:func:`repro.pipeline.compile_application`,
-``CompileSession``, ``BatchSession``) are thin deprecated wrappers
-over it.  By default a toolchain owns a two-tier stage cache (memory
-LRU over the persistent on-disk store, honoring
-``options.cache_dir``/``options.disk_cache``); pass ``cache=None`` for
-the classic cold path or share one :class:`StageCache` between
-toolchains to reuse artifacts across them.
+The facade *is* the engine: the stage-chain driver lives here, and it
+is the only way to compile (the pre-Toolchain entry points were
+removed in 2.0.0, see ``docs/api.md``).  By default a toolchain owns a
+two-tier stage cache (memory LRU over the persistent on-disk store,
+honoring ``options.cache_dir``/``options.disk_cache``); pass
+``cache=None`` for the classic cold path or share one
+:class:`StageCache` between toolchains to reuse artifacts across them.
 """
 
 from __future__ import annotations

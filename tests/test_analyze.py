@@ -257,11 +257,3 @@ class TestDatapathFindings:
         assert all(not f.is_error for f in findings)
         assert all(isinstance(f, Finding) and f.code.startswith("arch.")
                    for f in findings)
-
-    def test_structured_and_legacy_agree(self):
-        from repro.arch import validate_datapath
-
-        dp = fir_datapath()
-        warnings = validate_datapath(dp)
-        assert warnings == [f.message for f in datapath_findings(dp)
-                            if not f.is_error]

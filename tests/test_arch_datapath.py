@@ -4,13 +4,14 @@ import pytest
 
 from repro.arch import (
     ControllerSpec,
+    CoreSpec,
     Datapath,
     Operation,
     OpuKind,
     audio_datapath,
+    datapath_findings,
     fir_datapath,
     tiny_datapath,
-    validate_datapath,
 )
 from repro.errors import ArchitectureError, ConnectivityError
 
@@ -169,13 +170,13 @@ class TestQueries:
 class TestValidation:
     def test_library_datapaths_are_valid(self):
         for dp in (audio_datapath(), fir_datapath(), tiny_datapath()):
-            validate_datapath(dp)  # must not raise
+            CoreSpec(dp.name, dp, ControllerSpec())  # must not raise
 
     def test_unfed_port_is_rejected(self):
         dp = Datapath("bad")
         dp.add_opu("alu", OpuKind.ALU, [Operation("add", arity=2)])
         with pytest.raises(ArchitectureError, match="neither fed"):
-            validate_datapath(dp)
+            CoreSpec("bad", dp, ControllerSpec())
 
     def test_busless_producer_is_rejected(self):
         dp = Datapath("bad")
@@ -185,19 +186,21 @@ class TestValidation:
         dp.connect_port(alu, 0, rf0)
         dp.connect_port(alu, 1, rf1)
         with pytest.raises(ArchitectureError, match="drives no bus"):
-            validate_datapath(dp)
+            CoreSpec("bad", dp, ControllerSpec())
 
     def test_empty_datapath_is_rejected(self):
         with pytest.raises(ArchitectureError, match="no OPUs"):
-            validate_datapath(Datapath("empty"))
+            CoreSpec("empty", Datapath("empty"), ControllerSpec())
 
     def test_dangling_bus_warns(self):
         dp, alu, rf0, rf1, bus = build_minimal()
         prg = dp.add_opu("prg", OpuKind.CONST, [Operation("const", arity=1)])
         dp.make_immediate_port(prg, 0)
         dp.attach_bus(prg)  # never routed anywhere
-        warnings = validate_datapath(dp)
-        assert any("reaches no" in w for w in warnings)
+        dead = [f for f in datapath_findings(dp) if f.code == "arch.dead-bus"]
+        assert dead and not any(f.is_error for f in dead)
+        assert "reaches no" in dead[0].message
+        CoreSpec("mini", dp, ControllerSpec())  # a warning never raises
 
 
 class TestOperation:

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro import Q15, Toolchain, run_reference
+from repro import Q15, CompileOptions, Toolchain, run_reference
 from repro.apps import fir_application, stress_application
 from repro.arch import (
     ARCHITECTURE_FAILURE,
@@ -10,6 +10,8 @@ from repro.arch import (
     PARETO_AXES,
     STORAGE_AXES,
     Allocation,
+    ControllerSpec,
+    CoreSpec,
     ExplorationPoint,
     ExploreCache,
     SweepSpec,
@@ -20,7 +22,6 @@ from repro.arch import (
     pareto_axes,
     pareto_front,
     required_operations,
-    validate_datapath,
 )
 from repro.errors import ArchitectureError
 from repro.lang import DfgBuilder
@@ -36,7 +37,7 @@ def app_set():
 class TestIntermediateArchitecture:
     def test_is_style_valid(self):
         core = intermediate_architecture(app_set())
-        validate_datapath(core.datapath)
+        CoreSpec(core.name, core.datapath, ControllerSpec())  # no raise
 
     def test_covers_required_operations(self):
         dfgs = app_set()
@@ -210,7 +211,8 @@ class TestExploration:
 
     def test_budget_infeasibility_is_recorded_not_dropped(self):
         dfgs = [stress_application(6, seed=2)]
-        points = explore(dfgs, [Allocation()], budget=2)
+        points = explore(dfgs, [Allocation()],
+                         options=CompileOptions(budget=2))
         assert len(points) == 1
         point = points[0]
         assert not point.feasible
@@ -254,7 +256,8 @@ class TestExploration:
         dfgs = app_set()
         allocations = [Allocation(n_mult=m, n_alu=a)
                        for m in (1, 2) for a in (1, 2)]
-        explore_module.explore(dfgs, allocations, opt_level=1)
+        explore_module.explore(dfgs, allocations,
+                               options=CompileOptions(opt=1))
         assert sorted(calls) == sorted(d.name for d in dfgs)
 
     def test_parallel_matches_sequential(self):
@@ -313,8 +316,10 @@ class TestExploration:
 
     def test_opt_level_shortens_or_keeps_lengths(self):
         dfgs = [stress_application(6, seed=2)]
-        unoptimized = explore(dfgs, [Allocation()], opt_level=0)
-        optimized = explore(dfgs, [Allocation()], opt_level=2)
+        unoptimized = explore(dfgs, [Allocation()],
+                              options=CompileOptions(opt=0))
+        optimized = explore(dfgs, [Allocation()],
+                            options=CompileOptions(opt=2))
         assert optimized[0].schedule_lengths["stress_6"] <= \
             unoptimized[0].schedule_lengths["stress_6"]
 
@@ -346,9 +351,10 @@ class TestRefinement:
         dfgs = [stress_application(6, seed=2)]
         spec = self.spec()
         axes = pareto_axes(spec)
+        options = CompileOptions(budget=64)
         full_front = pareto_front(
-            explore(dfgs, spec.allocations(), budget=64), axes=axes)
-        refined = explore_refined(dfgs, spec, budget=64)
+            explore(dfgs, spec.allocations(), options=options), axes=axes)
+        refined = explore_refined(dfgs, spec, options=options)
         assert self.front_keys(refined.front) == self.front_keys(full_front)
 
     def test_refinement_optimizes_each_application_once(self, monkeypatch):
@@ -492,47 +498,26 @@ class TestDiskBackedSweeps:
     def test_failures_persist_too(self, tmp_path):
         dfgs = app_set()
         allocations = [Allocation()]
-        cold = explore(dfgs, allocations, budget=1, cache_dir=str(tmp_path))
-        warm = explore(dfgs, allocations, budget=1, cache_dir=str(tmp_path))
+        options = CompileOptions(budget=1)
+        cold = explore(dfgs, allocations, options=options,
+                       cache_dir=str(tmp_path))
+        warm = explore(dfgs, allocations, options=options,
+                       cache_dir=str(tmp_path))
         assert not cold[0].feasible
         assert warm[0].failures == cold[0].failures
 
 
 class TestExploreOptionValidation:
-    """An out-of-range budget is a caller error at the API boundary —
-    raised once with a clear message, never per-candidate noise or an
-    exception escaping a jobs= pool worker mid-sweep."""
-
-    def test_bad_budget_rejected_early(self):
-        from repro.errors import OptionsError
-
-        dfgs = app_set()
-        with pytest.raises(OptionsError, match="budget must be >= 1"):
-            explore(dfgs, [Allocation()], budget=0)
-        with pytest.raises(OptionsError, match="budget must be >= 1"):
-            explore_refined(dfgs, SweepSpec(), budget=-2)
-
-    def test_mixing_options_and_legacy_kwargs_is_refused(self):
-        from repro import CompileOptions
-        from repro.errors import OptionsError
-
-        dfgs = app_set()[:1]
-        with pytest.raises(OptionsError, match="not both"):
-            explore(dfgs, [Allocation()], budget=32,
-                    options=CompileOptions())
-        with pytest.raises(OptionsError, match="not both"):
-            explore_refined(dfgs, SweepSpec(), opt_level=2,
-                            options=CompileOptions())
+    """The sweep takes its budget and opt level from one validated
+    CompileOptions: an out-of-range budget is refused when the options
+    are built, never per candidate or inside a jobs= pool worker."""
 
     def test_options_object_supplies_budget_and_opt(self):
-        from repro import CompileOptions
-
         dfgs = app_set()[:1]
-        legacy = explore(dfgs, [Allocation()], budget=32, opt_level=2)
-        typed = explore(dfgs, [Allocation()],
-                        options=CompileOptions(budget=32, opt=2))
-        assert [p.schedule_lengths for p in legacy] == \
-            [p.schedule_lengths for p in typed]
+        point = explore(dfgs, [Allocation()],
+                        options=CompileOptions(budget=32, opt=2))[0]
+        assert point.opt_level == 2
+        assert point.feasible and point.worst_length <= 32
 
 
 class TestExploreHonorsBaseOptions:

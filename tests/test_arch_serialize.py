@@ -7,6 +7,8 @@ import pytest
 from repro import Q15, Toolchain, run_reference
 from repro.apps import adaptive_core
 from repro.arch import (
+    ControllerSpec,
+    CoreSpec,
     audio_core,
     core_from_dict,
     core_to_dict,
@@ -14,7 +16,6 @@ from repro.arch import (
     fir_core,
     load_core,
     tiny_core,
-    validate_datapath,
 )
 from repro.errors import ArchitectureError
 from repro.lang import DfgBuilder
@@ -33,7 +34,7 @@ class TestRoundtrip:
     @pytest.mark.parametrize("factory", ALL_CORES)
     def test_loaded_core_is_valid(self, factory):
         loaded = load_core(dump_core(factory()))
-        validate_datapath(loaded.datapath)  # must not raise
+        CoreSpec(loaded.name, loaded.datapath, ControllerSpec())  # no raise
 
     def test_json_is_actually_json(self):
         payload = json.loads(dump_core(tiny_core()))

@@ -2,6 +2,11 @@
 :class:`CompileOptions` validation, and the :class:`Toolchain` facade.
 """
 
+import functools
+import inspect
+import re
+from pathlib import Path
+
 import pytest
 
 from repro import (
@@ -19,7 +24,7 @@ from repro import (
 )
 from repro.arch import CoreSpec, dump_core, unregister_core
 from repro.errors import OptionsError, ReproError
-from repro.pipeline import StageCache
+from repro.pipeline import DiskCache, StageCache
 
 SOURCE = """
 app gain;
@@ -132,31 +137,17 @@ class TestCompileOptionsValidation:
         with pytest.raises(OptionsError):
             options.replace(budget=0)
 
-    def test_from_legacy_kwargs_maps_old_names(self):
-        options = CompileOptions.from_legacy_kwargs(
-            budget=64, opt_level=2, cover_algorithm="exact",
-            repeat_count=3, mode="repeat")
-        assert options == CompileOptions(budget=64, opt=2, cover="exact",
-                                         repeat=3, mode="repeat")
-
-    def test_from_legacy_kwargs_rejects_unknown(self):
-        with pytest.raises(OptionsError, match="unknown compile option"):
-            CompileOptions.from_legacy_kwargs(optimize_harder=True)
-
 
 class TestToolchain:
-    def test_facade_matches_legacy_path_bit_for_bit(self):
-        """The acceptance criterion: the typed facade and the legacy
-        one-shot wrapper produce bit-identical binaries."""
-        import repro
-
-        facade = Toolchain(core="audio", options=CompileOptions(opt=2)) \
+    def test_default_cache_matches_uncached_bit_for_bit(self):
+        """The acceptance criterion: the default cached toolchain and a
+        ``cache=None`` one produce bit-identical binaries."""
+        cached = Toolchain(core="audio", options=CompileOptions(opt=2)) \
             .compile(SOURCE)
-        with pytest.warns(DeprecationWarning):
-            legacy = repro.compile_application(SOURCE, audio_core(),
-                                               opt_level=2)
-        assert facade.binary.words == legacy.binary.words
-        assert facade.binary.rom_words == legacy.binary.rom_words
+        uncached = Toolchain(audio_core(), CompileOptions(opt=2),
+                             cache=None).compile(SOURCE)
+        assert cached.binary.words == uncached.binary.words
+        assert cached.binary.rom_words == uncached.binary.rom_words
 
     def test_option_field_shorthand(self):
         by_fields = Toolchain("fir", cache=None, budget=16, opt=2)
@@ -165,6 +156,8 @@ class TestToolchain:
         assert by_fields.options == by_object.options
         with pytest.raises(OptionsError):
             Toolchain("fir", budget=0)
+        with pytest.raises(ValueError, match="unknown stage"):
+            Toolchain("fir", stop_after="codegen")
 
     def test_options_object_plus_field_overrides(self):
         toolchain = Toolchain("fir", CompileOptions(budget=16), cache=None,
@@ -177,12 +170,26 @@ class TestToolchain:
 
         assert outputs == run_reference(parse_source(SOURCE), stimulus())
 
-    def test_compile_many_shares_the_cache(self):
-        toolchain = Toolchain("fir", cache=StageCache(), budget=16)
-        result = toolchain.compile_many([SOURCE, SOURCE])
-        assert result.ok
-        assert not any(result.entries[0].state.cache_hits.values())
-        assert all(result.entries[1].state.cache_hits.values())
+    def test_compile_many_shares_the_cache(self, tmp_path):
+        from repro.apps import audio_application, audio_io_binding
+
+        cases = [  # core, budget, application, io_binding, cache
+            ("fir", 16, SOURCE, None, StageCache()),
+            ("fir", 16, SOURCE, None, StageCache(disk=DiskCache(tmp_path))),
+            ("audio", 64, audio_application(), audio_io_binding(),
+             StageCache()),
+        ]
+        for core, budget, app, binding, cache in cases:
+            toolchain = Toolchain(core, cache=cache, budget=budget)
+            result = toolchain.compile_many([app, app], io_binding=binding)
+            assert result.ok
+            first, second = result.states
+            assert not any(first.cache_hits.values())
+            assert all(second.cache_hits.values())
+            uncached = Toolchain(core, cache=None, budget=budget).compile(
+                app, io_binding=binding)
+            assert second.binary.words == uncached.binary.words
+            assert second.binary.rom_words == uncached.binary.rom_words
 
     def test_replace_shares_cache_and_rebinds(self):
         toolchain = Toolchain("audio", cache=StageCache(), budget=64)
@@ -299,3 +306,39 @@ class TestToolchain:
     def test_core_resolution_failure_is_a_repro_error(self):
         with pytest.raises(ReproError, match="unknown core"):
             Toolchain("warp-drive")
+
+
+def migration_rows() -> list[str]:
+    """The 1.x spellings: left column of docs/api.md's migration table."""
+    text = (Path(__file__).parents[1] / "docs" / "api.md").read_text()
+    section = text.split("\n## Migrating from 1.x", 1)[1]
+    section = section.split("\n## ", 1)[0]
+    return re.findall(r"^\| `([^`]+)`", section, re.MULTILINE)
+
+
+def test_public_api_surface():
+    """Every exported name resolves, and no 1.x spelling of the
+    migration table still works: the name is gone, or the call passes
+    a keyword the 2.0 signature no longer takes."""
+    import repro
+    import repro.arch
+    import repro.pipeline
+
+    assert repro.__version__ == "2.0.0"
+    for module in (repro, repro.pipeline, repro.arch):
+        for name in module.__all__:
+            assert hasattr(module, name), f"{module.__name__}.{name}"
+    rows = migration_rows()
+    assert len(rows) >= 10
+    for row in rows:
+        path, _, args = row.partition("(")
+        head, *rest = path.split(".")
+        assert head == "repro", row
+        try:
+            target = functools.reduce(getattr, rest, repro)
+        except AttributeError:
+            continue  # removed
+        assert args, f"{row} still resolves"
+        keywords = set(re.findall(r"(\w+)=", args))
+        parameters = inspect.signature(target).parameters
+        assert keywords - set(parameters), f"{row} still works"
