@@ -43,8 +43,9 @@ new processes restore artifacts instead of recompiling.
 
 Every verb records into a live :mod:`repro.obs` registry: ``--timings``
 prints the span timeline to stderr, ``--trace FILE`` writes a Chrome
-``trace_event`` JSON, and ``repro profile`` times repeated cold/warm
-compiles into a per-stage p50/p95 table (see ``docs/observability.md``).
+``trace_event`` JSON, and ``repro profile`` times repeated cold,
+cached-cold and warm compiles into a per-stage p50/p95 table (see
+``docs/observability.md``).
 The complete reference, including exit codes and JSON output shapes, is
 in ``docs/cli.md``.
 """
@@ -948,8 +949,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser(
         "profile",
-        help="compile an application repeatedly (cold and warm) and "
-             "report per-stage p50/p95 wall clock",
+        help="compile an application repeatedly (cold, cached cold and "
+             "warm) and report per-stage p50/p95 wall clock",
     )
     p.add_argument("source", nargs="?", default=None,
                    help="application source file (default: a built-in "
@@ -962,7 +963,7 @@ def build_parser() -> argparse.ArgumentParser:
                         "or 'audio' for a source file)")
     CompileOptions.add_to_parser(p, include=("budget", "opt"))
     p.add_argument("-n", "--runs", type=int, default=5,
-                   help="cold runs and warm runs to time (default 5)")
+                   help="runs to time in each regime (default 5)")
     p.add_argument("--out", default=None, metavar="FILE",
                    help="write the profile JSON "
                         "(e.g. BENCH_compile_profile.json)")

@@ -88,15 +88,20 @@ def impose_instruction_set(
         for cls in clique:
             membership.setdefault(cls, []).append(resource)
 
-    table.classify_program(rts)
+    # The RTs are another stage's artifact: read their class (the rtgen
+    # stage annotates it), never write it; an unannotated RT is
+    # classified against ``table`` here.
     modified: list[RT] = []
     for rt in rts:
-        resources = membership.get(rt.rt_class, ())
+        rt_class = rt.rt_class or table.classify(rt).name
+        resources = membership.get(rt_class, ())
         if resources:
             extra = tuple(
-                ResourceUse(resource, rt.rt_class) for resource in sorted(resources)
+                ResourceUse(resource, rt_class) for resource in sorted(resources)
             )
-            modified.append(rt.with_extra_uses(extra))
+            clone = rt.with_extra_uses(extra)
+            clone.rt_class = rt_class
+            modified.append(clone)
         else:
             modified.append(rt)
     return ConflictModel(

@@ -143,13 +143,17 @@ class ClassTable:
 
     def classify(self, rt: RT) -> RTClass:
         """The unique class of ``rt``; raises if unclassifiable."""
-        name = self._by_pair.get((rt.opu, rt.operation))
+        name = self.class_name(rt)
         if name is None:
             raise ClassificationError(
                 f"{rt!r}: no RT class covers (OPU {rt.opu!r}, usage "
                 f"{rt.operation!r}); extend the core's class table"
             )
         return self.by_name(name)
+
+    def class_name(self, rt: RT) -> str | None:
+        """The name of ``rt``'s class; ``None`` when no class covers it."""
+        return self._by_pair.get((rt.opu, rt.operation))
 
     def classify_program(self, rts: list[RT]) -> dict[str, list[RT]]:
         """Annotate ``rt.rt_class`` on every RT; return class → RTs."""

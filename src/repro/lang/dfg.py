@@ -111,6 +111,15 @@ class Dfg:
             self._consumer_cache_len = len(self.nodes)
         return self._consumer_cache
 
+    def __getstate__(self) -> dict:
+        # The consumer index is derived and filled in place by whichever
+        # stage asks first; pickled, it would make one DFG serialize
+        # differently before and after a later stage read it.
+        state = self.__dict__.copy()
+        state["_consumer_cache"] = None
+        state["_consumer_cache_len"] = -1
+        return state
+
     def invalidate_consumers(self) -> None:
         """Drop the cached consumer index after in-place node edits."""
         self._consumer_cache = None

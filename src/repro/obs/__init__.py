@@ -38,8 +38,9 @@ which scopes it around every verb automatically.  Export with
 :func:`repro.report.timeline` renderer, or
 :func:`chrome_trace`/:func:`write_chrome_trace` (the Chrome
 ``trace_event`` format, viewable in ``chrome://tracing`` or Perfetto).
-:func:`profile_compile` drives repeated cold/warm compiles and reports
-per-stage p50/p95 — the engine of the ``repro profile`` subcommand.
+:func:`profile_compile` drives repeated cold, cached-cold and warm
+compiles and reports per-stage p50/p95 — the engine of the
+``repro profile`` subcommand.
 """
 
 from .core import (

@@ -37,6 +37,9 @@ COUNTERS: dict[str, str] = {
     "stagecache.eviction": "memory-tier LRU evictions",
     "stagecache.restore": "stage snapshots deserialized (one per "
                           "resolved key run that hit)",
+    "stagecache.bytes_pickled": "bytes the stage stores actually "
+                                "pickled (each stage's frame: the "
+                                "artifacts it changed)",
     "stagecache.bytes_stored": "bytes of the serialized stage snapshots "
                                "stored",
     "diskcache.hit": "on-disk entries read back successfully",

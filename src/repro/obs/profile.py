@@ -1,12 +1,15 @@
-"""Compile profiling: repeated cold/warm compiles, per-stage p50/p95.
+"""Compile profiling: repeated cold, cached-cold and warm compiles, p50/p95.
 
 The engine of the ``repro profile`` subcommand.  One profiled
-application is compiled ``runs`` times **cold** (no cache — every stage
-body executes) and ``runs`` times **warm** (one shared in-memory stage
-cache, primed once — every stage restores from the memory tier), with
-a live :class:`~repro.obs.core.Telemetry` collecting the per-stage
-spans.  The result reports p50/p95/mean wall clock per stage and for
-the whole compile, for both regimes — the compiler-side analog of the
+application is compiled ``runs`` times in each of three regimes:
+**cold** (no cache — every stage body executes), **cached_cold** (a
+fresh in-memory stage cache per compile — every stage executes and
+stores its snapshot, the first compile of a design iteration) and
+**warm** (one shared in-memory stage cache, primed once — every stage
+restores from the memory tier), with a live
+:class:`~repro.obs.core.Telemetry` collecting the per-stage spans.
+The result reports p50/p95/mean wall clock per stage and for the whole
+compile, for every regime — the compiler-side analog of the
 paper's section-7 cycle-count tables, and the trajectory CI guards in
 ``BENCH_compile_profile.json`` (see
 ``tools/check_profile_regression.py``).
@@ -51,12 +54,17 @@ def _summarize(samples: dict[str, list[float]]) -> dict[str, dict[str, Any]]:
     }
 
 
-def _timed_compiles(toolchain, application, runs: int,
-                    label: str) -> dict[str, list[float]]:
+def _timed_compiles(toolchain, application, runs: int, label: str,
+                    fresh_cache: bool = False) -> dict[str, list[float]]:
     """Run ``runs`` compiles, returning per-stage (and total) duration
-    samples harvested from the telemetry spans."""
+    samples harvested from the telemetry spans.  ``fresh_cache`` gives
+    every compile its own empty stage cache."""
+    from ..pipeline.session import StageCache
+
     samples: dict[str, list[float]] = {}
     for _ in range(runs):
+        if fresh_cache:
+            toolchain = toolchain.replace(cache=StageCache())
         obs = Telemetry()
         with use_telemetry(obs):
             toolchain.compile(application)
@@ -78,14 +86,16 @@ def profile_compile(
     options=None,
     runs: int = 5,
 ) -> dict[str, Any]:
-    """Profile one application's compile, cold and warm.
+    """Profile one application's compile: cold, cached cold and warm.
 
     ``application`` is source text or a :class:`~repro.lang.dfg.Dfg`;
     ``core``/``options`` as in :class:`~repro.toolchain.Toolchain`.
-    Cold runs use no cache at all; warm runs share one in-memory
-    :class:`~repro.pipeline.session.StageCache` primed by an uncounted
-    compile, so they measure the restore path.  Returns a JSON-able
-    dict with ``cold``/``warm`` maps of stage name (plus ``total``) to
+    Cold runs use no cache at all; cached-cold runs each start from a
+    fresh in-memory :class:`~repro.pipeline.session.StageCache`, so they
+    measure executing plus storing every stage; warm runs share one
+    cache primed by an uncounted compile, so they measure the restore
+    path.  Returns a JSON-able dict with ``cold``/``cached_cold``/
+    ``warm`` maps of stage name (plus ``total``) to
     ``{n, p50, p95, mean}`` seconds.
     """
     from ..options import CompileOptions
@@ -102,6 +112,9 @@ def profile_compile(
     cold_toolchain = Toolchain(core, options, cache=None)
     cold = _timed_compiles(cold_toolchain, application, runs, "cold")
 
+    cached_cold = _timed_compiles(cold_toolchain, application, runs,
+                                  "cached_cold", fresh_cache=True)
+
     warm_toolchain = Toolchain(core, options, cache=StageCache())
     warm_toolchain.compile(application)  # prime the cache, uncounted
     warm = _timed_compiles(warm_toolchain, application, runs, "warm")
@@ -114,18 +127,22 @@ def profile_compile(
         "runs": runs,
         "stages": [s for s in cold if s != "total"],
         "cold": _summarize(cold),
+        "cached_cold": _summarize(cached_cold),
         "warm": _summarize(warm),
     }
 
 
 def render_profile(result: dict[str, Any]) -> str:
     """The per-stage p50/p95 table of one :func:`profile_compile`."""
+    regimes = ("cold", "cached_cold", "warm")
+    labels = {"cold": "cold", "cached_cold": "cached", "warm": "warm"}
     header = (f"compile profile: {result['application']} on "
-              f"{result['core']} ({result['runs']} cold + "
-              f"{result['runs']} warm runs)")
+              f"{result['core']} ({result['runs']} runs per regime: "
+              f"cold = uncached, cached = first compile through a fresh "
+              f"cache, warm = cache primed)")
+    columns = [f"{labels[r]} {q}" for r in regimes for q in ("p50", "p95")]
     rows = [header, "",
-            f"{'stage':<10} {'cold p50':>10} {'cold p95':>10} "
-            f"{'warm p50':>10} {'warm p95':>10}"]
+            f"{'stage':<10}" + "".join(f" {c:>10}" for c in columns)]
     rows.append("-" * len(rows[-1]))
 
     def cell(regime: str, stage: str, key: str) -> str:
@@ -133,16 +150,17 @@ def render_profile(result: dict[str, Any]) -> str:
         return f"{stats[key] * 1e3:.3f} ms" if stats else "-"
 
     for stage in [*result["stages"], "total"]:
-        rows.append(
-            f"{stage:<10} {cell('cold', stage, 'p50'):>10} "
-            f"{cell('cold', stage, 'p95'):>10} "
-            f"{cell('warm', stage, 'p50'):>10} "
-            f"{cell('warm', stage, 'p95'):>10}"
-        )
+        rows.append(f"{stage:<10}" + "".join(
+            f" {cell(regime, stage, q):>10}"
+            for regime in regimes for q in ("p50", "p95")))
     cold_total = result["cold"]["total"]["p50"]
+    cached_total = result["cached_cold"]["total"]["p50"]
     warm_total = result["warm"]["total"]["p50"]
+    rows.append("")
+    if cold_total > 0:
+        rows.append(f"cached cold / cold (p50): "
+                    f"{cached_total / cold_total:.2f}x")
     if warm_total > 0:
-        rows.append("")
         rows.append(f"warm speedup (p50): {cold_total / warm_total:.1f}x")
     return "\n".join(rows)
 

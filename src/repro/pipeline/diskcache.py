@@ -63,7 +63,10 @@ from .artifacts import PIPELINE_VERSION
 #: Bump when the on-disk envelope itself changes shape.
 #: v2: stage-cache entries hold the snapshot the stage cache pickled
 #: (bytes, core by reference), not the artifact dict itself.
-FORMAT_VERSION = 2
+#: v3: that snapshot is a stream of per-stage frames, each holding only
+#: the artifacts its stage changed; a v2 reader would load the first
+#: frame alone, so v2 and v3 entries are version skips to each other.
+FORMAT_VERSION = 3
 
 _MAGIC = b"RPDC"
 _SUFFIX = ".rpdc"
@@ -221,7 +224,7 @@ class DiskCache:
     """SHA-256 fingerprint → versioned serialized object, on disk.
 
     The generic persistence layer: :class:`.session.StageCache` stores
-    cumulative artifact snapshots under stage keys, and
+    stage snapshot streams under stage keys, and
     :class:`repro.arch.explore.ExploreCache` stores evaluated sweep
     candidates — both through this one store, distinguished by their
     fingerprint namespaces and their schemas.

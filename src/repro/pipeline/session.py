@@ -2,17 +2,39 @@
 
 The stage-chain *driver* lives on :class:`repro.toolchain.Toolchain`
 (the typed facade binding a core + options + cache); this module keeps
-the cache machinery it drives — :class:`StageCache`, its statistics,
-and the batch result types of
-:meth:`~repro.toolchain.Toolchain.compile_many`.
+the cache machinery it drives — :class:`StageCache`, the per-compile
+:class:`SnapshotStream`, the cache statistics, and the batch result
+types of :meth:`~repro.toolchain.Toolchain.compile_many`.
 
-With a :class:`StageCache` attached, the driver pickles the cumulative
-artifact state once, right after each stage runs, and stores those
-bytes under the stage's content key.  A restore is a single unpickling
-pass, so every compile works on a private object graph
-and nothing a downstream stage (or the caller) does to its artifacts
-can reach a cached prefix.  The core is pickled by reference: restored
-artifacts point at the requesting toolchain's own core object.
+Each cached compile writes **one pickle stream**
+(:class:`SnapshotStream`): a pickler whose memo lives as long as the
+compile.  Right after a stage runs, the stream pickles one frame
+holding only the artifacts whose identity changed — after parse just
+``source_dfg``, after impose just the new ``program`` and
+``conflict_model`` — and every object an earlier frame already holds
+is written as a memo reference, not copied again.  A stage's cache
+entry is the stream's bytes up to and including its frame, so the
+entries of one compile are prefixes of each other.  A restore reads
+the frames in order and merges them into one artifact dict: a single
+unpickling pass, so every compile works on a private object graph and
+nothing a downstream stage (or the caller) does to its artifacts can
+reach a cached prefix.  When stages run after a restored prefix, the
+compile continues the restored stream (its pickler memo seeded from
+the unpickler's), so a resumed compile still pickles only its new
+artifacts.  The core is pickled by reference: restored artifacts point
+at the requesting toolchain's own core object.
+
+The stream rests on one rule: **a stage never edits an artifact an
+earlier stage produced.**  A later frame refers to such an object
+through the memo, so an in-place edit made after its frame would be
+missing from every later entry, and a restored prefix would differ
+from the uncached compile.  A stage that needs a changed artifact
+builds a new object (impose returns a new ``program`` instead of
+writing artificial resources into the lowering); facts several later
+stages need are written by the stage that creates the objects, before
+its frame (rtgen annotates every RT's class); a derived index filled
+lazily on a shared object stays out of its pickled state (the DFG's
+consumer index).
 
 The driver resolves a compile by walking the key chain and restoring
 only the deepest hit.  The parse and optimize entries are small and
@@ -68,27 +90,106 @@ def _reduce_core(core: CoreSpec):
 _SNAPSHOT_REDUCERS = {**copyreg.dispatch_table, CoreSpec: _reduce_core}
 
 
-def _dumps(artifacts: dict[str, Any]) -> bytes:
-    """Pickle a snapshot with every core replaced by a reference."""
-    buffer = io.BytesIO()
-    pickler = pickle.Pickler(buffer, pickle.HIGHEST_PROTOCOL)
-    pickler.dispatch_table = _SNAPSHOT_REDUCERS
-    pickler.dump(artifacts)
-    return buffer.getvalue()
-
-
 class _SnapshotUnpickler(pickle.Unpickler):
-    """Loads a :func:`_dumps` snapshot, binding its core references to
+    """Reads a snapshot stream, binding its core references to
     ``core``."""
 
-    def __init__(self, blob: bytes, core: CoreSpec):
-        super().__init__(io.BytesIO(blob))
+    def __init__(self, buffer: io.BytesIO, core: CoreSpec):
+        super().__init__(buffer)
         self.core = core
 
     def find_class(self, module: str, name: str) -> Any:
         if module == __name__ and name == _core_ref.__name__:
-            return lambda: self.core
+            # Close over the core, not over self: pickle memoizes the
+            # returned global, and a closure over the unpickler would
+            # tie it into a cycle with its memo, leaving every restored
+            # graph to the cyclic collector.
+            core = self.core
+            return lambda: core
         return super().find_class(module, name)
+
+
+#: Marks an artifact name the stream has not written yet (``None`` is a
+#: real artifact value).
+_UNWRITTEN = object()
+
+
+class SnapshotStream:
+    """One compile's snapshot stream: one pickle frame per stage.
+
+    :meth:`dump` pickles the artifacts whose identity changed since the
+    previous frame and returns the stream's bytes so far — the entry
+    of the stage that just ran.  :meth:`load` reads an entry back.
+    The pickler memo lives as long as the stream, so a frame refers to
+    what earlier frames hold instead of copying it.
+
+    A stream belongs to one compile and is never shared: the stage
+    cache may be used by several threads, the stream by one.
+    """
+
+    def __init__(self) -> None:
+        #: the artifacts a restore produced (the compile takes this
+        #: dict over); empty for a new stream
+        self.artifacts: dict[str, Any] = {}
+        self._written: dict[str, Any] = {}
+        self._buffer: io.BytesIO | None = None
+        self._pickler: pickle.Pickler | None = None
+        self._unpickler: _SnapshotUnpickler | None = None
+
+    @classmethod
+    def load(cls, blob: bytes, core: CoreSpec) -> "SnapshotStream":
+        """Read every frame of ``blob`` (merging them in order) with the
+        core references bound to ``core``; raises on bytes that do not
+        load."""
+        buffer = io.BytesIO(blob)
+        unpickler = _SnapshotUnpickler(buffer, core)
+        artifacts: dict[str, Any] = {}
+        while buffer.tell() < len(blob):
+            artifacts.update(unpickler.load())
+        stream = cls()
+        stream.artifacts = artifacts
+        stream._written = dict(artifacts)
+        stream._buffer = buffer
+        # Kept only to seed the pickler if this compile runs on; a
+        # compile that restores its last stage never pays for that.
+        stream._unpickler = unpickler
+        return stream
+
+    def dump(self, artifacts: dict[str, Any]) -> tuple[bytes, int]:
+        """Append a frame of the artifacts of ``artifacts`` whose
+        identity changed; return ``(entry bytes, frame bytes)``."""
+        if self._pickler is None:
+            self._open()
+        written = self._written
+        delta = {name: value for name, value in artifacts.items()
+                 if written.get(name, _UNWRITTEN) is not value}
+        start = self._buffer.tell()
+        self._pickler.dump(delta)
+        written.update(delta)
+        return self._buffer.getvalue(), self._buffer.tell() - start
+
+    def _open(self) -> None:
+        """Create the pickler; after a restore it continues the loaded
+        stream, numbering new objects where the unpickler left off."""
+        if self._buffer is None:
+            self._buffer = io.BytesIO()
+        pickler = pickle.Pickler(self._buffer, pickle.HIGHEST_PROTOCOL)
+        pickler.dispatch_table = _SNAPSHOT_REDUCERS
+        if self._unpickler is not None:
+            memo = self._unpickler.memo.copy()
+            self._unpickler = None
+            # The pickler numbers its next object len(memo).  Two slots
+            # can load as one object (pickle returns cached one-character
+            # strings); a placeholder then keeps the slot counted.
+            if len({id(value) for value in memo.values()}) < len(memo):
+                seen: set[int] = set()
+                for index, value in memo.items():
+                    if id(value) in seen:
+                        value = memo[index] = object()
+                    seen.add(id(value))
+            pickler.memo = {index: (index, value)
+                            for index, value in memo.items()}
+        self._pickler = pickler
 
 
 @dataclass
@@ -111,9 +212,10 @@ class StageCache:
     """LRU cache of serialized per-stage snapshots, keyed by fingerprint.
 
     Thread-safe: explore workers running in threads may share one
-    cache.  Each entry is the pickled cumulative artifact dict of one
-    stage (:meth:`put`), so cached state is immutable by construction
-    and :meth:`restore` hands out a fresh object graph every time.
+    cache.  Each entry is the bytes of a compile's
+    :class:`SnapshotStream` up to one stage (:meth:`put`), so cached
+    state is immutable by construction and :meth:`restore` hands out a
+    fresh object graph every time.
 
     ``disk`` layers a persistent backend underneath — any
     :class:`~repro.pipeline.backend.CacheBackend` (the local-directory
@@ -147,21 +249,22 @@ class StageCache:
         return True
 
     def resolve(self, keys: Sequence[str], core: CoreSpec,
-                ) -> tuple[int, dict[str, Any] | None, str | None]:
+                ) -> tuple[int, SnapshotStream | None, str | None]:
         """Restore the deepest cached stage of a key chain.
 
         ``keys`` are consecutive stages' keys; a key certifies its
         whole prefix, so they are probed deepest first and only the
-        first hit is deserialized.  Returns ``(n, artifacts, tier)``:
-        the first ``n`` stages are hits served by ``tier`` (``"memory"``
-        or ``"disk"``) and restored as ``artifacts``; the rest are
-        misses.  ``(0, None, None)`` when nothing is cached.
+        first hit is deserialized.  Returns ``(n, stream, tier)``: the
+        first ``n`` stages are hits served by ``tier`` (``"memory"`` or
+        ``"disk"``) and restored as ``stream.artifacts``; the rest are
+        misses, and the compile runs them on into ``stream``.
+        ``(0, None, None)`` when nothing is cached.
         """
-        artifacts = None
+        stream = None
         for depth in range(len(keys), 0, -1):
             blob, tier = self.get_entry(keys[depth - 1])
-            artifacts = None if blob is None else self.restore(blob, core)
-            if artifacts is not None:
+            stream = None if blob is None else self.restore(blob, core)
+            if stream is not None:
                 break
         else:
             depth, tier = 0, None
@@ -178,7 +281,7 @@ class StageCache:
                 obs.count("stagecache.disk_hit", depth)
         if misses:
             obs.count("stagecache.miss", misses)
-        return depth, artifacts, tier
+        return depth, stream, tier
 
     def get_entry(self, key: str) -> tuple[bytes | None, str | None]:
         """The serialized snapshot under ``key`` and its tier.
@@ -202,8 +305,9 @@ class StageCache:
                 return blob, "disk"
         return None, None
 
-    def restore(self, blob: bytes, core: CoreSpec) -> dict[str, Any] | None:
-        """Deserialize one snapshot, its core references bound to
+    def restore(self, blob: bytes, core: CoreSpec,
+                ) -> SnapshotStream | None:
+        """Deserialize one entry, its core references bound to
         ``core``; ``None`` when the bytes do not load (the stage then
         runs, and its store replaces the entry)."""
         # A snapshot is thousands of fresh containers and no garbage:
@@ -211,24 +315,34 @@ class StageCache:
         paused = gc.isenabled()
         gc.disable()
         try:
-            artifacts = _SnapshotUnpickler(blob, core).load()
+            stream = SnapshotStream.load(blob, core)
         except Exception:  # noqa: BLE001 — an unloadable entry is a miss
             return None
         finally:
             if paused:
                 gc.enable()
         current_telemetry().count("stagecache.restore")
-        return artifacts
+        return stream
 
-    def put(self, key: str, artifacts: dict[str, Any]) -> None:
-        """Pickle ``artifacts`` once and store the bytes under ``key``
-        in memory and, when layered, in the backend."""
-        blob = _dumps(artifacts)
+    def put(self, key: str, artifacts: dict[str, Any],
+            stream: SnapshotStream | None = None) -> None:
+        """Store the snapshot of ``artifacts`` under ``key`` in memory
+        and, when layered, in the backend.
+
+        ``stream`` is the compile's :class:`SnapshotStream`: only the
+        artifacts that changed since its last frame are pickled, and
+        the entry is the stream so far.  Without one the entry is a
+        one-frame stream of all of ``artifacts``.
+        """
+        if stream is None:
+            stream = SnapshotStream()
+        blob, pickled = stream.dump(artifacts)
         with self._lock:
             self._insert(key, blob)
             self.stats.stores += 1
         obs = current_telemetry()
         obs.count("stagecache.store")
+        obs.count("stagecache.bytes_pickled", pickled)
         obs.count("stagecache.bytes_stored", len(blob))
         if self.disk is not None:
             self.disk.put(key, blob, schema=artifact_schema(artifacts))

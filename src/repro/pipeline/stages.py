@@ -197,9 +197,16 @@ class RtGenStage(Stage):
 
     def run(self, state: CompileState) -> None:
         request = state.request
-        state.artifacts["base_program"] = generate_rts(
-            state.artifacts["dfg"], request.core, request.io_binding
-        )
+        program = generate_rts(state.artifacts["dfg"], request.core,
+                               request.io_binding)
+        # Annotated here, while the RTs are this stage's own: impose
+        # reads the classes and must not write into an earlier stage's
+        # artifact.  RTs no class covers stay unannotated, so impose
+        # still raises for them.
+        table = ClassTable.from_core(request.core)
+        for rt in program.rts:
+            rt.rt_class = table.class_name(rt)
+        state.artifacts["base_program"] = program
 
 
 class MergeStage(ChainedStage):

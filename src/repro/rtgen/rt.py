@@ -141,7 +141,8 @@ class RT:
         self.memory_effect = memory_effect
         #: logical IO port name for INPUT/OUTPUT transfers
         self.io_port = io_port
-        #: RT class name, filled in by repro.core classification
+        #: RT class name, annotated by the rtgen stage (or by
+        #: :meth:`repro.core.rtclass.ClassTable.classify_program`)
         self.rt_class: str | None = None
 
     # ------------------------------------------------------------------

@@ -43,6 +43,7 @@ from .pipeline.session import (
     _DEFAULT_CACHE,
     BatchEntry,
     BatchResult,
+    SnapshotStream,
     StageCache,
     _DefaultCache,
 )
@@ -206,10 +207,13 @@ class Toolchain:
         deepest one cached.  Each stage keeps its own ``stage:<name>``
         span (the run's lookup and restore are paid inside the span of
         the stage that starts it), its own hit/miss record and its own
-        boundary verification on the restored state.
+        boundary verification on the restored state.  Executed stages
+        write into one :class:`SnapshotStream` per compile — the
+        restored one after a prefix hit, so their entries extend it.
         """
         keys: list[str] = []
         restored_to, source = 0, None
+        stream = SnapshotStream()
         for index, stage in enumerate(stages):
             with obs.span(f"stage:{stage.name}", stage=stage.name) as span:
                 if index == len(keys):
@@ -221,7 +225,8 @@ class Toolchain:
                     depth, restored, source = self.cache.resolve(
                         keys[index:], self.core)
                     if restored is not None:
-                        state.artifacts = restored
+                        stream = restored
+                        state.artifacts = restored.artifacts
                     restored_to = index + depth
                 key = keys[index]
                 state.fingerprints[stage.name] = key
@@ -233,7 +238,7 @@ class Toolchain:
                 else:
                     stage.execute(state)
                     state.cache_hits[stage.name] = False
-                    self.cache.put(key, state.artifacts)
+                    self.cache.put(key, state.artifacts, stream)
             state.completed.append(stage.name)
             self._verify_boundary(stage.name, state, obs)
 

@@ -336,7 +336,7 @@ class TestProfile:
         assert record["runs"] == 2
         assert record["stages"] == list(STAGE_NAMES)
         assert record["options"]["disk_cache"] is False  # forced off
-        for regime in ("cold", "warm"):
+        for regime in ("cold", "cached_cold", "warm"):
             summary = record[regime]
             assert set(summary) == set(STAGE_NAMES) | {"total"}
             for stats in summary.values():

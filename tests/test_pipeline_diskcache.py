@@ -267,6 +267,35 @@ class TestVersioning:
         assert disk.stats.version_skips == len(STAGE_NAMES)
         assert state.binary.words == reference.binary.words
 
+    def test_single_snapshot_entries_are_version_skips(
+            self, tmp_path, monkeypatch):
+        """Format 2 entries held one pickle of the stage's cumulative
+        artifact dict.  They would even load as a one-frame stream, but
+        a format 2 reader handed a format 3 stream would read its parse
+        frame alone, so the two formats skip each other both ways."""
+        from repro.pipeline.session import SnapshotStream
+
+        reference = Toolchain(audio_core(), cache=StageCache(),
+                              budget=64).run_pipeline(SOURCE)
+        monkeypatch.setattr(diskcache, "FORMAT_VERSION", 2)
+        old = DiskCache(tmp_path)
+        for key in reference.fingerprints.values():
+            snapshot, _ = SnapshotStream().dump(reference.artifacts)
+            old.put(key, snapshot,
+                    schema=artifact_schema(reference.artifacts))
+        monkeypatch.undo()
+        disk = DiskCache(tmp_path)
+        state = Toolchain(audio_core(), cache=StageCache(disk=disk),
+                          budget=64).run_pipeline(SOURCE)
+        assert not any(state.cache_hits.values())
+        assert disk.stats.version_skips == len(STAGE_NAMES)
+        assert state.binary.words == reference.binary.words
+
+        monkeypatch.setattr(diskcache, "FORMAT_VERSION", 2)
+        stale_reader = DiskCache(tmp_path)
+        assert stale_reader.get(state.fingerprints["assemble"]) is None
+        assert stale_reader.stats.version_skips == 1
+
     def test_format_version_skew_invalidates(self, tmp_path, monkeypatch):
         disk = DiskCache(tmp_path)
         disk.put("ef" * 32, {"x": 1})

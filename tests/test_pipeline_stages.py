@@ -341,9 +341,9 @@ class TestSerializedSnapshots:
         real_restore = StageCache.restore
 
         def recording(self, blob, core):
-            artifacts = real_restore(self, blob, core)
-            restored.append(set(artifacts))
-            return artifacts
+            stream = real_restore(self, blob, core)
+            restored.append(set(stream.artifacts))
+            return stream
 
         monkeypatch.setattr(StageCache, "restore", recording)
         state = tc.run_pipeline(audio_application(),

@@ -27,13 +27,16 @@ def regime(**p50s):
     return out
 
 
-def record(warm_scale=0.1, **p50s):
-    """A profile record whose warm regime is ``warm_scale`` times the
-    cold one, stage by stage (same shares)."""
+def record(warm_scale=0.1, cached_scale=1.2, **p50s):
+    """A profile record whose warm and cached-cold regimes are
+    ``warm_scale`` and ``cached_scale`` times the cold one, stage by
+    stage (same shares)."""
     warm = {stage: p50 * warm_scale for stage, p50 in p50s.items()}
+    cached = {stage: p50 * cached_scale for stage, p50 in p50s.items()}
     return {"application": "x", "core": "audio", "runs": 5,
             "stages": [s for s in p50s],
-            "cold": regime(**p50s), "warm": regime(**warm)}
+            "cold": regime(**p50s), "cached_cold": regime(**cached),
+            "warm": regime(**warm)}
 
 
 class TestShares:
@@ -100,6 +103,28 @@ class TestWarmRatio:
         assert problems == []
 
 
+class TestCachedColdRatio:
+    def test_ratio_within_the_limit_passes(self):
+        problems = []
+        tool.check_cached_cold_ratio(record(cached_scale=1.44, a=0.010),
+                                     1.8, problems)
+        assert problems == []
+
+    def test_the_single_snapshot_ratio_fails(self):
+        """2.15x is what pickling every stage's cumulative state cost
+        the audio application."""
+        problems = []
+        tool.check_cached_cold_ratio(record(cached_scale=2.15, a=0.010),
+                                     tool.MAX_CACHED_COLD_RATIO, problems)
+        assert len(problems) == 1
+        assert "2.15x" in problems[0] and "limit 1.80x" in problems[0]
+
+    def test_zero_cold_total_is_skipped(self):
+        problems = []
+        tool.check_cached_cold_ratio(record(a=0.0), 1.8, problems)
+        assert problems == []
+
+
 class TestMain:
     def write(self, tmp_path, name, rec):
         path = tmp_path / name
@@ -131,6 +156,14 @@ class TestMain:
         out = capsys.readouterr().out
         assert "warm total p50" in out and "0.30x" in out
 
+    def test_slow_first_cached_compile_fails(self, tmp_path, capsys):
+        current = self.write(tmp_path, "current.json",
+                             record(cached_scale=2.15, a=0.010, b=0.020))
+        base = self.write(tmp_path, "base.json", record(a=0.010, b=0.020))
+        assert tool.main(["prog", current, "--baseline", base]) == 1
+        out = capsys.readouterr().out
+        assert "cached-cold total p50" in out and "2.15x" in out
+
     def test_committed_baseline_is_a_valid_record(self):
         """The baseline CI compares against must itself be a complete
         profile record for the audio application."""
@@ -139,6 +172,6 @@ class TestMain:
         rec = json.loads(BASELINE.read_text())
         assert rec["core"] == "audio"
         assert rec["stages"] == list(STAGE_NAMES)
-        for reg in ("cold", "warm"):
+        for reg in ("cold", "cached_cold", "warm"):
             assert set(rec[reg]) == set(STAGE_NAMES) | {"total"}
             assert rec[reg]["total"]["p50"] > 0

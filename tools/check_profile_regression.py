@@ -6,17 +6,25 @@ produced by ``python -m repro profile --app audio --out ...``) against
 the committed baseline ``benchmarks/compile_profile_baseline.json``.
 
 Absolute wall clock is machine-dependent, so the guard is *normalized*:
-for each regime (``cold``, ``warm``) every stage's p50 is divided by
+for each regime (``cold``, ``cached_cold``, ``warm``) every stage's p50
+is divided by
 that regime's total p50, and the resulting *share* is compared to the
 baseline's share.  A stage whose share grew by more than ``--max-ratio``
 (default 3×) fails — that shape change survives hardware differences,
 while a uniformly slower CI runner does not trip it.
 
-The second guard compares the two regimes of the same record: when the
-warm total p50 exceeds :data:`MAX_WARM_RATIO` (0.25) times the cold
-total p50, the stage cache no longer pays for itself and the check
-fails.  Both totals come from one run on one machine, so the ratio is
-machine-independent too.
+Two more guards compare regimes of the same record against the
+uncached ``cold`` total p50:
+
+* when the warm total p50 exceeds :data:`MAX_WARM_RATIO` (0.25) times
+  it, the stage cache no longer pays for itself on a recompile;
+* when the cached-cold total p50 — the first compile through a fresh
+  stage cache, which executes and stores every stage — exceeds
+  :data:`MAX_CACHED_COLD_RATIO` (1.8) times it, storing snapshots has
+  become too dear for a design loop whose every resized core misses.
+
+All totals of one record come from one run on one machine, so these
+ratios are machine-independent too.
 
 Two noise guards on the share check:
 
@@ -32,7 +40,7 @@ Usage::
         [--baseline benchmarks/compile_profile_baseline.json] \
         [--max-ratio 3.0] [--min-seconds 0.002]
 
-Exits 0 when every stage's share and the warm/cold ratio are within
+Exits 0 when every stage's share and both regime ratios are within
 bounds, 1 otherwise.
 """
 
@@ -43,10 +51,13 @@ import json
 import sys
 from pathlib import Path
 
-REGIMES = ("cold", "warm")
+REGIMES = ("cold", "cached_cold", "warm")
 
 #: Largest tolerated warm/cold total p50 ratio of one record.
 MAX_WARM_RATIO = 0.25
+
+#: Largest tolerated cached-cold/cold total p50 ratio of one record.
+MAX_CACHED_COLD_RATIO = 1.8
 
 
 def shares(regime: dict[str, dict[str, float]]) -> dict[str, float]:
@@ -112,6 +123,24 @@ def check_warm_ratio(current: dict, max_warm_ratio: float,
         )
 
 
+def check_cached_cold_ratio(current: dict, max_ratio: float,
+                            problems: list[str]) -> None:
+    """Fail when the first compile through a fresh cache (total p50)
+    exceeds ``max_ratio`` times an uncached one of the same record."""
+    cold = current["cold"]["total"]["p50"]
+    cached = current["cached_cold"]["total"]["p50"]
+    if cold <= 0.0:
+        return
+    ratio = cached / cold
+    if ratio > max_ratio:
+        problems.append(
+            f"cached-cold total p50 {cached * 1e3:.2f} ms is {ratio:.2f}x "
+            f"the cold total p50 {cold * 1e3:.2f} ms — limit "
+            f"{max_ratio:.2f}x (storing stage snapshots must stay cheap "
+            f"next to compiling)"
+        )
+
+
 def main(argv: list[str]) -> int:
     parser = argparse.ArgumentParser(
         description="compare a repro profile record against the "
@@ -140,6 +169,7 @@ def main(argv: list[str]) -> int:
         check_regime(regime, current[regime], baseline[regime],
                      args.max_ratio, args.min_seconds, problems, notes)
     check_warm_ratio(current, MAX_WARM_RATIO, problems)
+    check_cached_cold_ratio(current, MAX_CACHED_COLD_RATIO, problems)
 
     for note in notes:
         print(f"note: {note}")
@@ -155,7 +185,8 @@ def main(argv: list[str]) -> int:
     )
     print(f"profile shares ok: {checked} stage regimes within "
           f"{args.max_ratio:.1f}x of baseline; warm/cold total within "
-          f"{MAX_WARM_RATIO:.2f}x")
+          f"{MAX_WARM_RATIO:.2f}x; cached-cold/cold total within "
+          f"{MAX_CACHED_COLD_RATIO:.2f}x")
     return 0
 
 
