@@ -56,7 +56,7 @@ from functools import partial
 
 from ..errors import ArchitectureError, ReproError
 from ..lang.dfg import Dfg, NodeKind
-from ..obs import current_telemetry
+from ..obs import Telemetry, current_telemetry, use_telemetry
 from ..opt import optimize_machine_independent, specialize_for_core
 from ..options import CompileOptions
 from .controller import ControllerSpec
@@ -528,6 +528,12 @@ class ExploreCache:
     budget, opt level).  Share one across sweeps to pay only for new
     candidates when iterating on the allocation ranges.
 
+    It also memoizes the sweep's front end (:meth:`optimize`): a
+    re-sweep over the same sources reuses their optimized graphs
+    instead of re-running the optimizer, so a designer narrowing the
+    ranges pays only for the new candidates.  That memo lives in memory
+    only.
+
     ``disk`` layers a persistent
     :class:`~repro.pipeline.diskcache.DiskCache` underneath: a memory
     miss falls through to the store, and evaluated candidates are
@@ -537,6 +543,9 @@ class ExploreCache:
 
     def __init__(self, disk=None):
         self._points: dict[str, ExplorationPoint] = {}
+        # (source fingerprint, opt level) -> (optimized graph, its
+        # fingerprint)
+        self._optimized: dict[tuple[str, int], tuple[Dfg, str]] = {}
         self.disk = disk
         self.hits = 0
         self.misses = 0
@@ -586,6 +595,20 @@ class ExploreCache:
         self._points[key] = self._copy(point)
         if self.disk is not None:
             self.disk.put(key, self._points[key], schema=_POINT_SCHEMA)
+
+    def optimize(self, dfg: Dfg, level: int) -> tuple[Dfg, str]:
+        """``dfg`` machine-independently optimized at ``level``, with the
+        optimized graph's fingerprint (what candidate keys are built
+        from), memoized on the source's fingerprint."""
+        from ..pipeline import dfg_fingerprint
+
+        key = (dfg_fingerprint(dfg), level)
+        front = self._optimized.get(key)
+        if front is None:
+            optimized = optimize_machine_independent(dfg, level=level)[0]
+            front = self._optimized[key] = (optimized,
+                                            dfg_fingerprint(optimized))
+        return front
 
 
 def _evaluate_candidate(dfgs: list[Dfg], allocation: Allocation,
@@ -649,22 +672,32 @@ def _evaluate_candidate(dfgs: list[Dfg], allocation: Allocation,
     )
 
 
-#: Per-worker sweep context: the optimized application set and the
-#: base options, shipped once via the pool initializer instead of
-#: being re-pickled into every candidate task.
-_WORKER_CONTEXT: tuple[list[Dfg], CompileOptions] | None = None
+#: Per-worker sweep context: the optimized application set, the base
+#: options and whether the parent records telemetry, shipped once via
+#: the pool initializer instead of being re-pickled into every task.
+_WORKER_CONTEXT: tuple[list[Dfg], CompileOptions, bool] | None = None
 
 
-def _worker_init(dfgs: list[Dfg], options: CompileOptions) -> None:
+def _worker_init(dfgs: list[Dfg], options: CompileOptions,
+                 observed: bool) -> None:
     global _WORKER_CONTEXT
-    _WORKER_CONTEXT = (dfgs, options)
+    _WORKER_CONTEXT = (dfgs, options, observed)
 
 
-def _worker_evaluate(allocation: Allocation) -> ExplorationPoint:
+def _worker_evaluate(
+        allocation: Allocation) -> tuple[ExplorationPoint, dict[str, int]]:
     """Top-level (picklable) per-task entry point: the task carries
-    only the allocation; everything else came with the initializer."""
-    dfgs, options = _WORKER_CONTEXT
-    return _evaluate_candidate(dfgs, allocation, options)
+    only the allocation; everything else came with the initializer.
+
+    Returns the point and, when the parent records telemetry, the
+    counters its evaluation produced here, for the parent to merge."""
+    dfgs, options, observed = _WORKER_CONTEXT
+    if not observed:
+        return _evaluate_candidate(dfgs, allocation, options), {}
+    telemetry = Telemetry()
+    with use_telemetry(telemetry):
+        point = _evaluate_candidate(dfgs, allocation, options)
+    return point, dict(telemetry.counters)
 
 
 def explore(
@@ -686,12 +719,14 @@ def explore(
     on :attr:`ExplorationPoint.failures`; filter on
     :attr:`ExplorationPoint.feasible` or use :func:`pareto_front`.
 
-    Each application is machine-independently optimized exactly once
+    Each application is machine-independently optimized at most once
     (per opt level) before the sweep, and the candidate cores are sized
     from the optimized graphs.  ``jobs`` > 1 fans candidates out over a
     process pool (the optimized graphs ship once per worker, each task
-    carries only its allocation); ``cache`` memoizes evaluated
-    candidates across sweeps.  ``cache_dir`` (when no ``cache`` is
+    carries only its allocation, and the workers' counters are merged
+    into the caller's telemetry when it records); ``cache`` memoizes
+    evaluated candidates, and the optimized graphs, across sweeps.
+    ``cache_dir`` (when no ``cache`` is
     handed in) builds a disk-backed :class:`ExploreCache` on that
     directory, so repeated sweeps hit disk across processes.
     ``preoptimized=True`` declares ``dfgs`` already machine-independently
@@ -723,11 +758,13 @@ def explore(
     if cache is None and cache_dir is not None:
         cache = ExploreCache(disk=open_backend(cache_dir))
 
-    optimized = list(dfgs) if preoptimized else [
-        optimize_machine_independent(dfg, level=options.opt)[0]
-        for dfg in dfgs
-    ]
-    app_key = [dfg_fingerprint(dfg) for dfg in optimized]
+    if preoptimized:
+        front = [(dfg, dfg_fingerprint(dfg)) for dfg in dfgs]
+    else:
+        memo = cache if cache is not None else ExploreCache()
+        front = [memo.optimize(dfg, options.opt) for dfg in dfgs]
+    optimized = [dfg for dfg, _ in front]
+    app_key = [key for _, key in front]
 
     operations = required_operations(optimized)
     # The non-default knobs that shape the feedback (cover, restarts,
@@ -779,11 +816,13 @@ def explore(
     if jobs is not None and jobs > 1 and len(pending) > 1:
         with ProcessPoolExecutor(
                 max_workers=jobs, initializer=_worker_init,
-                initargs=(optimized, options)) as pool:
+                initargs=(optimized, options, obs.enabled)) as pool:
             # Iterate the (ordered) map so progress streams as results
             # land instead of arriving in one burst at pool shutdown.
-            for (_, alloc, _), point in zip(pending, pool.map(
+            for (_, alloc, _), (point, counters) in zip(pending, pool.map(
                     _worker_evaluate, [a for _, a, _ in pending])):
+                for name, n in counters.items():
+                    obs.count(name, n)
                 evaluated.append(point)
                 obs.count("explore.candidates")
                 report(alloc, point, cached=False)
@@ -863,10 +902,7 @@ def explore_refined(
 
     # Optimize once, up front: both phases sweep the same graphs (and
     # the candidate-cache keys stay identical to a plain explore()).
-    optimized = [
-        optimize_machine_independent(dfg, level=options.opt)[0]
-        for dfg in dfgs
-    ]
+    optimized = [cache.optimize(dfg, options.opt)[0] for dfg in dfgs]
 
     coarse_allocations = spec.coarse().allocations()
     coarse_points = explore(optimized, coarse_allocations, options=options,

@@ -148,6 +148,7 @@ class CompileState:
     #: stage name -> "memory" | "disk", for stages restored from cache
     cache_sources: dict[str, str] = field(default_factory=dict)
     _core_fp: str | None = field(default=None, repr=False)
+    _source_fp: str | None = field(default=None, repr=False)
 
     def __getattr__(self, name: str) -> Any:
         artifacts = self.__dict__.get("artifacts", {})
@@ -175,6 +176,18 @@ class CompileState:
         if self._core_fp is None:
             self._core_fp = core_fingerprint(self.request.core)
         return self._core_fp
+
+    def source_fp(self) -> str:
+        """Memoized fingerprint of the parsed graph (the parse and
+        optimize keys both cover it).  Parse passes a graph application
+        through, so that graph's own fingerprint serves before parse
+        has run and after it was restored."""
+        if self._source_fp is None:
+            application = self.request.application
+            self._source_fp = dfg_fingerprint(
+                application if isinstance(application, Dfg)
+                else self.artifacts["source_dfg"])
+        return self._source_fp
 
     @property
     def is_complete(self) -> bool:

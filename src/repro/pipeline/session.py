@@ -155,6 +155,39 @@ class SnapshotStream:
         stream._unpickler = unpickler
         return stream
 
+    def extend(self, blob: bytes) -> bool:
+        """Load the frames ``blob`` adds to this restored stream.
+
+        ``blob`` must be a later entry of the stream (it starts with
+        every byte loaded so far).  Returns ``False`` when it is not,
+        when the stream has started writing, or when the added frames
+        do not load; the stream then holds what it held before, and a
+        stream whose extension failed is written on, never extended.
+        """
+        unpickler, buffer = self._unpickler, self._buffer
+        if unpickler is None:
+            return False
+        size = buffer.tell()
+        if len(blob) <= size or not blob.startswith(buffer.getvalue()):
+            return False
+        memo = unpickler.memo.copy()
+        buffer.write(blob[size:])
+        buffer.seek(size)
+        added: dict[str, Any] = {}
+        try:
+            while buffer.tell() < len(blob):
+                added.update(unpickler.load())
+        except Exception:  # noqa: BLE001 — an unloadable entry is a miss
+            # The unpickler's memo now holds the torn frame's objects:
+            # cut the bytes back and continue from the memo as it was.
+            buffer.seek(size)
+            buffer.truncate()
+            self._open(memo)
+            return False
+        self.artifacts.update(added)
+        self._written.update(added)
+        return True
+
     def dump(self, artifacts: dict[str, Any]) -> tuple[bytes, int]:
         """Append a frame of the artifacts of ``artifacts`` whose
         identity changed; return ``(entry bytes, frame bytes)``."""
@@ -168,16 +201,18 @@ class SnapshotStream:
         written.update(delta)
         return self._buffer.getvalue(), self._buffer.tell() - start
 
-    def _open(self) -> None:
+    def _open(self, memo: dict[int, Any] | None = None) -> None:
         """Create the pickler; after a restore it continues the loaded
-        stream, numbering new objects where the unpickler left off."""
+        stream, numbering new objects where the unpickler left off (or
+        after ``memo``, the unpickler's memo as it was)."""
         if self._buffer is None:
             self._buffer = io.BytesIO()
         pickler = pickle.Pickler(self._buffer, pickle.HIGHEST_PROTOCOL)
         pickler.dispatch_table = _SNAPSHOT_REDUCERS
-        if self._unpickler is not None:
+        if memo is None and self._unpickler is not None:
             memo = self._unpickler.memo.copy()
-            self._unpickler = None
+        self._unpickler = None
+        if memo is not None:
             # The pickler numbers its next object len(memo).  Two slots
             # can load as one object (pickle returns cached one-character
             # strings); a placeholder then keeps the slot counted.
@@ -249,6 +284,7 @@ class StageCache:
         return True
 
     def resolve(self, keys: Sequence[str], core: CoreSpec,
+                stream: SnapshotStream | None = None,
                 ) -> tuple[int, SnapshotStream | None, str | None]:
         """Restore the deepest cached stage of a key chain.
 
@@ -258,12 +294,15 @@ class StageCache:
         first ``n`` stages are hits served by ``tier`` (``"memory"`` or
         ``"disk"``) and restored as ``stream.artifacts``; the rest are
         misses, and the compile runs them on into ``stream``.
-        ``(0, None, None)`` when nothing is cached.
+        ``(0, None, None)`` when nothing is cached.  ``stream`` is the
+        compile's stream so far: a hit that extends it only loads the
+        frames it adds (see :meth:`restore`).
         """
-        stream = None
+        current, stream = stream, None
         for depth in range(len(keys), 0, -1):
             blob, tier = self.get_entry(keys[depth - 1])
-            stream = None if blob is None else self.restore(blob, core)
+            stream = None if blob is None else self.restore(blob, core,
+                                                            current)
             if stream is not None:
                 break
         else:
@@ -306,16 +345,23 @@ class StageCache:
         return None, None
 
     def restore(self, blob: bytes, core: CoreSpec,
+                stream: SnapshotStream | None = None,
                 ) -> SnapshotStream | None:
         """Deserialize one entry, its core references bound to
         ``core``; ``None`` when the bytes do not load (the stage then
-        runs, and its store replaces the entry)."""
+        runs, and its store replaces the entry).
+
+        When ``blob`` extends ``stream`` (a stream restored earlier in
+        the same compile, e.g. up to the stage whose output keys the
+        next run), only the added frames are loaded, into ``stream``,
+        so a warm compile unpickles each frame once."""
         # A snapshot is thousands of fresh containers and no garbage:
         # cyclic collections triggered mid-load would only rescan them.
         paused = gc.isenabled()
         gc.disable()
         try:
-            stream = SnapshotStream.load(blob, core)
+            if stream is None or not stream.extend(blob):
+                stream = SnapshotStream.load(blob, core)
         except Exception:  # noqa: BLE001 — an unloadable entry is a miss
             return None
         finally:

@@ -139,7 +139,7 @@ class ParseStage(Stage):
         if isinstance(application, str):
             return fingerprint(self.name, PIPELINE_VERSION, "text", application)
         return fingerprint(self.name, PIPELINE_VERSION, "dfg",
-                           dfg_fingerprint(application))
+                           state.source_fp())
 
     def run(self, state: CompileState) -> None:
         application = state.request.application
@@ -168,7 +168,7 @@ class OptimizeStage(Stage):
                      else ("fmt", core.data_width, core.frac_bits))
         return fingerprint(
             self.name, PIPELINE_VERSION,
-            dfg_fingerprint(state.artifacts["source_dfg"]),
+            state.source_fp(),
             request.options.fingerprint("opt"), core_part,
         )
 

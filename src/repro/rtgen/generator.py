@@ -32,11 +32,12 @@ describes.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
-from ..arch.datapath import Datapath, Route
+from ..arch.datapath import Datapath
 from ..arch.library import CoreSpec
 from ..arch.opu import Operation, Opu
-from ..errors import RoutingError
+from ..errors import ConnectivityError, RoutingError
 from ..fixed import FixedFormat
 from ..lang.dfg import Dfg, Node, NodeKind
 from ..obs import current_telemetry
@@ -77,6 +78,41 @@ class _CopyPlan:
     copy_value: int
 
 
+class _Sink(NamedTuple):
+    """The resources a result books to reach one register file."""
+
+    mux: str | None          # mux resource, if the route has one
+    mux_usage: str | None    # its selection of the producer's bus
+    write: str               # the register file's write port
+
+
+class _Wiring(NamedTuple):
+    """One OPU's connections as resource names, resolved once per compile."""
+
+    buffer: str                      # output buffer
+    bus: str | None                  # bus it drives
+    sinks: dict[str, _Sink]          # reachable register file -> sink
+    reads: tuple[str | None, ...]    # read resource per input port
+
+
+def _wiring(dp: Datapath, opu: Opu) -> _Wiring:
+    sinks = {}
+    for route in dp.routes_from(opu):
+        mux = route.mux
+        sinks[route.register_file.name] = _Sink(
+            mux.resource if mux is not None else None,
+            mux.select_usage(route.bus) if mux is not None else None,
+            route.register_file.write_resource,
+        )
+    reads = tuple(
+        port.register_file.read_resource(port)
+        if port.register_file is not None else None
+        for port in opu.ports
+    )
+    bus = opu.bus.resource if opu.bus is not None else None
+    return _Wiring(opu.buffer_name, bus, sinks, reads)
+
+
 class _Generator:
     def __init__(self, dfg: Dfg, core: CoreSpec, binding: Binding,
                  live: set[int]):
@@ -84,6 +120,14 @@ class _Generator:
         self.core = core
         self.dp: Datapath = core.datapath
         self.binding = binding
+        # The core's wiring is fixed for the compile: every route and
+        # resource name is looked up here instead of re-derived per use.
+        self.wiring = {name: _wiring(self.dp, opu)
+                       for name, opu in self.dp.opus.items()}
+        self.copiers = self.dp.opus_supporting("pass")
+        # Equal resource uses are one object per compile (they are
+        # frozen), so the RT snapshot pickles each distinct use once.
+        self._uses: dict[tuple[str, str, int], ResourceUse] = {}
         self.live = live
         self.fmt = FixedFormat(core.data_width, core.frac_bits)
         self._aux_counter = len(dfg.nodes)
@@ -179,10 +223,10 @@ class _Generator:
         def directness(order: tuple[int, ...]) -> int:
             score = 0
             for arg_index, port_index in enumerate(order):
-                producer = self._producer_opu(self.dfg.node(node.args[arg_index]))
+                producer = self.binding.opu_of_node(
+                    self.dfg.node(node.args[arg_index]))
                 port_rf = self.dp.port_register_file(opu, port_index)
-                if any(r.register_file is port_rf
-                       for r in self.dp.routes_from(producer)):
+                if port_rf.name in self.wiring[producer].sinks:
                     score += 1
             return score
 
@@ -221,7 +265,7 @@ class _Generator:
         producer = self._producer_opu(value_node)
         direct: list[str] = []
         plans: list[_CopyPlan] = []
-        reachable = {r.register_file.name for r in self.dp.routes_from(producer)}
+        reachable = self.wiring[producer.name].sinks
         for reader in readers:
             consumer_opu = self.dp.opu(self.binding.opu_of_node(reader.node))
             port_index = self.port_of[(reader.node.id, reader.arg_index)]
@@ -247,19 +291,15 @@ class _Generator:
         for plan in plans:
             if plan.target_rf == target:
                 return plan
-        for copier in self.dp.opus_supporting("pass"):
+        producer_reach = self.wiring[producer.name].sinks
+        for copier in self.copiers:
             if copier is producer:
                 continue
             input_rf = copier.ports[0].register_file
             if input_rf is None:
                 continue
-            producer_reach = {
-                r.register_file.name for r in self.dp.routes_from(producer)
-            }
-            copier_reach = {
-                r.register_file.name for r in self.dp.routes_from(copier)
-            }
-            if input_rf.name in producer_reach and target in copier_reach:
+            if (input_rf.name in producer_reach
+                    and target in self.wiring[copier.name].sinks):
                 copy_value = self.new_value(
                     f"copy_{self.value_names.get(value_node.id, value_node.id)}"
                 )
@@ -281,18 +321,18 @@ class _Generator:
     def emit(self) -> None:
         for ram_name in self.memories:
             self.fp_old[ram_name] = self.new_value(f"fp_{ram_name}")
+        handlers = {
+            NodeKind.INPUT: self._emit_input,
+            NodeKind.PARAM: self._emit_param,
+            NodeKind.DELAY: self._emit_delay,
+            NodeKind.OP: self._emit_op,
+            NodeKind.STATE_WRITE: self._emit_state_write,
+            NodeKind.OUTPUT: self._emit_output,
+        }
         for node in self.dfg.nodes:
             if node.id not in self.live:
                 continue
-            handler = {
-                NodeKind.INPUT: self._emit_input,
-                NodeKind.PARAM: self._emit_param,
-                NodeKind.DELAY: self._emit_delay,
-                NodeKind.OP: self._emit_op,
-                NodeKind.STATE_WRITE: self._emit_state_write,
-                NodeKind.OUTPUT: self._emit_output,
-            }[node.kind]
-            handler(node)
+            handlers[node.kind](node)
             if node.label:
                 self.value_names[node.id] = node.label
         for ram_name in self.memories:
@@ -300,8 +340,12 @@ class _Generator:
 
     # -- helpers -----------------------------------------------------------
 
-    def _routes_for(self, opu: Opu, rfs: list[str]) -> list[Route]:
-        return [self.dp.route_to(opu, rf) for rf in rfs]
+    def _use(self, resource: str, usage: str, offset: int = 0) -> ResourceUse:
+        key = (resource, usage, offset)
+        use = self._uses.get(key)
+        if use is None:
+            use = self._uses[key] = ResourceUse(resource, usage, offset)
+        return use
 
     def _make_rt(
         self,
@@ -320,49 +364,45 @@ class _Generator:
         ``operands`` pairs each :class:`Operand` with the input-port
         index it enters through (``None`` for immediates on ports).
         """
-        uses: list[ResourceUse] = [ResourceUse(opu.name, operation.name)]
+        wiring = self.wiring[opu.name]
+        use = self._use
+        uses: list[ResourceUse] = [use(opu.name, operation.name)]
         if io_port is not None:
             # The IO pin carries one logical stream's sample per cycle;
             # two streams through one port block must take turns even
             # when they happen to carry the same value.
-            uses.append(ResourceUse(f"{opu.name}:pin", io_port))
+            uses.append(use(f"{opu.name}:pin", io_port))
         if operation.initiation_interval > 1:
             uses.extend(
-                ResourceUse(opu.name, operation.name, offset)
+                use(opu.name, operation.name, offset)
                 for offset in range(1, operation.initiation_interval)
             )
         for operand, port_index in operands:
             if not operand.is_register or port_index is None:
                 continue
-            port = opu.ports[port_index]
-            rf = port.register_file
-            uses.append(
-                ResourceUse(rf.read_resource(port), f"v{operand.value}")
-            )
+            uses.append(use(wiring.reads[port_index], f"v{operand.value}"))
         destinations: list[Destination] = []
         if value is not None and dest_rfs:
             result_offset = operation.latency - 1
-            uses.append(ResourceUse(opu.buffer_name, "write", result_offset))
-            uses.append(ResourceUse(opu.bus.resource, f"v{value}", result_offset))
-            for route in self._routes_for(opu, dest_rfs):
-                mux_name = mux_usage = None
-                if route.mux is not None:
-                    mux_name = route.mux.resource
-                    mux_usage = route.mux.select_usage(route.bus)
-                    uses.append(ResourceUse(mux_name, mux_usage, result_offset))
-                uses.append(
-                    ResourceUse(
-                        route.register_file.write_resource,
-                        f"v{value}",
-                        result_offset,
+            carried = f"v{value}"
+            uses.append(use(wiring.buffer, "write", result_offset))
+            uses.append(use(wiring.bus, carried, result_offset))
+            for rf in dest_rfs:
+                sink = wiring.sinks.get(rf)
+                if sink is None:
+                    raise ConnectivityError(
+                        f"no route from OPU {opu.name!r} to register "
+                        f"file {rf!r}"
                     )
-                )
+                if sink.mux is not None:
+                    uses.append(use(sink.mux, sink.mux_usage, result_offset))
+                uses.append(use(sink.write, carried, result_offset))
                 destinations.append(
                     Destination(
-                        register_file=route.register_file.name,
+                        register_file=rf,
                         value=value,
-                        mux=mux_name,
-                        mux_usage=mux_usage,
+                        mux=sink.mux,
+                        mux_usage=sink.mux_usage,
                     )
                 )
         rt = RT(

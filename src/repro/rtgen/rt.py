@@ -106,9 +106,11 @@ class RT:
     """A register transfer: one operation plus its complete path usage.
 
     Instances are created by the RT generator; tests may build them
-    directly.  Identity is the unique ``uid`` (RTs are hashable and
-    compare by identity so that schedulers can key dictionaries on
-    them even when two transfers look identical).
+    directly.  RTs hash and compare by object identity (Python's
+    default), so schedulers can key dictionaries on them even when two
+    transfers look identical.  The unique, creation-ordered ``uid`` is
+    the deterministic tie-break: anything whose order reaches the
+    output sorts on it, never on a hash.
     """
 
     _uids = itertools.count()
@@ -234,12 +236,6 @@ class RT:
     def __repr__(self) -> str:
         dest = self.destinations[0].pretty() if self.destinations else "-"
         return f"RT#{self.uid}({self.opu}.{self.operation} -> {dest})"
-
-    def __hash__(self) -> int:
-        return hash(self.uid)
-
-    def __eq__(self, other: object) -> bool:
-        return self is other
 
 
 def conflict(a: RT, b: RT, distance: int = 0) -> bool:

@@ -24,7 +24,7 @@ from .bipartite import (
 )
 from .list_scheduler import compact_lifetimes, list_schedule
 from .regalloc import Allocation, Interval, allocate_registers, compute_intervals
-from .schedule import ReservationTable, Schedule
+from .schedule import ModuloReservationTable, ReservationTable, Schedule
 
 __all__ = [
     "Allocation",
@@ -35,6 +35,7 @@ __all__ = [
     "ExecutionInterval",
     "FoldedSchedule",
     "Interval",
+    "ModuloReservationTable",
     "ReservationTable",
     "Schedule",
     "allocate_registers",

@@ -29,13 +29,7 @@ from .schedule import ReservationTable, Schedule
 def vertical_schedule(graph: DependenceGraph) -> Schedule:
     """One transfer per cycle, topologically ordered."""
     priority = compute_priorities(graph)
-    predecessors: dict[RT, list] = {rt: [] for rt in graph.rts}
-    successors: dict[RT, list] = {rt: [] for rt in graph.rts}
-    for edge in graph.edges:
-        if edge.distance != 0:
-            continue
-        predecessors[edge.dst].append(edge)
-        successors[edge.src].append(edge)
+    predecessors, successors = graph.edges_in, graph.edges_out
     pending = {rt: len(predecessors[rt]) for rt in graph.rts}
     ready = sorted(
         (rt for rt, n in pending.items() if n == 0),
@@ -61,9 +55,7 @@ def vertical_schedule(graph: DependenceGraph) -> Schedule:
         cycle += 1
     if len(cycle_of) != len(graph.rts):
         raise SchedulingError("vertical scheduler left transfers unscheduled")
-    length = max(
-        c + max(rt.latency, rt.max_offset + 1) for rt, c in cycle_of.items()
-    )
+    length = max(c + graph.spans[rt] for rt, c in cycle_of.items())
     return Schedule(cycle_of=cycle_of, length=length)
 
 
@@ -80,13 +72,7 @@ def dynamic_check_schedule(
     """
     table.classify_program(graph.rts)
     priority = compute_priorities(graph)
-    predecessors: dict[RT, list] = {rt: [] for rt in graph.rts}
-    successors: dict[RT, list] = {rt: [] for rt in graph.rts}
-    for edge in graph.edges:
-        if edge.distance != 0:
-            continue
-        predecessors[edge.dst].append(edge)
-        successors[edge.src].append(edge)
+    predecessors, successors = graph.edges_in, graph.edges_out
 
     pending = {rt: len(predecessors[rt]) for rt in graph.rts}
     ready = [rt for rt, n in pending.items() if n == 0]
@@ -94,6 +80,7 @@ def dynamic_check_schedule(
     cycle_of: dict[RT, int] = {}
     classes_at: dict[int, set[str]] = {}
     reservation = ReservationTable()
+    bookings, spans = graph.bookings, graph.spans
 
     cycle = 0
     horizon = sum(max(1, rt.latency) for rt in graph.rts) + 1
@@ -107,16 +94,16 @@ def dynamic_check_schedule(
             for rt in sorted(ready, key=lambda r: (-priority[r], r.uid)):
                 if earliest[rt] > cycle:
                     continue
-                if not reservation.fits(rt, cycle):
+                if not reservation.fits(bookings[rt], cycle):
                     continue
                 # The dynamic legality test the static model replaces:
                 proposed = classes_at.get(cycle, set()) | {rt.rt_class}
                 if not instruction_set.allows(frozenset(proposed)):
                     continue
-                reservation.place(rt, cycle)
+                reservation.place(bookings[rt], cycle)
                 classes_at.setdefault(cycle, set()).add(rt.rt_class)
                 cycle_of[rt] = cycle
-                length = max(length, cycle + rt.max_offset + 1, cycle + rt.latency)
+                length = max(length, cycle + spans[rt])
                 ready.remove(rt)
                 for edge in successors[rt]:
                     pending[edge.dst] -= 1

@@ -27,9 +27,19 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
+from functools import cached_property
 
 from ..rtgen.program import RTProgram
 from ..rtgen.rt import RT
+
+#: An RT's resource bookings relative to its issue cycle,
+#: ``((resource, offset, usage), ...)`` in the order of ``rt.uses``.
+Booking = tuple[tuple[str, int, str], ...]
+
+
+def booking(rt: RT) -> Booking:
+    """The reservation-table form of ``rt.uses``."""
+    return tuple((use.resource, use.offset, use.usage) for use in rt.uses)
 
 
 class EdgeKind(enum.Enum):
@@ -50,14 +60,55 @@ class Edge:
 
 @dataclass
 class DependenceGraph:
+    """RTs plus the edges constraining their issue cycles.
+
+    :attr:`bookings`, :attr:`spans`, :attr:`edges_in` and
+    :attr:`edges_out` are derived once per graph, on first use, and
+    shared (read-only) by every scheduler pass over it; they are not
+    part of the graph's pickled state.
+    """
+
     rts: list[RT]
     edges: list[Edge]
 
+    @cached_property
+    def bookings(self) -> dict[RT, Booking]:
+        """Each RT's :func:`booking`."""
+        return {rt: booking(rt) for rt in self.rts}
+
+    @cached_property
+    def spans(self) -> dict[RT, int]:
+        """Cycles each RT occupies from its issue cycle on:
+        ``max(latency, max_offset + 1)``."""
+        return {rt: max(rt.latency, rt.max_offset + 1) for rt in self.rts}
+
+    @cached_property
+    def edges_out(self) -> dict[RT, list[Edge]]:
+        """Each RT's distance-0 out-edges, in edge order."""
+        out: dict[RT, list[Edge]] = {rt: [] for rt in self.rts}
+        for edge in self.edges:
+            if edge.distance == 0:
+                out[edge.src].append(edge)
+        return out
+
+    @cached_property
+    def edges_in(self) -> dict[RT, list[Edge]]:
+        """Each RT's distance-0 in-edges, in edge order."""
+        into: dict[RT, list[Edge]] = {rt: [] for rt in self.rts}
+        for edge in self.edges:
+            if edge.distance == 0:
+                into[edge.dst].append(edge)
+        return into
+
+    def __getstate__(self) -> dict:
+        # Only the fields: the derived tables are rebuilt on demand.
+        return {"rts": self.rts, "edges": self.edges}
+
     def successors(self, rt: RT) -> list[Edge]:
-        return [e for e in self.edges if e.src is rt and e.distance == 0]
+        return list(self.edges_out.get(rt, ()))
 
     def predecessors(self, rt: RT) -> list[Edge]:
-        return [e for e in self.edges if e.dst is rt and e.distance == 0]
+        return list(self.edges_in.get(rt, ()))
 
     def critical_path_length(self) -> int:
         priority = compute_priorities(self)
@@ -141,25 +192,13 @@ def compute_priorities(graph: DependenceGraph) -> dict[RT, int]:
     The classic list-scheduling priority: transfers on the critical
     path first.  Computed over distance-0 edges (the block body).
     """
-    successors: dict[RT, list[Edge]] = {rt: [] for rt in graph.rts}
-    indegree_out: dict[RT, int] = {rt: 0 for rt in graph.rts}
-    for edge in graph.edges:
-        if edge.distance != 0:
-            continue
-        successors[edge.src].append(edge)
-        indegree_out[edge.src] += 1
-
+    successors, predecessors = graph.edges_out, graph.edges_in
     priority: dict[RT, int] = {}
 
     order: list[RT] = []
     # Kahn's algorithm on the reversed graph (process sinks first).
     remaining = {rt: len(successors[rt]) for rt in graph.rts}
     stack = [rt for rt, n in remaining.items() if n == 0]
-    predecessors: dict[RT, list[Edge]] = {rt: [] for rt in graph.rts}
-    for edge in graph.edges:
-        if edge.distance != 0:
-            continue
-        predecessors[edge.dst].append(edge)
     while stack:
         rt = stack.pop()
         order.append(rt)

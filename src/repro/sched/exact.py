@@ -52,6 +52,7 @@ def exact_schedule(
     groups = exclusive_groups_by_opu(graph.rts)
     stats = ExactSchedulerStats()
     table = ReservationTable()
+    bookings = graph.bookings
     assignment: dict[RT, int] = {}
 
     def pick_next(current: dict[RT, ExecutionInterval]) -> RT | None:
@@ -73,7 +74,7 @@ def exact_schedule(
             return True
         window = current[rt]
         for cycle in range(window.asap, window.alap + 1):
-            if not table.fits(rt, cycle):
+            if not table.fits(bookings[rt], cycle):
                 stats.prunes_resource += 1
                 continue
             tightened = tighten_with_decision(current, graph, rt, cycle)
@@ -83,11 +84,11 @@ def exact_schedule(
             if use_matching_pruning and not resource_feasible(tightened, groups):
                 stats.prunes_matching += 1
                 continue
-            table.place(rt, cycle)
+            table.place(bookings[rt], cycle)
             assignment[rt] = cycle
             if search(tightened):
                 return True
-            table.remove(rt, cycle)
+            table.remove(bookings[rt], cycle)
             del assignment[rt]
         return False
 
@@ -96,10 +97,7 @@ def exact_schedule(
     if not search(intervals):
         raise BudgetExceededError(budget + 1, budget)
 
-    length = max(
-        cycle + max(rt.latency, rt.max_offset + 1)
-        for rt, cycle in assignment.items()
-    )
+    length = max(cycle + graph.spans[rt] for rt, cycle in assignment.items())
     schedule = Schedule(cycle_of=dict(assignment), length=length, budget=budget)
     schedule.validate(graph)
     return schedule, stats

@@ -17,11 +17,13 @@ the achieved II next to the unfolded schedule length.
 
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass
 
 from ..errors import SchedulingError
 from ..rtgen.rt import RT
 from .dependence import DependenceGraph, compute_priorities
+from .schedule import ModuloReservationTable
 
 
 @dataclass
@@ -35,15 +37,16 @@ class FoldedSchedule:
     def validate(self, graph: DependenceGraph) -> None:
         ii = self.initiation_interval
         slots: dict[tuple[str, int], str] = {}
+        bookings = graph.bookings
         for rt, cycle in self.cycle_of.items():
-            for use in rt.uses:
-                key = (use.resource, (cycle + use.offset) % ii)
+            for resource, offset, usage in bookings[rt]:
+                key = (resource, (cycle + offset) % ii)
                 existing = slots.get(key)
-                if existing is not None and existing != use.usage:
+                if existing is not None and existing != usage:
                     raise SchedulingError(
-                        f"modulo resource conflict on {use.resource}"
+                        f"modulo resource conflict on {resource}"
                     )
-                slots[key] = use.usage
+                slots[key] = usage
         for edge in graph.edges:
             src = self.cycle_of[edge.src]
             dst = self.cycle_of[edge.dst]
@@ -84,14 +87,10 @@ def recurrence_mii(graph: DependenceGraph) -> int:
         distances: dict[RT, int] = {src: 0}
         order = [src]
         index = 0
-        successors: dict[RT, list] = {}
-        for edge in graph.edges:
-            if edge.distance == 0:
-                successors.setdefault(edge.src, []).append(edge)
         while index < len(order):
             rt = order[index]
             index += 1
-            for edge in successors.get(rt, []):
+            for edge in graph.edges_out[rt]:
                 candidate = distances[rt] + edge.delay
                 if candidate > distances.get(edge.dst, -1):
                     distances[edge.dst] = candidate
@@ -132,49 +131,29 @@ def modulo_schedule(
 
 def _try_ii(graph: DependenceGraph, ii: int) -> FoldedSchedule | None:
     priority = compute_priorities(graph)
-    predecessors: dict[RT, list] = {rt: [] for rt in graph.rts}
-    successors: dict[RT, list] = {rt: [] for rt in graph.rts}
-    for edge in graph.edges:
-        if edge.distance == 0:
-            predecessors[edge.dst].append(edge)
-            successors[edge.src].append(edge)
+    predecessors, successors = graph.edges_in, graph.edges_out
 
     order = sorted(graph.rts, key=lambda rt: (-priority[rt], rt.uid))
-    slots: dict[tuple[str, int], tuple[str, int]] = {}
+    bookings = graph.bookings
+    table = ModuloReservationTable(ii)
     cycle_of: dict[RT, int] = {}
 
-    def fits(rt: RT, cycle: int) -> bool:
-        for use in rt.uses:
-            key = (use.resource, (cycle + use.offset) % ii)
-            existing = slots.get(key)
-            if existing is not None and (
-                existing[0] != use.usage or existing[1] != cycle + use.offset
-            ):
-                # Same usage only shares within the same absolute cycle;
-                # iterations are distinct instances.
-                return False
-        return True
-
     def place(rt: RT, cycle: int) -> None:
-        for use in rt.uses:
-            slots[(use.resource, (cycle + use.offset) % ii)] = (
-                use.usage, cycle + use.offset,
-            )
+        table.place(rt, bookings[rt], cycle)
         cycle_of[rt] = cycle
 
     def unplace(rt: RT) -> None:
-        cycle = cycle_of.pop(rt)
-        for use in rt.uses:
-            slots.pop((use.resource, (cycle + use.offset) % ii), None)
+        table.remove(rt, bookings[rt], cycle_of.pop(rt))
 
     max_attempts = len(graph.rts) * 16
     attempts = 0
-    pending = list(order)
+    pending = deque(order)
     while pending:
         attempts += 1
         if attempts > max_attempts:
             return None
-        rt = pending.pop(0)
+        rt = pending.popleft()
+        booking = bookings[rt]
         earliest = max(
             (cycle_of[e.src] + e.delay for e in predecessors[rt]
              if e.src in cycle_of),
@@ -182,21 +161,16 @@ def _try_ii(graph: DependenceGraph, ii: int) -> FoldedSchedule | None:
         )
         placed = False
         for cycle in range(earliest, earliest + ii):
-            if fits(rt, cycle):
+            if table.fits(booking, cycle):
                 place(rt, cycle)
                 placed = True
                 break
         if not placed:
-            # Evict a conflicting transfer (iterative modulo scheduling).
+            # Evict every transfer holding a slot this one needs
+            # (iterative modulo scheduling), in placement order.
             cycle = earliest
-            victims = [
-                other for other in list(cycle_of)
-                if any(
-                    (cycle_of[other] + uo.offset) % ii == (cycle + uv.offset) % ii
-                    and uo.resource == uv.resource
-                    for uo in other.uses for uv in rt.uses
-                )
-            ]
+            holders = table.owners(booking, cycle)
+            victims = [other for other in cycle_of if other in holders]
             if not victims:
                 return None
             for victim in victims:
@@ -213,8 +187,6 @@ def _try_ii(graph: DependenceGraph, ii: int) -> FoldedSchedule | None:
         if edge.distance == 1:
             if cycle_of[edge.dst] < cycle_of[edge.src] + edge.delay - ii:
                 return None
-    length = max(
-        cycle + max(rt.latency, rt.max_offset + 1)
-        for rt, cycle in cycle_of.items()
-    )
+    spans = graph.spans
+    length = max(cycle + spans[rt] for rt, cycle in cycle_of.items())
     return FoldedSchedule(cycle_of=cycle_of, initiation_interval=ii, length=length)

@@ -39,13 +39,7 @@ def execution_intervals(
     if budget < 1:
         raise SchedulingError(f"cycle budget must be >= 1, got {budget}")
     order = _topological(graph)
-    predecessors: dict[RT, list] = {rt: [] for rt in graph.rts}
-    successors: dict[RT, list] = {rt: [] for rt in graph.rts}
-    for edge in graph.edges:
-        if edge.distance != 0:
-            continue
-        predecessors[edge.dst].append(edge)
-        successors[edge.src].append(edge)
+    predecessors, successors = graph.edges_in, graph.edges_out
 
     asap: dict[RT, int] = {}
     for rt in order:
@@ -54,7 +48,7 @@ def execution_intervals(
         )
     alap: dict[RT, int] = {}
     for rt in reversed(order):
-        latest_finish = budget - max(rt.latency, rt.max_offset + 1)
+        latest_finish = budget - graph.spans[rt]
         alap[rt] = min(
             (alap[e.dst] - e.delay for e in successors[rt]),
             default=latest_finish,
@@ -108,13 +102,8 @@ def tighten_with_decision(
 
 
 def _topological(graph: DependenceGraph) -> list[RT]:
-    indegree: dict[RT, int] = {rt: 0 for rt in graph.rts}
-    successors: dict[RT, list] = {rt: [] for rt in graph.rts}
-    for edge in graph.edges:
-        if edge.distance != 0:
-            continue
-        indegree[edge.dst] += 1
-        successors[edge.src].append(edge)
+    successors = graph.edges_out
+    indegree = {rt: len(graph.edges_in[rt]) for rt in graph.rts}
     stack = [rt for rt, n in indegree.items() if n == 0]
     order: list[RT] = []
     while stack:

@@ -121,35 +121,35 @@ def _scheduler_loop(
     on_place=None,
 ) -> Schedule | None:
     """The shared cycle-by-cycle greedy core of both regimes."""
-    predecessors: dict[RT, list] = {rt: [] for rt in graph.rts}
-    successors: dict[RT, list] = {rt: [] for rt in graph.rts}
-    for edge in graph.edges:
-        if edge.distance != 0:
-            continue
-        predecessors[edge.dst].append(edge)
-        successors[edge.src].append(edge)
-    pending = {rt: len(predecessors[rt]) for rt in graph.rts}
+    successors = graph.edges_out
+    pending = {rt: len(graph.edges_in[rt]) for rt in graph.rts}
     ready = [rt for rt, n in pending.items() if n == 0]
     earliest = {rt: 0 for rt in graph.rts}
+    bookings, spans = graph.bookings, graph.spans
     table = ReservationTable()
     cycle_of: dict[RT, int] = {}
     length = 0
     for cycle in range(horizon + 1):
         if len(cycle_of) == len(graph.rts):
             break
+        # Bookings only grow within a cycle, so a transfer that did not
+        # fit stays out until the next one; re-scans skip it.
+        blocked: set[RT] = set()
         progress = True
         while progress:
             progress = False
             for rt in sorted(ready, key=lambda r: key(r, cycle)):
-                if earliest[rt] > cycle:
+                if earliest[rt] > cycle or rt in blocked:
                     continue
                 if deadline is not None and cycle > deadline[rt]:
                     return None
-                if not table.fits(rt, cycle):
+                booking = bookings[rt]
+                if not table.fits(booking, cycle):
+                    blocked.add(rt)
                     continue
-                table.place(rt, cycle)
+                table.place(booking, cycle)
                 cycle_of[rt] = cycle
-                length = max(length, cycle + max(rt.latency, rt.max_offset + 1))
+                length = max(length, cycle + spans[rt])
                 ready.remove(rt)
                 if on_place is not None:
                     on_place(rt)
@@ -214,31 +214,28 @@ def compact_lifetimes(graph: DependenceGraph, schedule: Schedule) -> Schedule:
     register lifetimes — important for the small distributed register
     files of the paper's cores.
     """
-    successors: dict[RT, list] = {rt: [] for rt in graph.rts}
-    for edge in graph.edges:
-        if edge.distance != 0:
-            continue
-        successors[edge.src].append(edge)
-
+    successors = graph.edges_out
     cycle_of = dict(schedule.cycle_of)
+    bookings, spans = graph.bookings, graph.spans
     table = ReservationTable()
     for rt, cycle in cycle_of.items():
-        table.place(rt, cycle)
+        table.place(bookings[rt], cycle)
 
     for rt in sorted(cycle_of, key=lambda r: -cycle_of[r]):
-        latest = schedule.length - max(rt.latency, rt.max_offset + 1)
+        latest = schedule.length - spans[rt]
         for edge in successors[rt]:
             latest = min(latest, cycle_of[edge.dst] - edge.delay)
         current = cycle_of[rt]
         if latest <= current:
             continue
-        table.remove(rt, current)
+        booking = bookings[rt]
+        table.remove(booking, current)
         target = current
         for candidate in range(latest, current, -1):
-            if table.fits(rt, candidate):
+            if table.fits(booking, candidate):
                 target = candidate
                 break
-        table.place(rt, target)
+        table.place(booking, target)
         cycle_of[rt] = target
     return Schedule(cycle_of=cycle_of, length=schedule.length,
                     budget=schedule.budget)

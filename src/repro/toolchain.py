@@ -223,7 +223,7 @@ class Toolchain:
                             break
                         keys.append(later.chain_key(keys[-1], state.request))
                     depth, restored, source = self.cache.resolve(
-                        keys[index:], self.core)
+                        keys[index:], self.core, stream)
                     if restored is not None:
                         stream = restored
                         state.artifacts = restored.artifacts

@@ -282,6 +282,21 @@ class TestEventsAndCallbacks:
         (root,) = obs.roots
         assert root.name == "explore"
 
+    def test_explore_pool_workers_report_their_counters(self):
+        fir4 = fir_application([0.1, 0.2, 0.3, 0.4], name="fir4")
+        candidates = [Allocation(n_mult=m, n_alu=a, n_ram=1)
+                      for m in (1, 2) for a in (1, 2)]
+        counters = {}
+        for jobs in (1, 2):
+            obs = Telemetry()
+            toolchain = Toolchain("audio", CompileOptions(disk_cache=False),
+                                  cache=None, telemetry=obs)
+            toolchain.explore([fir4], candidates, jobs=jobs)
+            counters[jobs] = obs.counters
+        for name in ("sched.list.attempts", "rtgen.values_routed"):
+            assert counters[1][name] > 0
+            assert counters[2][name] == counters[1][name], name
+
 
 class TestExports:
     def test_telemetry_to_dict_roundtrips_through_json(self):

@@ -340,8 +340,8 @@ class TestSerializedSnapshots:
         restored = []
         real_restore = StageCache.restore
 
-        def recording(self, blob, core):
-            stream = real_restore(self, blob, core)
+        def recording(self, blob, core, stream=None):
+            stream = real_restore(self, blob, core, stream)
             restored.append(set(stream.artifacts))
             return stream
 

@@ -12,22 +12,13 @@ from __future__ import annotations
 
 import enum
 import gc
+import pickle
 import types
 
 import pytest
 
 from repro import Toolchain
-from repro.apps import (
-    adaptive_core,
-    audio_application,
-    audio_io_binding,
-    biquad_cascade_application,
-    channel_frontend_application,
-    fir_application,
-    lms_application,
-    stress_application,
-)
-from repro.arch import MergeSpec, audio_core, fir_core
+from repro.arch import MergeSpec, audio_core
 from repro.arch.library import CoreSpec
 from repro.pipeline import (
     PIPELINE_STAGES,
@@ -38,19 +29,8 @@ from repro.pipeline import (
 from repro.pipeline.backend import MemoryBackend
 from repro.pipeline.session import SnapshotStream
 
-#: Every builtin application on the core it targets, with its IO
-#: binding where it has one.
-BUILTIN_APPS = {
-    "audio": (audio_application, audio_core, audio_io_binding),
-    "fir8": (lambda: fir_application([0.05 * (k + 1) for k in range(8)],
-                                     name="fir8"), fir_core, None),
-    "biquad": (lambda: biquad_cascade_application(
-        [(0.4, 0.1, -0.05, 0.2, -0.1), (0.3, 0.05, 0.0, 0.1, 0.0)]),
-        audio_core, None),
-    "lms": (lambda: lms_application(n_taps=2), adaptive_core, None),
-    "channel": (channel_frontend_application, fir_core, None),
-    "stress": (lambda: stress_application(4, seed=1), audio_core, None),
-}
+from builtin_apps import BUILTIN_APPS, app_case
+
 
 def merge_spec(name, merged):
     """A merge the application's core takes and still allocates."""
@@ -103,12 +83,6 @@ def rendered(artifacts) -> dict[str, str]:
     """Artifact name -> :func:`canonical` text, one memo for all."""
     memo: dict = {}
     return {name: canonical(value, memo) for name, value in artifacts.items()}
-
-
-def app_case(name):
-    make_app, make_core, make_binding = BUILTIN_APPS[name]
-    binding = make_binding() if make_binding is not None else None
-    return make_app(), make_core(), binding
 
 
 def fresh_state(application, core, binding, merges, opt):
@@ -277,6 +251,61 @@ class TestResumedStreams:
         assert again["a"] == ["q", "q"]
         assert again["b"] == (["new"], ["new"], "tail")
         assert again["b"][0] is again["b"][1]
+
+
+class Marker:
+    """A picklable object of this module."""
+
+
+class TestExtendedRestores:
+    """A warm compile restores one key run after another; each later
+    entry extends the stream restored so far, so only its added frames
+    are loaded."""
+
+    def test_a_warm_compile_loads_each_frame_once(self, monkeypatch):
+        application, core, binding = app_case("audio")
+        toolchain = Toolchain(core, cache=StageCache())
+        cold = toolchain.run_pipeline(application, io_binding=binding)
+        loads, extensions = [], []
+        real_load, real_extend = SnapshotStream.load, SnapshotStream.extend
+        monkeypatch.setattr(SnapshotStream, "load", classmethod(
+            lambda cls, blob, core: loads.append(blob)
+            or real_load.__func__(cls, blob, core)))
+
+        def extend(self, blob):
+            extended = real_extend(self, blob)
+            extensions.append(extended)
+            return extended
+
+        monkeypatch.setattr(SnapshotStream, "extend", extend)
+        warm = toolchain.run_pipeline(application, io_binding=binding)
+        assert all(warm.cache_hits.values())
+        # The first run has nothing to extend; the other two add frames.
+        assert len(loads) == 1 and extensions == [False, True, True]
+        assert rendered(warm.artifacts) == rendered(cold.artifacts)
+
+    def test_an_unrelated_or_bad_entry_leaves_the_stream_intact(self):
+        stream = SnapshotStream()
+        first, _ = stream.dump({"a": [1, 2]})
+        second, _ = stream.dump({"a": [1, 2], "b": ("x", [3])})
+        assert SnapshotStream.load(first, audio_core()).extend(second)
+        restored = SnapshotStream.load(first, audio_core())
+        assert not restored.extend(b"unrelated bytes, longer than first")
+        # A frame that memoizes objects before it fails to load.
+        torn = pickle.dumps({"zz": ["pad", Marker()]}, protocol=5)
+        assert not restored.extend(first + torn.replace(b"Marker", b"Absent"))
+        assert restored.artifacts == {"a": [1, 2]}
+        # A failed extension leaves a stream that is written on: its
+        # next frame continues the bytes that loaded, numbering its
+        # objects where they left off.
+        assert not restored.extend(second)
+        a, shared = restored.artifacts["a"], ["new"]
+        blob, _ = restored.dump({"a": a, "c": (a, shared, shared)})
+        assert blob.startswith(first)
+        again = SnapshotStream.load(blob, audio_core()).artifacts
+        assert again == {"a": [1, 2], "c": ([1, 2], ["new"], ["new"])}
+        assert again["c"][0] is again["a"]
+        assert again["c"][1] is again["c"][2]
 
 
 class TestRestoreGarbage:
