@@ -210,14 +210,20 @@ def test_bench_refine_prunes_the_grid():
                      rf_sizes=(8, 12, 16))
     axes = pareto_axes(spec)
 
-    t0 = time.perf_counter()
-    full_points = explore(dfgs, spec.allocations())
-    full_seconds = time.perf_counter() - t0
-    full_front = pareto_front(full_points, axes=axes)
+    # Each sweep takes a fraction of a second, so one load spike on a
+    # shared machine can swamp a single timing.  Interleave the two
+    # sweeps and keep each one's best of three.
+    full_times, refine_times = [], []
+    for _ in range(3):
+        t0 = time.perf_counter()
+        full_points = explore(dfgs, spec.allocations())
+        full_times.append(time.perf_counter() - t0)
 
-    t0 = time.perf_counter()
-    refined = explore_refined(dfgs, spec)
-    refine_seconds = time.perf_counter() - t0
+        t0 = time.perf_counter()
+        refined = explore_refined(dfgs, spec)
+        refine_times.append(time.perf_counter() - t0)
+    full_seconds, refine_seconds = min(full_times), min(refine_times)
+    full_front = pareto_front(full_points, axes=axes)
 
     assert refined.n_evaluated < spec.size, \
         f"refinement evaluated the whole grid ({refined.n_evaluated})"

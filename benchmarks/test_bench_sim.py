@@ -1,17 +1,19 @@
 """Experiment: simulation throughput across engines and batch widths.
 
 The explorer's quantitative loop (compile candidates, *simulate* them
-over stimulus, compare outputs) was bottlenecked on the scalar
-simulator, which re-decodes every instruction word on every cycle.
-The decode-once engines amortize that decode, and the numpy engine
-steps whole stimulus batches as array operations.
+over stimulus, compare outputs) is simulation-bound.  The decoded
+engine steps a plan decoded once, and the numpy engine steps whole
+stimulus batches as array operations.
 
-This bench measures cycles/second for all three engines at batch
-widths 1, 16 and 256, asserts every engine stays bit-identical to the
-scalar oracle, asserts the numpy engine clears a 10x speedup at width
-256, and writes the trajectory to ``BENCH_sim.json`` (uploaded as a
-CI artifact; ``tools/check_sim_regression.py`` guards it against the
-committed ``benchmarks/sim_baseline.json``).
+This bench measures cycles/second for both engines at batch widths 1,
+16 and 256, next to the reference interpreter
+(:func:`repro.run_reference` on the source graph) over the same
+stimulus.  It asserts every engine stays bit-identical to the
+reference, asserts the numpy engine clears a 10x speedup over the
+reference at width 256, and writes the trajectory to
+``BENCH_sim.json`` (uploaded as a CI artifact;
+``tools/check_sim_regression.py`` guards it against the committed
+``benchmarks/sim_baseline.json``).
 """
 
 from __future__ import annotations
@@ -23,7 +25,14 @@ from pathlib import Path
 
 import pytest
 
-from repro import Q15, CompileOptions, Telemetry, Toolchain, use_telemetry
+from repro import (
+    Q15,
+    CompileOptions,
+    Telemetry,
+    Toolchain,
+    run_reference,
+    use_telemetry,
+)
 from repro.apps import fir_application
 from repro.sim import NUMPY_AVAILABLE, run_batch
 
@@ -31,14 +40,15 @@ RESULTS_PATH = Path(__file__).resolve().parent.parent / "BENCH_sim.json"
 
 BATCH_WIDTHS = (1, 16, 256)
 N_SAMPLES = 16
-#: The acceptance floor for the numpy engine at the widest batch.
+#: The acceptance floor for the numpy engine at the widest batch,
+#: as a speedup over the reference interpreter.
 MIN_NUMPY_SPEEDUP = 10.0
 
 
 def compiled_program():
     toolchain = Toolchain("fir", CompileOptions(disk_cache=False))
     coefficients = [0.05 * (k + 1) for k in range(8)]
-    return toolchain.compile(fir_application(coefficients, name="fir8")).binary
+    return toolchain.compile(fir_application(coefficients, name="fir8"))
 
 
 def stimulus_lanes(n_lanes: int, seed: int = 0):
@@ -48,6 +58,13 @@ def stimulus_lanes(n_lanes: int, seed: int = 0):
                for _ in range(N_SAMPLES)]}
         for _ in range(n_lanes)
     ]
+
+
+def timed_reference(dfg, lanes):
+    """(outputs, seconds) for the reference interpreter, lane by lane."""
+    start = time.perf_counter()
+    outputs = [run_reference(dfg, dict(lane), N_SAMPLES) for lane in lanes]
+    return outputs, time.perf_counter() - start
 
 
 def timed_run(program, lanes, engine):
@@ -62,8 +79,8 @@ def timed_run(program, lanes, engine):
 
 
 def test_bench_sim_engines():
-    program = compiled_program()
-    engines = ["scalar", "decoded"] + (["numpy"] if NUMPY_AVAILABLE else [])
+    compiled = compiled_program()
+    engines = ["decoded"] + (["numpy"] if NUMPY_AVAILABLE else [])
 
     record = {
         "program": "fir8 on the fir core",
@@ -71,40 +88,40 @@ def test_bench_sim_engines():
         "numpy_available": NUMPY_AVAILABLE,
         "batch": {},
     }
-    print(f"\n{'N':>4}  {'engine':8}  {'seconds':>9}  {'cycles/s':>12}  "
-          f"{'speedup':>8}")
+    print(f"\n{'N':>4}  {'engine':9}  {'seconds':>9}  {'cycles/s':>12}  "
+          f"{'vs ref':>8}")
     for n_lanes in BATCH_WIDTHS:
         lanes = stimulus_lanes(n_lanes, seed=n_lanes)
-        rows = {}
-        oracle = None
+        expected, reference_seconds = timed_reference(
+            compiled.source_dfg, lanes)
+        rows = {"reference": {"seconds": reference_seconds,
+                              "speedup_vs_reference": 1.0}}
+        print(f"{n_lanes:>4}  {'reference':9}  {reference_seconds:>9.4f}  "
+              f"{'':>12}  {1.0:>7.1f}x")
         for engine in engines:
-            outputs, seconds, cycles = timed_run(program, lanes, engine)
-            if engine == "scalar":
-                oracle = outputs
-            else:
-                # The load-bearing check: engines are bit-identical.
-                assert outputs == oracle, f"{engine} diverged at N={n_lanes}"
+            outputs, seconds, cycles = timed_run(
+                compiled.binary, lanes, engine)
+            # The load-bearing check: engines equal the reference.
+            assert outputs == expected, f"{engine} diverged at N={n_lanes}"
+            speedup = reference_seconds / seconds if seconds else None
             rows[engine] = {
                 "seconds": seconds,
                 "cycles": cycles,
                 "cycles_per_sec": cycles / seconds if seconds else None,
+                "speedup_vs_reference": speedup,
             }
-        scalar_rate = rows["scalar"]["cycles_per_sec"]
-        for engine in engines:
-            rate = rows[engine]["cycles_per_sec"]
-            rows[engine]["speedup_vs_scalar"] = (
-                rate / scalar_rate if scalar_rate and rate else None)
-            print(f"{n_lanes:>4}  {engine:8}  "
-                  f"{rows[engine]['seconds']:>9.4f}  {rate:>12.0f}  "
-                  f"{rows[engine]['speedup_vs_scalar']:>7.1f}x")
+            print(f"{n_lanes:>4}  {engine:9}  {seconds:>9.4f}  "
+                  f"{rows[engine]['cycles_per_sec']:>12.0f}  "
+                  f"{speedup:>7.1f}x")
         record["batch"][str(n_lanes)] = rows
 
     if NUMPY_AVAILABLE:
         widest = record["batch"][str(BATCH_WIDTHS[-1])]
-        speedup = widest["numpy"]["speedup_vs_scalar"]
+        speedup = widest["numpy"]["speedup_vs_reference"]
         assert speedup >= MIN_NUMPY_SPEEDUP, (
             f"numpy engine at N={BATCH_WIDTHS[-1]} is only "
-            f"{speedup:.1f}x over scalar (floor {MIN_NUMPY_SPEEDUP}x)")
+            f"{speedup:.1f}x over the reference "
+            f"(floor {MIN_NUMPY_SPEEDUP}x)")
 
     RESULTS_PATH.write_text(json.dumps(record, indent=2) + "\n")
 
@@ -112,5 +129,5 @@ def test_bench_sim_engines():
 @pytest.mark.skipif(NUMPY_AVAILABLE, reason="numpy installed")
 def test_bench_sim_records_fallback():
     """Without numpy the bench still runs (and records that it did) —
-    the pure-Python engines are the only requirement."""
+    the pure-Python engine is the only requirement."""
     assert not NUMPY_AVAILABLE

@@ -109,7 +109,7 @@ from .serve import (
 from .sim import run_batch, run_program, run_programs
 from .toolchain import Toolchain
 
-__version__ = "2.0.0"
+__version__ = "3.0.0"
 
 __all__ = [
     "Allocation",

@@ -977,9 +977,9 @@ def simulate_points(
     path are stacked into one numpy batch by
     :func:`~repro.sim.batch.run_programs` when ``stimuli`` is a single
     shared dict; with a per-lane stimulus list each binary steps the
-    whole batch at once instead.  Outputs are bit-identical to the
-    scalar oracle, so they are directly comparable across candidates
-    and against :func:`repro.lang.reference.run_reference`.
+    whole batch at once instead.  Outputs are bit-identical across
+    engines, so they are directly comparable across candidates and
+    against :func:`repro.lang.reference.run_reference`.
 
     Returns one :class:`CandidateSimulation` per point, in order;
     infeasible points (and points whose compile or simulation fails)

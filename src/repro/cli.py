@@ -92,7 +92,7 @@ from .report import (
     summary_report,
     timeline,
 )
-from .sim import ENGINES, batch as _batch, run_batch, run_program
+from .sim import ENGINES, batch as _batch, run_program
 from .toolchain import Toolchain
 
 
@@ -475,11 +475,7 @@ def cmd_run_image(args: argparse.Namespace) -> int:
     program = load_program(Path(args.image).read_text())
     fmt = FixedFormat(program.core.data_width, program.core.frac_bits)
     inputs = dict(parse_stream(spec, fmt) for spec in args.input)
-    if args.engine == "scalar":
-        outputs = run_program(program, inputs, args.frames)
-    else:
-        outputs = run_batch(program, [inputs], args.frames,
-                            engine=args.engine)[0]
+    outputs = run_program(program, inputs, args.frames, engine=args.engine)
     for port in sorted(outputs):
         print(f"{port}: [{', '.join(str(v) for v in outputs[port])}]")
     return 0
@@ -509,10 +505,10 @@ def parse_levels(spec: str) -> tuple[int, ...]:
 
 
 def parse_engines(spec: str) -> tuple[str, ...]:
-    """``scalar,decoded,numpy`` → ordered unique differential engines."""
+    """``decoded,numpy`` → ordered unique differential engines."""
     from .gen import available_engines
 
-    known = ("scalar", "decoded", "numpy")
+    known = ("decoded", "numpy")
     engines: list[str] = []
     for token in spec.split(","):
         token = token.strip()
@@ -941,9 +937,9 @@ def build_parser() -> argparse.ArgumentParser:
                    help="also print outputs as real numbers")
     r.add_argument("--engine", default="auto", choices=ENGINES,
                    type=engine_argument,
-                   help="simulator engine: the scalar oracle, the "
-                        "decoded single-lane interpreter, the numpy "
-                        "batch engine, or auto (default)")
+                   help="simulator engine: the decoded single-lane "
+                        "interpreter, the numpy batch engine, or auto "
+                        "(default)")
     add_telemetry_flags(r)
     r.set_defaults(handler=cmd_run)
 
@@ -988,7 +984,7 @@ def build_parser() -> argparse.ArgumentParser:
     f.add_argument("--levels", default="0,1,2", metavar="LEVELS",
                    help="optimizer levels to cross (default 0,1,2)")
     f.add_argument("--engines", default=None, metavar="ENGINES",
-                   help="engines to compare, e.g. scalar,decoded,numpy "
+                   help="engines to compare, e.g. decoded,numpy "
                         "(default: every engine available)")
     f.add_argument("--frames", type=int, default=6,
                    help="stimulus frames per lane (default 6)")

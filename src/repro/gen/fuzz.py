@@ -4,14 +4,13 @@ every simulator engine, one oracle.
 For each seeded random application (:mod:`repro.gen.generator`) the
 harness compiles through :class:`~repro.toolchain.Toolchain` at every
 requested ``-O`` level and runs each binary over a batch of random
-stimulus lanes on every available engine — the scalar
-:class:`~repro.sim.machine.CoreSimulator`, the pure-Python
-:class:`~repro.sim.batch.DecodedSimulator` and the numpy
-:class:`~repro.sim.batch.BatchSimulator` — asserting every output
-stream bit-identical to :func:`repro.lang.run_reference` on the
-*source* graph.  Equality to one reference implies equality across
-levels and engines, so a single mismatch pinpoints the disagreeing
-(level, engine) pair.
+stimulus lanes on every available engine — the pure-Python
+:class:`~repro.sim.batch.DecodedSimulator` and, when numpy is
+installed, the numpy :class:`~repro.sim.batch.BatchSimulator` —
+asserting every output stream bit-identical to
+:func:`repro.lang.run_reference` on the *source* graph.  Equality to
+one reference implies equality across levels and engines, so a single
+mismatch pinpoints the disagreeing (level, engine) pair.
 
 Failures are minimized by the greedy shrinker
 (:mod:`repro.gen.shrink`) under the predicate "the same class of
@@ -60,10 +59,7 @@ DEFAULT_LEVELS = (0, 1, 2)
 
 def available_engines() -> tuple[str, ...]:
     """Every engine this process can differentially compare."""
-    engines = ["scalar", "decoded"]
-    if NUMPY_AVAILABLE:
-        engines.append("numpy")
-    return tuple(engines)
+    return ("decoded", "numpy") if NUMPY_AVAILABLE else ("decoded",)
 
 
 @dataclass(frozen=True)

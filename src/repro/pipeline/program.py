@@ -13,8 +13,7 @@ from ..rtgen.program import RTProgram
 from ..sched.dependence import DependenceGraph
 from ..sched.regalloc import Allocation
 from ..sched.schedule import Schedule
-from ..sim.batch import run_batch
-from ..sim.machine import run_program
+from ..sim.batch import run_batch, run_program
 
 
 @dataclass
@@ -45,16 +44,9 @@ class CompiledProgram:
     def run(self, inputs: dict[str, list[int]],
             n_frames: int | None = None,
             engine: str = "auto") -> dict[str, list[int]]:
-        """Execute the binary on the cycle-accurate core simulator.
-
-        ``engine`` picks the execution tier (see
-        :func:`repro.sim.batch.resolve_engine`): ``"scalar"`` is the
-        per-word oracle loop, everything else goes through the
-        decoded-plan engines — bit-identical, much faster.
-        """
-        if engine == "scalar":
-            return run_program(self.binary, inputs, n_frames)
-        return run_batch(self.binary, [inputs], n_frames, engine=engine)[0]
+        """Execute the binary on the cycle-accurate core simulator
+        (``engine``: see :func:`repro.sim.batch.resolve_engine`)."""
+        return run_program(self.binary, inputs, n_frames, engine=engine)
 
     def run_batch(self, inputs: list[dict[str, list[int]]],
                   n_frames: int | None = None,

@@ -1,18 +1,15 @@
 """Cycle-accurate core simulation.
 
-Two execution tiers share one machine model:
-
-* :mod:`repro.sim.machine` — the scalar oracle.  One instruction word
-  at a time, decoded on every cycle; slow, simple, and the semantic
-  reference every other engine is asserted bit-identical against.
-* :mod:`repro.sim.batch` — the production path.  Decode once into a
-  flat :class:`~repro.sim.batch.DecodedPlan`, then step it either one
-  lane at a time in pure Python (:class:`~repro.sim.batch.DecodedSimulator`)
-  or over whole stimulus/candidate batches as numpy array ops
-  (:class:`~repro.sim.batch.BatchSimulator`; numpy is an optional
-  extra).  :func:`~repro.sim.batch.run_batch` and
-  :func:`~repro.sim.batch.run_programs` pick an engine via
-  :func:`~repro.sim.batch.resolve_engine`.
+One machine model, the decoded plan: :func:`~repro.sim.batch.decode_program`
+lowers an encoded program once into a flat
+:class:`~repro.sim.batch.DecodedPlan`, which two engines step — one
+lane at a time in pure Python (:class:`~repro.sim.batch.DecodedSimulator`)
+or over whole stimulus/candidate batches as numpy array ops
+(:class:`~repro.sim.batch.BatchSimulator`; numpy is an optional extra).
+:func:`~repro.sim.batch.run_program`, :func:`~repro.sim.batch.run_batch`
+and :func:`~repro.sim.batch.run_programs` pick an engine via
+:func:`~repro.sim.batch.resolve_engine`.  The oracle every engine is
+checked against is :func:`repro.lang.reference.run_reference`.
 """
 
 from .batch import (
@@ -23,21 +20,20 @@ from .batch import (
     DecodedSimulator,
     PlanError,
     decode_program,
+    default_frame_count,
     resolve_engine,
     run_batch,
+    run_program,
     run_programs,
 )
-from .machine import CoreSimulator, TraceEntry, default_frame_count, run_program
 
 __all__ = [
     "ENGINES",
     "NUMPY_AVAILABLE",
     "BatchSimulator",
-    "CoreSimulator",
     "DecodedPlan",
     "DecodedSimulator",
     "PlanError",
-    "TraceEntry",
     "decode_program",
     "default_frame_count",
     "resolve_engine",

@@ -1,13 +1,23 @@
-"""Vectorized batch simulation: decode once, step many lanes at a time.
+"""Cycle-accurate simulation: decode once, step one lane or many.
 
-The scalar :class:`~repro.sim.machine.CoreSimulator` re-decodes every
-instruction word on every cycle — a ``format.decode`` dict per step,
-opcode-table lookups per OPU, string-keyed register files.  That is
-the right shape for a *differential oracle* (it independently exercises
-the encoding) but hopeless for traffic: candidate evaluation and
-stimulus sweeps are simulation-bound.
+The machine model (figures 3 and 4 of the paper):
 
-This module splits execution into two phases:
+* Register files read at the start of a cycle and write at its end.
+* Every active OPU computes one result per issue; pipelined OPUs
+  deliver it onto their bus ``latency - 1`` cycles later, which is also
+  when the destination fields of the instruction word take effect.
+* RAM writes commit at the end of the cycle.
+* The controller runs CONT/IDLE/JUMP/CJMP/LOOP/ENDL/HALT with a loop
+  stack of configurable depth.  IDLE waits for the start signal that
+  arrives once per sample frame.
+* ALU-kind OPUs update the datapath flags (flag 0: negative, flag 1:
+  zero) when the controller has flags.
+
+The simulator executes the *encoded binary*, not the RT list, so it
+independently checks the whole chain — RT generation, conflict
+modelling, scheduling, register allocation and instruction encoding —
+against :func:`repro.lang.reference.run_reference`, the one oracle.
+Execution has two phases:
 
 1. **Decode once** — :func:`decode_program` lowers an
    :class:`~repro.encode.assembler.EncodedProgram` into a
@@ -15,9 +25,11 @@ This module splits execution into two phases:
    micro-ops with preresolved operand sources (register file + address,
    or a sign-extended immediate), fixed-point semantic codes, pipeline
    due-offsets and bus names, and the destination writes with their
-   mux-selected source bus.  Nothing is looked up per cycle anymore.
-2. **Step batches** — :class:`BatchSimulator` executes one plan over
-   ``N`` stimulus lanes simultaneously: register files and memories are
+   mux-selected source bus.  Nothing is looked up per cycle.  A program
+   the plan cannot express raises :class:`PlanError`.
+2. **Step** — :class:`DecodedSimulator` steps the plan one lane at a
+   time in pure Python.  :class:`BatchSimulator` executes it over ``N``
+   stimulus lanes simultaneously: register files and memories are
    ``(N, size)`` numpy int arrays, every micro-op is a handful of array
    ops with exact two's-complement wrap semantics matching
    :mod:`repro.fixed`, and conditional control flow (``CJMP``) splits
@@ -27,21 +39,13 @@ This module splits execution into two phases:
    coefficients / initial registers), the same plan steps ``N x M``
    lanes.
 
-:class:`DecodedSimulator` is the pure-Python fallback: the same plan,
-stepped one lane at a time — no numpy required, still several times
-faster than the scalar loop because the per-cycle decode is gone.
-
 Engine selection (:func:`resolve_engine`): ``"auto"`` picks numpy when
-it is importable and the batch is wide enough, else the decoded
-fallback; ``REPRO_SIM_ENGINE`` forces a choice process-wide (CI uses it
-to prove the fallback); ``"scalar"`` runs the oracle loop.  The scalar
-simulator remains the semantics reference — the differential suite
-asserts the batch engines match it bit-exactly.
+it is importable, the batch is wide enough and the data width fits the
+int64 kernels, else the decoded engine.
 """
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass
 
 from ..arch.controller import CtrlOp
@@ -61,16 +65,20 @@ except ImportError:  # pragma: no cover - exercised by the no-numpy CI job
 NUMPY_AVAILABLE = _np is not None
 
 #: Lane count at which ``"auto"`` prefers the numpy engine over the
-#: decoded fallback (below it, per-call array overhead dominates).
+#: decoded engine (below it, per-call array overhead dominates).
 NUMPY_MIN_LANES = 8
 
+#: Widest data word the numpy engine's int64 kernels hold exactly
+#: (a product of two words plus rounding must not overflow).
+NUMPY_MAX_WIDTH = 32
+
 #: Engine names accepted everywhere an ``engine=`` parameter appears.
-ENGINES = ("auto", "scalar", "decoded", "numpy")
+ENGINES = ("auto", "decoded", "numpy")
 
 
 class PlanError(SimulationError):
-    """The program uses a feature the decoded plan cannot express
-    (``engine="auto"`` falls back to the scalar oracle on this)."""
+    """The program uses a feature the decoded plan cannot express (the
+    machine-code lint reports the same image as ``mc.decode``)."""
 
 
 # ---------------------------------------------------------------------------
@@ -332,8 +340,7 @@ def _resolve_semantics(program: EncodedProgram, opu, operation_name: str,
 
 
 def _selected_bus(dp, rf, fields) -> str:
-    """The bus a destination write reads — the scalar simulator's
-    :meth:`CoreSimulator._selected_bus`, resolved at decode time."""
+    """The bus a destination write reads, resolved at decode time."""
     mux = dp.muxes.get(f"mux_{rf.name}")
     if mux is not None:
         select = fields.get(f"{rf.name}.mux", 0)
@@ -354,15 +361,14 @@ def decode_program(program: EncodedProgram) -> DecodedPlan:
     """Lower an encoded program into a reusable :class:`DecodedPlan`.
 
     Raises :class:`PlanError` (a :class:`SimulationError`) when the
-    program uses something the plan cannot express; ``engine="auto"``
-    entry points then fall back to the scalar oracle.
+    program uses something the plan cannot express.
     """
     return DecodedPlan(program)
 
 
 def _cycle_budget(plan: DecodedPlan, n_frames: int,
                   max_cycles: int | None) -> int:
-    """The scalar simulator's settle budget, shared verbatim."""
+    """Cycles a run may take before it counts as not settling."""
     if max_cycles is not None:
         return max_cycles
     return (n_frames + 1) * max(plan.n_words * 4, 64)
@@ -375,9 +381,9 @@ def _cycle_budget(plan: DecodedPlan, n_frames: int,
 class DecodedSimulator:
     """Steps one lane over a :class:`DecodedPlan` — pure Python.
 
-    Bit-identical to the scalar :class:`CoreSimulator` (the
-    differential suite pins this), several times faster because the
-    instruction words were decoded exactly once.
+    The instruction words were decoded exactly once, so a cycle is a
+    walk over preresolved micro-ops; the differential suite pins the
+    outputs to :func:`repro.lang.reference.run_reference`.
     """
 
     def __init__(self, plan: DecodedPlan):
@@ -637,7 +643,7 @@ class BatchSimulator:
     arrays; each decoded micro-op becomes a gather, a vectorized
     fixed-point kernel and (at end of cycle) a masked scatter.  Exact
     two's-complement wrap semantics match :mod:`repro.fixed` —
-    outputs are bit-identical to the scalar oracle.
+    outputs are bit-identical to :class:`DecodedSimulator`.
 
     ``variants`` optionally stacks per-lane *candidate variants*: a
     list of ``n_lanes`` decoded plans sharing this plan's control path
@@ -652,9 +658,9 @@ class BatchSimulator:
             raise SimulationError(
                 "the numpy batch engine needs numpy (pip install "
                 "repro[batch]); use engine='decoded' for the pure-Python "
-                "fallback"
+                "engine"
             )
-        if plan.fmt.width > 32:
+        if plan.fmt.width > NUMPY_MAX_WIDTH:
             raise PlanError(
                 f"data width {plan.fmt.width} exceeds the numpy engine's "
                 f"int64 headroom; use engine='decoded'"
@@ -736,7 +742,7 @@ class BatchSimulator:
         """Load one stimulus dict per lane (``len(streams) == n_lanes``).
 
         Streams may have different lengths per lane; a lane reading past
-        its own stream raises exactly like the scalar simulator."""
+        its own stream raises exactly like :class:`DecodedSimulator`."""
         if len(streams) != self.n_lanes:
             raise SimulationError(
                 f"{len(streams)} stimulus dicts for {self.n_lanes} lanes")
@@ -998,13 +1004,14 @@ def _as_lane_array(value, n: int):
 # Entry points: engine selection, batched runs, stacked candidate runs.
 # ---------------------------------------------------------------------------
 
-def resolve_engine(engine: str, n_lanes: int) -> str:
+def resolve_engine(engine: str, n_lanes: int,
+                   data_width: int | None = None) -> str:
     """The concrete engine an ``engine=`` parameter resolves to.
 
-    ``"auto"`` consults ``REPRO_SIM_ENGINE`` (so CI can force the
-    fallback process-wide), then picks numpy when it is available and
-    the batch has at least :data:`NUMPY_MIN_LANES` lanes, else the
-    decoded pure-Python engine.
+    ``"auto"`` picks numpy when it is available, the batch has at least
+    :data:`NUMPY_MIN_LANES` lanes and the program's ``data_width`` (when
+    given) is at most :data:`NUMPY_MAX_WIDTH`, else the decoded
+    pure-Python engine.
     """
     if engine not in ENGINES:
         raise SimulationError(
@@ -1012,18 +1019,9 @@ def resolve_engine(engine: str, n_lanes: int) -> str:
             f"(known: {', '.join(ENGINES)})"
         )
     if engine == "auto":
-        forced = os.environ.get("REPRO_SIM_ENGINE", "").strip().lower()
-        if forced and forced != "auto":
-            if forced not in ENGINES:
-                raise SimulationError(
-                    f"REPRO_SIM_ENGINE={forced!r} is not a known engine "
-                    f"({', '.join(ENGINES)})"
-                )
-            engine = forced
-        elif NUMPY_AVAILABLE and n_lanes >= NUMPY_MIN_LANES:
-            engine = "numpy"
-        else:
-            engine = "decoded"
+        fits = data_width is None or data_width <= NUMPY_MAX_WIDTH
+        engine = ("numpy" if NUMPY_AVAILABLE and fits
+                  and n_lanes >= NUMPY_MIN_LANES else "decoded")
     if engine == "numpy" and not NUMPY_AVAILABLE:
         raise SimulationError(
             "engine='numpy' requested but numpy is not installed "
@@ -1032,32 +1030,42 @@ def resolve_engine(engine: str, n_lanes: int) -> str:
     return engine
 
 
+def default_frame_count(
+    program: EncodedProgram, inputs: dict[str, list[int]]
+) -> int:
+    """Stream-derived frame count: the shortest input stream divided by
+    the block size (a block-repeat program consumes ``repeat_count``
+    samples per stream per frame).
+
+    A stream too short for even one frame is an error — computing zero
+    frames and silently returning empty output streams would hide
+    stimulus bugs.
+    """
+    if not inputs:
+        raise SimulationError("n_frames is required without inputs")
+    port = min(inputs, key=lambda name: len(inputs[name]))
+    shortest = len(inputs[port])
+    n_frames = shortest // program.repeat_count
+    if n_frames == 0:
+        raise SimulationError(
+            f"input stream {port!r} has {shortest} samples but one frame "
+            f"consumes {program.repeat_count}; supply at least a full "
+            f"frame or pass n_frames explicitly"
+        )
+    return n_frames
+
+
 def _frame_groups(program: EncodedProgram,
                   inputs: list[dict[str, list[int]]],
                   n_frames: int | None) -> dict[int, list[int]]:
     """Lane indices grouped by their frame count (batch lanes must run
     the same number of frames to stay in lockstep)."""
-    from .machine import default_frame_count
-
     groups: dict[int, list[int]] = {}
     for lane, streams in enumerate(inputs):
         frames = (n_frames if n_frames is not None
                   else default_frame_count(program, streams))
         groups.setdefault(frames, []).append(lane)
     return groups
-
-
-def _run_scalar_lane(program: EncodedProgram, streams: dict[str, list[int]],
-                     n_frames: int | None) -> tuple[dict, int, int]:
-    """One lane on the scalar oracle: (outputs, cycles, frames)."""
-    from .machine import CoreSimulator, default_frame_count
-
-    frames = (n_frames if n_frames is not None
-              else default_frame_count(program, streams))
-    simulator = CoreSimulator(program)
-    simulator.load_inputs(streams)
-    outputs = simulator.run_frames(frames)
-    return outputs, simulator.cycle, simulator.frame
 
 
 def run_batch(
@@ -1070,42 +1078,24 @@ def run_batch(
     """Simulate one program over a batch of stimulus lanes.
 
     ``inputs`` is one stream dict per lane; the result is one output
-    dict per lane, in order, bit-identical to running each lane on the
-    scalar oracle.  ``n_frames`` applies to every lane (default: each
-    lane's own stream-derived frame count; lanes wanting different
-    counts are grouped and run per count).  ``engine`` is one of
-    :data:`ENGINES`; ``"auto"`` programs that the decoded plan cannot
-    express fall back to the scalar loop transparently.  Pass a
+    dict per lane, in order, the same on every engine.  ``n_frames``
+    applies to every lane (default: each lane's own stream-derived
+    frame count; lanes wanting different counts are grouped and run per
+    count).  ``engine`` is one of :data:`ENGINES`.  A program the
+    decoded plan cannot express raises :class:`PlanError`.  Pass a
     prebuilt ``plan`` to amortize :func:`decode_program` across calls.
     """
     if not inputs:
         return []
-    resolved = resolve_engine(engine, len(inputs))
+    resolved = resolve_engine(engine, len(inputs), program.core.data_width)
     obs = current_telemetry()
     with obs.span("simulate", engine=resolved, lanes=len(inputs),
-                  n_frames=n_frames) as span:
-        if resolved != "scalar" and plan is None:
-            try:
-                plan = decode_program(program)
-            except PlanError:
-                if engine != "auto":
-                    raise
-                resolved = "scalar"
-                span.tag(engine="scalar", fallback="plan")
-        if resolved == "scalar":
+                  n_frames=n_frames):
+        if plan is None:
+            plan = decode_program(program)
+        if resolved == "decoded":
             outputs = []
             cycles = frames = 0
-            for streams in inputs:
-                lane_out, lane_cycles, lane_frames = _run_scalar_lane(
-                    program, streams, n_frames)
-                outputs.append(lane_out)
-                cycles += lane_cycles
-                frames += lane_frames
-        elif resolved == "decoded":
-            outputs = []
-            cycles = frames = 0
-            from .machine import default_frame_count
-
             for streams in inputs:
                 lane_frames = (n_frames if n_frames is not None
                                else default_frame_count(program, streams))
@@ -1130,6 +1120,23 @@ def run_batch(
         obs.count("sim.frames", frames)
         obs.count("sim.batch_width", len(inputs))
     return outputs
+
+
+def run_program(
+    program: EncodedProgram,
+    inputs: dict[str, list[int]],
+    n_frames: int | None = None,
+    engine: str = "auto",
+) -> dict[str, list[int]]:
+    """One stimulus lane: :func:`run_batch` over ``[inputs]``.
+
+    ``n_frames`` counts *start signals*; the default comes from
+    :func:`default_frame_count` (and is what the ``simulate`` span
+    records).
+    """
+    if n_frames is None:
+        n_frames = default_frame_count(program, inputs)
+    return run_batch(program, [inputs], n_frames, engine=engine)[0]
 
 
 def run_programs(
@@ -1157,38 +1164,23 @@ def run_programs(
     if len(inputs) != len(programs):
         raise SimulationError(
             f"{len(inputs)} stimulus dicts for {len(programs)} programs")
-    resolved = resolve_engine(engine, len(programs))
+    resolved = resolve_engine(
+        engine, len(programs),
+        max(program.core.data_width for program in programs))
     if resolved != "numpy":
-        return [
-            out
-            for program, streams in zip(programs, inputs)
-            for out in run_batch(program, [streams], n_frames, engine=engine)
-        ]
+        return [run_program(program, streams, n_frames, engine=resolved)
+                for program, streams in zip(programs, inputs)]
 
     # Group by structural plan: equal keys share one decoded control
     # path and differ only in per-lane ROM/initial-register data.
-    plans = []
+    plans = [decode_program(program) for program in programs]
     groups: dict[tuple, list[int]] = {}
-    for index, program in enumerate(programs):
-        try:
-            plan = decode_program(program)
-            key = plan.structure_key()
-        except PlanError:
-            if engine not in ("auto",):
-                raise
-            plan, key = None, ("scalar", index)
-        plans.append(plan)
-        groups.setdefault(key, []).append(index)
+    for index, plan in enumerate(plans):
+        groups.setdefault(plan.structure_key(), []).append(index)
 
     obs = current_telemetry()
     results: list[dict[str, list[int]] | None] = [None] * len(programs)
-    for key, members in groups.items():
-        if plans[members[0]] is None:
-            for index in members:
-                results[index] = run_batch(
-                    programs[index], [inputs[index]], n_frames,
-                    engine="scalar")[0]
-            continue
+    for members in groups.values():
         if len(members) == 1:
             index = members[0]
             results[index] = run_batch(
@@ -1199,8 +1191,6 @@ def run_programs(
         member_inputs = [inputs[index] for index in members]
         by_frames: dict[int, list[int]] = {}
         for position, index in enumerate(members):
-            from .machine import default_frame_count
-
             frames = (n_frames if n_frames is not None
                       else default_frame_count(programs[index],
                                                inputs[index]))

@@ -649,6 +649,13 @@ class TestEngineFlagAvailability:
         assert main(["run", source_file, "--core", "fir",
                      "--input", "i=1,2,3", "--engine", "numpy"]) == 0
 
+    def test_scalar_engine_is_rejected(self, source_file, capsys):
+        with pytest.raises(SystemExit) as info:
+            main(["run", source_file, "--core", "fir",
+                  "--input", "i=1,2,3", "--engine", "scalar"])
+        assert info.value.code == 2
+        assert "invalid choice: 'scalar'" in capsys.readouterr().err
+
 
 class TestFuzzCommand:
     def test_clean_campaign_exits_zero(self, capsys):
@@ -692,6 +699,8 @@ class TestFuzzCommand:
     def test_bad_engines_rejected(self, capsys):
         assert main(["fuzz", "--count", "1", "--engines", "auto"]) == 1
         assert "not a" in capsys.readouterr().err
+        assert main(["fuzz", "--count", "1", "--engines", "scalar"]) == 1
+        assert "unknown engine 'scalar'" in capsys.readouterr().err
 
 
 class TestCorpusCommand:

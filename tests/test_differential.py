@@ -166,8 +166,8 @@ class TestBuiltinAppEngineMatrix:
 
     The reference interpretation of the *source* graph is the single
     oracle: all (level, engine) pairs must be bit-identical to it, so
-    agreement across optimizer levels and across the scalar, decoded
-    and numpy engines follows transitively.
+    agreement across optimizer levels and across the decoded and numpy
+    engines follows transitively.
     """
 
     @pytest.mark.parametrize("engine", available_engines())
@@ -180,6 +180,17 @@ class TestBuiltinAppEngineMatrix:
         expected = [run_reference(dfg, lane, N_FRAMES) for lane in lanes]
         actual = run_batch(compiled.binary, lanes, N_FRAMES, engine=engine)
         assert actual == expected
+
+    @pytest.mark.parametrize("level", LEVELS)
+    @pytest.mark.parametrize("name", sorted(BUILTIN_APPS))
+    def test_one_lane_matches_reference(self, name, level):
+        # The one-lane entry point (CompiledProgram.run -> run_program),
+        # one stimulus at a time, as `repro run` and run-image use it.
+        dfg, compiled = builtin_compiled(name, level)
+        for lane in range(N_LANES):
+            streams = random_streams(dfg, n=N_FRAMES, seed=90 + lane)
+            assert compiled.run(streams, N_FRAMES) == \
+                run_reference(dfg, streams, N_FRAMES)
 
 
 class TestDifferentialProperties:

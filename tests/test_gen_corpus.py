@@ -62,7 +62,7 @@ class TestSmallCorpus:
         assert report.ok, report.failures
 
     def test_engine_subset(self):
-        report = run_corpus(5, seed=0, core="fir", engines=("scalar",),
+        report = run_corpus(5, seed=0, core="fir", engines=("decoded",),
                             n_frames=4, n_lanes=2)
         assert report.ok
-        assert set(report.sim_stats) == {"scalar"}
+        assert set(report.sim_stats) == {"decoded"}

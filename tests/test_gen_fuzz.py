@@ -50,7 +50,7 @@ class TestRunCase:
 
     def test_engine_subset_is_honored(self):
         dfg = generate_dfg(SMALL, 2, core="fir")
-        result = run_case(dfg, "fir", engines=("scalar",), stimulus_seed=2)
+        result = run_case(dfg, "fir", engines=("decoded",), stimulus_seed=2)
         assert result.status == "ok"
 
     def test_injected_defect_names_the_decoded_engine(self):

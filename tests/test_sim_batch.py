@@ -1,9 +1,10 @@
 """Batch simulator tests: decode plans, engine parity, stacking.
 
-The scalar :class:`repro.sim.CoreSimulator` is the oracle; every other
-engine (the decoded single-lane interpreter and the numpy batch
+:func:`repro.run_reference` on the source graph is the oracle; both
+engines (the decoded single-lane interpreter and the numpy batch
 engine) must be bit-identical to it on every program the toolchain can
-produce.  The suite covers:
+produce.  Hand-assembled controller programs assert register values
+and cycle counts directly.  The suite covers:
 
 * differential parity over compiled applications (fixed seeds plus a
   Hypothesis-driven random-stimulus property),
@@ -12,29 +13,39 @@ produce.  The suite covers:
   pipelined-OPU in-flight results,
 * candidate stacking (``run_programs`` executing several compiled
   variants as lanes of one batch),
-* engine resolution (``auto``, ``REPRO_SIM_ENGINE``, the scalar
-  fallback for undecodable programs),
+* engine resolution (``auto`` by lane count and data width, an
+  undecodable image raising :class:`~repro.sim.PlanError`),
 * the short-stimulus guard and the ``sim.*`` telemetry counters.
 """
 
 from __future__ import annotations
 
+import dataclasses
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro import CompileOptions, Telemetry, Toolchain, use_telemetry
+from repro import (
+    CompileOptions,
+    Telemetry,
+    Toolchain,
+    run_reference,
+    use_telemetry,
+)
+from repro.analyze import lint_program
 from repro.apps import fir_application, lms_application
-from repro.arch import CtrlOp
+from repro.arch import CtrlOp, fir_core
 from repro.encode.assembler import EncodedProgram
 from repro.errors import SimulationError
+from repro.fixed import FixedFormat
 from repro.sim import (
     ENGINES,
     NUMPY_AVAILABLE,
-    CoreSimulator,
     DecodedSimulator,
     PlanError,
     decode_program,
+    default_frame_count,
     resolve_engine,
     run_batch,
     run_program,
@@ -51,21 +62,40 @@ BATCH_ENGINES = ["decoded"] + (["numpy"] if NUMPY_AVAILABLE else [])
 OPTIONS = CompileOptions(disk_cache=False)
 
 
-def scalar_oracle(program, lanes, n_frames=None):
-    return [run_program(program, dict(streams), n_frames)
-            for streams in lanes]
+def reference_oracle(compiled, lanes, n_frames=None):
+    """Each lane through :func:`run_reference` on the source graph."""
+    program = compiled.binary
+    fmt = FixedFormat(program.core.data_width, program.core.frac_bits)
+    return [
+        run_reference(
+            compiled.source_dfg, dict(streams),
+            n_frames if n_frames is not None
+            else default_frame_count(program, streams),
+            fmt=fmt)
+        for streams in lanes
+    ]
 
 
 @pytest.fixture(scope="module")
-def fir_program():
+def fir_compiled():
     toolchain = Toolchain("fir", OPTIONS)
-    return toolchain.compile(fir_application([0.25, 0.5, -0.125, 0.3])).binary
+    return toolchain.compile(fir_application([0.25, 0.5, -0.125, 0.3]))
 
 
 @pytest.fixture(scope="module")
-def lms_program():
+def fir_program(fir_compiled):
+    return fir_compiled.binary
+
+
+@pytest.fixture(scope="module")
+def lms_compiled():
     toolchain = Toolchain("adaptive", OPTIONS)
-    return toolchain.compile(lms_application(n_taps=3)).binary
+    return toolchain.compile(lms_application(n_taps=3))
+
+
+@pytest.fixture(scope="module")
+def lms_program(lms_compiled):
+    return lms_compiled.binary
 
 
 class TestDecodePlan:
@@ -78,47 +108,48 @@ class TestDecodePlan:
         b = decode_program(fir_program).structure_key()
         assert a == b
 
-    def test_decoded_simulator_matches_scalar(self, fir_program):
+    def test_decoded_simulator_matches_reference(self, fir_compiled):
         streams = random_streams(["x"], 12, seed=7)
-        simulator = DecodedSimulator(decode_program(fir_program))
+        simulator = DecodedSimulator(decode_program(fir_compiled.binary))
         simulator.load_inputs(dict(streams))
-        assert simulator.run_frames(12) == run_program(
-            fir_program, dict(streams), 12)
+        assert [simulator.run_frames(12)] == reference_oracle(
+            fir_compiled, [streams], 12)
 
 
 class TestDifferentialApps:
-    """Compiled applications: every engine equals the scalar oracle."""
+    """Compiled applications: every engine equals the reference."""
 
     @pytest.mark.parametrize("engine", BATCH_ENGINES)
-    def test_fir_batch_parity(self, fir_program, engine):
+    def test_fir_batch_parity(self, fir_compiled, engine):
         lanes = [random_streams(["x"], 10, seed=s) for s in range(9)]
-        assert run_batch(fir_program, lanes, engine=engine) == \
-            scalar_oracle(fir_program, lanes)
+        assert run_batch(fir_compiled.binary, lanes, engine=engine) == \
+            reference_oracle(fir_compiled, lanes)
 
     @pytest.mark.parametrize("engine", BATCH_ENGINES)
-    def test_lms_batch_parity(self, lms_program, engine):
-        ports = sorted(set(lms_program.input_map.values()))
+    def test_lms_batch_parity(self, lms_compiled, engine):
+        ports = sorted(set(lms_compiled.binary.input_map.values()))
         lanes = [random_streams(ports, 8, seed=40 + s) for s in range(8)]
-        assert run_batch(lms_program, lanes, engine=engine) == \
-            scalar_oracle(lms_program, lanes)
+        assert run_batch(lms_compiled.binary, lanes, engine=engine) == \
+            reference_oracle(lms_compiled, lanes)
 
     @pytest.mark.parametrize("engine", BATCH_ENGINES)
-    def test_ragged_stream_lengths_group_by_frames(self, fir_program,
+    def test_ragged_stream_lengths_group_by_frames(self, fir_compiled,
                                                    engine):
         # Lanes with different stream lengths derive different frame
         # counts; the batch path must split them without reordering.
         lanes = [random_streams(["x"], n, seed=n) for n in (4, 9, 4, 6)]
-        assert run_batch(fir_program, lanes, engine=engine) == \
-            scalar_oracle(fir_program, lanes)
+        assert run_batch(fir_compiled.binary, lanes, engine=engine) == \
+            reference_oracle(fir_compiled, lanes)
 
     @settings(max_examples=20, deadline=None)
     @given(seeds=st.lists(st.integers(min_value=0, max_value=2 ** 16),
                           min_size=1, max_size=12),
            n_samples=st.integers(min_value=1, max_value=16))
-    def test_property_random_stimulus_bit_identical(self, fir_program,
+    def test_property_random_stimulus_bit_identical(self, fir_compiled,
                                                     seeds, n_samples):
+        fir_program = fir_compiled.binary
         lanes = [random_streams(["x"], n_samples, seed=s) for s in seeds]
-        expected = scalar_oracle(fir_program, lanes)
+        expected = reference_oracle(fir_compiled, lanes)
         for engine in BATCH_ENGINES:
             assert run_batch(fir_program, lanes, engine=engine) == expected
 
@@ -163,7 +194,6 @@ class TestControlFlowEdges:
         lanes = [{"x": [value]} for value in
                  (5, -3, 0, -1, 100, -100, 7, -7, 1, -1, 0)]
         outputs = run_batch(program, lanes, n_frames=0, engine=engine)
-        assert outputs == scalar_oracle(program, lanes, n_frames=0)
         got = [out["y"][0] for out in outputs]
         assert got == [111 if x >= 0 else 222
                        for x in (5, -3, 0, -1, 100, -100, 7, -7, 1, -1, 0)]
@@ -179,30 +209,27 @@ class TestControlFlowEdges:
         for _ in range(4):
             pb.word(ctrl=CtrlOp.ENDL)
         pb.word(ctrl=CtrlOp.HALT)
-        program = pb.build()
-        oracle = CoreSimulator(program)
-        oracle.run_frames(0, max_cycles=500)
-        assert oracle.registers["rf_alu_p0"][0] == 24
-        plan = decode_program(program)
-        if engine == "decoded":
-            simulator = DecodedSimulator(plan)
-            simulator.run_frames(0, max_cycles=500)
-            assert simulator.registers["rf_alu_p0"][0] == 24
-            assert simulator.cycle == oracle.cycle
-        else:
+        plan = decode_program(pb.build())
+        single = DecodedSimulator(plan)
+        single.run_frames(0, max_cycles=500)
+        assert single.registers["rf_alu_p0"][0] == 24
+        # const + HALT, LOOP words issued 1 + 2 + 6 + 12 times, 24
+        # adds, ENDL words issued 24 + 12 + 6 + 2 times.
+        assert single.cycle == 2 + 21 + 24 + 44
+        if engine == "numpy":
             simulator = batch_module.BatchSimulator(plan, 6)
             simulator.load_inputs([{} for _ in range(6)])
             simulator.run_frames(0, max_cycles=500)
             assert list(simulator.registers["rf_alu_p0"][:, 0]) == [24] * 6
-            assert simulator.lane_cycles == 6 * oracle.cycle
+            assert simulator.lane_cycles == 6 * single.cycle
 
     @pytest.mark.parametrize("engine", BATCH_ENGINES)
     def test_pipelined_opu_latency(self, engine):
         toolchain = Toolchain(pipelined_core(mult_latency=2), OPTIONS)
-        program = toolchain.compile(FIR3).binary
+        compiled = toolchain.compile(FIR3)
         lanes = [random_streams(["x"], 8, seed=s) for s in range(8)]
-        assert run_batch(program, lanes, engine=engine) == \
-            scalar_oracle(program, lanes)
+        assert run_batch(compiled.binary, lanes, engine=engine) == \
+            reference_oracle(compiled, lanes)
 
 
 class TestShortStreams:
@@ -232,33 +259,26 @@ class TestShortStreams:
 
 class TestEngineResolution:
     def test_known_engines(self):
-        assert set(ENGINES) == {"auto", "scalar", "decoded", "numpy"}
-        assert resolve_engine("scalar", 256) == "scalar"
+        assert ENGINES == ("auto", "decoded", "numpy")
         assert resolve_engine("decoded", 256) == "decoded"
 
     def test_unknown_engine_rejected(self):
-        with pytest.raises(SimulationError, match="unknown simulation"):
-            resolve_engine("jit", 1)
+        for engine in ("jit", "scalar"):
+            with pytest.raises(SimulationError, match="unknown simulation"):
+                resolve_engine(engine, 1)
 
-    def test_auto_small_batches_stay_pure_python(self, monkeypatch):
-        monkeypatch.delenv("REPRO_SIM_ENGINE", raising=False)
+    def test_auto_small_batches_stay_pure_python(self):
         assert resolve_engine("auto", 1) == "decoded"
 
     @pytest.mark.skipif(not NUMPY_AVAILABLE, reason="numpy not installed")
-    def test_auto_wide_batches_pick_numpy(self, monkeypatch):
-        monkeypatch.delenv("REPRO_SIM_ENGINE", raising=False)
+    def test_auto_wide_batches_pick_numpy(self):
         assert resolve_engine("auto", batch_module.NUMPY_MIN_LANES) == "numpy"
 
-    def test_env_var_forces_engine(self, monkeypatch):
-        monkeypatch.setenv("REPRO_SIM_ENGINE", "decoded")
-        assert resolve_engine("auto", 512) == "decoded"
-        monkeypatch.setenv("REPRO_SIM_ENGINE", "bogus")
-        with pytest.raises(SimulationError, match="REPRO_SIM_ENGINE"):
-            resolve_engine("auto", 512)
-
-    def test_env_var_does_not_override_explicit(self, monkeypatch):
-        monkeypatch.setenv("REPRO_SIM_ENGINE", "scalar")
-        assert resolve_engine("decoded", 512) == "decoded"
+    def test_auto_wide_data_stays_decoded(self):
+        width = batch_module.NUMPY_MAX_WIDTH
+        assert resolve_engine("auto", 512, data_width=width + 8) == "decoded"
+        if NUMPY_AVAILABLE:
+            assert resolve_engine("auto", 512, data_width=width) == "numpy"
 
     def test_numpy_without_numpy_is_an_error(self, monkeypatch):
         monkeypatch.setattr(batch_module, "NUMPY_AVAILABLE", False)
@@ -266,26 +286,57 @@ class TestEngineResolution:
             resolve_engine("numpy", 16)
 
     def test_auto_without_numpy_degrades(self, monkeypatch):
-        monkeypatch.delenv("REPRO_SIM_ENGINE", raising=False)
         monkeypatch.setattr(batch_module, "NUMPY_AVAILABLE", False)
         assert resolve_engine("auto", 512) == "decoded"
 
-    def test_undecodable_program_falls_back_to_scalar(self, fir_program,
-                                                      monkeypatch):
-        def refuse(program):
-            raise PlanError("not decodable")
-
-        monkeypatch.setattr(batch_module, "decode_program", refuse)
+    def test_undecodable_image_raises_and_lints(self, fir_program):
+        # An input read with no logical port: the plan cannot express
+        # the image, the engines refuse it and the lint names it.
+        image = dataclasses.replace(fir_program, input_map={})
         streams = random_streams(["x"], 6, seed=3)
-        expected = run_program(fir_program, dict(streams))
+        with pytest.raises(PlanError, match="no logical port"):
+            run_batch(image, [streams])
+        assert [f.code for f in lint_program(image) if f.is_error] == \
+            ["mc.decode"]
+
+
+class TestWideCores:
+    """A 40-bit core: ``auto`` steps it on the decoded engine."""
+
+    @pytest.fixture(scope="class")
+    def wide_compiled(self):
+        core = dataclasses.replace(fir_core(), data_width=40)
+        toolchain = Toolchain(core, OPTIONS)
+        return toolchain.compile(fir_application([0.25, 0.5, -0.125, 0.3]))
+
+    def lanes(self):
+        fmt = FixedFormat(40, 15)
+        return [random_streams(["x"], 6, seed=s, fmt=fmt) for s in range(8)]
+
+    def test_auto_matches_reference(self, wide_compiled):
+        lanes = self.lanes()
+        expected = reference_oracle(wide_compiled, lanes)
+        assert max(abs(v) for out in expected for v in out["y"]) >= 1 << 31
         obs = Telemetry()
         with use_telemetry(obs):
-            assert run_batch(fir_program, [streams]) == [expected]
+            assert run_batch(wide_compiled.binary, lanes) == expected
         (span,) = obs.spans("simulate")
-        assert span.tags["engine"] == "scalar"
-        assert span.tags["fallback"] == "plan"
-        with pytest.raises(PlanError):
-            run_batch(fir_program, [streams], engine="decoded")
+        assert span.tags["engine"] == "decoded"
+        assert run_programs([wide_compiled.binary] * 8, lanes) == expected
+
+    def test_toolchain_run_matches_reference(self):
+        core = dataclasses.replace(fir_core(), data_width=40)
+        dfg = fir_application([0.25, 0.5, -0.125, 0.3])
+        lanes = self.lanes()
+        fmt = FixedFormat(40, 15)
+        expected = [run_reference(dfg, dict(lane), 6, fmt=fmt)
+                    for lane in lanes]
+        assert Toolchain(core, OPTIONS).run(dfg, lanes, 6) == expected
+
+    @pytest.mark.skipif(not NUMPY_AVAILABLE, reason="numpy not installed")
+    def test_explicit_numpy_still_refuses(self, wide_compiled):
+        with pytest.raises(PlanError, match="int64 headroom"):
+            run_batch(wide_compiled.binary, self.lanes(), engine="numpy")
 
 
 class TestRunPrograms:
@@ -305,7 +356,8 @@ class TestRunPrograms:
     def test_stacked_outputs_match_oracle(self, variants):
         streams = random_streams(["x"], 10, seed=11)
         stacked = run_programs(variants, streams, engine="numpy")
-        oracle = [run_program(b, dict(streams)) for b in variants]
+        oracle = [run_program(b, dict(streams), engine="decoded")
+                  for b in variants]
         assert stacked == oracle
         assert len({tuple(out["y"]) for out in stacked}) == len(variants)
 
@@ -336,14 +388,15 @@ class TestRunPrograms:
 
 
 class TestTelemetry:
-    def test_scalar_run_counts_and_span(self, fir_program):
+    def test_single_lane_run_counts_and_span(self, fir_program):
         obs = Telemetry()
         streams = random_streams(["x"], 6, seed=5)
         with use_telemetry(obs):
             run_program(fir_program, streams)
         expected_frames = 6 // fir_program.repeat_count
         (span,) = obs.spans("simulate")
-        assert span.tags["engine"] == "scalar"
+        assert span.tags["engine"] == "decoded"
+        assert span.tags["lanes"] == 1
         assert span.tags["n_frames"] == expected_frames
         assert obs.counters["sim.frames"] == expected_frames
         assert obs.counters["sim.batch_width"] == 1
@@ -408,7 +461,7 @@ class TestToolchainIntegration:
         toolchain = Toolchain("fir", OPTIONS)
         app = fir_application([0.25, 0.5, 0.25])
         streams = random_streams(["x"], 6, seed=9)
-        expected = toolchain.run(app, dict(streams), engine="scalar")
+        expected = run_reference(app, dict(streams))
         for engine in BATCH_ENGINES:
             assert toolchain.run(app, dict(streams), engine=engine) == \
                 expected
@@ -418,5 +471,4 @@ class TestToolchainIntegration:
         app = fir_application([0.25, 0.5, 0.25])
         lanes = [random_streams(["x"], 6, seed=20 + s) for s in range(4)]
         outputs = toolchain.run(app, [dict(lane) for lane in lanes])
-        program = toolchain.compile(app).binary
-        assert outputs == scalar_oracle(program, lanes)
+        assert outputs == reference_oracle(toolchain.compile(app), lanes)

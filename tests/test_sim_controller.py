@@ -3,7 +3,8 @@
 The compiled flow only exercises IDLE/CONT/JUMP; these tests drive the
 remaining controller features of figure 4 — nested hardware loops via
 the stack, conditional branches on datapath flags, HALT — by building
-instruction words directly through the derived format.
+instruction words directly through the derived format and stepping
+them on the decoded plan (:class:`repro.sim.DecodedSimulator`).
 
 Tiny-core facts used throughout: registers reset to 0; constants can
 reach only the ALU's second operand file (``rf_alu_p1`` via
@@ -17,7 +18,7 @@ from repro.arch import ControllerSpec, CoreSpec, CtrlOp, tiny_datapath
 from repro.encode import CTRL_OPCODES, derive_format, opcode_table
 from repro.encode.assembler import EncodedProgram
 from repro.errors import SimulationError
-from repro.sim import CoreSimulator
+from repro.sim import DecodedSimulator, PlanError, decode_program
 
 
 def make_core(stack_depth=4, n_flags=0, conditionals=False):
@@ -102,6 +103,10 @@ class ProgramBuilder:
         )
 
 
+def simulator(program: EncodedProgram) -> DecodedSimulator:
+    return DecodedSimulator(decode_program(program))
+
+
 class TestHardwareLoops:
     def test_loop_repeats_body(self):
         core = make_core()
@@ -111,7 +116,7 @@ class TestHardwareLoops:
         pb.alu("add", a=0, b=0, dest=("rf_alu_p0", 0))      # p0[0] += 1
         pb.word(ctrl=CtrlOp.ENDL)
         pb.word(ctrl=CtrlOp.HALT)
-        sim = CoreSimulator(pb.build())
+        sim = simulator(pb.build())
         sim.run_frames(0, max_cycles=100)
         assert sim.halted
         assert sim.registers["rf_alu_p0"][0] == 5
@@ -124,7 +129,7 @@ class TestHardwareLoops:
         pb.alu("add", a=0, b=0, dest=("rf_alu_p0", 0))
         pb.word(ctrl=CtrlOp.ENDL)
         pb.word(ctrl=CtrlOp.HALT)
-        sim = CoreSimulator(pb.build())
+        sim = simulator(pb.build())
         sim.run_frames(0, max_cycles=50)
         assert sim.registers["rf_alu_p0"][0] == 1
 
@@ -138,7 +143,7 @@ class TestHardwareLoops:
         pb.word(ctrl=CtrlOp.ENDL)
         pb.word(ctrl=CtrlOp.ENDL)
         pb.word(ctrl=CtrlOp.HALT)
-        sim = CoreSimulator(pb.build())
+        sim = simulator(pb.build())
         sim.run_frames(0, max_cycles=200)
         assert sim.registers["rf_alu_p0"][0] == 12   # 3 * 4
 
@@ -150,7 +155,7 @@ class TestHardwareLoops:
         pb.word(ctrl=CtrlOp.ENDL)
         pb.word(ctrl=CtrlOp.ENDL)
         pb.word(ctrl=CtrlOp.HALT)
-        sim = CoreSimulator(pb.build())
+        sim = simulator(pb.build())
         with pytest.raises(SimulationError, match="stack overflow"):
             sim.run_frames(0, max_cycles=50)
 
@@ -159,7 +164,7 @@ class TestHardwareLoops:
         pb = ProgramBuilder(core)
         pb.word(ctrl=CtrlOp.ENDL)
         pb.word(ctrl=CtrlOp.HALT)
-        sim = CoreSimulator(pb.build())
+        sim = simulator(pb.build())
         with pytest.raises(SimulationError, match="empty loop stack"):
             sim.run_frames(0, max_cycles=50)
 
@@ -183,7 +188,7 @@ class TestConditionalBranches:
         assert len(pb.words) == taken_target
         pb.const_p1(222, 1)                  # taken path
         pb.word(ctrl=CtrlOp.HALT)
-        sim = CoreSimulator(pb.build())
+        sim = simulator(pb.build())
         sim.run_frames(0, max_cycles=50)
         return sim.registers["rf_alu_p1"][1]
 
@@ -204,9 +209,8 @@ class TestConditionalBranches:
         pb = ProgramBuilder(core)
         pb.word(ctrl=CtrlOp.CJMP, arg=0)
         pb.word(ctrl=CtrlOp.HALT)
-        sim = CoreSimulator(pb.build())
-        with pytest.raises(SimulationError, match="not supported"):
-            sim.run_frames(0, max_cycles=10)
+        with pytest.raises(PlanError, match="not supported"):
+            decode_program(pb.build())
 
 
 class TestMachineGuards:
@@ -214,23 +218,10 @@ class TestMachineGuards:
         core = make_core()
         pb = ProgramBuilder(core)
         pb.word(ctrl=CtrlOp.HALT)
-        sim = CoreSimulator(pb.build())
+        sim = simulator(pb.build())
         sim.run_frames(0, max_cycles=10)
         with pytest.raises(SimulationError, match="halted"):
             sim.step()
-
-    def test_trace_capture(self):
-        core = make_core()
-        pb = ProgramBuilder(core)
-        pb.const_p1(3, 0)
-        pb.word(ctrl=CtrlOp.HALT)
-        sim = CoreSimulator(pb.build())
-        sim.keep_trace = True
-        sim.run_frames(0, max_cycles=10)
-        assert len(sim.trace) == 2
-        assert sim.trace[0].active == {"prg_c": "const"}
-        assert "bus_prg_c" in sim.trace[0].bus_values
-        assert sim.trace[0].ctrl is CtrlOp.CONT
 
     def test_register_write_without_bus_value(self):
         core = make_core()
@@ -243,6 +234,6 @@ class TestMachineGuards:
             "rf_alu_p1.mux": mux_index(core, "rf_alu_p1", "bus_prg_c"),
         })
         pb.word(ctrl=CtrlOp.HALT)
-        sim = CoreSimulator(pb.build())
+        sim = simulator(pb.build())
         with pytest.raises(SimulationError, match="nothing matured"):
             sim.run_frames(0, max_cycles=10)

@@ -309,27 +309,31 @@ class TestToolchain:
 
 
 def migration_rows() -> list[str]:
-    """The 1.x spellings: left column of docs/api.md's migration table."""
+    """The removed spellings: left column of every "Migrating from"
+    table in docs/api.md."""
     text = (Path(__file__).parents[1] / "docs" / "api.md").read_text()
-    section = text.split("\n## Migrating from 1.x", 1)[1]
-    section = section.split("\n## ", 1)[0]
-    return re.findall(r"^\| `([^`]+)`", section, re.MULTILINE)
+    rows = []
+    for section in text.split("\n## Migrating from ")[1:]:
+        section = section.split("\n## ", 1)[0]
+        rows += re.findall(r"^\| `([^`]+)`", section, re.MULTILINE)
+    return rows
 
 
 def test_public_api_surface():
-    """Every exported name resolves, and no 1.x spelling of the
-    migration table still works: the name is gone, or the call passes
-    a keyword the 2.0 signature no longer takes."""
+    """Every exported name resolves, and no spelling of the migration
+    tables still works: the name is gone, or the call passes a keyword
+    the current signature no longer takes."""
     import repro
     import repro.arch
     import repro.pipeline
 
-    assert repro.__version__ == "2.0.0"
-    for module in (repro, repro.pipeline, repro.arch):
+    assert repro.__version__ == "3.0.0"
+    for module in (repro, repro.pipeline, repro.arch, repro.sim):
         for name in module.__all__:
             assert hasattr(module, name), f"{module.__name__}.{name}"
     rows = migration_rows()
-    assert len(rows) >= 10
+    assert len(rows) >= 13
+    assert "repro.sim.CoreSimulator(program)" in rows
     for row in rows:
         path, _, args = row.partition("(")
         head, *rest = path.split(".")

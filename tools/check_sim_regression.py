@@ -1,17 +1,18 @@
 #!/usr/bin/env python3
-"""Fail CI when the batch simulator's speedup over scalar regresses.
+"""Fail CI when a simulator engine's speedup over the reference regresses.
 
 Compares a fresh ``BENCH_sim.json`` (produced by
 ``benchmarks/test_bench_sim.py``) against the committed baseline
 ``benchmarks/sim_baseline.json``.
 
 Absolute cycles/second is machine-dependent, so the guard compares
-*speedups*: every engine's cycles-per-second is already normalized to
-the same run's scalar rate, and that ratio survives slower or faster
-CI hardware.  An engine whose speedup at some batch width fell below
+*speedups*: every engine's time is already normalized to the same
+run's reference interpreter (``repro.run_reference`` over the same
+stimulus), and that ratio survives slower or faster CI hardware.  An
+engine whose speedup at some batch width fell below
 ``baseline / max-ratio`` fails; the numpy engine at the widest batch
 additionally must clear the absolute ``--min-numpy-speedup`` floor
-(the repo's acceptance threshold).
+over the reference (the repo's acceptance threshold).
 
 A (width, engine) pair missing from the baseline — a newly added
 width or engine — is reported as informational, never a failure;
@@ -36,12 +37,12 @@ from pathlib import Path
 
 
 def speedups(record: dict) -> dict[tuple[str, str], float]:
-    """(batch width, engine) -> speedup over that run's scalar rate."""
+    """(batch width, engine) -> speedup over that run's reference."""
     out: dict[tuple[str, str], float] = {}
     for width, engines in record.get("batch", {}).items():
         for engine, row in engines.items():
-            value = row.get("speedup_vs_scalar")
-            if engine != "scalar" and value is not None:
+            value = row.get("speedup_vs_reference")
+            if engine != "reference" and value is not None:
                 out[(width, engine)] = value
     return out
 
@@ -63,8 +64,9 @@ def main(argv: list[str]) -> int:
                         help="largest tolerated speedup shrink vs the "
                              "baseline (default 4.0)")
     parser.add_argument("--min-numpy-speedup", type=float, default=10.0,
-                        help="absolute floor for the numpy engine at the "
-                             "widest batch (default 10.0)")
+                        help="absolute floor for the numpy engine's "
+                             "speedup over the reference at the widest "
+                             "batch (default 10.0)")
     args = parser.parse_args(argv[1:])
 
     current = json.loads(Path(args.record).read_text())
@@ -85,7 +87,7 @@ def main(argv: list[str]) -> int:
         floor = base / args.max_ratio
         if value < floor:
             problems.append(
-                f"N={width} {engine}: speedup over scalar fell to "
+                f"N={width} {engine}: speedup over the reference fell to "
                 f"{value:.1f}x (baseline {base:.1f}x, floor {floor:.1f}x "
                 f"at --max-ratio {args.max_ratio:.1f})")
 
@@ -100,8 +102,9 @@ def main(argv: list[str]) -> int:
                     f"no numpy speedup")
             elif value < args.min_numpy_speedup:
                 problems.append(
-                    f"N={widest} numpy: {value:.1f}x over scalar is below "
-                    f"the absolute {args.min_numpy_speedup:.1f}x floor")
+                    f"N={widest} numpy: {value:.1f}x over the reference "
+                    f"is below the absolute "
+                    f"{args.min_numpy_speedup:.1f}x floor")
     else:
         notes.append("record was produced without numpy; numpy rows "
                      "not checked")
