@@ -106,10 +106,10 @@ from .serve import (
     run_worker,
     start_in_thread,
 )
-from .sim import run_batch, run_program, run_programs
+from .sim import run_batch, run_program
 from .toolchain import Toolchain
 
-__version__ = "3.0.0"
+__version__ = "4.0.0"
 
 __all__ = [
     "Allocation",
@@ -169,7 +169,6 @@ __all__ = [
     "run_batch",
     "run_corpus",
     "run_program",
-    "run_programs",
     "run_reference",
     "run_worker",
     "set_telemetry",

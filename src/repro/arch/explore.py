@@ -967,32 +967,30 @@ def simulate_points(
     n_frames: int | None = None,
     engine: str = "auto",
 ) -> list[CandidateSimulation]:
-    """Simulate exploration candidates on real stimulus, batched.
+    """Simulate exploration candidates on real stimulus.
 
     Exploration scores candidates by schedule length alone (evaluation
     stops at register allocation); this closes the loop — each feasible
     point's core is re-synthesized, ``dfg`` is compiled *end to end* on
-    it, and every binary runs the stimulus batch through
-    :mod:`repro.sim.batch`.  Candidates whose binaries share a control
-    path are stacked into one numpy batch by
-    :func:`~repro.sim.batch.run_programs` when ``stimuli`` is a single
-    shared dict; with a per-lane stimulus list each binary steps the
-    whole batch at once instead.  Outputs are bit-identical across
+    it, and the binary runs the stimulus through
+    :func:`~repro.sim.batch.run_batch`, one batch per candidate (a
+    single shared dict is one lane).  Outputs are bit-identical across
     engines, so they are directly comparable across candidates and
     against :func:`repro.lang.reference.run_reference`.
 
     Returns one :class:`CandidateSimulation` per point, in order;
     infeasible points (and points whose compile or simulation fails)
-    carry ``failure`` instead of outputs.
+    carry ``failure`` instead of outputs.  A failing candidate never
+    stops the others.
     """
     from ..options import CompileOptions as Options
-    from ..sim.batch import run_batch, run_programs
+    from ..sim.batch import run_batch
     from ..toolchain import Toolchain
 
     if options is None:
         options = Options()
+    lanes = [stimuli] if isinstance(stimuli, dict) else stimuli
     results: list[CandidateSimulation] = []
-    compiled: list[tuple[int, object]] = []   # (result index, binary)
     for point in points:
         result = CandidateSimulation(point=point)
         results.append(result)
@@ -1008,35 +1006,9 @@ def simulate_points(
             toolchain = Toolchain(core, options.replace(opt=0), cache=None)
             specialized, _ = specialize_for_core(dfg, core, options.opt)
             state = toolchain.run_pipeline(specialized, merges=merges)
-            compiled.append((len(results) - 1, state.artifacts["binary"]))
+            result.outputs = run_batch(
+                state.artifacts["binary"], lanes, n_frames=n_frames,
+                engine=engine)
         except ReproError as exc:
             result.failure = f"{type(exc).__name__}: {exc}"
-
-    if not compiled:
-        return results
-    try:
-        if isinstance(stimuli, dict):
-            outputs = run_programs(
-                [binary for _, binary in compiled], stimuli,
-                n_frames=n_frames, engine=engine)
-            for (index, _), lane_out in zip(compiled, outputs):
-                results[index].outputs = [lane_out]
-        else:
-            for index, binary in compiled:
-                results[index].outputs = run_batch(
-                    binary, stimuli, n_frames=n_frames, engine=engine)
-    except ReproError as exc:
-        # A per-candidate failure mid-batch: fall back to one-at-a-time
-        # so a single diverging binary cannot sink the whole sweep.
-        for index, binary in compiled:
-            if results[index].outputs:
-                continue
-            lanes = [stimuli] if isinstance(stimuli, dict) else stimuli
-            try:
-                results[index].outputs = run_batch(
-                    binary, lanes, n_frames=n_frames, engine=engine)
-            except ReproError as lane_exc:
-                results[index].failure = \
-                    f"{type(lane_exc).__name__}: {lane_exc}"
-        del exc
     return results

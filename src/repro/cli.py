@@ -793,6 +793,8 @@ def cmd_cache(args: argparse.Namespace) -> int:
             payload = backend_stats(backend)
         elif args.action == "gc":
             removed = backend.gc(args.max_bytes, min_age=args.min_age)
+            if removed:
+                obs.count("cache.gc_removed", removed)
             payload = {"removed": removed, **backend_stats(backend)}
         elif args.action == "verify":
             report = backend.verify()

@@ -72,7 +72,7 @@ COUNTERS: dict[str, str] = {
                   "lane",
     "sim.frames": "sample frames consumed, summed over every simulated "
                   "lane",
-    "sim.batch_width": "stimulus/candidate lanes entering the simulator",
+    "sim.batch_width": "stimulus lanes entering the simulator",
     "verify.checks": "stage-boundary verifier passes run by the pipeline "
                      "(verify=boundaries/strict)",
     "verify.findings": "diagnostics produced by the stage verifiers and "

@@ -229,8 +229,6 @@ class MemoryBackend:
                 removed += 1
         for _ in range(removed):
             obs.count("diskcache.eviction")
-        if removed:
-            obs.count("cache.gc_removed", removed)
         return removed
 
     def verify(self) -> VerifyReport:

@@ -403,7 +403,7 @@ class DiskCache:
         over_bound = total > self.max_bytes
         current_telemetry().count("diskcache.store")
         if over_bound:
-            self._evict()
+            self.gc()
 
     def clear(self) -> int:
         """Delete every entry (the directory itself is kept); returns
@@ -436,6 +436,12 @@ class DiskCache:
         about to read back.  ``pinned`` names fingerprints that are
         never removed regardless of age (a server pins the stage keys
         of queued/running jobs).
+
+        :meth:`put` runs the same pass, unpinned and with no minimum
+        age, only when the running size estimate crosses the bound, so
+        steady-state fills stay O(1) per store.  Competing evictors
+        racing on the same directory simply find some files already
+        gone.
         """
         bound = self.max_bytes if max_bytes is None else max_bytes
         keep = set(pinned)
@@ -463,8 +469,6 @@ class DiskCache:
             removed += 1
             total -= size
         self._set_size_estimate(total)
-        if removed:
-            obs.count("cache.gc_removed", removed)
         return removed
 
     def verify(self) -> VerifyReport:
@@ -502,31 +506,3 @@ class DiskCache:
             path.unlink()
         except OSError:
             pass
-
-    def _evict(self) -> None:
-        """Delete least-recently-used entries until under ``max_bytes``.
-
-        This is the scanning pass — :meth:`put` only triggers it when
-        the running size estimate crosses the bound, so steady-state
-        fills stay O(1) per store.  Competing evictors racing on the
-        same directory simply find some files already gone; that is
-        fine.
-        """
-        stamped = []
-        total = 0
-        for path in self._entries():
-            try:
-                stat = path.stat()
-            except OSError:
-                continue
-            stamped.append((stat.st_mtime, stat.st_size, path))
-            total += stat.st_size
-        for _, size, path in sorted(stamped):
-            if total <= self.max_bytes:
-                break
-            self._drop(path)
-            with self._lock:
-                self.stats.evictions += 1
-            current_telemetry().count("diskcache.eviction")
-            total -= size
-        self._set_size_estimate(total)

@@ -522,6 +522,8 @@ class CompileServer:
         min_age = float(body.get("min_age", 0.0))
         with self.telemetry.span("serve.cache_gc"):
             removed = self.backend.gc(max_bytes, min_age=min_age)
+        if removed:
+            self.telemetry.count("cache.gc_removed", removed)
         await self._send(writer, 200, {
             "removed": removed, **self._cache_stats()})
 

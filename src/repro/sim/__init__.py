@@ -4,11 +4,10 @@ One machine model, the decoded plan: :func:`~repro.sim.batch.decode_program`
 lowers an encoded program once into a flat
 :class:`~repro.sim.batch.DecodedPlan`, which two engines step — one
 lane at a time in pure Python (:class:`~repro.sim.batch.DecodedSimulator`)
-or over whole stimulus/candidate batches as numpy array ops
+or over a whole stimulus batch as numpy array ops
 (:class:`~repro.sim.batch.BatchSimulator`; numpy is an optional extra).
-:func:`~repro.sim.batch.run_program`, :func:`~repro.sim.batch.run_batch`
-and :func:`~repro.sim.batch.run_programs` pick an engine via
-:func:`~repro.sim.batch.resolve_engine`.  The oracle every engine is
+:func:`~repro.sim.batch.run_program` and :func:`~repro.sim.batch.run_batch`
+pick an engine via :func:`~repro.sim.batch.resolve_engine`.  The oracle every engine is
 checked against is :func:`repro.lang.reference.run_reference`.
 """
 
@@ -24,7 +23,6 @@ from .batch import (
     resolve_engine,
     run_batch,
     run_program,
-    run_programs,
 )
 
 __all__ = [
@@ -39,5 +37,4 @@ __all__ = [
     "resolve_engine",
     "run_batch",
     "run_program",
-    "run_programs",
 ]

@@ -34,10 +34,7 @@ Execution has two phases:
    ops with exact two's-complement wrap semantics matching
    :mod:`repro.fixed`, and conditional control flow (``CJMP``) splits
    the lane set so diverging lanes continue under their own program
-   counter with masked (fancy-indexed) writes.  Stacked over M explorer
-   candidates that share a control path (identical words, different ROM
-   coefficients / initial registers), the same plan steps ``N x M``
-   lanes.
+   counter with masked (fancy-indexed) writes.
 
 Engine selection (:func:`resolve_engine`): ``"auto"`` picks numpy when
 it is importable, the batch is wide enough and the data width fits the
@@ -197,34 +194,6 @@ class DecodedPlan:
     @property
     def n_words(self) -> int:
         return len(self.words)
-
-    def structure_key(self) -> tuple:
-        """Hashable fingerprint of the *control path and datapath
-        structure* of this plan — everything except the per-lane data
-        (ROM contents, initial register values, CONST immediates such
-        as coefficient constants).  Plans with equal keys can be
-        stacked into one batch as candidate lanes."""
-        def op_key(op: OpPlan):
-            if op.sem == SEM_CONST:
-                # The immediate value is per-lane candidate data; only
-                # its presence/shape is structural.
-                return (op.opu, op.sem, len(op.operands), op.latency,
-                        op.bus, op.target, op.constant, op.sets_flags)
-            return op
-
-        return (
-            tuple(sorted(self.rf_sizes.items())),
-            tuple(sorted(self.ram_sizes.items())),
-            tuple(sorted(self.rom_contents)),   # names only, not contents
-            (self.fmt.width, self.fmt.frac_bits),
-            (self.stack_depth, self.n_flags),
-            self.program.body_offset,
-            tuple(
-                (w.ctrl, w.arg, w.flag,
-                 tuple(op_key(op) for op in w.ops), w.writes)
-                for w in self.words
-            ),
-        )
 
 
 def _sign_extend(value: int, width: int) -> int:
@@ -643,17 +612,11 @@ class BatchSimulator:
     arrays; each decoded micro-op becomes a gather, a vectorized
     fixed-point kernel and (at end of cycle) a masked scatter.  Exact
     two's-complement wrap semantics match :mod:`repro.fixed` —
-    outputs are bit-identical to :class:`DecodedSimulator`.
-
-    ``variants`` optionally stacks per-lane *candidate variants*: a
-    list of ``n_lanes`` decoded plans sharing this plan's control path
-    (equal :meth:`DecodedPlan.structure_key`) whose ROM contents,
-    initial register values and CONST immediates (program coefficients)
-    differ per lane — how M explorer candidates ride one batch.
+    outputs are bit-identical to :class:`DecodedSimulator`.  Every lane
+    runs the same program; only the stimulus differs per lane.
     """
 
-    def __init__(self, plan: DecodedPlan, n_lanes: int,
-                 variants: list[DecodedPlan] | None = None):
+    def __init__(self, plan: DecodedPlan, n_lanes: int):
         if _np is None:
             raise SimulationError(
                 "the numpy batch engine needs numpy (pip install "
@@ -667,9 +630,6 @@ class BatchSimulator:
             )
         if n_lanes < 1:
             raise SimulationError("a batch needs at least one lane")
-        if variants is not None and len(variants) != n_lanes:
-            raise SimulationError(
-                f"{len(variants)} plan variants for {n_lanes} lanes")
         self.plan = plan
         self.n_lanes = n_lanes
         fmt = plan.fmt
@@ -687,35 +647,12 @@ class BatchSimulator:
             name: _np.zeros((n_lanes, size), dtype=_np.int64)
             for name, size in plan.ram_sizes.items()
         }
-        #: (word index, op index) -> per-lane CONST immediate values,
-        #: populated only when stacking candidate variants.
-        self._const_tables: dict[tuple[int, int], _np.ndarray] = {}
-        if variants is None:
-            for name, contents in plan.rom_contents.items():
-                self.memories[name] = _np.tile(
-                    _np.array(contents, dtype=_np.int64), (n_lanes, 1))
-            for rf_name, inits in plan.initial_registers.items():
-                for register, value in inits:
-                    self.registers[rf_name][:, register] = value
-        else:
-            for name, contents in plan.rom_contents.items():
-                self.memories[name] = _np.zeros(
-                    (n_lanes, len(contents)), dtype=_np.int64)
-            for lane, variant in enumerate(variants):
-                for name, contents in variant.rom_contents.items():
-                    self.memories[name][lane, :] = _np.array(
-                        contents, dtype=_np.int64)
-                for rf_name, inits in variant.initial_registers.items():
-                    for register, value in inits:
-                        self.registers[rf_name][lane, register] = value
-            for word_index, word in enumerate(plan.words):
-                for op_index, op in enumerate(word.ops):
-                    if op.sem != SEM_CONST:
-                        continue
-                    self._const_tables[(word_index, op_index)] = _np.array(
-                        [v.words[word_index].ops[op_index].operands[0][1]
-                         for v in variants],
-                        dtype=_np.int64)
+        for name, contents in plan.rom_contents.items():
+            self.memories[name] = _np.tile(
+                _np.array(contents, dtype=_np.int64), (n_lanes, 1))
+        for rf_name, inits in plan.initial_registers.items():
+            for register, value in inits:
+                self.registers[rf_name][:, register] = value
         self.flags = _np.zeros((n_lanes, max(1, plan.n_flags)),
                                dtype=_np.int64)
         self.inputs: dict[str, _np.ndarray] = {}
@@ -814,7 +751,7 @@ class BatchSimulator:
         produced: list[tuple[str, object, int]] = []
         memory_writes: list[tuple[str, object, object]] = []
         alu_result = None
-        for op_index, op in enumerate(word.ops):
+        for op in word.ops:
             values = [
                 registers[src[1]][lanes, src[2]] if src[0] else src[1]
                 for src in op.operands
@@ -846,8 +783,7 @@ class BatchSimulator:
             elif sem == SEM_ACU_ADD:
                 result = self._wrap(values[0] + values[1])
             elif sem == SEM_CONST:
-                table = self._const_tables.get((word.index, op_index))
-                result = values[0] if table is None else table[lanes]
+                result = values[0]
             elif sem == SEM_INPUT:
                 result = self._input_read(ctx, op.target)
             else:  # SEM_OUTPUT
@@ -1001,7 +937,7 @@ def _as_lane_array(value, n: int):
 
 
 # ---------------------------------------------------------------------------
-# Entry points: engine selection, batched runs, stacked candidate runs.
+# Entry points: engine selection and batched runs.
 # ---------------------------------------------------------------------------
 
 def resolve_engine(engine: str, n_lanes: int,
@@ -1073,7 +1009,6 @@ def run_batch(
     inputs: list[dict[str, list[int]]],
     n_frames: int | None = None,
     engine: str = "auto",
-    plan: DecodedPlan | None = None,
 ) -> list[dict[str, list[int]]]:
     """Simulate one program over a batch of stimulus lanes.
 
@@ -1082,8 +1017,7 @@ def run_batch(
     applies to every lane (default: each lane's own stream-derived
     frame count; lanes wanting different counts are grouped and run per
     count).  ``engine`` is one of :data:`ENGINES`.  A program the
-    decoded plan cannot express raises :class:`PlanError`.  Pass a
-    prebuilt ``plan`` to amortize :func:`decode_program` across calls.
+    decoded plan cannot express raises :class:`PlanError`.
     """
     if not inputs:
         return []
@@ -1091,8 +1025,7 @@ def run_batch(
     obs = current_telemetry()
     with obs.span("simulate", engine=resolved, lanes=len(inputs),
                   n_frames=n_frames):
-        if plan is None:
-            plan = decode_program(program)
+        plan = decode_program(program)
         if resolved == "decoded":
             outputs = []
             cycles = frames = 0
@@ -1138,78 +1071,3 @@ def run_program(
         n_frames = default_frame_count(program, inputs)
     return run_batch(program, [inputs], n_frames, engine=engine)[0]
 
-
-def run_programs(
-    programs: list[EncodedProgram],
-    inputs: list[dict[str, list[int]]] | dict[str, list[int]],
-    n_frames: int | None = None,
-    engine: str = "auto",
-) -> list[dict[str, list[int]]]:
-    """Simulate several program variants, stacking the ones that share
-    a control path into single batches.
-
-    ``programs`` is one encoded program per candidate (e.g. the same
-    application compiled with different coefficients across explorer
-    candidates).  ``inputs`` is either one stream dict shared by every
-    program or a per-program list.  Programs whose
-    :meth:`DecodedPlan.structure_key` matches — identical control path,
-    per-lane ROM contents / initial registers / CONST immediates — are
-    executed as lanes of one :class:`BatchSimulator`; the rest run per
-    program.  Returns one output dict per program, in order.
-    """
-    if not programs:
-        return []
-    if isinstance(inputs, dict):
-        inputs = [inputs] * len(programs)
-    if len(inputs) != len(programs):
-        raise SimulationError(
-            f"{len(inputs)} stimulus dicts for {len(programs)} programs")
-    resolved = resolve_engine(
-        engine, len(programs),
-        max(program.core.data_width for program in programs))
-    if resolved != "numpy":
-        return [run_program(program, streams, n_frames, engine=resolved)
-                for program, streams in zip(programs, inputs)]
-
-    # Group by structural plan: equal keys share one decoded control
-    # path and differ only in per-lane ROM/initial-register data.
-    plans = [decode_program(program) for program in programs]
-    groups: dict[tuple, list[int]] = {}
-    for index, plan in enumerate(plans):
-        groups.setdefault(plan.structure_key(), []).append(index)
-
-    obs = current_telemetry()
-    results: list[dict[str, list[int]] | None] = [None] * len(programs)
-    for members in groups.values():
-        if len(members) == 1:
-            index = members[0]
-            results[index] = run_batch(
-                programs[index], [inputs[index]], n_frames,
-                engine=engine, plan=plans[index])[0]
-            continue
-        plan = plans[members[0]]
-        member_inputs = [inputs[index] for index in members]
-        by_frames: dict[int, list[int]] = {}
-        for position, index in enumerate(members):
-            frames = (n_frames if n_frames is not None
-                      else default_frame_count(programs[index],
-                                               inputs[index]))
-            by_frames.setdefault(frames, []).append(position)
-        with obs.span("simulate", engine="numpy", lanes=len(members),
-                      n_frames=n_frames, stacked=True):
-            cycles = frames_total = 0
-            for frames_wanted, positions in sorted(by_frames.items()):
-                simulator = BatchSimulator(
-                    plan, len(positions),
-                    variants=[plans[members[p]] for p in positions])
-                simulator.load_inputs(
-                    [member_inputs[p] for p in positions])
-                group_out = simulator.run_frames(frames_wanted)
-                for position, lane_out in zip(positions, group_out):
-                    results[members[position]] = lane_out
-                cycles += simulator.lane_cycles
-                frames_total += simulator.lane_frames
-            obs.count("sim.cycles", cycles)
-            obs.count("sim.frames", frames_total)
-            obs.count("sim.batch_width", len(members))
-    return results

@@ -2,9 +2,10 @@
 
 The happy path is covered by the explore tests; this module pins the
 contract on the ways a candidate can fail: infeasible exploration
-points (carried failures), per-point compile errors, and mid-batch
-simulation errors that must degrade to a one-at-a-time fallback rather
-than sink the whole sweep.
+points (carried failures), per-point compile errors, and simulation
+errors, each of which fails only its own candidate rather than the
+whole sweep.  Candidates that differ only in ROM length must each run
+on their own batch.
 """
 
 from __future__ import annotations
@@ -14,10 +15,11 @@ import importlib
 import pytest
 
 from repro import CompileOptions, run_reference, simulate_points
-from repro.arch import Allocation, ExplorationPoint, explore
+from repro.apps import fir_application
+from repro.arch import Allocation, ExplorationPoint, SweepSpec, explore
 from repro.errors import ReproError
 from repro.lang import parse_source
-from repro.sim import PlanError
+from repro.sim import NUMPY_AVAILABLE, PlanError
 from repro.sim import batch as batch_module
 from stream_helpers import random_streams
 
@@ -33,6 +35,8 @@ loop { o = mlt(g, i); }
 """
 
 OPTIONS = CompileOptions(disk_cache=False)
+
+BATCH_ENGINES = ["auto"] + (["numpy"] if NUMPY_AVAILABLE else [])
 
 
 @pytest.fixture(scope="module")
@@ -121,45 +125,79 @@ class TestCompileFailures:
         assert results[1].outputs == []
 
 
-class TestSimulationFallback:
-    def test_plan_error_falls_back_per_candidate(self, gain_dfg,
-                                                 gain_points, monkeypatch):
-        # run_programs (the stacked dict-stimulus path) dies wholesale;
-        # the fallback must still produce every candidate's outputs via
-        # run_batch one at a time.
-        def explode(*args, **kwargs):
-            raise PlanError("no shared structure")
+class TestRomSizeSweep:
+    """A ``rom_sizes`` axis gives candidates with the same program and
+    ROMs of different lengths; each must run on its own batch."""
 
-        monkeypatch.setattr(batch_module, "run_programs", explode)
-        shared = random_streams(gain_dfg, n=5, seed=9)
-        results = simulate_points(gain_dfg, gain_points, shared,
-                                  options=OPTIONS, n_frames=5)
-        expected = [run_reference(gain_dfg, shared, 5)]
-        assert [r.ok for r in results] == [True, True]
+    ROM_SIZES = (16, 24, 32, 48, 64, 96, 128, 256)
+
+    @pytest.fixture(scope="class")
+    def fir_sweep(self):
+        dfg = fir_application([0.1, 0.2, 0.3, 0.1])
+        spec = SweepSpec(rom_sizes=self.ROM_SIZES)
+        points = explore([dfg], spec.allocations(), options=OPTIONS)
+        assert all(point.feasible for point in points)
+        return dfg, points
+
+    @pytest.mark.parametrize("engine", BATCH_ENGINES)
+    def test_dict_stimulus_matches_reference(self, fir_sweep, engine):
+        dfg, points = fir_sweep
+        shared = random_streams(dfg, n=6, seed=18)
+        results = simulate_points(dfg, points, shared, options=OPTIONS,
+                                  n_frames=6, engine=engine)
+        assert len(results) == len(self.ROM_SIZES)
+        expected = [run_reference(dfg, shared, 6)]
         for result in results:
+            assert result.ok, result.failure
             assert result.outputs == expected
 
-    def test_mid_batch_error_retries_each_candidate(self, gain_dfg,
-                                                    gain_points,
-                                                    monkeypatch):
+
+class TestSimulationFailures:
+    """A simulation error is the failing candidate's alone."""
+
+    def poison_second_candidate(self, monkeypatch, error):
         real = batch_module.run_batch
         calls = {"n": 0}
 
         def flaky(*args, **kwargs):
             calls["n"] += 1
-            if calls["n"] == 1:
-                raise ReproError("transient mid-batch failure")
+            if calls["n"] == 2:
+                raise error
             return real(*args, **kwargs)
 
         monkeypatch.setattr(batch_module, "run_batch", flaky)
-        lanes = lanes_for(gain_dfg)
-        results = simulate_points(gain_dfg, gain_points, lanes,
+        return calls
+
+    def test_plan_error_fails_only_its_candidate(self, gain_dfg,
+                                                 gain_points, monkeypatch):
+        calls = self.poison_second_candidate(
+            monkeypatch, PlanError("undecodable image"))
+        shared = random_streams(gain_dfg, n=5, seed=9)
+        points = [gain_points[0], gain_points[1], gain_points[0]]
+        results = simulate_points(gain_dfg, points, shared,
                                   options=OPTIONS, n_frames=5)
+        assert calls["n"] == 3
+        assert [r.ok for r in results] == [True, False, True]
+        assert "PlanError: undecodable image" in results[1].failure
+        assert results[1].outputs == []
+        expected = [run_reference(gain_dfg, shared, 5)]
+        assert results[0].outputs == results[2].outputs == expected
+
+    def test_list_stimuli_error_fails_only_its_candidate(self, gain_dfg,
+                                                         gain_points,
+                                                         monkeypatch):
+        calls = self.poison_second_candidate(
+            monkeypatch, ReproError("mid-batch failure"))
+        lanes = lanes_for(gain_dfg)
+        points = [gain_points[0], gain_points[1], gain_points[0]]
+        results = simulate_points(gain_dfg, points, lanes,
+                                  options=OPTIONS, n_frames=5)
+        assert calls["n"] == 3
+        assert [r.ok for r in results] == [True, False, True]
+        assert "mid-batch failure" in results[1].failure
+        assert results[1].outputs == []
         expected = [run_reference(gain_dfg, lane, 5) for lane in lanes]
-        assert [r.ok for r in results] == [True, True]
-        for result in results:
-            assert result.outputs == expected
-        assert calls["n"] >= 3  # failed once, then per-candidate retries
+        assert results[0].outputs == results[2].outputs == expected
 
     def test_persistent_error_is_recorded_not_raised(self, gain_dfg,
                                                      gain_points,

@@ -12,7 +12,7 @@ import threading
 
 import pytest
 
-from repro import Toolchain, audio_core
+from repro import Telemetry, Toolchain, audio_core, cli, use_telemetry
 from repro.arch import ExploreCache
 from repro.pipeline import (
     CacheBackend,
@@ -231,6 +231,32 @@ class TestGc:
         assert disk.keys() == ["a" * 64]
         assert disk.gc(0) == 1
         assert disk.keys() == []
+
+    @pytest.mark.parametrize("kind", ["memory", "disk"])
+    def test_bound_eviction_at_put_is_not_an_admin_gc(self, kind,
+                                                      tmp_path):
+        one = len(diskcache.serialize({"pad": "x" * 100}, {}))
+        backend = (MemoryBackend(max_bytes=3 * one) if kind == "memory"
+                   else DiskCache(tmp_path, max_bytes=3 * one))
+        obs = Telemetry()
+        with use_telemetry(obs):
+            for i in range(5):
+                backend.put(f"{i:02d}" + "0" * 62, {"pad": "x" * 100}, {})
+        assert obs.counters["diskcache.eviction"] == 2
+        assert "cache.gc_removed" not in obs.counters
+
+    def test_cli_gc_counts_removed_entries(self, tmp_path, monkeypatch,
+                                           capsys):
+        disk = DiskCache(tmp_path)
+        for key in ("a" * 64, "b" * 64):
+            disk.put(key, {"x": 1}, {"x": 1})
+        obs = Telemetry()
+        monkeypatch.setattr(cli, "command_telemetry", lambda args: obs)
+        assert cli.main(["cache", "gc", "--cache-dir", str(tmp_path),
+                         "--max-bytes", "0"]) == 0
+        assert "2 entries removed" in capsys.readouterr().out
+        assert obs.counters["cache.gc_removed"] == 2
+        assert obs.counters["diskcache.eviction"] == 2
 
 
 class TestVerify:

@@ -365,14 +365,14 @@ class TestEviction:
         one_entry = len(serialize({"payload": "x" * 1000}, {}))
         disk = DiskCache(tmp_path, max_bytes=4 * one_entry)
         scans = 0
-        real_evict = disk._evict
+        real_gc = disk.gc
 
-        def counting_evict():
+        def counting_gc(*args, **kwargs):
             nonlocal scans
             scans += 1
-            real_evict()
+            return real_gc(*args, **kwargs)
 
-        disk._evict = counting_evict
+        disk.gc = counting_gc
         keys = [f"{index:02d}" + "0" * 62 for index in range(3)]
         for _ in range(25):
             for key in keys:

@@ -251,6 +251,17 @@ class TestRoundTrip:
         assert kept["removed"] == 0
         assert kept["cache"]["entries"] == stats["entries"]
 
+    def test_admin_gc_counts_removed_entries(self):
+        spec = fresh_memory("t-gc")
+        backend = open_backend(spec)
+        for key in ("a", "b"):
+            backend.put(key, {"x": key})
+        config = ServerConfig(workers=0, cache=spec, rate_limit=None)
+        with start_in_thread(config) as handle:
+            client = ServeClient(handle.url)
+            assert client.cache_gc(max_bytes=0)["removed"] == 2
+            assert client.stats()["counters"]["cache.gc_removed"] == 2
+
     def test_rejections_are_counted(self, server):
         client = ServeClient(server.url)
         before = client.stats()["counters"].get("serve.rejections", 0)

@@ -1,4 +1,4 @@
-"""Batch simulator tests: decode plans, engine parity, stacking.
+"""Batch simulator tests: decode plans, engine parity, engine choice.
 
 :func:`repro.run_reference` on the source graph is the oracle; both
 engines (the decoded single-lane interpreter and the numpy batch
@@ -11,8 +11,6 @@ and cycle counts directly.  The suite covers:
 * the controller edge cases batches make interesting — nested
   hardware loops, flag-driven CJMP *divergence* across lanes,
   pipelined-OPU in-flight results,
-* candidate stacking (``run_programs`` executing several compiled
-  variants as lanes of one batch),
 * engine resolution (``auto`` by lane count and data width, an
   undecodable image raising :class:`~repro.sim.PlanError`),
 * the short-stimulus guard and the ``sim.*`` telemetry counters.
@@ -49,7 +47,6 @@ from repro.sim import (
     resolve_engine,
     run_batch,
     run_program,
-    run_programs,
 )
 from repro.sim import batch as batch_module
 
@@ -102,11 +99,6 @@ class TestDecodePlan:
     def test_plan_covers_every_word(self, fir_program):
         plan = decode_program(fir_program)
         assert plan.n_words == len(fir_program.words)
-
-    def test_structure_key_is_stable(self, fir_program):
-        a = decode_program(fir_program).structure_key()
-        b = decode_program(fir_program).structure_key()
-        assert a == b
 
     def test_decoded_simulator_matches_reference(self, fir_compiled):
         streams = random_streams(["x"], 12, seed=7)
@@ -322,7 +314,6 @@ class TestWideCores:
             assert run_batch(wide_compiled.binary, lanes) == expected
         (span,) = obs.spans("simulate")
         assert span.tags["engine"] == "decoded"
-        assert run_programs([wide_compiled.binary] * 8, lanes) == expected
 
     def test_toolchain_run_matches_reference(self):
         core = dataclasses.replace(fir_core(), data_width=40)
@@ -337,54 +328,6 @@ class TestWideCores:
     def test_explicit_numpy_still_refuses(self, wide_compiled):
         with pytest.raises(PlanError, match="int64 headroom"):
             run_batch(wide_compiled.binary, self.lanes(), engine="numpy")
-
-
-class TestRunPrograms:
-    COEFFS = [[0.3, -0.45, 0.21], [0.11, 0.27, -0.33], [0.6, -0.15, 0.09]]
-
-    @pytest.fixture(scope="class")
-    def variants(self):
-        options = CompileOptions(disk_cache=False, opt=0)
-        return [Toolchain("fir", options).compile(fir_application(c)).binary
-                for c in self.COEFFS]
-
-    def test_variants_share_a_control_path(self, variants):
-        keys = {decode_program(b).structure_key() for b in variants}
-        assert len(keys) == 1
-
-    @pytest.mark.skipif(not NUMPY_AVAILABLE, reason="numpy not installed")
-    def test_stacked_outputs_match_oracle(self, variants):
-        streams = random_streams(["x"], 10, seed=11)
-        stacked = run_programs(variants, streams, engine="numpy")
-        oracle = [run_program(b, dict(streams), engine="decoded")
-                  for b in variants]
-        assert stacked == oracle
-        assert len({tuple(out["y"]) for out in stacked}) == len(variants)
-
-    def test_per_program_inputs(self, variants):
-        lanes = [random_streams(["x"], 8, seed=70 + s)
-                 for s in range(len(variants))]
-        expected = [run_program(b, dict(streams))
-                    for b, streams in zip(variants, lanes)]
-        for engine in BATCH_ENGINES:
-            assert run_programs(variants, lanes, engine=engine) == expected
-
-    def test_mixed_structures_keep_program_order(self, variants,
-                                                 lms_program):
-        programs = [variants[0], lms_program, variants[1]]
-        lms_ports = sorted(set(lms_program.input_map.values()))
-        lanes = [random_streams(["x"], 8, seed=1),
-                 random_streams(lms_ports, 8, seed=2),
-                 random_streams(["x"], 8, seed=3)]
-        expected = [run_program(b, dict(streams))
-                    for b, streams in zip(programs, lanes)]
-        for engine in BATCH_ENGINES:
-            assert run_programs(programs, lanes, engine=engine) == expected
-
-    def test_empty_and_mismatched_inputs(self, variants):
-        assert run_programs([], {}) == []
-        with pytest.raises(SimulationError, match="stimulus dicts"):
-            run_programs(variants, [{"x": [1]}])
 
 
 class TestTelemetry:

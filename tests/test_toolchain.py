@@ -327,13 +327,14 @@ def test_public_api_surface():
     import repro.arch
     import repro.pipeline
 
-    assert repro.__version__ == "3.0.0"
+    assert repro.__version__ == "4.0.0"
     for module in (repro, repro.pipeline, repro.arch, repro.sim):
         for name in module.__all__:
             assert hasattr(module, name), f"{module.__name__}.{name}"
     rows = migration_rows()
-    assert len(rows) >= 13
+    assert len(rows) >= 18
     assert "repro.sim.CoreSimulator(program)" in rows
+    assert "repro.sim.DecodedPlan.structure_key()" in rows
     for row in rows:
         path, _, args = row.partition("(")
         head, *rest = path.split(".")
