@@ -267,6 +267,8 @@ CLASS_COUNT_GROWTH = {
     (2, 2, 2): (13, 11),
     (3, 3, 2): (15, 11),
     (4, 4, 2): (17, 11),
+    (5, 5, 2): (19, 11),
+    (6, 6, 2): (21, 11),
 }
 
 

@@ -23,7 +23,13 @@ from ..rtgen.program import RTProgram
 from ..rtgen.rt import RT
 from ..sched.regalloc import Allocation
 from ..sched.schedule import Schedule
-from .fields import CTRL_OPCODES, InstructionFormat, derive_format, opcode_table
+from .fields import (
+    CTRL_OPCODES,
+    Encoding,
+    InstructionFormat,
+    encoding,
+    opcode_table,
+)
 
 
 @dataclass
@@ -82,6 +88,7 @@ def assemble(
     allocation: Allocation,
     mode: str = "loop",
     repeat_count: int = 1,
+    tables: Encoding | None = None,
 ) -> EncodedProgram:
     """Encode a scheduled RT program into binary microcode.
 
@@ -91,6 +98,9 @@ def assemble(
     hardware loop (figure 4's stack) running ``repeat_count`` times per
     start signal — block processing: each traversal consumes/produces
     one sample per IO stream.
+
+    ``tables`` is ``encoding(program.core)``, derived here when not
+    given; the pipeline passes the one its toolchain holds for the core.
     """
     if mode not in ("loop", "once", "repeat"):
         raise EncodingError(f"unknown program mode {mode!r}")
@@ -102,8 +112,7 @@ def assemble(
                 "mode='repeat' needs a controller with a loop stack"
             )
     core = program.core
-    fmt = derive_format(core)
-    opcodes = opcode_table(core)
+    fmt, opcodes = tables if tables is not None else encoding(core)
     dp = core.datapath
 
     # Word 0 is the IDLE synchronisation word; repeat mode adds a LOOP

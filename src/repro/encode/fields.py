@@ -19,6 +19,7 @@ Field naming
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 from ..arch.controller import ControllerSpec, CtrlOp
 from ..arch.library import CoreSpec
@@ -148,3 +149,19 @@ def derive_format(core: CoreSpec) -> InstructionFormat:
         fields.append((f"{mux.register_file.name}.mux",
                        max(1, (len(mux.inputs) - 1).bit_length())))
     return InstructionFormat(fields)
+
+
+class Encoding(NamedTuple):
+    """What the assembler reads of a core: its word layout and opcodes.
+
+    Both are pure functions of the core, so a
+    :class:`~repro.toolchain.Toolchain` derives them once for all its
+    compiles (:func:`encoding`)."""
+
+    format: InstructionFormat
+    opcodes: dict[str, dict[str, int]]
+
+
+def encoding(core: CoreSpec) -> Encoding:
+    """:func:`derive_format` and :func:`opcode_table` of ``core``."""
+    return Encoding(derive_format(core), opcode_table(core))

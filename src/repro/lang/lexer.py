@@ -52,58 +52,53 @@ class Token:
         return self.kind is TokenKind.IDENT and self.text in KEYWORDS
 
 
+#: One match per token: the whitespace and comments before it (group 1,
+#: the only place a newline can occur), then the token itself, named
+#: after its :class:`TokenKind`.  ``EOF`` matches the end of the text and
+#: ``junk`` any other character, so every position matches.
 _TOKEN_RE = re.compile(
     r"""
-    (?P<ws>\s+)
-  | (?P<comment>/\*.*?\*/|\#[^\n]*)
-  | (?P<number>-?\d+\.\d+|-?\.\d+|-?\d+)
-  | (?P<ident>[A-Za-z_][A-Za-z0-9_]*)
-  | (?P<assign>:=)
-  | (?P<sym>[=@(){},;])
+    ((?:\s+|/\*.*?\*/|\#[^\n]*)*)
+    (?:
+        (?P<NUMBER>-?\d+\.\d+|-?\.\d+|-?\d+)
+      | (?P<IDENT>[A-Za-z_][A-Za-z0-9_]*)
+      | (?P<ASSIGN>:=)
+      | (?P<EQUALS>=) | (?P<AT>@) | (?P<LPAREN>\() | (?P<RPAREN>\))
+      | (?P<LBRACE>\{) | (?P<RBRACE>\}) | (?P<COMMA>,) | (?P<SEMI>;)
+      | (?P<EOF>\Z)
+      | (?P<junk>.)
+    )
     """,
     re.VERBOSE | re.DOTALL,
 )
 
-_SYMBOLS = {
-    "=": TokenKind.EQUALS,
-    "@": TokenKind.AT,
-    "(": TokenKind.LPAREN,
-    ")": TokenKind.RPAREN,
-    "{": TokenKind.LBRACE,
-    "}": TokenKind.RBRACE,
-    ",": TokenKind.COMMA,
-    ";": TokenKind.SEMI,
-}
+_KINDS = {kind.name: kind for kind in TokenKind}
 
 
 def tokenize(text: str) -> list[Token]:
     """Split ``text`` into tokens; raises :class:`SourceError` on junk."""
     tokens: list[Token] = []
-    position = 0
+    append = tokens.append
+    new = object.__new__
     line = 1
     line_start = 0
-    while position < len(text):
-        match = _TOKEN_RE.match(text, position)
-        if match is None:
-            column = position - line_start + 1
+    for match in _TOKEN_RE.finditer(text):
+        skipped = match[1]
+        if "\n" in skipped:
+            line += skipped.count("\n")
+            line_start = match.start() + skipped.rfind("\n") + 1
+        name = match.lastgroup
+        column = match.end(1) - line_start + 1
+        if name == "junk":
             raise SourceError(
-                f"unexpected character {text[position]!r}", line, column
+                f"unexpected character {match[name]!r}", line, column
             )
-        column = match.start() - line_start + 1
-        lexeme = match.group(0)
-        if match.lastgroup == "number":
-            tokens.append(Token(TokenKind.NUMBER, lexeme, line, column))
-        elif match.lastgroup == "ident":
-            tokens.append(Token(TokenKind.IDENT, lexeme, line, column))
-        elif match.lastgroup == "assign":
-            tokens.append(Token(TokenKind.ASSIGN, lexeme, line, column))
-        elif match.lastgroup == "sym":
-            tokens.append(Token(_SYMBOLS[lexeme], lexeme, line, column))
-        # whitespace and comments are skipped but tracked for line numbers
-        newlines = lexeme.count("\n")
-        if newlines:
-            line += newlines
-            line_start = match.start() + lexeme.rfind("\n") + 1
-        position = match.end()
-    tokens.append(Token(TokenKind.EOF, "", line, len(text) - line_start + 1))
+        # Built around the frozen dataclass's __init__, which costs a
+        # guarded setattr per field; the instance is the same.
+        token = new(Token)
+        token.__dict__.update(kind=_KINDS[name], text=match[name],
+                              line=line, column=column)
+        append(token)
+        if name == "EOF":
+            break
     return tokens

@@ -52,6 +52,10 @@ COUNTERS: dict[str, str] = {
                               "format/pipeline/schema skew",
     "diskcache.write_error": "on-disk stores abandoned (unwritable "
                              "directory, full disk)",
+    "diskcache.bytes_read": "envelope bytes the persistent tier read "
+                            "back (every entry found, usable or not)",
+    "diskcache.bytes_written": "envelope bytes the persistent tier "
+                               "published",
     "sched.list.attempts": "list-scheduler passes over the attempt "
                            "ladder (margins, restarts)",
     "sched.list.tightenings": "budget-minimization re-runs after a "

@@ -163,6 +163,11 @@ class CompileOptions:
     # ------------------------------------------------------------------
     # Value semantics
 
+    def __getstate__(self) -> dict[str, Any]:
+        state = dict(self.__dict__)
+        state.pop("_fingerprints", None)
+        return state
+
     def replace(self, **changes: Any) -> "CompileOptions":
         """A copy with ``changes`` applied (and re-validated)."""
         return dataclasses.replace(self, **changes)
@@ -212,8 +217,16 @@ class CompileOptions:
         changed budget invalidates scheduling but not the lowered
         prefix.  The digest is a SHA-256 over canonical JSON: equal
         options produce equal keys in any process on any machine.
+        Each subset is rendered once per options object (the memo is
+        not a field, so it stays out of equality, ``repr`` and pickles).
         """
-        names = names or SEMANTIC_FIELDS
+        memo = self.__dict__.setdefault("_fingerprints", {})
+        digest = memo.get(names)
+        if digest is None:
+            digest = memo[names] = self._digest(names or SEMANTIC_FIELDS)
+        return digest
+
+    def _digest(self, names: tuple[str, ...]) -> str:
         unknown = sorted(set(names) - set(SEMANTIC_FIELDS))
         if unknown:
             raise OptionsError(

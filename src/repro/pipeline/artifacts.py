@@ -20,13 +20,18 @@ from __future__ import annotations
 import hashlib
 import json
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Any
 
 from ..arch.library import CoreSpec
 from ..arch.merge import MergeSpec
 from ..arch.serialize import core_to_dict
+from ..core.instruction_set import InstructionSet
+from ..core.rtclass import ClassTable
+from ..encode.fields import Encoding, encoding
 from ..lang.dfg import Dfg
 from ..options import CompileOptions
+from ..rtgen.generator import RouteTable, route_table
 
 #: Bump when a stage's semantics change, so stale caches cannot serve
 #: artifacts computed by an older pipeline.
@@ -98,6 +103,52 @@ def core_fingerprint(core: CoreSpec) -> str:
     return fingerprint("core", core_to_dict(core))
 
 
+class BoundCore:
+    """What depends only on the core, derived once per binding.
+
+    A :class:`~repro.toolchain.Toolchain` binds its core to one of
+    these, and every compile through it (and through each ``replace()``
+    variant that keeps the core) reads the same lazily built values:
+    the content fingerprint the stage keys hash, the RT class table,
+    the instruction set, the lowering's route table and the assembler's
+    encoding tables.  The core must not be mutated once bound;
+    ``verify`` re-derives the fingerprint after each compile to catch
+    that.  The object lives as long as the toolchains that hold it, so
+    a dropped toolchain frees its core.
+    """
+
+    def __init__(self, core: CoreSpec):
+        self.core = core
+
+    @cached_property
+    def fingerprint(self) -> str:
+        """:func:`core_fingerprint` of the core (the stage keys' core
+        part); a toolchain without a cache never needs it."""
+        return core_fingerprint(self.core)
+
+    @cached_property
+    def class_table(self) -> ClassTable:
+        """The core's RT class table (rtgen annotates, impose covers)."""
+        return ClassTable.from_core(self.core)
+
+    @cached_property
+    def instruction_set(self) -> InstructionSet:
+        """The core's instruction set over :attr:`class_table`."""
+        return InstructionSet.from_desired(self.class_table.names,
+                                           self.core.instruction_types)
+
+    @cached_property
+    def routes(self) -> RouteTable:
+        """The lowering's route table (:func:`repro.rtgen.generator.route_table`)."""
+        return route_table(self.core)
+
+    @cached_property
+    def encoding(self) -> Encoding:
+        """The assembler's word layout and opcodes
+        (:func:`repro.encode.fields.encoding`)."""
+        return encoding(self.core)
+
+
 def merges_key(merges: MergeSpec | None) -> list:
     """Canonical, fingerprintable rendering of a merge spec."""
     if merges is None or merges.is_empty:
@@ -124,6 +175,14 @@ class CompileRequest:
     options: CompileOptions = field(default_factory=CompileOptions)
     io_binding: dict[str, str] | None = None
     merges: MergeSpec | None = None
+    #: the core's per-core values; a request built without one (or with
+    #: one bound to another core) binds ``core`` afresh
+    bound: BoundCore | None = field(default=None, repr=False,
+                                    compare=False)
+
+    def __post_init__(self) -> None:
+        if self.bound is None or self.bound.core is not self.core:
+            object.__setattr__(self, "bound", BoundCore(self.core))
 
 
 @dataclass
@@ -147,7 +206,6 @@ class CompileState:
     cache_hits: dict[str, bool] = field(default_factory=dict)
     #: stage name -> "memory" | "disk", for stages restored from cache
     cache_sources: dict[str, str] = field(default_factory=dict)
-    _core_fp: str | None = field(default=None, repr=False)
     _source_fp: str | None = field(default=None, repr=False)
 
     def __getattr__(self, name: str) -> Any:
@@ -172,10 +230,8 @@ class CompileState:
         return counts
 
     def core_fp(self) -> str:
-        """Memoized core fingerprint (several stages key on it)."""
-        if self._core_fp is None:
-            self._core_fp = core_fingerprint(self.request.core)
-        return self._core_fp
+        """The bound core's fingerprint (several stages key on it)."""
+        return self.request.bound.fingerprint
 
     def source_fp(self) -> str:
         """Memoized fingerprint of the parsed graph (the parse and

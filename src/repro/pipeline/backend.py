@@ -140,6 +140,7 @@ class MemoryBackend:
             obs.count("diskcache.miss")
             return None
         blob, _ = entry
+        obs.count("diskcache.bytes_read", len(blob))
         try:
             obj = deserialize(blob, schema)
         except CacheVersionError:
@@ -182,7 +183,9 @@ class MemoryBackend:
             self._bytes += len(blob)
             self.stats.stores += 1
             over = self._bytes > self.max_bytes
-        current_telemetry().count("diskcache.store")
+        obs = current_telemetry()
+        obs.count("diskcache.store")
+        obs.count("diskcache.bytes_written", len(blob))
         if over:
             self.gc(self.max_bytes)
 

@@ -314,6 +314,7 @@ class DiskCache:
                 self.stats.misses += 1
             obs.count("diskcache.miss")
             return None
+        obs.count("diskcache.bytes_read", len(blob))
         try:
             obj = deserialize(blob, schema)
         except CacheVersionError:
@@ -401,7 +402,9 @@ class DiskCache:
                 total += len(blob) - old_size
             _SIZE_ESTIMATES[self._store] = total
         over_bound = total > self.max_bytes
-        current_telemetry().count("diskcache.store")
+        obs = current_telemetry()
+        obs.count("diskcache.store")
+        obs.count("diskcache.bytes_written", len(blob))
         if over_bound:
             self.gc()
 

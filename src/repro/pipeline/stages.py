@@ -33,9 +33,7 @@ import dataclasses
 from collections import Counter
 
 from ..core.artificial import impose_instruction_set
-from ..core.instruction_set import InstructionSet
 from ..core.merge import apply_merges, merged_register_file_sizes
-from ..core.rtclass import ClassTable
 from ..encode.assembler import assemble
 from ..lang.parser import parse_source
 from ..obs import current_telemetry
@@ -197,13 +195,14 @@ class RtGenStage(Stage):
 
     def run(self, state: CompileState) -> None:
         request = state.request
+        bound = request.bound
         program = generate_rts(state.artifacts["dfg"], request.core,
-                               request.io_binding)
+                               request.io_binding, bound.routes)
         # Annotated here, while the RTs are this stage's own: impose
         # reads the classes and must not write into an earlier stage's
         # artifact.  RTs no class covers stay unannotated, so impose
         # still raises for them.
-        table = ClassTable.from_core(request.core)
+        table = bound.class_table
         for rt in program.rts:
             rt.rt_class = table.class_name(rt)
         state.artifacts["base_program"] = program
@@ -253,14 +252,10 @@ class ImposeStage(ChainedStage):
 
     def run(self, state: CompileState) -> None:
         request = state.request
-        core = request.core
+        bound = request.bound
         program = state.artifacts["program"]
-        table = ClassTable.from_core(core)
-        instruction_set = InstructionSet.from_desired(
-            table.names, core.instruction_types
-        )
         model = impose_instruction_set(
-            program.rts, table, instruction_set,
+            program.rts, bound.class_table, bound.instruction_set,
             cover_algorithm=request.options.cover,
         )
         state.artifacts["program"] = dataclasses.replace(program,
@@ -318,6 +313,7 @@ class AssembleStage(ChainedStage):
 
     def run(self, state: CompileState) -> None:
         options = state.request.options
+        tables = state.request.bound.encoding
         a = state.artifacts
         schedule = a["schedule"]
         if a["merged"]:
@@ -334,11 +330,13 @@ class AssembleStage(ChainedStage):
                                                    encode_schedule)
             a["binary"] = assemble(base_program, encode_schedule,
                                    encode_allocation, mode=options.mode,
-                                   repeat_count=options.repeat)
+                                   repeat_count=options.repeat,
+                                   tables=tables)
         else:
             a["binary"] = assemble(a["program"], schedule, a["allocation"],
                                    mode=options.mode,
-                                   repeat_count=options.repeat)
+                                   repeat_count=options.repeat,
+                                   tables=tables)
 
 
 #: The canonical stage chain, in execution order.

@@ -87,7 +87,7 @@ class _Sink(NamedTuple):
 
 
 class _Wiring(NamedTuple):
-    """One OPU's connections as resource names, resolved once per compile."""
+    """One OPU's connections as resource names, resolved once per core."""
 
     buffer: str                      # output buffer
     bus: str | None                  # bus it drives
@@ -113,18 +113,34 @@ def _wiring(dp: Datapath, opu: Opu) -> _Wiring:
     return _Wiring(opu.buffer_name, bus, sinks, reads)
 
 
+class RouteTable(NamedTuple):
+    """A core's wiring as resource names: what lowering looks up instead
+    of re-deriving routes per use.  It depends on the core alone, so a
+    :class:`~repro.toolchain.Toolchain` builds it once for all its
+    compiles (:func:`route_table`)."""
+
+    wiring: dict[str, _Wiring]      # OPU name -> its connections
+    copiers: list[Opu]              # pass-capable OPUs, for routing hops
+
+
+def route_table(core: CoreSpec) -> RouteTable:
+    """Resolve every OPU's routes and resource names on ``core``."""
+    dp = core.datapath
+    return RouteTable(
+        {name: _wiring(dp, opu) for name, opu in dp.opus.items()},
+        dp.opus_supporting("pass"),
+    )
+
+
 class _Generator:
     def __init__(self, dfg: Dfg, core: CoreSpec, binding: Binding,
-                 live: set[int]):
+                 live: set[int], routes: RouteTable):
         self.dfg = dfg
         self.core = core
         self.dp: Datapath = core.datapath
         self.binding = binding
-        # The core's wiring is fixed for the compile: every route and
-        # resource name is looked up here instead of re-derived per use.
-        self.wiring = {name: _wiring(self.dp, opu)
-                       for name, opu in self.dp.opus.items()}
-        self.copiers = self.dp.opus_supporting("pass")
+        self.wiring = routes.wiring
+        self.copiers = routes.copiers
         # Equal resource uses are one object per compile (they are
         # frozen), so the RT snapshot pickles each distinct use once.
         self._uses: dict[tuple[str, str, int], ResourceUse] = {}
@@ -609,12 +625,18 @@ def generate_rts(
     dfg: Dfg,
     core: CoreSpec,
     io_binding: dict[str, str] | None = None,
+    routes: RouteTable | None = None,
 ) -> RTProgram:
-    """Lower ``dfg`` onto ``core``; the main entry point of this package."""
+    """Lower ``dfg`` onto ``core``; the main entry point of this package.
+
+    ``routes`` is ``route_table(core)``, built here when not given; the
+    pipeline passes the one its toolchain holds for the core."""
     dfg.validate()
     live = live_nodes(dfg)
     binding = bind(dfg, core, io_binding, live)
-    generator = _Generator(dfg, core, binding, live)
+    if routes is None:
+        routes = route_table(core)
+    generator = _Generator(dfg, core, binding, live, routes)
     generator.plan()
     generator.emit()
     return RTProgram(

@@ -32,11 +32,16 @@ from typing import Any, Iterable, Sequence
 from .arch.library import CoreSpec
 from .arch.merge import MergeSpec
 from .arch.registry import resolve_core
-from .errors import ReproError
+from .errors import ReproError, VerificationError
 from .lang.dfg import Dfg
 from .obs import Telemetry, current_telemetry, use_telemetry
 from .options import CompileOptions
-from .pipeline.artifacts import CompileRequest, CompileState
+from .pipeline.artifacts import (
+    BoundCore,
+    CompileRequest,
+    CompileState,
+    core_fingerprint,
+)
 from .pipeline.backend import open_backend
 from .pipeline.program import CompiledProgram
 from .pipeline.session import (
@@ -59,7 +64,12 @@ class Toolchain:
         The target: a :class:`CoreSpec`, a registered core name
         (``"audio"``, ``"fir"``, ... — see
         :func:`repro.arch.registry.list_cores`) or a path to a JSON
-        core description.
+        core description.  The core is *bound*: what depends only on
+        it (its fingerprint and the tables the stages read, see
+        :class:`~repro.pipeline.artifacts.BoundCore`) is derived once
+        for every compile of this toolchain and of its ``replace()``
+        variants that keep it, so it must not be mutated afterwards
+        (``verify`` other than ``off`` checks).
     options:
         The compile knobs; defaults to ``CompileOptions()``.  Extra
         keyword arguments are option-field overrides, so
@@ -91,6 +101,7 @@ class Toolchain:
         if option_fields:
             options = options.replace(**option_fields)
         self.core: CoreSpec = resolve_core(core)
+        self.bound = BoundCore(self.core)
         self.options: CompileOptions = options
         self.cache: StageCache | None = (
             self._default_cache() if isinstance(cache, _DefaultCache)
@@ -139,7 +150,11 @@ class Toolchain:
         new placement — sharing the old one would silently ignore the
         change.  A ``cache=None`` toolchain stays uncached regardless:
         the user opted out of caching entirely, and placement fields
-        have nothing to place."""
+        have nothing to place.
+
+        A variant that keeps the core shares this one's binding of it
+        (:class:`~repro.pipeline.artifacts.BoundCore`); a new core is
+        bound afresh."""
         new_options = options if options is not None else self.options
         if option_fields:
             new_options = new_options.replace(**option_fields)
@@ -150,8 +165,11 @@ class Toolchain:
             )
             if self.cache is None or not placement_changed:
                 cache = self.cache
-        return Toolchain(self.core if core is None else core, new_options,
-                         cache=cache, telemetry=self.telemetry)
+        variant = Toolchain(self.core if core is None else core, new_options,
+                            cache=cache, telemetry=self.telemetry)
+        if variant.core is self.core:
+            variant.bound = self.bound
+        return variant
 
     # ------------------------------------------------------------------
     # The engine: the stage-chain driver
@@ -174,7 +192,7 @@ class Toolchain:
         """
         request = CompileRequest(
             application=application, core=self.core, options=self.options,
-            io_binding=io_binding, merges=merges,
+            io_binding=io_binding, merges=merges, bound=self.bound,
         )
         state = CompileState(request=request)
         stages = list(self.stages)
@@ -194,7 +212,20 @@ class Toolchain:
                     self._verify_boundary(stage.name, state, obs)
             else:
                 self._run_cached(stages, state, obs)
+        if self.options.verify != "off":
+            self._verify_binding()
         return state
+
+    def _verify_binding(self) -> None:
+        """Raise :class:`VerificationError` when the bound core was
+        mutated: the per-core values this toolchain derived (and the
+        cache keys it hashed) would describe a core that no longer
+        exists."""
+        if core_fingerprint(self.core) != self.bound.fingerprint:
+            raise VerificationError(
+                f"core {self.core.name!r} changed after it was bound to "
+                f"this toolchain; a bound core must not be mutated (build "
+                f"a new Toolchain, or replace(core=...), for a new core)")
 
     def _run_cached(self, stages: list[Stage], state: CompileState,
                     obs: Telemetry) -> None:

@@ -196,6 +196,52 @@ class TestMemoryBackend:
             len(blob) for blob, _ in backend._entries.values())
 
 
+class TestByteCounters:
+    def test_memory_compile_writes_its_envelopes_and_reads_them_back(
+            self, monkeypatch):
+        backend = MemoryBackend()
+        telemetry = Telemetry()
+        with use_telemetry(telemetry):
+            Toolchain(audio_core(), cache=StageCache(disk=backend),
+                      budget=64).compile(SOURCE)
+        envelopes = sum(len(blob) for blob, _ in backend._entries.values())
+        assert telemetry.counters["diskcache.store"] == len(backend) == 8
+        assert telemetry.counters["diskcache.bytes_written"] == envelopes
+        assert telemetry.counters["diskcache.bytes_read"] == 0
+
+        read: list[int] = []
+        get = backend.get
+
+        def recording_get(key, schema=None):
+            read.append(len(backend._entries[key][0]))
+            return get(key, schema)
+
+        monkeypatch.setattr(backend, "get", recording_get)
+        warm = Telemetry()
+        with use_telemetry(warm):
+            Toolchain(audio_core(), cache=StageCache(disk=backend),
+                      budget=64).compile(SOURCE)
+        assert warm.counters["diskcache.hit"] == len(read) == 3
+        assert warm.counters["diskcache.bytes_read"] == sum(read)
+        assert warm.counters["diskcache.bytes_written"] == 0
+
+    def test_disk_counts_bytes_like_memory(self, tmp_path):
+        disk, memory = DiskCache(tmp_path), MemoryBackend()
+        counts = {}
+        for backend in (disk, memory):
+            telemetry = Telemetry()
+            with use_telemetry(telemetry):
+                backend.put("k", {"pad": "x" * 500})
+                backend.get("k")
+                backend.get("absent")
+            counts[type(backend).__name__] = (
+                telemetry.counters["diskcache.bytes_written"],
+                telemetry.counters["diskcache.bytes_read"])
+        size = disk.path_for("k").stat().st_size
+        assert counts == {"DiskCache": (size, size),
+                          "MemoryBackend": (size, size)}
+
+
 class TestGc:
     def test_gc_to_zero_empties_the_store(self):
         backend = MemoryBackend()
