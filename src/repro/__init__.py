@@ -109,7 +109,7 @@ from .serve import (
 from .sim import run_batch, run_program
 from .toolchain import Toolchain
 
-__version__ = "4.0.0"
+__version__ = "5.0.0"
 
 __all__ = [
     "Allocation",

@@ -292,12 +292,6 @@ def _check_bus_maturity(plan, cfg: ProgramCfg) -> list[Finding]:
     return findings
 
 
-def _cells(plan) -> frozenset:
-    return frozenset(
-        (rf, reg) for rf, size in plan.rf_sizes.items()
-        for reg in range(size))
-
-
 def _word_uses(word) -> set[tuple[str, int]]:
     return {(src, addr) for op in word.ops
             for is_register, src, addr in op.operands if is_register}

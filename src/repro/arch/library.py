@@ -63,12 +63,6 @@ class CoreSpec:
             raise ArchitectureError(
                 "datapath style violations:\n  - " + "\n  - ".join(errors))
 
-    def class_def(self, name: str) -> ClassDef:
-        for cd in self.class_defs:
-            if cd.name == name:
-                return cd
-        raise KeyError(f"core {self.name!r} has no RT class {name!r}")
-
 
 # ---------------------------------------------------------------------------
 # The audio core of figure 8

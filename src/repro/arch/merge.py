@@ -115,10 +115,3 @@ class MergeSpec:
             for part in merge.parts:
                 mapping[part] = merge.name
         return mapping
-
-    def merged_capacity(self, dp: Datapath, merged_name: str) -> int:
-        """Register capacity of a merged file (sum of the parts)."""
-        for merge in self.register_file_merges:
-            if merge.name == merged_name:
-                return sum(dp.register_files[p].size for p in merge.parts)
-        raise ArchitectureError(f"unknown merged register file {merged_name!r}")

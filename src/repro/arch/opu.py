@@ -172,59 +172,6 @@ class Opu:
         return f"Opu({self.name}, {self.kind.value}, ops={sorted(self.operations)})"
 
 
-# Catalogue of standard operations --------------------------------------------
-#
-# These are the operations used by the library cores; applications may
-# define additional ASU operations freely.
-
-def standard_alu_operations(clip: bool = True) -> list[Operation]:
-    """ALU operation set of the audio core (classes H, I, J, K)."""
-    ops = [
-        Operation("add", arity=2, commutative=True),
-        Operation("sub", arity=2),
-        Operation("pass", arity=1),
-    ]
-    if clip:
-        ops.append(Operation("add_clip", arity=2, commutative=True))
-        ops.append(Operation("pass_clip", arity=1))
-    return ops
-
-
-def standard_mult_operations(latency: int = 1) -> list[Operation]:
-    """Multiplier operation set (class G)."""
-    return [
-        Operation(
-            "mult",
-            arity=2,
-            commutative=True,
-            latency=latency,
-            initiation_interval=1,
-        )
-    ]
-
-
-def standard_ram_operations() -> list[Operation]:
-    """RAM read/write (classes E, F): port 0 = address, port 1 = data."""
-    return [
-        Operation("read", arity=1, reads_memory=True),
-        Operation("write", arity=2, writes_memory=True),
-    ]
-
-
-def standard_rom_operations() -> list[Operation]:
-    """ROM constant fetch (class L): port 0 = address."""
-    return [Operation("const", arity=1, reads_memory=True)]
-
-
-def standard_acu_operations() -> list[Operation]:
-    """Address computation (class D and friends, figure 5)."""
-    return [
-        Operation("addmod", arity=2),
-        Operation("add", arity=2),
-        Operation("inca", arity=1),
-    ]
-
-
 def standard_shift_operations(max_shift: int = 4) -> list[Operation]:
     """Step shifter: one unary arithmetic-shift-right operation per
     distance (``asr1`` .. ``asr<max_shift>``), the distance encoded in
@@ -233,18 +180,3 @@ def standard_shift_operations(max_shift: int = 4) -> list[Operation]:
     if max_shift < 1:
         raise ArchitectureError("shifter needs at least distance 1")
     return [Operation(f"asr{k}", arity=1) for k in range(1, max_shift + 1)]
-
-
-def standard_const_operations() -> list[Operation]:
-    """Program constant generator PRG_C (class M)."""
-    return [Operation("const", arity=1)]
-
-
-def standard_input_operations() -> list[Operation]:
-    """Input port block, e.g. IPB (class A)."""
-    return [Operation("read", arity=0)]
-
-
-def standard_output_operations() -> list[Operation]:
-    """Output port block, e.g. OPB_1 / OPB_2 (classes B, C)."""
-    return [Operation("write", arity=1)]

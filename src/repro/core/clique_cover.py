@@ -78,8 +78,13 @@ def greedy_cover(graph: ConflictGraph) -> list[frozenset[str]]:
     return sorted(cliques, key=sorted)
 
 
-def _maximal_cliques(graph: ConflictGraph) -> list[frozenset[str]]:
-    """Bron-Kerbosch with pivoting; only cliques of size >= 2 matter."""
+def _maximal_cliques(graph: ConflictGraph,
+                     limit: int) -> list[frozenset[str]]:
+    """Bron-Kerbosch with pivoting; only cliques of size >= 2 matter.
+
+    Stops once ``limit`` cliques are found, so a caller that gives up
+    above a budget never pays for enumerating the rest.
+    """
     cliques: list[frozenset[str]] = []
 
     def expand(current: set[str], candidates: set[str], excluded: set[str]) -> None:
@@ -90,6 +95,8 @@ def _maximal_cliques(graph: ConflictGraph) -> list[frozenset[str]]:
         pivot_pool = candidates | excluded
         pivot = max(pivot_pool, key=lambda n: len(graph.neighbours(n) & candidates))
         for node in sorted(candidates - graph.neighbours(pivot)):
+            if len(cliques) >= limit:
+                return
             expand(
                 current | {node},
                 candidates & graph.neighbours(node),
@@ -109,11 +116,12 @@ def exact_cover(
 
     Falls back to the greedy cover when the graph has more maximal
     cliques than ``max_candidates`` (the instruction sets of real cores
-    stay far below this).
+    stay far below this).  The clique enumeration stops at the first
+    clique over that budget.
     """
     if not graph.edges:
         return []
-    candidates = _maximal_cliques(graph)
+    candidates = _maximal_cliques(graph, max_candidates + 1)
     if len(candidates) > max_candidates:
         return greedy_cover(graph)
     edges_of = {c: frozenset(graph.subgraph_edges(set(c))) for c in candidates}

@@ -30,9 +30,6 @@ class RTClass:
     opu: str
     usages: frozenset[str]
 
-    def matches(self, rt: RT) -> bool:
-        return rt.opu == self.opu and rt.operation in self.usages
-
     def pretty_usages(self) -> str:
         if len(self.usages) == 1:
             return next(iter(self.usages))

@@ -83,9 +83,6 @@ class FixedFormat:
     def sub(self, a: int, b: int) -> int:
         return self.wrap(a - b)
 
-    def sub_clip(self, a: int, b: int) -> int:
-        return self.clip(a - b)
-
     def mult(self, a: int, b: int) -> int:
         return self.wrap((a * b) >> self.frac_bits)
 

@@ -1,44 +1,24 @@
 """Application frontend: source language, data-flow IR and reference
 interpreter for time-loop DSP applications (paper, section 7)."""
 
-from .ast import (
-    CallExpr,
-    CommitAssign,
-    DelayExpr,
-    LocalAssign,
-    NameExpr,
-    ParamDecl,
-    Program,
-    StateDecl,
-)
 from .builder import DfgBuilder, Ref, StateRef
 from .dfg import Dfg, Node, NodeKind, StateSpec
 from .emit import emit_source
 from .lexer import Token, TokenKind, tokenize
-from .parser import lower, parse, parse_source
+from .parser import parse_source
 from .reference import run_reference
 
 __all__ = [
-    "CallExpr",
-    "CommitAssign",
-    "DelayExpr",
     "Dfg",
     "DfgBuilder",
-    "LocalAssign",
-    "NameExpr",
     "Node",
     "NodeKind",
-    "ParamDecl",
-    "Program",
     "Ref",
-    "StateDecl",
     "StateRef",
     "StateSpec",
     "Token",
     "TokenKind",
     "emit_source",
-    "lower",
-    "parse",
     "parse_source",
     "run_reference",
     "tokenize",

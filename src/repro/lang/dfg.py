@@ -39,9 +39,13 @@ class NodeKind(enum.Enum):
     STATE_WRITE = "state_write"
 
 
-@dataclass
+@dataclass(frozen=True)
 class Node:
-    """One DFG node.  ``args`` are node ids of the consumed values."""
+    """One DFG node.  ``args`` are node ids of the consumed values.
+
+    Frozen: an optimizer pass hands the nodes it leaves alone to the
+    graph it returns, so one node can belong to several graphs.
+    """
 
     id: int
     kind: NodeKind
@@ -76,7 +80,7 @@ class Dfg:
     states: dict[str, StateSpec]
     #: Lazily-built consumer index (node id -> consuming nodes).  Keyed
     #: on the node-list length so append/remove rebuilds automatically;
-    #: same-length in-place edits must call :meth:`invalidate_consumers`.
+    #: replacing a node in place must call :meth:`invalidate_consumers`.
     _consumer_cache: dict[int, tuple[Node, ...]] | None = field(
         default=None, init=False, repr=False, compare=False)
     _consumer_cache_len: int = field(
@@ -121,7 +125,7 @@ class Dfg:
         return state
 
     def invalidate_consumers(self) -> None:
-        """Drop the cached consumer index after in-place node edits."""
+        """Drop the cached consumer index after nodes were replaced in place."""
         self._consumer_cache = None
         self._consumer_cache_len = -1
 

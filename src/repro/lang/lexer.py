@@ -37,19 +37,12 @@ class TokenKind(enum.Enum):
     EOF = "eof"
 
 
-KEYWORDS = {"app", "param", "input", "output", "state", "loop"}
-
-
 @dataclass(frozen=True)
 class Token:
     kind: TokenKind
     text: str
     line: int
     column: int
-
-    @property
-    def is_keyword(self) -> bool:
-        return self.kind is TokenKind.IDENT and self.text in KEYWORDS
 
 
 #: One match per token: the whitespace and comments before it (group 1,

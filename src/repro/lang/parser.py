@@ -1,9 +1,9 @@
-"""Recursive-descent parser and semantic lowering to the DFG.
+"""Recursive-descent parser that builds the DFG while it parses.
 
-:func:`parse` produces the :class:`~repro.lang.ast.Program`;
-:func:`lower` resolves names and emits a validated
-:class:`~repro.lang.dfg.Dfg` through the builder; :func:`parse_source`
-does both.
+:func:`parse_source` is the one entry point: it resolves every name as
+it is read and emits nodes through the
+:class:`~repro.lang.builder.DfgBuilder`, so source text becomes a
+validated :class:`~repro.lang.dfg.Dfg` with no tree in between.
 
 Name resolution rules (matching the paper's programming style):
 
@@ -14,27 +14,22 @@ Name resolution rules (matching the paper's programming style):
   writes an *output port*.
 * A bare name refers to, in priority order: the latest local binding,
   a parameter, or an input port (one read per iteration, shared by all
-  references).
+  references, emitted at the first use).
 * ``s@k`` reads a declared state at delay ``k >= 1``.
 * ``mlt`` is accepted as an alias for ``mult`` (the paper uses both
   spellings: ``mlt`` in source, MULT for the unit).
+
+The first fault the parser meets is reported.  Declarations are
+collected and applied when ``loop`` is reached (parameters first, then
+states), the body is checked statement by statement, and a commit's
+target is checked after its expression.  Whole-graph checks (delay
+windows, states read but never written) run once the closing brace has
+been parsed.
 """
 
 from __future__ import annotations
 
 from ..errors import SemanticError, SourceError
-from .ast import (
-    CallExpr,
-    CommitAssign,
-    DelayExpr,
-    Expr,
-    LocalAssign,
-    NameExpr,
-    ParamDecl,
-    Program,
-    StateDecl,
-    Statement,
-)
 from .builder import DfgBuilder, Ref, StateRef
 from .dfg import Dfg
 from .lexer import Token, TokenKind, tokenize
@@ -47,6 +42,13 @@ class _Parser:
     def __init__(self, tokens: list[Token]):
         self.tokens = tokens
         self.position = 0
+        self.builder: DfgBuilder | None = None
+        self.params: dict[str, Ref] = {}
+        self.states: dict[str, StateRef] = {}
+        self.inputs: list[str] = []
+        self.outputs: list[str] = []
+        self.locals: dict[str, Ref] = {}
+        self.input_reads: dict[str, Ref] = {}
 
     # -- token plumbing ---------------------------------------------------
 
@@ -84,22 +86,31 @@ class _Parser:
     def at_keyword(self, keyword: str) -> bool:
         return self.current.kind is TokenKind.IDENT and self.current.text == keyword
 
+    def skip_comma(self) -> bool:
+        """Consume a ``,`` if one is next; whether one was."""
+        if self.current.kind is TokenKind.COMMA:
+            self.advance()
+            return True
+        return False
+
     # -- grammar ----------------------------------------------------------
 
-    def parse_program(self) -> Program:
+    def parse_program(self) -> Dfg:
         self.expect_keyword("app")
-        name = self.expect(TokenKind.IDENT, "application name").text
+        builder = self.builder = DfgBuilder(
+            self.expect(TokenKind.IDENT, "application name").text)
         self.expect(TokenKind.SEMI)
-        program = Program(name)
+        params: list[tuple[str, float]] = []
+        states: list[tuple[str, int]] = []
         while not self.at_keyword("loop"):
             if self.at_keyword("param"):
-                self._parse_params(program)
+                self._parse_params(params)
             elif self.at_keyword("input"):
-                self._parse_ports(program.inputs, "input")
+                self._parse_ports(self.inputs, "input")
             elif self.at_keyword("output"):
-                self._parse_ports(program.outputs, "output")
+                self._parse_ports(self.outputs, "output")
             elif self.at_keyword("state"):
-                self._parse_states(program)
+                self._parse_states(states)
             else:
                 token = self.current
                 raise SourceError(
@@ -108,176 +119,132 @@ class _Parser:
                     token.column,
                 )
         self.expect_keyword("loop")
+        for name, value in params:
+            self.params[name] = builder.param(name, value)
+        for name, depth in states:
+            self.states[name] = builder.state(name, depth)
         self.expect(TokenKind.LBRACE)
         while self.current.kind is not TokenKind.RBRACE:
-            program.body.append(self._parse_statement())
+            self._parse_statement()
         self.expect(TokenKind.RBRACE)
         self.expect(TokenKind.EOF, "end of file")
-        return program
+        return builder.build()
 
-    def _parse_params(self, program: Program) -> None:
+    def _parse_params(self, params: list[tuple[str, float]]) -> None:
         self.expect_keyword("param")
         while True:
-            name_token = self.expect(TokenKind.IDENT, "parameter name")
+            name = self.expect(TokenKind.IDENT, "parameter name").text
             self.expect(TokenKind.EQUALS)
-            value_token = self.expect(TokenKind.NUMBER, "parameter value")
-            program.params.append(
-                ParamDecl(name_token.text, float(value_token.text), name_token.line)
-            )
-            if self.current.kind is TokenKind.COMMA:
-                self.advance()
-                continue
-            break
+            value = self.expect(TokenKind.NUMBER, "parameter value").text
+            params.append((name, float(value)))
+            if not self.skip_comma():
+                break
         self.expect(TokenKind.SEMI)
 
     def _parse_ports(self, ports: list[str], which: str) -> None:
         self.expect_keyword(which)
         while True:
             ports.append(self.expect(TokenKind.IDENT, f"{which} port name").text)
-            if self.current.kind is TokenKind.COMMA:
-                self.advance()
-                continue
-            break
+            if not self.skip_comma():
+                break
         self.expect(TokenKind.SEMI)
 
-    def _parse_states(self, program: Program) -> None:
+    def _parse_states(self, states: list[tuple[str, int]]) -> None:
         self.expect_keyword("state")
         while True:
-            name_token = self.expect(TokenKind.IDENT, "state name")
+            name = self.expect(TokenKind.IDENT, "state name").text
             self.expect(TokenKind.LPAREN)
-            depth_token = self.expect(TokenKind.NUMBER, "state depth")
-            try:
-                depth = int(depth_token.text)
-            except ValueError:
-                raise SourceError(
-                    "state depth must be an integer",
-                    depth_token.line,
-                    depth_token.column,
-                ) from None
+            depth = self._integer("state depth", "state depth must be an integer")
             self.expect(TokenKind.RPAREN)
-            program.states.append(StateDecl(name_token.text, depth, name_token.line))
-            if self.current.kind is TokenKind.COMMA:
-                self.advance()
-                continue
-            break
+            states.append((name, depth))
+            if not self.skip_comma():
+                break
         self.expect(TokenKind.SEMI)
 
-    def _parse_statement(self) -> Statement:
+    def _integer(self, what: str, message: str) -> int:
+        token = self.expect(TokenKind.NUMBER, what)
+        try:
+            return int(token.text)
+        except ValueError:
+            raise SourceError(message, token.line, token.column) from None
+
+    def _parse_statement(self) -> None:
         name_token = self.expect(TokenKind.IDENT, "signal name")
-        if self.current.kind is TokenKind.ASSIGN:
+        name = name_token.text
+        kind = self.current.kind
+        if kind is TokenKind.ASSIGN:
             self.advance()
-            expr = self._parse_expr()
+            if name in self.states or name in self.outputs:
+                raise SemanticError(
+                    f"{name!r} is a state/output; use '=' to commit it",
+                    name_token.line,
+                )
+            self.locals[name] = self._parse_expr()
             self.expect(TokenKind.SEMI)
-            return LocalAssign(name_token.line, name_token.text, expr)
-        if self.current.kind is TokenKind.EQUALS:
+            return
+        if kind is TokenKind.EQUALS:
             self.advance()
-            expr = self._parse_expr()
+            value = self._parse_expr()
+            if name in self.states:
+                self.builder.write(self.states[name], value)
+            elif name in self.outputs:
+                self.builder.output(name, value)
+            else:
+                raise SemanticError(
+                    f"{name!r} is neither a state nor an output "
+                    f"port; use ':=' for local signals",
+                    name_token.line,
+                )
             self.expect(TokenKind.SEMI)
-            return CommitAssign(name_token.line, name_token.text, expr)
+            return
         token = self.current
         raise SourceError(
-            f"expected ':=' or '=' after {name_token.text!r}",
+            f"expected ':=' or '=' after {name!r}",
             token.line,
             token.column,
         )
 
-    def _parse_expr(self) -> Expr:
+    def _parse_expr(self) -> Ref:
         name_token = self.expect(TokenKind.IDENT, "expression")
-        if self.current.kind is TokenKind.LPAREN:
+        name = name_token.text
+        kind = self.current.kind
+        if kind is TokenKind.LPAREN:
             self.advance()
-            args: list[Expr] = [self._parse_expr()]
-            while self.current.kind is TokenKind.COMMA:
-                self.advance()
+            args = [self._parse_expr()]
+            while self.skip_comma():
                 args.append(self._parse_expr())
             self.expect(TokenKind.RPAREN)
-            operation = OPERATION_ALIASES.get(name_token.text, name_token.text)
-            return CallExpr(name_token.line, operation, tuple(args))
-        if self.current.kind is TokenKind.AT:
+            return self.builder.op(OPERATION_ALIASES.get(name, name), *args)
+        if kind is TokenKind.AT:
             self.advance()
-            delay_token = self.expect(TokenKind.NUMBER, "delay count")
-            try:
-                delay = int(delay_token.text)
-            except ValueError:
-                raise SourceError(
-                    "delay must be an integer",
-                    delay_token.line,
-                    delay_token.column,
-                ) from None
-            return DelayExpr(name_token.line, name_token.text, delay)
-        return NameExpr(name_token.line, name_token.text)
-
-
-def parse(text: str) -> Program:
-    """Parse source text into a :class:`Program` (syntax only)."""
-    return _Parser(tokenize(text)).parse_program()
-
-
-def lower(program: Program) -> Dfg:
-    """Resolve names and lower a parsed program to a validated DFG."""
-    builder = DfgBuilder(program.name)
-    params: dict[str, Ref] = {}
-    for decl in program.params:
-        params[decl.name] = builder.param(decl.name, decl.value)
-    states: dict[str, StateRef] = {}
-    for decl in program.states:
-        states[decl.name] = builder.state(decl.name, decl.depth)
-    locals_: dict[str, Ref] = {}
-    input_reads: dict[str, Ref] = {}
-
-    def resolve(expr: Expr) -> Ref:
-        if isinstance(expr, NameExpr):
-            if expr.name in locals_:
-                return locals_[expr.name]
-            if expr.name in params:
-                return params[expr.name]
-            if expr.name in program.inputs:
-                if expr.name not in input_reads:
-                    input_reads[expr.name] = builder.input(expr.name)
-                return input_reads[expr.name]
-            if expr.name in states:
+            delay = self._integer("delay count", "delay must be an integer")
+            state = self.states.get(name)
+            if state is None:
                 raise SemanticError(
-                    f"state {expr.name!r} must be read with a delay "
-                    f"(use {expr.name}@1)",
-                    expr.line,
+                    f"delay of undeclared state {name!r}", name_token.line
                 )
-            raise SemanticError(f"unknown name {expr.name!r}", expr.line)
-        if isinstance(expr, DelayExpr):
-            if expr.state in states:
-                return builder.delay(states[expr.state], expr.delay)
+            return self.builder.delay(state, delay)
+        return self._resolve(name, name_token.line)
+
+    def _resolve(self, name: str, line: int) -> Ref:
+        """The value a bare name refers to (see the module docstring)."""
+        if name in self.locals:
+            return self.locals[name]
+        if name in self.params:
+            return self.params[name]
+        if name in self.inputs:
+            ref = self.input_reads.get(name)
+            if ref is None:
+                ref = self.input_reads[name] = self.builder.input(name)
+            return ref
+        if name in self.states:
             raise SemanticError(
-                f"delay of undeclared state {expr.state!r}", expr.line
+                f"state {name!r} must be read with a delay (use {name}@1)",
+                line,
             )
-        if isinstance(expr, CallExpr):
-            args = [resolve(a) for a in expr.args]
-            return builder.op(expr.operation, *args)
-        raise SemanticError(f"unhandled expression {expr!r}", expr.line)
-
-    for statement in program.body:
-        if isinstance(statement, LocalAssign):
-            if statement.name in states or statement.name in program.outputs:
-                raise SemanticError(
-                    f"{statement.name!r} is a state/output; use '=' to "
-                    f"commit it",
-                    statement.line,
-                )
-            locals_[statement.name] = resolve(statement.expr)
-        elif isinstance(statement, CommitAssign):
-            value = resolve(statement.expr)
-            if statement.name in states:
-                builder.write(states[statement.name], value)
-            elif statement.name in program.outputs:
-                builder.output(statement.name, value)
-            else:
-                raise SemanticError(
-                    f"{statement.name!r} is neither a state nor an output "
-                    f"port; use ':=' for local signals",
-                    statement.line,
-                )
-        else:  # pragma: no cover - exhaustive over Statement
-            raise SemanticError(f"unhandled statement {statement!r}")
-    return builder.build()
+        raise SemanticError(f"unknown name {name!r}", line)
 
 
 def parse_source(text: str) -> Dfg:
-    """Parse and lower application source text in one step."""
-    return lower(parse(text))
+    """Parse application source text into a validated DFG."""
+    return _Parser(tokenize(text)).parse_program()

@@ -19,10 +19,8 @@ from .manager import (
     PassManager,
     core_specialization_passes,
     machine_independent_passes,
-    manager_for_level,
     optimize,
     optimize_machine_independent,
-    passes_for_level,
     specialize_for_core,
 )
 from .passes import (
@@ -53,9 +51,7 @@ __all__ = [
     "StrengthReductionPass",
     "core_specialization_passes",
     "machine_independent_passes",
-    "manager_for_level",
     "optimize",
     "optimize_machine_independent",
-    "passes_for_level",
     "specialize_for_core",
 ]

@@ -1,8 +1,17 @@
 """Pass manager and optimization levels.
 
-The manager runs a named pipeline of passes over a DFG and records
-what every pass did in an :class:`OptReport`.  Levels mirror the
-classic compiler convention:
+The manager runs a pipeline of passes over a DFG and records what
+every pass did in an :class:`OptReport`.  Every level is built from
+two halves, and :func:`optimize` runs both:
+
+* :func:`optimize_machine_independent` runs
+  :func:`machine_independent_passes` (they only need the fixed-point
+  format, so a design-space sweep shares their result across
+  candidate cores);
+* :func:`specialize_for_core` runs :func:`core_specialization_passes`
+  against one core.
+
+Levels mirror the classic compiler convention:
 
 ``-O0``
     Nothing.  The graph is lowered exactly as written — the mode every
@@ -12,10 +21,10 @@ classic compiler convention:
     One sweep of constant folding, algebraic identity simplification,
     common-subexpression elimination and dead-code elimination.
 ``-O2``
-    The ``-O1`` pipeline plus core-aware strength reduction, iterated
-    to a fixpoint (each sweep can expose work for the next: a folded
-    constant enables an identity, the identity exposes a common
-    subexpression, ...).
+    The ``-O1`` passes iterated to a fixpoint (each sweep can expose
+    work for the next: a folded constant enables an identity, the
+    identity exposes a common subexpression, ...), then core-aware
+    strength reduction, CSE and DCE, again to a fixpoint.
 """
 
 from __future__ import annotations
@@ -123,43 +132,29 @@ class PassManager:
         return dfg, report
 
 
-def passes_for_level(level: int) -> list[Pass]:
-    """The pass pipeline of one ``-O`` level."""
-    if level == 0:
-        return []
-    base: list[Pass] = [
-        ConstantFoldingPass(),
-        AlgebraicSimplifyPass(),
-        CsePass(),
-    ]
-    if level == 1:
-        return base + [DcePass()]
-    if level == 2:
-        return base + [StrengthReductionPass(), DcePass()]
-    raise OptimizationError(
-        f"unknown optimization level {level!r}: expected 0, 1 or 2"
-    )
+def _check_level(level: int) -> None:
+    if level not in (0, 1, 2):
+        raise OptimizationError(
+            f"unknown optimization level {level!r}: expected 0, 1 or 2"
+        )
 
 
 def machine_independent_passes(level: int) -> list[Pass]:
-    """The core-agnostic subset of :func:`passes_for_level`.
+    """The core-agnostic passes of ``level``.
 
     Everything except strength reduction: these passes depend only on
     the fixed-point format, so their result is shared across candidate
     cores during design-space exploration.
     """
+    _check_level(level)
     if level == 0:
         return []
-    if level in (1, 2):
-        return [
-            ConstantFoldingPass(),
-            AlgebraicSimplifyPass(),
-            CsePass(),
-            DcePass(),
-        ]
-    raise OptimizationError(
-        f"unknown optimization level {level!r}: expected 0, 1 or 2"
-    )
+    return [
+        ConstantFoldingPass(),
+        AlgebraicSimplifyPass(),
+        CsePass(),
+        DcePass(),
+    ]
 
 
 def core_specialization_passes(level: int) -> list[Pass]:
@@ -169,6 +164,7 @@ def core_specialization_passes(level: int) -> list[Pass]:
     power-of-two multiplies into the ``asr<k>`` shifts *this* core can
     execute, after which CSE/DCE clean up the exposed redundancy.
     """
+    _check_level(level)
     if level < 2:
         return []
     return [StrengthReductionPass(), CsePass(), DcePass()]
@@ -205,18 +201,20 @@ def specialize_for_core(
     return manager.run(dfg, core=core)
 
 
-def manager_for_level(level: int) -> PassManager:
-    """The canonical :class:`PassManager` of an ``-O`` level."""
-    return PassManager(passes_for_level(level), iterate=(level >= 2),
-                       level=level)
-
-
-def optimize(dfg: Dfg, core=None, level: int = 1,
-             fmt: FixedFormat | None = None) -> tuple[Dfg, OptReport]:
+def optimize(dfg: Dfg, core=None, level: int = 1) -> tuple[Dfg, OptReport]:
     """Optimize ``dfg`` at ``level``; the main entry point.
 
-    ``core`` enables the core-aware passes (and provides the
-    fixed-point format); ``fmt`` overrides the format for core-less
-    use in tests and tools.
+    :func:`optimize_machine_independent` in ``core``'s fixed-point
+    format (Q15 without a core), then :func:`specialize_for_core` when
+    a core is given.  The returned report merges both halves: their
+    passes in order, their iterations summed.
     """
-    return manager_for_level(level).run(dfg, core=core, fmt=fmt)
+    if core is None:
+        return optimize_machine_independent(dfg, level)
+    fmt = FixedFormat(core.data_width, core.frac_bits)
+    dfg, report = optimize_machine_independent(dfg, level, fmt)
+    dfg, specialized = specialize_for_core(dfg, core, level)
+    report.nodes_after = specialized.nodes_after
+    report.iterations += specialized.iterations
+    report.passes.extend(specialized.passes)
+    return dfg, report

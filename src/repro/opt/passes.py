@@ -2,11 +2,15 @@
 
 Every pass is a pure rewrite: it receives a validated
 :class:`~repro.lang.dfg.Dfg` and returns a *new*, semantically
-equivalent one plus a :class:`PassStats` record.  Semantic equivalence
-is defined bit-exactly over the core's fixed-point arithmetic
-(:mod:`repro.fixed`): the reference interpreter and the cycle-accurate
-simulator must produce identical output streams for the original and
-the optimized graph.  That is why constant folding evaluates on
+equivalent one plus a :class:`PassStats` record (or the input graph
+itself when it changed nothing).  Nodes are frozen: the new graph
+shares every node the pass left alone and builds only the ones it
+rewrites.
+
+Semantic equivalence is defined bit-exactly over the core's
+fixed-point arithmetic (:mod:`repro.fixed`): the reference interpreter
+and the cycle-accurate simulator must produce identical output streams
+for the original and the optimized graph.  That is why constant folding evaluates on
 *quantized* coefficients, why ``x * 1.0`` only fires when ``1.0`` is
 exactly representable, and why ``pass``/``pass_clip`` collapse relies
 on the range invariant (every value flowing through the graph is
@@ -31,7 +35,7 @@ only use its fixed-point format.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace as _dc_replace
+from dataclasses import dataclass, field
 
 from ..arch.opu import OpuKind
 from ..fixed import Q15, FixedFormat
@@ -100,6 +104,14 @@ def _resolver(forward: dict[int, int]):
         return node_id
 
     return resolve
+
+
+def _rewired(node: Node, args: tuple[int, ...]) -> Node:
+    """``node`` reading ``args``: the node itself when they are its own."""
+    if args == node.args:
+        return node
+    return Node(id=node.id, kind=node.kind, name=node.name, args=args,
+                delay=node.delay, label=node.label)
 
 
 def _with_nodes(dfg: Dfg, nodes: list[Node],
@@ -178,7 +190,7 @@ class ConstantFoldingPass(Pass):
                 try:
                     value = fmt.apply(node.name, *[const[a] for a in node.args])
                 except ValueError:
-                    nodes.append(_dc_replace(node))
+                    nodes.append(node)
                     continue
                 name = _intern_constant(params, fmt, value)
                 const[node.id] = value
@@ -186,7 +198,7 @@ class ConstantFoldingPass(Pass):
                                   label=node.label))
                 stats.count("folds")
                 continue
-            nodes.append(_dc_replace(node))
+            nodes.append(node)
         if not stats.changed:
             return dfg, stats
         return _with_nodes(dfg, nodes, params), stats
@@ -225,12 +237,12 @@ class AlgebraicSimplifyPass(Pass):
         for node in dfg.nodes:
             args = tuple(resolve(arg) for arg in node.args)
             if node.kind is not NodeKind.OP:
-                nodes.append(_dc_replace(node, args=args))
+                nodes.append(_rewired(node, args))
                 continue
             target = self._forward_target(node.name, args, const, fmt, stats)
             if target is not None:
                 forward[node.id] = target
-                nodes.append(_dc_replace(node, args=args))
+                nodes.append(_rewired(node, args))
                 continue
             if self._is_zero(node.name, args, const):
                 name = _intern_constant(params, fmt, 0)
@@ -239,7 +251,7 @@ class AlgebraicSimplifyPass(Pass):
                                   label=node.label))
                 stats.count("zeros")
                 continue
-            nodes.append(_dc_replace(node, args=args))
+            nodes.append(_rewired(node, args))
         if not stats.changed:
             return dfg, stats
         return _with_nodes(dfg, nodes, params), stats
@@ -323,7 +335,7 @@ class CsePass(Pass):
                     stats.count(f"{node.kind.value}_merged")
                 else:
                     seen[key] = node.id
-            nodes.append(_dc_replace(node, args=args))
+            nodes.append(_rewired(node, args))
         if not stats.changed:
             return dfg, stats
         return _with_nodes(dfg, nodes), stats
@@ -377,7 +389,7 @@ class StrengthReductionPass(Pass):
                     and len(node.args) == 2):
                 shift = self._shift_of(node.args, const, fmt, core)
             if shift is None:
-                nodes.append(_dc_replace(node))
+                nodes.append(node)
                 continue
             coef_arg, signal_arg, distance = shift
             nodes.append(Node(id=node.id, kind=NodeKind.OP,
@@ -469,11 +481,14 @@ class DcePass(Pass):
         if not stats.removed:
             return dfg, stats
 
+        # Before the first removed node, ids and operands stay put.
         id_map = {node.id: index for index, node in enumerate(kept)}
         nodes = [
-            _dc_replace(node, id=id_map[node.id],
-                        args=tuple(id_map[a] for a in node.args))
-            for node in kept
+            node if node.id == index else Node(
+                id=index, kind=node.kind, name=node.name,
+                args=tuple(id_map[a] for a in node.args),
+                delay=node.delay, label=node.label)
+            for index, node in enumerate(kept)
         ]
         live_params = {n.name for n in nodes if n.kind is NodeKind.PARAM}
         live_states = {

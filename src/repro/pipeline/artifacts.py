@@ -37,7 +37,9 @@ from ..rtgen.generator import RouteTable, route_table
 #: artifacts computed by an older pipeline.
 #: v2: stage keys chain CompileOptions subset fingerprints instead of
 #: raw request attributes.
-PIPELINE_VERSION = 2
+#: v3: -O2 runs the machine-independent half to a fixpoint, then the
+#: core-aware half; its OptReport's pass order and iterations differ.
+PIPELINE_VERSION = 3
 
 #: Serialization version of every artifact type the stages produce.
 #: Bump an entry whenever the artifact's Python shape changes (fields

@@ -85,9 +85,6 @@ class RTProgram:
             histogram[rt.opu] = histogram.get(rt.opu, 0) + 1
         return histogram
 
-    def value_name(self, value: int) -> str:
-        return self.value_names.get(value, f"v{value}")
-
     def pretty(self) -> str:
         """All RTs in the paper's concrete syntax."""
         return "\n\n".join(rt.pretty() for rt in self.rts)

@@ -193,23 +193,6 @@ class RT:
         clone.rt_class = self.rt_class
         return clone
 
-    def with_uses(self, uses: tuple[ResourceUse, ...]) -> "RT":
-        """A copy of this RT with a replaced usage map (merge rewriting)."""
-        clone = RT(
-            opu=self.opu,
-            operation=self.operation,
-            operands=self.operands,
-            destinations=self.destinations,
-            uses=uses,
-            latency=self.latency,
-            source=self.source,
-            memory_location=self.memory_location,
-            memory_effect=self.memory_effect,
-            io_port=self.io_port,
-        )
-        clone.rt_class = self.rt_class
-        return clone
-
     # ------------------------------------------------------------------
 
     def pretty(self) -> str:

@@ -110,10 +110,6 @@ class DependenceGraph:
     def predecessors(self, rt: RT) -> list[Edge]:
         return list(self.edges_in.get(rt, ()))
 
-    def critical_path_length(self) -> int:
-        priority = compute_priorities(self)
-        return max(priority.values(), default=0)
-
 
 def build_dependence_graph(program: RTProgram,
                            rts: list[RT] | None = None) -> DependenceGraph:

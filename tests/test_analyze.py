@@ -117,7 +117,8 @@ class TestAdversarialCorruption:
     def test_dfg_edge_cycle(self, audio_state):
         dfg = copy.deepcopy(audio_state.artifacts["dfg"])
         op = next(n for n in dfg.nodes if n.kind.name == "OP")
-        op.args = (op.id,) + op.args[1:]
+        dfg.nodes[op.id] = dataclasses.replace(
+            op, args=(op.id,) + op.args[1:])
         assert "dfg.edge-cycle" in codes(verify_dfg(dfg))
 
     def test_schedule_double_booked_opu(self, audio_state):

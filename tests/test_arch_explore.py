@@ -558,3 +558,21 @@ class TestExploreHonorsBaseOptions:
         explore(app_set()[:1], [Allocation()],
                 options=CompileOptions(restarts=3, seed=11))
         assert seen == {"restarts": 3, "seed": 11}
+
+    def test_schedule_lengths_match_the_compiler_at_o2(self):
+        # The explorer optimizes in two halves (machine-independent once
+        # per sweep, then per candidate core); the compiler runs the same
+        # two halves in one call.  On a merge-free candidate both must
+        # schedule every application in the same number of cycles.
+        from repro.opt import optimize_machine_independent
+
+        dfgs = app_set()
+        allocation = Allocation(n_mult=2, n_alu=2)
+        [point] = explore(dfgs, [allocation], options=CompileOptions(opt=2))
+        assert point.feasible, point.failures
+        optimized = [optimize_machine_independent(dfg, level=2)[0]
+                     for dfg in dfgs]
+        toolchain = Toolchain(intermediate_architecture(optimized, allocation),
+                              cache=None, opt=2)
+        assert point.schedule_lengths == {
+            dfg.name: toolchain.compile(dfg).n_cycles for dfg in dfgs}

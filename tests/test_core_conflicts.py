@@ -227,3 +227,72 @@ class TestCoverProperties:
         exact = exact_cover(graph)
         verify_cover(graph, exact)
         assert len(exact) <= len(greedy_cover(graph))
+
+
+def cocktail_party(pairs: int) -> ConflictGraph:
+    """The complete graph on ``2 * pairs`` nodes minus a perfect
+    matching: every maximal clique takes one node of each pair, so there
+    are ``2 ** pairs`` of them."""
+    from itertools import combinations
+
+    nodes = [f"{side}{k:02d}" for k in range(pairs) for side in "ab"]
+    edges = {frozenset(p) for p in combinations(nodes, 2)
+             if p[0][1:] != p[1][1:]}
+    return ConflictGraph(nodes, edges)
+
+
+def count_expand_calls(function, *args):
+    """``function(*args)`` and how many times the Bron-Kerbosch
+    ``expand`` step of the clique enumeration ran inside it."""
+    import sys
+
+    from repro.core import clique_cover
+
+    calls = 0
+
+    def profile(frame, event, arg):
+        nonlocal calls
+        if (event == "call" and frame.f_code.co_name == "expand"
+                and frame.f_code.co_filename == clique_cover.__file__):
+            calls += 1
+
+    sys.setprofile(profile)
+    try:
+        result = function(*args)
+    finally:
+        sys.setprofile(None)
+    return result, calls
+
+
+class TestExactCoverBudget:
+    """``exact_cover`` stops enumerating cliques at ``max_candidates + 1``
+    and falls back to the greedy cover."""
+
+    def test_enumeration_stops_past_the_budget(self):
+        from repro.core.clique_cover import _maximal_cliques
+
+        graph = cocktail_party(13)
+        everything, full_calls = count_expand_calls(
+            _maximal_cliques, graph, 1 << 20)
+        assert len(everything) == 2 ** 13
+        cover, calls = count_expand_calls(exact_cover, graph)
+        assert cover == greedy_cover(graph)
+        # 4097 of the 8192 cliques, so about half of the expand steps.
+        assert calls < 0.6 * full_calls
+
+    @given(TestCoverProperties.random_graph(), st.integers(0, 40))
+    @settings(max_examples=60, deadline=None)
+    def test_a_bounded_enumeration_is_a_prefix(self, graph, limit):
+        from repro.core.clique_cover import _maximal_cliques
+
+        everything = _maximal_cliques(graph, 1 << 20)
+        assert _maximal_cliques(graph, limit) == everything[:limit]
+
+    @given(TestCoverProperties.random_graph())
+    @settings(max_examples=30, deadline=None)
+    def test_covers_at_the_budget_stay_exact(self, graph):
+        from repro.core.clique_cover import _maximal_cliques
+
+        n_cliques = len(_maximal_cliques(graph, 1 << 20))
+        assert (exact_cover(graph, max_candidates=n_cliques)
+                == exact_cover(graph))

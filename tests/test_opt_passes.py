@@ -25,10 +25,11 @@ from repro.opt import (
     OptimizationError,
     OptReport,
     PassContext,
+    PassManager,
     StrengthReductionPass,
     optimize,
-    passes_for_level,
 )
+from repro.pipeline import dfg_fingerprint
 from repro.report import optimization_report
 
 from stream_helpers import random_streams
@@ -460,8 +461,10 @@ class TestPassManagerAndReport:
         assert not report.changed
 
     def test_unknown_level_rejected(self):
+        b = DfgBuilder("bad")
+        b.output("y", b.op("pass", b.input("x")))
         with pytest.raises(OptimizationError, match="unknown optimization"):
-            passes_for_level(3)
+            optimize(b.build(), level=3)
 
     def test_o2_iterates_to_fixpoint(self):
         b = DfgBuilder("fix")
@@ -501,6 +504,106 @@ class TestPassManagerAndReport:
         assert compiled.opt_report.level == 2
         assert compiled.opt_report.changed
         assert len(compiled.dfg.nodes) < len(dfg.nodes)
+
+
+def random_shift_graph(rng: random.Random):
+    """A random graph whose multiplies often take power-of-two
+    coefficients, with a delay line for CSE to merge."""
+    coefficients = [0.5, 0.25, 0.125, 0.0625, 0.03125, 0.3, 0.0, -0.5]
+    b = DfgBuilder("rand")
+    state = b.state("s", 2)
+    values = [b.input("x"), b.input("y")]
+    for _ in range(rng.randint(1, 12)):
+        kind = rng.choice(["mult", "mult", "add", "sub", "pass",
+                           "add_clip", "param", "delay"])
+        if kind == "param" or (kind == "mult" and rng.random() < 0.7):
+            index = rng.randrange(len(coefficients))
+            coefficient = b.param(f"k{index}", coefficients[index])
+            if kind == "param":
+                values.append(coefficient)
+                continue
+            values.append(b.op("mult", coefficient, rng.choice(values)))
+        elif kind == "delay":
+            values.append(b.delay(state, rng.randint(1, 2)))
+        elif kind == "pass":
+            values.append(b.op(kind, rng.choice(values)))
+        else:
+            values.append(b.op(kind, rng.choice(values), rng.choice(values)))
+    b.write(state, rng.choice(values))
+    b.output("o", values[-1])
+    return b.build()
+
+
+def test_o2_matches_the_fused_pipeline():
+    # Before -O2 was built from the explorer's two halves, it was one
+    # fused list iterated to a fixpoint; that list is the reference.
+    core = shift_core()
+    reductions = 0
+    for seed in range(300):
+        dfg = random_shift_graph(random.Random(seed))
+        fused, _ = PassManager(
+            [ConstantFoldingPass(), AlgebraicSimplifyPass(), CsePass(),
+             StrengthReductionPass(), DcePass()], iterate=True,
+        ).run(dfg, core=core)
+        optimized, report = optimize(dfg, core, level=2)
+        assert dfg_fingerprint(optimized) == dfg_fingerprint(fused), seed
+        reductions += bool(report.totals().get("strength"))
+    assert reductions >= 50
+
+
+def test_o2_report_merges_both_halves():
+    b = DfgBuilder("halves")
+    b.output("y", b.op("mult", b.param("h", 0.5), b.input("x")))
+    optimized, report = optimize(b.build(), shift_core(), level=2)
+    assert op_names(optimized) == ["asr1"]
+    names = [stats.name for stats in report.passes]
+    # -O1's passes to a fixpoint (one quiet sweep), then strength
+    # reduction, CSE and DCE to a fixpoint (a rewriting sweep and a
+    # quiet one).
+    assert names == ["fold", "algebraic", "cse", "dce",
+                     "strength", "cse", "dce", "strength", "cse", "dce"]
+    assert report.iterations == 3
+    assert report.nodes_before == 4 and report.nodes_after == 3
+
+
+class TestSharedNodes:
+    """A pass hands the nodes it leaves alone to the graph it returns."""
+
+    def test_unchanged_nodes_are_shared(self):
+        b = DfgBuilder("share")
+        x = b.input("x")
+        kept = b.op("add", x, x)
+        b.output("y", b.op("add", kept, b.op("pass", x)))
+        dfg = b.build()
+        simplified, stats = AlgebraicSimplifyPass().run(dfg, PassContext())
+        assert stats.changed
+        assert simplified.nodes[0] is dfg.nodes[0]
+        assert simplified.nodes[1] is dfg.nodes[1]
+        # The final add read the collapsed pass: rewired, so new.
+        assert simplified.nodes[3] is not dfg.nodes[3]
+        assert simplified.nodes[3].args == (1, 0)
+
+    def test_dce_renumbers_only_after_the_first_removal(self):
+        b = DfgBuilder("suffix")
+        x = b.input("x")
+        live = b.op("pass", x)
+        b.op("add", x, x)                       # dead
+        b.output("y", b.op("pass", live))
+        dfg = b.build()
+        pruned, stats = DcePass().run(dfg, PassContext())
+        assert stats.removed == 1
+        assert pruned.nodes[0] is dfg.nodes[0]
+        assert pruned.nodes[1] is dfg.nodes[1]
+        assert [n.id for n in pruned.nodes] == [0, 1, 2, 3]
+        assert pruned.nodes[3].args == (2,)
+
+    def test_nodes_are_frozen(self):
+        from dataclasses import FrozenInstanceError
+
+        b = DfgBuilder("frozen")
+        b.output("y", b.op("pass", b.input("x")))
+        with pytest.raises(FrozenInstanceError):
+            b.build().nodes[0].args = ()
 
 
 class TestConsumerIndex:

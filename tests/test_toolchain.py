@@ -327,14 +327,17 @@ def test_public_api_surface():
     import repro.arch
     import repro.pipeline
 
-    assert repro.__version__ == "4.0.0"
-    for module in (repro, repro.pipeline, repro.arch, repro.sim):
+    assert repro.__version__ == "5.0.0"
+    for module in (repro, repro.pipeline, repro.arch, repro.sim, repro.lang,
+                   repro.opt):
         for name in module.__all__:
             assert hasattr(module, name), f"{module.__name__}.{name}"
     rows = migration_rows()
     assert len(rows) >= 18
     assert "repro.sim.CoreSimulator(program)" in rows
     assert "repro.sim.DecodedPlan.structure_key()" in rows
+    assert "repro.lang.parse(text)" in rows
+    assert "repro.opt.passes_for_level(level)" in rows
     for row in rows:
         path, _, args = row.partition("(")
         head, *rest = path.split(".")
