@@ -37,79 +37,50 @@ first broken artifact), and :func:`lint_program` audits an encoded
 image without simulating it — see ``docs/analysis.md``.
 """
 
-from .analyze import (
-    Finding,
-    Severity,
-    lint_program,
-    verify_state,
-)
-from .apps import adaptive_core
-from .arch import (
-    Allocation,
-    CandidateSimulation,
-    CoreSpec,
-    ExploreCache,
-    RefinedSweep,
-    SweepSpec,
-    audio_core,
-    explore,
-    explore_refined,
-    fir_core,
-    get_core,
-    intermediate_architecture,
-    list_cores,
-    pareto_front,
-    register_core,
-    resolve_core,
-    simulate_points,
-    tiny_core,
-)
-from .errors import OptionsError, ReproError, VerificationError
-from .fixed import Q15, FixedFormat
-from .gen import (
-    CorpusReport,
-    FuzzConfig,
-    FuzzReport,
-    GenSpec,
-    fuzz,
-    generate_corpus,
-    generate_dfg,
-    run_corpus,
-    shrink_dfg,
-)
-from .lang import DfgBuilder, parse_source, run_reference
-from .obs import (
-    Telemetry,
-    current_telemetry,
-    profile_compile,
-    set_telemetry,
-    use_telemetry,
-    write_chrome_trace,
-)
-from .opt import OptReport, PassManager, optimize
-from .options import CompileOptions
-from .pipeline import (
-    BatchResult,
-    CacheBackend,
-    CompiledProgram,
-    CompileState,
-    DiskCache,
-    MemoryBackend,
-    StageCache,
-    backend_stats,
-    open_backend,
-)
-from .serve import (
-    CompileServer,
-    ServeClient,
-    ServerConfig,
-    run_worker,
-    start_in_thread,
-)
-from .sim import run_batch, run_program
-from .toolchain import Toolchain
+from ._lazy import lazy_exports
 
 __version__ = "5.0.0"
+
+#: Where each re-exported name lives.  Nothing here is imported until
+#: one of its names is first read, so ``import repro`` loads no
+#: subsystem and a compile loads only the compile path (never numpy,
+#: asyncio, the server, the fuzzer or the simulator).
+__getattr__, __dir__ = lazy_exports(__name__, {
+    "analyze": ("Finding", "Severity", "lint_program", "verify_state"),
+    "apps": ("adaptive_core",),
+    "arch": (
+        "Allocation", "CandidateSimulation", "CoreSpec", "ExploreCache",
+        "RefinedSweep", "SweepSpec", "audio_core", "explore",
+        "explore_refined", "fir_core", "get_core",
+        "intermediate_architecture", "list_cores", "pareto_front",
+        "register_core", "resolve_core", "simulate_points", "tiny_core",
+    ),
+    "errors": ("OptionsError", "ReproError", "VerificationError"),
+    "fixed": ("Q15", "FixedFormat"),
+    "gen": (
+        "CorpusReport", "FuzzConfig", "FuzzReport", "GenSpec", "fuzz",
+        "generate_corpus", "generate_dfg", "run_corpus", "shrink_dfg",
+    ),
+    "lang": ("DfgBuilder", "parse_source", "run_reference"),
+    "obs": (
+        "Telemetry", "current_telemetry", "profile_compile",
+        "set_telemetry", "use_telemetry", "write_chrome_trace",
+    ),
+    "opt": ("OptReport", "PassManager", "optimize"),
+    "options": ("CompileOptions",),
+    "pipeline": (
+        "BatchResult", "CacheBackend", "CompiledProgram", "CompileState",
+        "DiskCache", "MemoryBackend", "StageCache", "backend_stats",
+        "open_backend",
+    ),
+    "serve": (
+        "CompileServer", "ServeClient", "ServerConfig", "run_worker",
+        "start_in_thread",
+    ),
+    "sim": ("run_batch", "run_program"),
+    "toolchain": ("Toolchain",),
+})
+del lazy_exports
 
 __all__ = [
     "Allocation",

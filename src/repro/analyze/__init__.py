@@ -16,9 +16,9 @@ registered in :data:`CHECK_CODES`.
 
 from __future__ import annotations
 
+from .._lazy import lazy_exports
 from ..errors import VerificationError
 from .findings import CHECK_CODES, Finding, Severity, error, warning
-from .lint import build_cfg, lint_program
 from .verifiers import (
     verify_allocation,
     verify_datapath,
@@ -28,6 +28,13 @@ from .verifiers import (
     verify_stage,
     verify_state,
 )
+
+# The lint decodes images through the simulator's plan; it loads on
+# first use, so a compile that only verifies never imports it.
+__getattr__, __dir__ = lazy_exports(__name__, {
+    "lint": ("build_cfg", "lint_program"),
+})
+del lazy_exports
 
 __all__ = [
     "CHECK_CODES",

@@ -49,8 +49,8 @@ The explorer is *optimizer-aware* and built on the staged pipeline:
 
 from __future__ import annotations
 
+import concurrent.futures
 import itertools
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, fields, replace
 from functools import partial
 
@@ -814,7 +814,9 @@ def explore(
 
     evaluated: list[ExplorationPoint] = []
     if jobs is not None and jobs > 1 and len(pending) > 1:
-        with ProcessPoolExecutor(
+        # concurrent.futures loads the process pool (and multiprocessing)
+        # on first use, so a serial sweep or a compile never pays for it.
+        with concurrent.futures.ProcessPoolExecutor(
                 max_workers=jobs, initializer=_worker_init,
                 initargs=(optimized, options, obs.enabled)) as pool:
             # Iterate the (ordered) map so progress streams as results

@@ -48,6 +48,12 @@ class OpuKind(enum.Enum):
     def is_io(self) -> bool:
         return self in (OpuKind.INPUT, OpuKind.OUTPUT)
 
+    @property
+    def is_dataflow(self) -> bool:
+        """A unit that computes values (not address, constant, memory
+        or port machinery)."""
+        return self in (OpuKind.ALU, OpuKind.MULT, OpuKind.ASU)
+
 
 @dataclass(frozen=True)
 class Operation:

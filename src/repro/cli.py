@@ -48,6 +48,11 @@ cached-cold and warm compiles into a per-stage p50/p95 table (see
 ``docs/observability.md``).
 The complete reference, including exit codes and JSON output shapes, is
 in ``docs/cli.md``.
+
+Building the parser loads the compile path (``--stop-after`` lists the
+pipeline's stages); everything else a subcommand needs — reports, the
+simulator, the fuzzer, the server — is imported when that subcommand
+runs.
 """
 
 from __future__ import annotations
@@ -83,17 +88,11 @@ from .obs import (
 )
 from .options import CompileOptions
 from .pipeline import PIPELINE_STAGES, StageCache, open_backend
-from .report import (
-    batch_report,
-    class_table_report,
-    exploration_report,
-    gantt_chart,
-    occupation_chart,
-    summary_report,
-    timeline,
-)
-from .sim import ENGINES, batch as _batch, run_program
 from .toolchain import Toolchain
+
+#: ``--engine`` choices: :data:`repro.sim.batch.ENGINES`, spelled out so
+#: that building the parser does not import the simulator.
+ENGINE_CHOICES = ("auto", "decoded", "numpy")
 
 
 def engine_argument(value: str) -> str:
@@ -105,7 +104,9 @@ def engine_argument(value: str) -> str:
     The availability flag is read through the module at call time so
     tests can monkeypatch :data:`repro.sim.batch.NUMPY_AVAILABLE`.
     """
-    if value == "numpy" and not _batch.NUMPY_AVAILABLE:
+    from .sim import batch
+
+    if value == "numpy" and not batch.NUMPY_AVAILABLE:
         raise argparse.ArgumentTypeError(
             "engine 'numpy' requires numpy, which is not installed "
             "(pip install repro[batch]); use --engine decoded, or "
@@ -214,6 +215,8 @@ def emit_telemetry(args: argparse.Namespace, telemetry: Telemetry) -> None:
     consumers never see telemetry mixed into their payload.
     """
     if getattr(args, "timings", False):
+        from .report import timeline
+
         print(timeline(telemetry), file=sys.stderr)
     if getattr(args, "trace", None):
         path = write_chrome_trace(telemetry, args.trace)
@@ -234,6 +237,8 @@ def add_telemetry_flags(parser: argparse.ArgumentParser) -> None:
 
 
 def cmd_compile(args: argparse.Namespace) -> int:
+    from .report import gantt_chart, occupation_chart, summary_report
+
     options = CompileOptions.from_args(args)
     obs = command_telemetry(args)
     # Without a disk store, a full compile needs no snapshots at all
@@ -303,6 +308,8 @@ def cmd_compile(args: argparse.Namespace) -> int:
 
 
 def cmd_batch(args: argparse.Namespace) -> int:
+    from .report import batch_report
+
     options = CompileOptions.from_args(args)
     obs = command_telemetry(args)
     toolchain = Toolchain(args.core, options, telemetry=obs)
@@ -372,6 +379,8 @@ def sweep_spec_from_args(args: argparse.Namespace) -> SweepSpec:
 
 
 def cmd_explore(args: argparse.Namespace) -> int:
+    from .report import exploration_report
+
     options = CompileOptions.from_args(args)
     obs = command_telemetry(args)
     dfgs = [parse_source(Path(source).read_text()) for source in args.sources]
@@ -472,6 +481,8 @@ def cmd_run(args: argparse.Namespace) -> int:
 
 
 def cmd_run_image(args: argparse.Namespace) -> int:
+    from .sim import run_program
+
     program = load_program(Path(args.image).read_text())
     fmt = FixedFormat(program.core.data_width, program.core.frac_bits)
     inputs = dict(parse_stream(spec, fmt) for spec in args.input)
@@ -827,6 +838,8 @@ def cmd_cache(args: argparse.Namespace) -> int:
 
 
 def cmd_inspect_core(args: argparse.Namespace) -> int:
+    from .report import class_table_report
+
     core = resolve_core(args.core)
     table = ClassTable.from_core(core) if core.class_defs else ClassTable.auto(core)
     fmt = derive_format(core)
@@ -937,7 +950,7 @@ def build_parser() -> argparse.ArgumentParser:
     r.add_argument("--frames", type=int, default=None)
     r.add_argument("--floats", action="store_true",
                    help="also print outputs as real numbers")
-    r.add_argument("--engine", default="auto", choices=ENGINES,
+    r.add_argument("--engine", default="auto", choices=ENGINE_CHOICES,
                    type=engine_argument,
                    help="simulator engine: the decoded single-lane "
                         "interpreter, the numpy batch engine, or auto "
@@ -1068,7 +1081,7 @@ def build_parser() -> argparse.ArgumentParser:
     i.add_argument("--input", action="append", default=[],
                    metavar="PORT=V1,V2,...")
     i.add_argument("--frames", type=int, default=None)
-    i.add_argument("--engine", default="auto", choices=ENGINES,
+    i.add_argument("--engine", default="auto", choices=ENGINE_CHOICES,
                    type=engine_argument,
                    help="simulator engine (default auto)")
     i.set_defaults(handler=cmd_run_image)

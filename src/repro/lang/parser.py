@@ -22,9 +22,10 @@ Name resolution rules (matching the paper's programming style):
 The first fault the parser meets is reported.  Declarations are
 collected and applied when ``loop`` is reached (parameters first, then
 states), the body is checked statement by statement, and a commit's
-target is checked after its expression.  Whole-graph checks (delay
-windows, states read but never written) run once the closing brace has
-been parsed.
+target is checked after its expression.  A fault the builder finds in
+a declaration or a commit is reported at the offending name.
+Whole-graph checks (delay windows, states read but never written) run
+once the closing brace has been parsed.
 """
 
 from __future__ import annotations
@@ -100,8 +101,8 @@ class _Parser:
         builder = self.builder = DfgBuilder(
             self.expect(TokenKind.IDENT, "application name").text)
         self.expect(TokenKind.SEMI)
-        params: list[tuple[str, float]] = []
-        states: list[tuple[str, int]] = []
+        params: list[tuple[Token, float]] = []
+        states: list[tuple[Token, int]] = []
         while not self.at_keyword("loop"):
             if self.at_keyword("param"):
                 self._parse_params(params)
@@ -119,10 +120,10 @@ class _Parser:
                     token.column,
                 )
         self.expect_keyword("loop")
-        for name, value in params:
-            self.params[name] = builder.param(name, value)
-        for name, depth in states:
-            self.states[name] = builder.state(name, depth)
+        for token, value in params:
+            self.params[token.text] = _at(token, builder.param, value)
+        for token, depth in states:
+            self.states[token.text] = _at(token, builder.state, depth)
         self.expect(TokenKind.LBRACE)
         while self.current.kind is not TokenKind.RBRACE:
             self._parse_statement()
@@ -130,10 +131,10 @@ class _Parser:
         self.expect(TokenKind.EOF, "end of file")
         return builder.build()
 
-    def _parse_params(self, params: list[tuple[str, float]]) -> None:
+    def _parse_params(self, params: list[tuple[Token, float]]) -> None:
         self.expect_keyword("param")
         while True:
-            name = self.expect(TokenKind.IDENT, "parameter name").text
+            name = self.expect(TokenKind.IDENT, "parameter name")
             self.expect(TokenKind.EQUALS)
             value = self.expect(TokenKind.NUMBER, "parameter value").text
             params.append((name, float(value)))
@@ -149,10 +150,10 @@ class _Parser:
                 break
         self.expect(TokenKind.SEMI)
 
-    def _parse_states(self, states: list[tuple[str, int]]) -> None:
+    def _parse_states(self, states: list[tuple[Token, int]]) -> None:
         self.expect_keyword("state")
         while True:
-            name = self.expect(TokenKind.IDENT, "state name").text
+            name = self.expect(TokenKind.IDENT, "state name")
             self.expect(TokenKind.LPAREN)
             depth = self._integer("state depth", "state depth must be an integer")
             self.expect(TokenKind.RPAREN)
@@ -188,7 +189,7 @@ class _Parser:
             if name in self.states:
                 self.builder.write(self.states[name], value)
             elif name in self.outputs:
-                self.builder.output(name, value)
+                _at(name_token, self.builder.output, value)
             else:
                 raise SemanticError(
                     f"{name!r} is neither a state nor an output "
@@ -243,6 +244,16 @@ class _Parser:
                 line,
             )
         raise SemanticError(f"unknown name {name!r}", line)
+
+
+def _at(name: Token, build, value):
+    """``build(name.text, value)``, with a :class:`SemanticError` the
+    builder raises (it knows names, not source positions) reported at
+    ``name``."""
+    try:
+        return build(name.text, value)
+    except SemanticError as exc:
+        raise SemanticError(str(exc), name.line, name.column) from None
 
 
 def parse_source(text: str) -> Dfg:

@@ -106,8 +106,18 @@ class PassManager:
 
         ``core`` feeds the core-aware passes and supplies the
         fixed-point format; ``fmt`` overrides the format when no core
-        is at hand.
+        is at hand.  When there are passes, ``dfg`` is validated first
+        (they rely on topological node order) and so is the result.
         """
+        if self.passes:
+            dfg.validate()
+        return self.run_unchecked(dfg, core, fmt)
+
+    def run_unchecked(self, dfg: Dfg, core=None,
+                      fmt: FixedFormat | None = None
+                      ) -> tuple[Dfg, OptReport]:
+        """:meth:`run` on a graph that is already valid: the input check
+        is skipped, the graph the passes produce is still validated."""
         if fmt is None:
             fmt = (FixedFormat(core.data_width, core.frac_bits)
                    if core is not None else Q15)
@@ -116,7 +126,6 @@ class PassManager:
         if not self.passes:
             report.nodes_after = len(dfg.nodes)
             return dfg, report
-        dfg.validate()      # passes rely on topological node order
         max_sweeps = MAX_ITERATIONS if self.iterate else 1
         for _ in range(max_sweeps):
             report.iterations += 1
@@ -180,9 +189,7 @@ def optimize_machine_independent(
     candidate.  ``fmt`` defaults to Q15, the format of every core the
     intermediate-architecture generator synthesizes.
     """
-    passes = machine_independent_passes(level)
-    manager = PassManager(passes, iterate=(level >= 2), level=level)
-    return manager.run(dfg, fmt=fmt)
+    return _machine_independent_manager(level).run(dfg, fmt=fmt)
 
 
 def specialize_for_core(
@@ -196,9 +203,17 @@ def specialize_for_core(
     semantics-preserving, so any interleaving is bit-exact with the
     reference interpreter.
     """
+    return _specialization_manager(level).run(dfg, core=core)
+
+
+def _machine_independent_manager(level: int) -> PassManager:
+    return PassManager(machine_independent_passes(level),
+                       iterate=(level >= 2), level=level)
+
+
+def _specialization_manager(level: int) -> PassManager:
     passes = core_specialization_passes(level)
-    manager = PassManager(passes, iterate=bool(passes), level=level)
-    return manager.run(dfg, core=core)
+    return PassManager(passes, iterate=bool(passes), level=level)
 
 
 def optimize(dfg: Dfg, core=None, level: int = 1) -> tuple[Dfg, OptReport]:
@@ -207,13 +222,31 @@ def optimize(dfg: Dfg, core=None, level: int = 1) -> tuple[Dfg, OptReport]:
     :func:`optimize_machine_independent` in ``core``'s fixed-point
     format (Q15 without a core), then :func:`specialize_for_core` when
     a core is given.  The returned report merges both halves: their
-    passes in order, their iterations summed.
+    passes in order, their iterations summed.  From ``-O1`` up,
+    ``dfg`` is validated first.
     """
+    _check_level(level)
+    if level:
+        dfg.validate()      # the passes rely on topological node order
+    return optimize_unchecked(dfg, core, level)
+
+
+def optimize_unchecked(dfg: Dfg, core=None,
+                       level: int = 1) -> tuple[Dfg, OptReport]:
+    """:func:`optimize` on a graph that is already valid.
+
+    The compile pipeline's optimize stage runs this: its parse stage
+    admits only validated graphs.  The input check is skipped; each
+    half still validates the graph its passes produce.
+    """
+    fmt = (FixedFormat(core.data_width, core.frac_bits)
+           if core is not None else None)
+    dfg, report = _machine_independent_manager(level).run_unchecked(
+        dfg, fmt=fmt)
     if core is None:
-        return optimize_machine_independent(dfg, level)
-    fmt = FixedFormat(core.data_width, core.frac_bits)
-    dfg, report = optimize_machine_independent(dfg, level, fmt)
-    dfg, specialized = specialize_for_core(dfg, core, level)
+        return dfg, report
+    dfg, specialized = _specialization_manager(level).run_unchecked(
+        dfg, core=core)
     report.nodes_after = specialized.nodes_after
     report.iterations += specialized.iterations
     report.passes.extend(specialized.passes)

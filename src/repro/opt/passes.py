@@ -37,7 +37,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from ..arch.opu import OpuKind
 from ..fixed import Q15, FixedFormat
 from ..lang.dfg import Dfg, Node, NodeKind
 
@@ -427,12 +426,8 @@ class StrengthReductionPass(Pass):
 def _supports_dataflow_op(core, operation: str) -> bool:
     """Whether a dataflow unit (not address/constant/memory machinery)
     of the core can execute ``operation``."""
-    return any(
-        opu.supports(operation)
-        and opu.kind not in (OpuKind.ACU, OpuKind.CONST, OpuKind.ROM,
-                             OpuKind.RAM, OpuKind.INPUT, OpuKind.OUTPUT)
-        for opu in core.datapath.opus.values()
-    )
+    return any(opu.supports(operation) and opu.kind.is_dataflow
+               for opu in core.datapath.opus.values())
 
 
 # ---------------------------------------------------------------------------

@@ -1,4 +1,8 @@
-"""The compiled-program artifact bundle (the classic result object)."""
+"""The compiled-program artifact bundle (the classic result object).
+
+The simulator is imported when a program is first run, not with the
+pipeline: compiling never loads :mod:`repro.sim`.
+"""
 
 from __future__ import annotations
 
@@ -13,7 +17,6 @@ from ..rtgen.program import RTProgram
 from ..sched.dependence import DependenceGraph
 from ..sched.regalloc import Allocation
 from ..sched.schedule import Schedule
-from ..sim.batch import run_batch, run_program
 
 
 @dataclass
@@ -46,6 +49,8 @@ class CompiledProgram:
             engine: str = "auto") -> dict[str, list[int]]:
         """Execute the binary on the cycle-accurate core simulator
         (``engine``: see :func:`repro.sim.batch.resolve_engine`)."""
+        from ..sim.batch import run_program
+
         return run_program(self.binary, inputs, n_frames, engine=engine)
 
     def run_batch(self, inputs: list[dict[str, list[int]]],
@@ -54,4 +59,6 @@ class CompiledProgram:
         """Execute the binary over a batch of stimulus lanes (one input
         dict per lane, one output dict per lane, see
         :func:`repro.sim.batch.run_batch`)."""
+        from ..sim.batch import run_batch
+
         return run_batch(self.binary, inputs, n_frames, engine=engine)

@@ -25,6 +25,14 @@ Where a stage's output is insensitive to part of the request, the key
 omits it — e.g. the optimize stage keys on the core only at ``-O2``
 (the sole level with a core-aware pass), so one optimized DFG is
 shared across candidate cores during design-space exploration.
+
+Every graph is validated once, where it is made: the builder checks a
+parsed graph, the parse stage an outside one, and each optimizer half
+the graph its passes produce.  The optimize and rtgen stages therefore
+call the unchecked entry points of :mod:`repro.opt` and
+:mod:`repro.rtgen` (whose public functions check the graph they are
+handed), bound here under the public names so that a tracer patching
+``stages.optimize`` or ``stages.generate_rts`` still times the stage.
 """
 
 from __future__ import annotations
@@ -37,8 +45,8 @@ from ..core.merge import apply_merges, merged_register_file_sizes
 from ..encode.assembler import assemble
 from ..lang.parser import parse_source
 from ..obs import current_telemetry
-from ..opt import optimize
-from ..rtgen.generator import generate_rts
+from ..opt.manager import optimize_unchecked as optimize
+from ..rtgen.generator import generate_rts_unchecked as generate_rts
 from ..sched.dependence import build_dependence_graph
 from ..sched.list_scheduler import list_schedule
 from ..sched.regalloc import allocate_registers
@@ -141,10 +149,12 @@ class ParseStage(Stage):
 
     def run(self, state: CompileState) -> None:
         application = state.request.application
-        state.artifacts["source_dfg"] = (
-            parse_source(application) if isinstance(application, str)
-            else application
-        )
+        if isinstance(application, str):
+            dfg = parse_source(application)     # the builder validates it
+        else:
+            application.validate()
+            dfg = application
+        state.artifacts["source_dfg"] = dfg
 
 
 class OptimizeStage(Stage):

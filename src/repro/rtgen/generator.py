@@ -629,9 +629,23 @@ def generate_rts(
 ) -> RTProgram:
     """Lower ``dfg`` onto ``core``; the main entry point of this package.
 
-    ``routes`` is ``route_table(core)``, built here when not given; the
-    pipeline passes the one its toolchain holds for the core."""
+    ``dfg`` is validated first.  ``routes`` is ``route_table(core)``,
+    built here when not given."""
     dfg.validate()
+    return generate_rts_unchecked(dfg, core, io_binding, routes)
+
+
+def generate_rts_unchecked(
+    dfg: Dfg,
+    core: CoreSpec,
+    io_binding: dict[str, str] | None = None,
+    routes: RouteTable | None = None,
+) -> RTProgram:
+    """:func:`generate_rts` on a graph that is already valid.
+
+    The compile pipeline's rtgen stage runs this on the graph its parse
+    and optimize stages validated, with the route table its toolchain
+    holds for the core."""
     live = live_nodes(dfg)
     binding = bind(dfg, core, io_binding, live)
     if routes is None:

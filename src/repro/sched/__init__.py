@@ -1,30 +1,34 @@
 """Scheduling: ordering register transfers into VLIW instructions
 (paper, step 3 of figure 1b, plus the section-8 future work)."""
 
-from .baselines import dynamic_check_schedule, vertical_schedule
-from .dependence import (
-    DependenceGraph,
-    Edge,
-    EdgeKind,
-    build_dependence_graph,
-    compute_priorities,
-)
-from .exact import ExactSchedulerStats, exact_schedule
-from .folding import FoldedSchedule, modulo_schedule, recurrence_mii, resource_mii
-from .interval import (
-    ExecutionInterval,
-    execution_intervals,
-    tighten_with_decision,
-)
-from .bipartite import (
-    exclusive_groups_by_opu,
-    hall_window_check,
-    maximum_matching,
-    resource_feasible,
-)
-from .list_scheduler import compact_lifetimes, list_schedule
-from .regalloc import Allocation, Interval, allocate_registers, compute_intervals
-from .schedule import ModuloReservationTable, ReservationTable, Schedule
+from .._lazy import lazy_exports
+
+#: The ablation schedulers (exact, folding, the baselines) load only
+#: when one of their names is read; a compile imports the list
+#: scheduler's modules directly.
+__getattr__, __dir__ = lazy_exports(__name__, {
+    "baselines": ("dynamic_check_schedule", "vertical_schedule"),
+    "bipartite": (
+        "exclusive_groups_by_opu", "hall_window_check", "maximum_matching",
+        "resource_feasible",
+    ),
+    "dependence": (
+        "DependenceGraph", "Edge", "EdgeKind", "build_dependence_graph",
+        "compute_priorities",
+    ),
+    "exact": ("ExactSchedulerStats", "exact_schedule"),
+    "folding": (
+        "FoldedSchedule", "modulo_schedule", "recurrence_mii", "resource_mii",
+    ),
+    "interval": (
+        "ExecutionInterval", "execution_intervals", "tighten_with_decision",
+    ),
+    "list_scheduler": ("compact_lifetimes", "list_schedule"),
+    "regalloc": ("Allocation", "Interval", "allocate_registers",
+                 "compute_intervals"),
+    "schedule": ("ModuloReservationTable", "ReservationTable", "Schedule"),
+})
+del lazy_exports
 
 __all__ = [
     "Allocation",

@@ -31,9 +31,11 @@ from concurrent.futures import Executor, ProcessPoolExecutor, \
     ThreadPoolExecutor
 from typing import Any
 
+from ..encode.image import program_to_dict
 from ..errors import ReproError
 from ..obs import Telemetry
 from ..options import CompileOptions
+from ..toolchain import Toolchain
 from .protocol import WIRE_VERSION, check_wire_version
 
 
@@ -46,9 +48,6 @@ def execute_compile_job(payload: dict[str, Any]) -> dict[str, Any]:
     microcode image dict, per-stage ``fingerprints``), failure adds
     ``error`` and ``error_type``.
     """
-    from ..encode.image import program_to_dict
-    from ..toolchain import Toolchain
-
     telemetry = Telemetry()
     start = time.perf_counter()
     try:

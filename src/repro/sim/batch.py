@@ -43,6 +43,7 @@ int64 kernels, else the decoded engine.
 
 from __future__ import annotations
 
+import importlib.util
 from dataclasses import dataclass
 
 from ..arch.controller import CtrlOp
@@ -53,13 +54,15 @@ from ..errors import SimulationError
 from ..fixed import FixedFormat
 from ..obs import current_telemetry
 
-try:  # numpy is an optional extra (setup.py [batch]); never required.
-    import numpy as _np
-except ImportError:  # pragma: no cover - exercised by the no-numpy CI job
-    _np = None
+#: Whether the vectorized engine can run in this process.  numpy is an
+#: optional extra (setup.py [batch]) and is only looked for here; the
+#: numpy engine imports it on first use (:func:`_load_numpy`).
+NUMPY_AVAILABLE = importlib.util.find_spec("numpy") is not None
 
-#: Whether the vectorized engine can run in this process.
-NUMPY_AVAILABLE = _np is not None
+#: The numpy module once the numpy engine has run.  It is bound once, so
+#: the engine's array ops read a plain module global instead of asking a
+#: loader per op.
+_np = None
 
 #: Lane count at which ``"auto"`` prefers the numpy engine over the
 #: decoded engine (below it, per-call array overhead dominates).
@@ -597,6 +600,22 @@ class _Context:
         return children[0], children[1]
 
 
+def _load_numpy() -> None:
+    """Bind :data:`_np` on the numpy engine's first use."""
+    global _np
+    if _np is not None:
+        return
+    try:
+        import numpy
+    except ImportError:  # pragma: no cover - exercised by the no-numpy CI job
+        raise SimulationError(
+            "the numpy batch engine needs numpy (pip install "
+            "repro[batch]); use engine='decoded' for the pure-Python "
+            "engine"
+        ) from None
+    _np = numpy
+
+
 def _slice_lanes(value, selector):
     """Slice a per-lane value (array) or broadcast scalar by position."""
     if isinstance(value, int):
@@ -617,12 +636,7 @@ class BatchSimulator:
     """
 
     def __init__(self, plan: DecodedPlan, n_lanes: int):
-        if _np is None:
-            raise SimulationError(
-                "the numpy batch engine needs numpy (pip install "
-                "repro[batch]); use engine='decoded' for the pure-Python "
-                "engine"
-            )
+        _load_numpy()
         if plan.fmt.width > NUMPY_MAX_WIDTH:
             raise PlanError(
                 f"data width {plan.fmt.width} exceeds the numpy engine's "

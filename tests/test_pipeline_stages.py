@@ -524,3 +524,74 @@ class TestOptSplit:
         specialized, report = specialize_for_core(dfg, audio_core(), level=1)
         assert specialized is dfg
         assert not report.changed
+
+
+class TestValidateOnce:
+    """Each graph is validated once, where it is made: by the builder,
+    by each optimizer half that changes it, or by the parse stage for
+    an outside graph.  The public entry points that take an outside
+    graph keep their own check."""
+
+    @staticmethod
+    def count_validations(monkeypatch) -> list[int]:
+        from repro.lang.dfg import Dfg
+
+        calls = [0]
+        real = Dfg.validate
+
+        def counting(self):
+            calls[0] += 1
+            return real(self)
+
+        monkeypatch.setattr(Dfg, "validate", counting)
+        return calls
+
+    @pytest.mark.parametrize("level, expected", [(0, 1), (1, 2), (2, 3)])
+    def test_validations_per_compile(self, monkeypatch, level, expected):
+        calls = self.count_validations(monkeypatch)
+        Toolchain(audio_core(), cache=None, opt=level).compile(SOURCE)
+        assert calls[0] == expected
+
+    @pytest.mark.parametrize("level, expected", [(0, 1), (1, 2), (2, 3)])
+    def test_outside_graph_validated_on_entry(self, monkeypatch, level,
+                                              expected):
+        dfg = parse_source(SOURCE)
+        calls = self.count_validations(monkeypatch)
+        Toolchain(audio_core(), cache=None, opt=level).compile(dfg)
+        assert calls[0] == expected
+
+    @staticmethod
+    def invalid_graph():
+        """``o`` reads a node defined after it."""
+        from repro.lang.dfg import Dfg, Node, NodeKind
+
+        nodes = [Node(id=0, kind=NodeKind.INPUT, name="i"),
+                 Node(id=1, kind=NodeKind.OUTPUT, name="o", args=(2,)),
+                 Node(id=2, kind=NodeKind.OP, name="pass", args=(0,))]
+        return Dfg(name="bad", nodes=nodes, params={}, inputs=["i"],
+                   outputs=["o"], states={})
+
+    def test_invalid_outside_graph_raises_on_every_route(self):
+        from repro.errors import SemanticError
+        from repro.opt import optimize, optimize_machine_independent
+        from repro.rtgen import generate_rts
+
+        with pytest.raises(SemanticError) as direct:
+            self.invalid_graph().validate()
+        message = str(direct.value)
+        assert "uses n2 before its definition" in message
+        core = audio_core()
+        routes = [
+            lambda dfg: Toolchain(core, cache=None).compile(dfg),
+            lambda dfg: Toolchain(core, cache=None, opt=0).compile(dfg),
+            lambda dfg: Toolchain(core, cache=None, opt=2).compile(dfg),
+            lambda dfg: toolchain(core).compile(dfg),
+            lambda dfg: optimize(dfg),
+            lambda dfg: optimize(dfg, core, level=2),
+            lambda dfg: optimize_machine_independent(dfg),
+            lambda dfg: generate_rts(dfg, core),
+        ]
+        for route in routes:
+            with pytest.raises(SemanticError) as err:
+                route(self.invalid_graph())
+            assert str(err.value) == message
