@@ -137,8 +137,8 @@ def test_bench_explore_speedup(monkeypatch, tmp_path):
     # cache directory — must come from disk, not from recompiling.
     cache_dir = tmp_path / "diskcache"
     t0 = time.perf_counter()
-    disk_cold_points = explore(dfgs, allocations,
-                               cache_dir=str(cache_dir))
+    disk_cold_points = explore(
+        dfgs, allocations, cache=ExploreCache(disk=DiskCache(cache_dir)))
     disk_cold_seconds = time.perf_counter() - t0
 
     new_process_cache = ExploreCache(disk=DiskCache(cache_dir))

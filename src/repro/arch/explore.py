@@ -705,8 +705,6 @@ def explore(
     allocations: list[Allocation],
     jobs: int | None = None,
     cache: ExploreCache | None = None,
-    cache_dir: str | None = None,
-    preoptimized: bool = False,
     options: CompileOptions | None = None,
     progress=None,
 ) -> list[ExplorationPoint]:
@@ -725,14 +723,9 @@ def explore(
     process pool (the optimized graphs ship once per worker, each task
     carries only its allocation, and the workers' counters are merged
     into the caller's telemetry when it records); ``cache`` memoizes
-    evaluated candidates, and the optimized graphs, across sweeps.
-    ``cache_dir`` (when no ``cache`` is
-    handed in) builds a disk-backed :class:`ExploreCache` on that
-    directory, so repeated sweeps hit disk across processes.
-    ``preoptimized=True`` declares ``dfgs`` already machine-independently
-    optimized at ``options.opt`` and skips the pass — the contract
-    :func:`explore_refined` uses so its two phases optimize each
-    application exactly once between them.
+    evaluated candidates, and the optimized graphs, across sweeps; an
+    ``ExploreCache(disk=open_backend(spec))`` makes repeated sweeps hit
+    a persistent backend across processes.
 
     ``options`` is the sweep's base
     :class:`~repro.options.CompileOptions` (``None`` = the defaults):
@@ -750,19 +743,13 @@ def explore(
     with ``explore.candidates``/``explore.cache_hits`` counters
     tracking evaluations vs memo hits.
     """
-    from ..pipeline import dfg_fingerprint, fingerprint
-    from ..pipeline.backend import open_backend
+    from ..pipeline import fingerprint
 
     if options is None:
         options = CompileOptions()
-    if cache is None and cache_dir is not None:
-        cache = ExploreCache(disk=open_backend(cache_dir))
 
-    if preoptimized:
-        front = [(dfg, dfg_fingerprint(dfg)) for dfg in dfgs]
-    else:
-        memo = cache if cache is not None else ExploreCache()
-        front = [memo.optimize(dfg, options.opt) for dfg in dfgs]
+    memo = cache if cache is not None else ExploreCache()
+    front = [memo.optimize(dfg, options.opt) for dfg in dfgs]
     optimized = [dfg for dfg, _ in front]
     app_key = [key for _, key in front]
 
@@ -871,7 +858,6 @@ def explore_refined(
     spec: SweepSpec,
     jobs: int | None = None,
     cache: ExploreCache | None = None,
-    cache_dir: str | None = None,
     axes: tuple[str, ...] | None = None,
     options: CompileOptions | None = None,
     progress=None,
@@ -892,24 +878,22 @@ def explore_refined(
     ``progress`` is forwarded to both phases' :func:`explore` calls
     (each phase reports its own ``done``/``total``).
     """
-    from ..pipeline.backend import open_backend
-
     if options is None:
         options = CompileOptions()
     if cache is None:
-        cache = ExploreCache(disk=open_backend(cache_dir)) \
-            if cache_dir is not None else ExploreCache()
+        cache = ExploreCache()
     if axes is None:
         axes = pareto_axes(spec)
 
-    # Optimize once, up front: both phases sweep the same graphs (and
-    # the candidate-cache keys stay identical to a plain explore()).
+    # Both phases sweep the source graphs through the one memo, so each
+    # application is optimized once, here, and both explore() calls hit
+    # that optimization (the candidate keys stay those of a plain
+    # explore()).
     optimized = [cache.optimize(dfg, options.opt)[0] for dfg in dfgs]
 
     coarse_allocations = spec.coarse().allocations()
-    coarse_points = explore(optimized, coarse_allocations, options=options,
-                            jobs=jobs, cache=cache, preoptimized=True,
-                            progress=progress)
+    coarse_points = explore(dfgs, coarse_allocations, options=options,
+                            jobs=jobs, cache=cache, progress=progress)
     coarse_front = pareto_front(coarse_points, axes=axes)
 
     # Dedup on *canonical* tuples: explore() collapses degenerate merge
@@ -932,9 +916,8 @@ def explore_refined(
             if key not in seen:
                 seen.add(key)
                 fine_allocations.append(allocation)
-    fine_points = explore(optimized, fine_allocations, options=options,
-                          jobs=jobs, cache=cache, preoptimized=True,
-                          progress=progress)
+    fine_points = explore(dfgs, fine_allocations, options=options,
+                          jobs=jobs, cache=cache, progress=progress)
 
     points = coarse_points + fine_points
     return RefinedSweep(

@@ -45,13 +45,9 @@ from .artifacts import (
     dfg_fingerprint,
     fingerprint,
 )
-from .backend import (
-    CacheBackend,
-    MemoryBackend,
-    backend_stats,
-    open_backend,
-)
+from .backend import MemoryBackend, backend_stats, open_backend
 from .diskcache import (
+    CacheBackend,
     DiskCache,
     DiskCacheStats,
     VerifyReport,

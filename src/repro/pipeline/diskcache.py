@@ -1,4 +1,5 @@
-"""Content-addressed on-disk artifact store (the persistent cache layer).
+"""The persistent tier: the versioned envelope, the policy every medium
+shares, and the on-disk medium.
 
 The in-memory :class:`~repro.pipeline.session.StageCache` makes
 re-compiles inside one process nearly free, but a compiler that is
@@ -8,6 +9,12 @@ SHA-256 content fingerprint maps to one file holding a *versioned
 serialization* of the cached object, so a second process (or a second
 machine sharing the directory) restores stage artifacts instead of
 recomputing them.
+
+:class:`CacheBackend` holds every policy below exactly once (envelope
+reads and their accounting, write errors, ``verify``, LRU ``gc``, the
+admin surface).  A medium only says where the envelopes live:
+:class:`DiskCache` here, and the in-process
+:class:`~repro.pipeline.backend.MemoryBackend`.
 
 Design constraints, in order:
 
@@ -27,11 +34,11 @@ Design constraints, in order:
   on one cache directory race benignly (last write wins, readers see
   either a complete entry or none).
 * **Bounded.**  ``max_bytes`` caps the store; eviction removes the
-  least-recently-used entries (reads refresh an entry's mtime).  A
-  running size estimate per directory, shared by every
-  :class:`DiskCache` of the process, decides when that scanning pass
-  runs; the directory is scanned to seed it once per process, not once
-  per cache object (a compile server opens one per job).
+  least-recently-used entries (reads refresh an entry's recency, a
+  file's mtime on disk).  A running byte total decides when that
+  scanning pass runs; on disk it is an estimate per directory, shared
+  by every :class:`DiskCache` of the process and seeded by one scan per
+  process, not per cache object (a compile server opens one per job).
 
 Entry layout on disk (``<dir>/objects/<aa>/<fingerprint>.rpdc``)::
 
@@ -46,6 +53,7 @@ against an adversary.
 
 from __future__ import annotations
 
+import contextlib
 import hashlib
 import json
 import os
@@ -123,7 +131,7 @@ def deserialize(blob: bytes, expected_schema: dict[str, int] | None = None,
     actually contains matches (an entry never has to contain every
     known type — a partial compile stores a prefix).  ``any_schema``
     skips that per-artifact comparison (format/pipeline skew still
-    raises) — the integrity pass of :meth:`DiskCache.verify` asks
+    raises) — the integrity pass of :meth:`CacheBackend.verify` asks
     "can this entry ever be served", not "by my artifact versions".
     """
     if blob[:4] != _MAGIC:
@@ -158,17 +166,6 @@ def deserialize(blob: bytes, expected_schema: dict[str, int] | None = None,
         return pickle.loads(payload)
     except Exception as exc:  # noqa: BLE001 — any unpickling defect is a miss
         raise CacheEntryError(f"unpicklable payload: {exc}") from None
-
-
-def deserialize_envelope_only(blob: bytes) -> None:
-    """Integrity-check an envelope without pinning an artifact schema.
-
-    Raises :class:`CacheEntryError` on corruption (bad magic, truncated
-    header, digest mismatch, unpicklable payload) and
-    :class:`CacheVersionError` on format/pipeline skew — exactly the
-    split a backend's :meth:`~DiskCache.verify` reports.
-    """
-    deserialize(blob, expected_schema=None, any_schema=True)
 
 
 @dataclass
@@ -206,7 +203,7 @@ class VerifyReport:
 
 @dataclass
 class DiskCacheStats:
-    """Counters of one :class:`DiskCache`."""
+    """Counters of one :class:`CacheBackend`, on either medium."""
 
     hits: int = 0
     misses: int = 0
@@ -216,127 +213,115 @@ class DiskCacheStats:
     corrupt: int = 0
     #: intact entries skipped because of format/pipeline/schema skew
     version_skips: int = 0
-    #: stores abandoned because the directory was unwritable/full
+    #: stores abandoned (unpicklable object, unwritable or full store)
     write_errors: int = 0
 
 
-class DiskCache:
-    """SHA-256 fingerprint → versioned serialized object, on disk.
 
-    The generic persistence layer: :class:`.session.StageCache` stores
-    stage snapshot streams under stage keys, and
-    :class:`repro.arch.explore.ExploreCache` stores evaluated sweep
-    candidates — both through this one store, distinguished by their
-    fingerprint namespaces and their schemas.
 
-    Safe to share one directory between concurrent processes; see the
-    module docstring for the guarantees.
+class CacheBackend:
+    """The persistent tier behind :class:`~.session.StageCache`, the
+    explore memo and the ``repro cache`` verb.
+
+    ``get``/``put`` move whole objects under content-fingerprint keys
+    through the envelope above.  Every unreadable entry is a miss,
+    never an error, and every failed store is counted, never raised.
+    This class owns that policy and the admin surface once; a subclass
+    is a *medium* and only says where the envelopes live, through four
+    primitives: :meth:`_read`, :meth:`_write`, :meth:`_remove` and
+    :meth:`_scan`.
+
+    Each medium binds ``get`` and ``put`` in its own class body
+    (``get = CacheBackend.get``), so a profiler can wrap one medium's
+    reads without the other's: ``perfbench/tracer.py`` patches them
+    through the class ``__dict__``.
     """
 
-    def __init__(self, cache_dir: str | Path | None = None,
-                 max_bytes: int = 256 * 1024 * 1024):
+    #: Where the bytes live, for the admin report: a directory, a
+    #: memory backend's name, or None.
+    location: str | None = None
+
+    def __init__(self, max_bytes: int):
         if max_bytes < 1:
             raise ValueError("max_bytes must be >= 1")
-        self.root = Path(cache_dir) if cache_dir is not None \
-            else default_cache_dir()
-        self.objects = self.root / "objects"
         self.max_bytes = max_bytes
         self.stats = DiskCacheStats()
         self._lock = threading.Lock()
-        #: One structured warning per cache instance: the first
-        #: abandoned store emits a ``diskcache.write_error`` telemetry
-        #: event; later ones only bump the counters (a persistently
-        #: unwritable directory would otherwise flood the event log).
+        #: One structured warning per backend: the first abandoned
+        #: store emits a ``diskcache.write_error`` telemetry event;
+        #: later ones only bump the counters (a persistently unwritable
+        #: store would otherwise flood the event log).
         self._write_error_reported = False
-        self._store = os.path.abspath(self.objects)
-
-    @property
-    def _size_estimate(self) -> int | None:
-        """The directory's running size guess; None until a put of this
-        process scans the store.  Only gates *when* the real (scanning)
-        eviction runs — drift from concurrent processes cannot over- or
-        under-delete."""
-        return _SIZE_ESTIMATES.get(self._store)
-
-    def _set_size_estimate(self, total: int) -> None:
-        with _SIZE_ESTIMATES_LOCK:
-            _SIZE_ESTIMATES[self._store] = total
-
-    # -- paths ---------------------------------------------------------
-
-    def path_for(self, key: str) -> Path:
-        """The entry file a fingerprint maps to (existing or not)."""
-        return self.objects / key[:2] / f"{key}{_SUFFIX}"
-
-    def _entries(self) -> list[Path]:
-        if not self.objects.is_dir():
-            return []
-        return [p for p in self.objects.glob(f"*/*{_SUFFIX}") if p.is_file()]
-
-    def __len__(self) -> int:
-        return len(self._entries())
 
     def __bool__(self) -> bool:
         """Always ``True``: an *empty* cache is still a cache.
 
         Without this, ``__len__`` makes a fresh cache falsy, and code
         like ``cache or DiskCache()`` silently replaces a configured
-        empty cache — the PR-4 ``--refine`` bug class.  Explicit
-        ``is None`` tests are still the idiom; this makes the
+        empty cache (the bug class of an early ``--refine`` defect).
+        Explicit ``is None`` tests are still the idiom; this makes the
         truthiness shortcut safe too.
         """
         return True
 
-    def keys(self) -> list[str]:
-        """Every fingerprint currently stored (sorted)."""
-        return sorted(path.stem for path in self._entries())
+    def __len__(self) -> int:
+        return len(self._scan())
 
-    def size_bytes(self) -> int:
-        """Total bytes currently stored (best effort under concurrency)."""
-        total = 0
-        for path in self._entries():
-            try:
-                total += path.stat().st_size
-            except OSError:
-                continue
-        return total
+    # -- the medium ----------------------------------------------------
+
+    def _read(self, key: str, touch: bool = False) \
+            -> tuple[bytes, Any] | None:
+        """The envelope stored under ``key`` and a token naming that
+        very entry, or None; ``touch`` refreshes its LRU recency."""
+        raise NotImplementedError
+
+    def _write(self, key: str, blob: bytes) -> int:
+        """Store ``blob`` under ``key``, raising on failure; return the
+        running byte total of the store."""
+        raise NotImplementedError
+
+    def _remove(self, key: str, token: Any = None) -> bool:
+        """Drop the entry under ``key`` (only if it is still the one
+        ``token`` names, when given); True when one was dropped."""
+        raise NotImplementedError
+
+    def _scan(self) -> list[tuple[str, int, float]]:
+        """Every entry as ``(key, bytes, seconds since last use)``."""
+        raise NotImplementedError
 
     # -- get / put -----------------------------------------------------
 
     def get(self, key: str, schema: dict[str, int] | None = None) -> Any:
-        """The object stored under ``key``, or ``None`` on any miss."""
-        path = self.path_for(key)
+        """The object stored under ``key``, or ``None`` on any miss.
+
+        A corrupt or version-skewed entry is dropped so it cannot fail
+        twice, but only the entry this read saw: one that another
+        thread stored meanwhile survives.
+        """
         obs = current_telemetry()
-        try:
-            blob = path.read_bytes()
-        except OSError:
+        found = self._read(key, touch=True)
+        if found is None:
             with self._lock:
                 self.stats.misses += 1
             obs.count("diskcache.miss")
             return None
+        blob, token = found
         obs.count("diskcache.bytes_read", len(blob))
         try:
             obj = deserialize(blob, schema)
-        except CacheVersionError:
+        except CacheEntryError as exc:
+            self._remove(key, token)
+            skew = isinstance(exc, CacheVersionError)
             with self._lock:
-                self.stats.version_skips += 1
+                if skew:
+                    self.stats.version_skips += 1
+                else:
+                    self.stats.corrupt += 1
                 self.stats.misses += 1
-            obs.count("diskcache.version_skip")
+            obs.count("diskcache.version_skip" if skew
+                      else "diskcache.corrupt")
             obs.count("diskcache.miss")
-            self._drop(path)
             return None
-        except CacheEntryError:
-            with self._lock:
-                self.stats.corrupt += 1
-                self.stats.misses += 1
-            obs.count("diskcache.corrupt")
-            obs.count("diskcache.miss")
-            self._drop(path)
-            return None
-        try:
-            os.utime(path)  # LRU recency for eviction
-        except OSError:
-            pass
         with self._lock:
             self.stats.hits += 1
         obs.count("diskcache.hit")
@@ -344,42 +329,20 @@ class DiskCache:
 
     def put(self, key: str, obj: Any,
             schema: dict[str, int] | None = None) -> None:
-        """Atomically publish ``obj`` under ``key`` and enforce the
-        size bound.
+        """Publish ``obj`` under ``key`` and enforce the size bound.
 
-        Write failures (unwritable directory, full disk) degrade to an
-        uncached compile — counted on ``stats.write_errors``, never
-        raised: a broken cache must not break the compiler.  The first
-        failure per cache additionally emits a structured
-        ``diskcache.write_error`` telemetry event naming the path and
-        the error, so a silently-degraded cache is visible in
-        ``--timings``/``--trace`` output.
+        A failed store (unpicklable object, unwritable directory, full
+        disk) degrades to an uncached compile — counted on
+        ``stats.write_errors``, never raised: a broken cache must not
+        break the compiler.  The first failure per backend also emits
+        a structured ``diskcache.write_error`` telemetry event naming
+        the store and the error, so a silently-degraded cache is
+        visible in ``--timings``/``--trace`` output.
         """
-        path = self.path_for(key)
-        tmp = None
         try:
             blob = serialize(obj, schema)
-            # A same-key overwrite replaces the old entry's bytes: the
-            # running estimate must only grow by the *delta*, or
-            # repeated re-stores of the same keys inflate it past the
-            # bound and trigger needless full-scan eviction passes.
-            try:
-                old_size = path.stat().st_size
-            except OSError:
-                old_size = 0
-            try:
-                fd, tmp = tempfile.mkstemp(dir=path.parent, suffix=".tmp")
-            except FileNotFoundError:
-                # First entry of its fan-out directory: only then pay
-                # for the mkdir.
-                path.parent.mkdir(parents=True, exist_ok=True)
-                fd, tmp = tempfile.mkstemp(dir=path.parent, suffix=".tmp")
-            with os.fdopen(fd, "wb") as handle:
-                handle.write(blob)
-            os.replace(tmp, path)
+            total = self._write(key, blob)
         except Exception as exc:  # noqa: BLE001 — OSError *or* pickling failure
-            if tmp is not None:
-                self._drop(Path(tmp))
             with self._lock:
                 self.stats.write_errors += 1
                 first = not self._write_error_reported
@@ -387,45 +350,35 @@ class DiskCache:
             obs = current_telemetry()
             obs.count("diskcache.write_error")
             if first:
-                obs.event("diskcache.write_error",
-                          level="warning",
-                          path=str(path),
+                obs.event("diskcache.write_error", level="warning",
+                          location=self.location, key=key,
                           error=f"{type(exc).__name__}: {exc}")
             return
         with self._lock:
             self.stats.stores += 1
-        with _SIZE_ESTIMATES_LOCK:
-            total = _SIZE_ESTIMATES.get(self._store)
-            if total is None:
-                total = self.size_bytes()
-            else:
-                total += len(blob) - old_size
-            _SIZE_ESTIMATES[self._store] = total
-        over_bound = total > self.max_bytes
         obs = current_telemetry()
         obs.count("diskcache.store")
         obs.count("diskcache.bytes_written", len(blob))
-        if over_bound:
+        if total > self.max_bytes:
             self.gc()
-
-    def clear(self) -> int:
-        """Delete every entry (the directory itself is kept); returns
-        the number of entries removed."""
-        removed = 0
-        for path in self._entries():
-            self._drop(path)
-            removed += 1
-        self._set_size_estimate(0)
-        return removed
 
     # -- admin (the ``repro cache`` verb and the serve endpoints) ------
 
+    def keys(self) -> list[str]:
+        """Every fingerprint currently stored (sorted)."""
+        return sorted(key for key, _, _ in self._scan())
+
+    def size_bytes(self) -> int:
+        """Total bytes currently stored (best effort under concurrency)."""
+        return sum(size for _, size, _ in self._scan())
+
     def delete(self, key: str) -> bool:
         """Remove one entry; True when it existed."""
-        path = self.path_for(key)
-        existed = path.is_file()
-        self._drop(path)
-        return existed
+        return self._remove(key)
+
+    def clear(self) -> int:
+        """Delete every entry; return how many were removed."""
+        return sum(self._remove(key) for key, _, _ in self._scan())
 
     def gc(self, max_bytes: int | None = None, *,
            min_age: float = 0.0, pinned: Iterable[str] = ()) -> int:
@@ -441,37 +394,28 @@ class DiskCache:
         of queued/running jobs).
 
         :meth:`put` runs the same pass, unpinned and with no minimum
-        age, only when the running size estimate crosses the bound, so
-        steady-state fills stay O(1) per store.  Competing evictors
-        racing on the same directory simply find some files already
-        gone.
+        age, only when the store's running byte total crosses the
+        bound, so steady-state fills stay O(1) per store.  Competing
+        evictors simply find some entries already gone.
         """
         bound = self.max_bytes if max_bytes is None else max_bytes
         keep = set(pinned)
-        now = time.time()
-        stamped = []
-        total = 0
-        for path in self._entries():
-            try:
-                stat = path.stat()
-            except OSError:
-                continue
-            stamped.append((stat.st_mtime, stat.st_size, path))
-            total += stat.st_size
+        entries = self._scan()
+        total = sum(size for _, size, _ in entries)
         removed = 0
         obs = current_telemetry()
-        for mtime, size, path in sorted(stamped):
+        # Oldest first; equally old entries in key order.
+        for key, size, age in sorted(entries, key=lambda e: (-e[2], e[0])):
             if total <= bound:
                 break
-            if path.stem in keep or now - mtime < min_age:
+            if key in keep or age < min_age:
                 continue
-            self._drop(path)
-            with self._lock:
-                self.stats.evictions += 1
-            obs.count("diskcache.eviction")
-            removed += 1
             total -= size
-        self._set_size_estimate(total)
+            if self._remove(key):
+                removed += 1
+                with self._lock:
+                    self.stats.evictions += 1
+                obs.count("diskcache.eviction")
         return removed
 
     def verify(self) -> VerifyReport:
@@ -480,32 +424,145 @@ class DiskCache:
         Corrupt entries can never be served; version-skewed ones can
         never be served *by this checkout* — both are removed so the
         store holds only entries a compile could actually restore.
+        Version skew is expected across checkouts, so no artifact
+        schema is pinned: verify asks "can this entry ever be served",
+        not "by my artifact versions".
         """
         report = VerifyReport()
         obs = current_telemetry()
-        for path in sorted(self._entries()):
+        for key in self.keys():
             report.checked += 1
+            # An entry that vanished since the listing reads as corrupt.
+            blob, token = self._read(key) or (b"", None)
             try:
-                deserialize_envelope_only(path.read_bytes())
+                deserialize(blob, any_schema=True)
             except CacheVersionError:
                 report.version_skew += 1
-                report.dropped.append(path.stem)
-                self._drop(path)
-                obs.count("cache.verify_failures")
-                continue
-            except (CacheEntryError, OSError):
+            except CacheEntryError:
                 report.corrupt += 1
-                report.dropped.append(path.stem)
-                self._drop(path)
-                obs.count("cache.verify_failures")
+            else:
+                report.ok += 1
                 continue
-            report.ok += 1
+            report.dropped.append(key)
+            self._remove(key, token)
+            obs.count("cache.verify_failures")
         return report
 
-    # -- eviction ------------------------------------------------------
 
-    def _drop(self, path: Path) -> None:
+class DiskCache(CacheBackend):
+    """SHA-256 fingerprint → versioned serialized object, on disk.
+
+    The generic persistence layer: :class:`.session.StageCache` stores
+    stage snapshot streams under stage keys, and
+    :class:`repro.arch.explore.ExploreCache` stores evaluated sweep
+    candidates — both through this one store, distinguished by their
+    fingerprint namespaces and their schemas.
+
+    Safe to share one directory between concurrent processes; see the
+    module docstring for the guarantees.
+    """
+
+    def __init__(self, cache_dir: str | Path | None = None,
+                 max_bytes: int = 256 * 1024 * 1024):
+        super().__init__(max_bytes)
+        self.root = Path(cache_dir) if cache_dir is not None \
+            else default_cache_dir()
+        self.location = str(self.root)
+        self.objects = self.root / "objects"
+        self._store = os.path.abspath(self.objects)
+
+    get = CacheBackend.get
+    put = CacheBackend.put
+
+    @property
+    def _size_estimate(self) -> int | None:
+        """The directory's running size guess; None until this process
+        lists the store.  Only gates *when* the real (scanning)
+        eviction runs — drift from concurrent processes cannot over- or
+        under-delete."""
+        return _SIZE_ESTIMATES.get(self._store)
+
+    def path_for(self, key: str) -> Path:
+        """The entry file a fingerprint maps to (existing or not)."""
+        return self.objects / key[:2] / f"{key}{_SUFFIX}"
+
+    # -- the medium: one file per entry --------------------------------
+
+    def _read(self, key: str, touch: bool = False) \
+            -> tuple[bytes, int] | None:
+        # The token is the file's inode: a concurrent os.replace
+        # publishes a new one.
+        path = self.path_for(key)
         try:
+            with open(path, "rb") as handle:
+                blob = handle.read()
+                inode = os.fstat(handle.fileno()).st_ino
+        except OSError:
+            return None
+        if touch:
+            with contextlib.suppress(OSError):
+                os.utime(path)
+        return blob, inode
+
+    def _write(self, key: str, blob: bytes) -> int:
+        path = self.path_for(key)
+        # A same-key overwrite replaces the old entry's bytes: the
+        # running estimate must only grow by the *delta*, or repeated
+        # re-stores of the same keys inflate it past the bound and
+        # trigger needless full-scan eviction passes.
+        try:
+            old_size = path.stat().st_size
+        except OSError:
+            old_size = 0
+        try:
+            fd, tmp = tempfile.mkstemp(dir=path.parent, suffix=".tmp")
+        except FileNotFoundError:
+            # First entry of its fan-out directory: only then pay for
+            # the mkdir.
+            path.parent.mkdir(parents=True, exist_ok=True)
+            fd, tmp = tempfile.mkstemp(dir=path.parent, suffix=".tmp")
+        try:
+            with os.fdopen(fd, "wb") as handle:
+                handle.write(blob)
+            os.replace(tmp, path)
+        except OSError:
+            with contextlib.suppress(OSError):
+                os.unlink(tmp)
+            raise
+        with _SIZE_ESTIMATES_LOCK:
+            total = _SIZE_ESTIMATES.get(self._store)
+            if total is not None:
+                total += len(blob) - old_size
+                _SIZE_ESTIMATES[self._store] = total
+        # The directory is scanned to seed the estimate once per
+        # process, not once per cache object (a server opens one per job).
+        return self.size_bytes() if total is None else total
+
+    def _remove(self, key: str, token: int | None = None) -> bool:
+        path = self.path_for(key)
+        try:
+            stat = path.stat()
+            if token is not None and stat.st_ino != token:
+                return False
             path.unlink()
         except OSError:
-            pass
+            return False
+        with _SIZE_ESTIMATES_LOCK:
+            if self._store in _SIZE_ESTIMATES:
+                _SIZE_ESTIMATES[self._store] -= stat.st_size
+        return True
+
+    def _scan(self) -> list[tuple[str, int, float]]:
+        # Every listing is a census of the directory: it re-seeds the
+        # running estimate, which corrects drift from other processes.
+        now = time.time()
+        entries = []
+        for path in self.objects.glob(f"*/*{_SUFFIX}"):
+            try:
+                stat = path.stat()
+            except OSError:
+                continue
+            entries.append((path.stem, stat.st_size, now - stat.st_mtime))
+        with _SIZE_ESTIMATES_LOCK:
+            _SIZE_ESTIMATES[self._store] = sum(size for _, size, _ in entries)
+        return entries

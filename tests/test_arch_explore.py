@@ -469,7 +469,8 @@ class TestDiskBackedSweeps:
 
         dfgs = app_set()
         allocations = [Allocation(), Allocation(n_alu=2)]
-        cold = explore(dfgs, allocations, cache_dir=str(tmp_path))
+        cold = explore(dfgs, allocations,
+                       cache=ExploreCache(disk=DiskCache(tmp_path)))
 
         # A fresh cache over the same directory is what a new process
         # starts with: every candidate restores from disk.
@@ -486,8 +487,8 @@ class TestDiskBackedSweeps:
 
         dfgs = app_set()
         allocations = [Allocation()]
-        explore(dfgs, allocations, cache_dir=str(tmp_path))
         disk = DiskCache(tmp_path)
+        explore(dfgs, allocations, cache=ExploreCache(disk=disk))
         for path in disk.objects.glob("*/*.rpdc"):
             path.write_bytes(b"junk")
         warm_cache = ExploreCache(disk=DiskCache(tmp_path))
@@ -496,13 +497,15 @@ class TestDiskBackedSweeps:
         assert warm[0].feasible
 
     def test_failures_persist_too(self, tmp_path):
+        from repro.pipeline import DiskCache
+
         dfgs = app_set()
         allocations = [Allocation()]
         options = CompileOptions(budget=1)
         cold = explore(dfgs, allocations, options=options,
-                       cache_dir=str(tmp_path))
+                       cache=ExploreCache(disk=DiskCache(tmp_path)))
         warm = explore(dfgs, allocations, options=options,
-                       cache_dir=str(tmp_path))
+                       cache=ExploreCache(disk=DiskCache(tmp_path)))
         assert not cold[0].feasible
         assert warm[0].failures == cold[0].failures
 

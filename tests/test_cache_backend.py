@@ -1,10 +1,11 @@
-"""Tests for the pluggable cache-backend layer (repro.pipeline.backend).
+"""Tests for the persistent tier (CacheBackend and its two media).
 
-The contract under test: MemoryBackend speaks the exact envelope the
-disk backend writes (so corruption and version skew degrade to misses,
-never errors), open_backend maps spec strings to shared instances, and
-— the PR-4 regression class — every cache-like object is truthy even
-when empty.
+The contract under test: both media speak the exact envelope the disk
+backend writes (so corruption and version skew degrade to misses,
+never errors) through the one policy in CacheBackend, which the
+``media`` fixture runs once per medium; open_backend maps spec strings
+to shared instances, and every cache-like object is truthy even when
+empty (an empty cache once lost to ``cache or Default()``).
 """
 
 import sys
@@ -38,8 +39,31 @@ loop {
 """
 
 
-class TestProtocol:
-    def test_both_backends_satisfy_the_protocol(self, tmp_path):
+@pytest.fixture(params=["memory", "disk"])
+def media(request, tmp_path):
+    """A factory of backends on one medium, parametrized over both."""
+    if request.param == "memory":
+        return MemoryBackend
+    return lambda **options: DiskCache(tmp_path, **options)
+
+
+def stored_bytes(backend) -> int:
+    """What the medium really holds, bypassing its running total."""
+    if isinstance(backend, MemoryBackend):
+        return sum(len(blob) for blob, _ in backend._entries.values())
+    return sum(path.stat().st_size
+               for path in backend.objects.glob("*/*.rpdc"))
+
+
+def running_total(backend) -> int:
+    """The running byte total that decides when a put evicts."""
+    if isinstance(backend, MemoryBackend):
+        return backend._bytes
+    return backend._size_estimate
+
+
+class TestCacheBackend:
+    def test_both_media_are_cache_backends(self, tmp_path):
         assert isinstance(MemoryBackend(), CacheBackend)
         assert isinstance(DiskCache(tmp_path), CacheBackend)
 
@@ -82,62 +106,80 @@ class TestTruthiness:
         assert len(MemoryBackend()) == 0
 
 
-class TestMemoryBackend:
-    def test_roundtrip(self):
-        backend = MemoryBackend()
+class TestBackend:
+    def test_roundtrip(self, media):
+        backend = media()
         schema = {"x": 1}
         backend.put("k" * 64, {"x": [1, 2, 3]}, schema)
         assert backend.get("k" * 64, schema) == {"x": [1, 2, 3]}
         assert backend.stats.hits == 1 and backend.stats.stores == 1
 
-    def test_miss_is_none(self):
-        backend = MemoryBackend()
+    def test_miss_is_none(self, media):
+        backend = media()
         assert backend.get("absent") is None
         assert backend.stats.misses == 1
 
-    def test_corrupt_entry_degrades_to_miss(self):
-        backend = MemoryBackend()
-        backend._entries["bad"] = (b"not an envelope", 0.0)
+    def test_corrupt_entry_degrades_to_miss(self, media):
+        backend = media()
+        backend._write("bad", b"not an envelope")
         assert backend.get("bad") is None
         assert backend.stats.corrupt == 1
         assert "bad" not in backend.keys()  # dropped, not retried forever
 
-    def test_version_skew_degrades_to_miss(self, monkeypatch):
-        backend = MemoryBackend()
+    def test_drop_spares_an_entry_stored_during_the_read(self, media,
+                                                         monkeypatch):
+        """A read that finds a corrupt entry drops only that entry: a
+        good one another thread stores while the read deserializes
+        survives, and the next read hits it."""
+        backend = media()
+        backend._write("kk", b"not an envelope")
+        real = diskcache.deserialize
+
+        def racing(blob, *args, **kwargs):
+            monkeypatch.setattr(diskcache, "deserialize", real)
+            backend.put("kk", {"x": 1})
+            return real(blob, *args, **kwargs)
+
+        monkeypatch.setattr(diskcache, "deserialize", racing)
+        assert backend.get("kk") is None
+        assert backend.stats.corrupt == 1
+        assert backend.get("kk") == {"x": 1}
+
+    def test_version_skew_degrades_to_miss(self, media, monkeypatch):
+        backend = media()
         backend.put("skewed", {"x": 1}, {"x": 1})
         monkeypatch.setattr(diskcache, "PIPELINE_VERSION", 999)
         assert backend.get("skewed", {"x": 1}) is None
         assert backend.stats.version_skips == 1
+        assert backend.keys() == []
 
-    def test_unpicklable_store_degrades(self):
-        backend = MemoryBackend()
+    def test_unpicklable_store_degrades(self, media):
+        backend = media()
         backend.put("gen", (n for n in range(3)))  # generators don't pickle
         assert backend.stats.write_errors == 1
         assert backend.keys() == []
 
-    def test_size_bound_evicts_at_put(self):
-        backend = MemoryBackend(max_bytes=1)
+    def test_size_bound_evicts_at_put(self, media):
+        backend = media(max_bytes=1)
         backend.put("a", {"pad": "x" * 100})
         backend.put("b", {"pad": "y" * 100})
         # The bound is enforced at put time (no entry fits under 1 byte).
         assert backend.size_bytes() <= 1
         assert backend.stats.evictions >= 1
 
-    def test_delete(self):
-        backend = MemoryBackend()
+    def test_delete(self, media):
+        backend = media()
         backend.put("a", {"x": 1})
         assert backend.delete("a") is True
         assert backend.delete("a") is False
 
-    def test_running_size_matches_the_stored_envelopes(self, monkeypatch):
-        """``size_bytes`` is a running total kept on every mutation,
-        not a scan; it must equal the sum of the stored envelopes
-        after any mix of them."""
-        def stored() -> int:
-            return sum(len(blob) for blob, _ in backend._entries.values())
-
+    def test_running_size_matches_the_stored_envelopes(self, media,
+                                                       monkeypatch):
+        """The running byte total is kept on every mutation, not
+        scanned; it must equal the bytes the medium holds after any
+        mix of them."""
         one = len(diskcache.serialize({"pad": "x" * 100}, {}))
-        backend = MemoryBackend(max_bytes=6 * one)
+        backend = media(max_bytes=6 * one)
         steps = [
             lambda: backend.put("a", {"pad": "x" * 100}),
             lambda: backend.put("b", {"pad": "y" * 300}),
@@ -154,12 +196,12 @@ class TestMemoryBackend:
         ]
         for step in steps:
             step()
-            assert backend.size_bytes() == stored()
+            assert running_total(backend) == stored_bytes(backend)
         assert backend.stats.evictions >= 2
         # Entries dropped on read (version skew) leave the total too.
         monkeypatch.setattr(diskcache, "PIPELINE_VERSION", 999)
         assert backend.get("g") is None
-        assert backend.size_bytes() == stored() == 0
+        assert running_total(backend) == stored_bytes(backend) == 0
 
     def test_running_size_survives_concurrent_traffic(self):
         """Threads racing puts, overwrites, reads, deletes and gc on
@@ -192,8 +234,7 @@ class TestMemoryBackend:
         finally:
             sys.setswitchinterval(interval)
         assert not any(thread.is_alive() for thread in threads)
-        assert backend.size_bytes() == sum(
-            len(blob) for blob, _ in backend._entries.values())
+        assert running_total(backend) == stored_bytes(backend)
 
 
 class TestByteCounters:
@@ -243,16 +284,16 @@ class TestByteCounters:
 
 
 class TestGc:
-    def test_gc_to_zero_empties_the_store(self):
-        backend = MemoryBackend()
+    def test_gc_to_zero_empties_the_store(self, media):
+        backend = media()
         for i in range(4):
             backend.put(f"k{i}", {"i": i})
         removed = backend.gc(0)
         assert removed == 4
         assert backend.keys() == []
 
-    def test_min_age_protects_fresh_entries(self):
-        backend = MemoryBackend()
+    def test_min_age_protects_fresh_entries(self, media):
+        backend = media()
         backend.put("fresh", {"x": 1})
         # Everything was stored milliseconds ago; an hour's min_age
         # means gc removes nothing even with a zero byte bound — this
@@ -260,30 +301,17 @@ class TestGc:
         assert backend.gc(0, min_age=3600.0) == 0
         assert backend.keys() == ["fresh"]
 
-    def test_pinned_entries_survive(self):
-        backend = MemoryBackend()
+    def test_pinned_entries_survive(self, media):
+        backend = media()
         backend.put("keep", {"x": 1})
         backend.put("drop", {"x": 2})
         removed = backend.gc(0, pinned=["keep"])
         assert removed == 1
         assert backend.keys() == ["keep"]
 
-    def test_disk_gc_min_age_and_pinned(self, tmp_path):
-        disk = DiskCache(tmp_path)
-        disk.put("a" * 64, {"x": 1}, {"x": 1})
-        disk.put("b" * 64, {"x": 2}, {"x": 2})
-        assert disk.gc(0, min_age=3600.0) == 0
-        assert disk.gc(0, pinned=["a" * 64]) == 1
-        assert disk.keys() == ["a" * 64]
-        assert disk.gc(0) == 1
-        assert disk.keys() == []
-
-    @pytest.mark.parametrize("kind", ["memory", "disk"])
-    def test_bound_eviction_at_put_is_not_an_admin_gc(self, kind,
-                                                      tmp_path):
+    def test_bound_eviction_at_put_is_not_an_admin_gc(self, media):
         one = len(diskcache.serialize({"pad": "x" * 100}, {}))
-        backend = (MemoryBackend(max_bytes=3 * one) if kind == "memory"
-                   else DiskCache(tmp_path, max_bytes=3 * one))
+        backend = media(max_bytes=3 * one)
         obs = Telemetry()
         with use_telemetry(obs):
             for i in range(5):
@@ -306,21 +334,26 @@ class TestGc:
 
 
 class TestVerify:
-    def test_clean_store(self):
-        backend = MemoryBackend()
+    def test_clean_store(self, media):
+        backend = media()
         backend.put("a", {"x": 1})
         report = backend.verify()
         assert report.checked == 1 and report.clean
         assert report.to_dict()["clean"] is True
 
-    def test_corrupt_entries_reported_and_dropped(self):
-        backend = MemoryBackend()
-        backend.put("good", {"x": 1})
-        backend._entries["bad"] = (b"\x00" * 16, 0.0)
+    def test_unusable_entries_reported_and_dropped(self, media,
+                                                   monkeypatch):
+        backend = media()
+        backend.put("good", {"x": 1}, {"x": 1})
+        backend._write("bad", b"\x00" * 16)
+        monkeypatch.setattr(diskcache, "FORMAT_VERSION", 2)
+        backend._write("old", diskcache.serialize({"x": 1}))
+        monkeypatch.undo()
         report = backend.verify()
-        assert report.checked == 2
-        assert report.corrupt == 1 and not report.clean
-        assert report.dropped == ["bad"]
+        assert report.checked == 3
+        assert report.corrupt == 1 and report.version_skew == 1
+        assert not report.clean
+        assert report.dropped == ["bad", "old"]
         assert backend.keys() == ["good"]
 
     def test_disk_verify_drops_truncated_entry(self, tmp_path):

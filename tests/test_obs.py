@@ -31,7 +31,7 @@ from repro.obs import (
     write_profile,
 )
 from repro.obs.profile import percentile
-from repro.pipeline import STAGE_NAMES, DiskCache, StageCache
+from repro.pipeline import STAGE_NAMES, DiskCache, MemoryBackend, StageCache
 from repro.report import timeline
 
 GAIN = """
@@ -225,9 +225,11 @@ class TestCounters:
 
 
 class TestDiskCacheWriteError:
+    @pytest.mark.parametrize("medium", ["disk", "memory"])
     def test_write_errors_count_but_event_fires_once(self, tmp_path,
-                                                     monkeypatch):
-        cache = DiskCache(tmp_path)
+                                                     monkeypatch, medium):
+        # Both media share one write path, so both warn once.
+        cache = DiskCache(tmp_path) if medium == "disk" else MemoryBackend()
         monkeypatch.setattr("repro.pipeline.diskcache.serialize",
                             lambda *a, **k: (_ for _ in ()).throw(
                                 OSError("disk full")))
