@@ -49,10 +49,12 @@ cached-cold and warm compiles into a per-stage p50/p95 table (see
 The complete reference, including exit codes and JSON output shapes, is
 in ``docs/cli.md``.
 
-Building the parser loads the compile path (``--stop-after`` lists the
-pipeline's stages); everything else a subcommand needs — reports, the
-simulator, the fuzzer, the server — is imported when that subcommand
-runs.
+Building the parser loads only the option, telemetry and error
+modules: ``--stop-after``'s choices come from
+:data:`repro.options.STAGE_CHOICES` and ``--merges``'s from
+:data:`MERGE_CHOICES`, both spelled out.  Everything a subcommand needs
+— the compile path, the explorer, reports, the simulator, the fuzzer,
+the server — is imported when that subcommand runs.
 """
 
 from __future__ import annotations
@@ -62,22 +64,10 @@ import json
 import os
 import sys
 from pathlib import Path
+from typing import TYPE_CHECKING
 
-from .arch import (
-    MERGE_VARIANTS,
-    ExploreCache,
-    SweepSpec,
-    explore,
-    explore_refined,
-    pareto_axes,
-    pareto_front,
-    resolve_core,
-)
-from .core import ClassTable, InstructionSet
-from .encode import derive_format, dump_program, load_program
 from .errors import ReproError
 from .fixed import FixedFormat
-from .lang import parse_source
 from .obs import (
     Telemetry,
     profile_compile,
@@ -87,12 +77,18 @@ from .obs import (
     write_profile,
 )
 from .options import CompileOptions
-from .pipeline import PIPELINE_STAGES, StageCache, open_backend
-from .toolchain import Toolchain
+
+if TYPE_CHECKING:
+    from .arch import SweepSpec
 
 #: ``--engine`` choices: :data:`repro.sim.batch.ENGINES`, spelled out so
 #: that building the parser does not import the simulator.
 ENGINE_CHOICES = ("auto", "decoded", "numpy")
+
+#: ``--merges`` variants: the keys of
+#: :data:`repro.arch.explore.MERGE_VARIANTS`, spelled out so that
+#: building the parser does not import the explorer.
+MERGE_CHOICES = ("alu-operands", "mult-operands", "none")
 
 
 def engine_argument(value: str) -> str:
@@ -167,10 +163,10 @@ def parse_merge_variants(spec: str) -> list[str]:
         token = token.strip()
         if not token:
             continue
-        if token not in MERGE_VARIANTS:
+        if token not in MERGE_CHOICES:
             raise ReproError(
                 f"bad --merges {spec!r}: unknown variant {token!r} "
-                f"(known: {', '.join(sorted(MERGE_VARIANTS))})"
+                f"(known: {', '.join(MERGE_CHOICES)})"
             )
         if token not in variants:
             variants.append(token)
@@ -237,7 +233,10 @@ def add_telemetry_flags(parser: argparse.ArgumentParser) -> None:
 
 
 def cmd_compile(args: argparse.Namespace) -> int:
+    from .encode import dump_program
+    from .pipeline import PIPELINE_STAGES, StageCache
     from .report import gantt_chart, occupation_chart, summary_report
+    from .toolchain import Toolchain
 
     options = CompileOptions.from_args(args)
     obs = command_telemetry(args)
@@ -308,7 +307,9 @@ def cmd_compile(args: argparse.Namespace) -> int:
 
 
 def cmd_batch(args: argparse.Namespace) -> int:
+    from .encode import dump_program
     from .report import batch_report
+    from .toolchain import Toolchain
 
     options = CompileOptions.from_args(args)
     obs = command_telemetry(args)
@@ -367,6 +368,8 @@ def cmd_batch(args: argparse.Namespace) -> int:
 
 def sweep_spec_from_args(args: argparse.Namespace) -> SweepSpec:
     """The multi-dimensional candidate grid the explore flags name."""
+    from .arch import SweepSpec
+
     return SweepSpec(
         n_mults=tuple(parse_sweep(args.mults, "--mults")),
         n_alus=tuple(parse_sweep(args.alus, "--alus")),
@@ -379,6 +382,15 @@ def sweep_spec_from_args(args: argparse.Namespace) -> SweepSpec:
 
 
 def cmd_explore(args: argparse.Namespace) -> int:
+    from .arch import (
+        ExploreCache,
+        explore,
+        explore_refined,
+        pareto_axes,
+        pareto_front,
+    )
+    from .lang import parse_source
+    from .pipeline import open_backend
     from .report import exploration_report
 
     options = CompileOptions.from_args(args)
@@ -462,6 +474,8 @@ def cmd_explore(args: argparse.Namespace) -> int:
 
 
 def cmd_run(args: argparse.Namespace) -> int:
+    from .toolchain import Toolchain
+
     options = CompileOptions.from_args(args)
     obs = command_telemetry(args)
     toolchain = Toolchain(args.core, options, cache=None, telemetry=obs)
@@ -481,6 +495,7 @@ def cmd_run(args: argparse.Namespace) -> int:
 
 
 def cmd_run_image(args: argparse.Namespace) -> int:
+    from .encode import load_program
     from .sim import run_program
 
     program = load_program(Path(args.image).read_text())
@@ -684,6 +699,8 @@ def cmd_profile(args: argparse.Namespace) -> int:
 
 def cmd_check(args: argparse.Namespace) -> int:
     from .analyze import lint_program, verify_state
+    from .encode import load_program
+    from .toolchain import Toolchain
 
     if args.image is not None and args.source is not None:
         raise ReproError("give a source file or --image, not both")
@@ -795,7 +812,7 @@ def cmd_worker(args: argparse.Namespace) -> int:
 
 
 def cmd_cache(args: argparse.Namespace) -> int:
-    from .pipeline import backend_stats
+    from .pipeline import backend_stats, open_backend
 
     obs = command_telemetry(args)
     with use_telemetry(obs):
@@ -838,6 +855,9 @@ def cmd_cache(args: argparse.Namespace) -> int:
 
 
 def cmd_inspect_core(args: argparse.Namespace) -> int:
+    from .arch import resolve_core
+    from .core import ClassTable, InstructionSet
+    from .encode import derive_format
     from .report import class_table_report
 
     core = resolve_core(args.core)
@@ -924,7 +944,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="coefficient-ROM words (default 128)")
     e.add_argument("--merges", default="none", metavar="VARIANTS",
                    help="register-file merge variants to sweep: "
-                        f"{', '.join(sorted(MERGE_VARIANTS))} (default none)")
+                        f"{', '.join(MERGE_CHOICES)} (default none)")
     e.add_argument("--refine", action="store_true",
                    help="coarse-to-fine sweep: evaluate a thinned grid, "
                         "then only the fine neighborhoods of its Pareto "

@@ -33,18 +33,19 @@ COUNTERS: dict[str, str] = {
     "stagecache.disk_hit": "subset of stagecache.hit served by the "
                            "persistent disk tier",
     "stagecache.miss": "stages the cache did not cover, so they executed",
-    "stagecache.store": "stage snapshots serialized into the memory tier",
+    "stagecache.store": "snapshot packs stored into the memory tier (one "
+                        "per key run a compile executed)",
     "stagecache.eviction": "memory-tier LRU evictions",
-    "stagecache.restore": "stage snapshots deserialized (one per "
-                          "resolved key run that hit)",
+    "stagecache.restore": "snapshot packs deserialized (one per pack a "
+                          "key run's lookup matched)",
     "stagecache.bytes_pickled": "bytes the stage stores actually "
                                 "pickled (each stage's frame: the "
                                 "artifacts it changed)",
-    "stagecache.bytes_stored": "bytes of the serialized stage snapshots "
-                               "stored",
+    "stagecache.bytes_stored": "bytes of the snapshot packs stored",
     "diskcache.hit": "on-disk entries read back successfully",
     "diskcache.miss": "on-disk lookups that found no usable entry",
-    "diskcache.store": "on-disk entries published atomically",
+    "diskcache.store": "on-disk entries published atomically (for the "
+                       "stage cache, one per pack)",
     "diskcache.eviction": "on-disk entries deleted by the LRU size bound",
     "diskcache.corrupt": "on-disk entries dropped because they could "
                          "not be read back",

@@ -71,12 +71,11 @@ SEMANTIC_FIELDS = ("opt", "budget", "cover", "mode", "repeat",
                    "restarts", "seed")
 
 
-def _stage_names() -> tuple[str, ...]:
-    # Imported lazily: repro.pipeline imports this module (the request
-    # carries a CompileOptions), so a module-level import would cycle.
-    from .pipeline.stages import STAGE_NAMES
-
-    return STAGE_NAMES
+#: The pipeline's stages in order (``stop_after``'s values):
+#: :data:`repro.pipeline.stages.STAGE_NAMES`, spelled out so that
+#: validating options or building a parser loads no stage.
+STAGE_CHOICES = ("parse", "optimize", "rtgen", "merge", "impose",
+                 "schedule", "regalloc", "assemble")
 
 
 @dataclass(frozen=True)
@@ -151,10 +150,10 @@ class CompileOptions:
         if not isinstance(self.seed, int) or isinstance(self.seed, bool):
             raise OptionsError(f"seed must be an int, got {self.seed!r}")
         if self.stop_after is not None and \
-                self.stop_after not in _stage_names():
+                self.stop_after not in STAGE_CHOICES:
             raise OptionsError(
                 f"unknown stage {self.stop_after!r}: expected one of "
-                f"{', '.join(_stage_names())}")
+                f"{', '.join(STAGE_CHOICES)}")
         if self.verify not in VERIFY_LEVELS:
             raise OptionsError(
                 f"verify must be one of {VERIFY_LEVELS}, "
@@ -343,7 +342,7 @@ def _add_repeat(parser: argparse.ArgumentParser) -> None:
 
 def _add_stop_after(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
-        "--stop-after", default=None, choices=list(_stage_names()),
+        "--stop-after", default=None, choices=list(STAGE_CHOICES),
         help="partial compilation: stop after this stage and print the "
              "per-stage fingerprints")
 

@@ -45,7 +45,9 @@ Entry layout on disk (``<dir>/objects/<aa>/<fingerprint>.rpdc``)::
     MAGIC 'RPDC' | header length (4 bytes LE) | header JSON | payload
 
 where the header records the versions above plus the payload's SHA-256,
-and the payload is a pickle of the cached object.  Pickle is safe here
+and the payload is a pickle of the cached object, or the object itself
+when it is ``bytes`` (a stage-cache snapshot pack is stored as it is,
+not pickled again).  Pickle is safe here
 because the cache directory is the user's own (the same trust domain as
 the source being compiled); the digest guards against corruption, not
 against an adversary.
@@ -74,7 +76,10 @@ from .artifacts import PIPELINE_VERSION
 #: v3: that snapshot is a stream of per-stage frames, each holding only
 #: the artifacts its stage changed; a v2 reader would load the first
 #: frame alone, so v2 and v3 entries are version skips to each other.
-FORMAT_VERSION = 3
+#: v4: a ``bytes`` object is the payload as it is (``"raw"`` in the
+#: header), not pickled again; stage-cache entries are snapshot packs,
+#: one per key run, which a v3 reader would take for a bare stream.
+FORMAT_VERSION = 4
 
 _MAGIC = b"RPDC"
 _SUFFIX = ".rpdc"
@@ -108,14 +113,18 @@ def default_cache_dir() -> Path:
 
 
 def serialize(obj: Any, schema: dict[str, int] | None = None) -> bytes:
-    """Wrap ``obj`` in the versioned envelope described above."""
-    payload = pickle.dumps(obj, protocol=pickle.HIGHEST_PROTOCOL)
+    """Wrap ``obj`` in the versioned envelope described above; a
+    ``bytes`` object is the payload as it is."""
+    raw = isinstance(obj, bytes)
+    payload = obj if raw else pickle.dumps(obj,
+                                           protocol=pickle.HIGHEST_PROTOCOL)
     header = json.dumps(
         {
             "format": FORMAT_VERSION,
             "pipeline": PIPELINE_VERSION,
             "schema": schema or {},
             "payload_sha256": hashlib.sha256(payload).hexdigest(),
+            "raw": raw,
         },
         sort_keys=True, separators=(",", ":"),
     ).encode("utf-8")
@@ -162,6 +171,8 @@ def deserialize(blob: bytes, expected_schema: dict[str, int] | None = None,
     payload = blob[8 + header_len:]
     if hashlib.sha256(payload).hexdigest() != header.get("payload_sha256"):
         raise CacheEntryError("payload digest mismatch")
+    if header.get("raw") is True:
+        return payload
     try:
         return pickle.loads(payload)
     except Exception as exc:  # noqa: BLE001 — any unpickling defect is a miss

@@ -12,10 +12,14 @@ compile.  Right after a stage runs, the stream pickles one frame
 holding only the artifacts whose identity changed — after parse just
 ``source_dfg``, after impose just the new ``program`` and
 ``conflict_model`` — and every object an earlier frame already holds
-is written as a memo reference, not copied again.  A stage's cache
-entry is the stream's bytes up to and including its frame, so the
-entries of one compile are prefixes of each other.  A restore reads
-the frames in order and merges them into one artifact dict: a single
+is written as a memo reference, not copied again.  The stream is
+stored once per **key run** (parse; optimize; rtgen … assemble) as a
+**pack**: the stream's bytes through the run's last executed frame,
+behind a header mapping each of the run's stage keys to the end offset
+of its frame.  A pack is stored under the key of the first stage the
+run executed, so a first compile writes three, and the packs of one
+compile are prefixes of each other.  A restore reads the frames in
+order and merges them into one artifact dict: a single
 unpickling pass, so every compile works on a private object graph and
 nothing a downstream stage (or the caller) does to its artifacts can
 reach a cached prefix.  When stages run after a restored prefix, the
@@ -27,7 +31,7 @@ at the requesting toolchain's own core object.
 The stream rests on one rule: **a stage never edits an artifact an
 earlier stage produced.**  A later frame refers to such an object
 through the memo, so an in-place edit made after its frame would be
-missing from every later entry, and a restored prefix would differ
+missing from every later frame, and a restored prefix would differ
 from the uncached compile.  A stage that needs a changed artifact
 builds a new object (impose returns a new ``program`` instead of
 writing artificial resources into the lowering); facts several later
@@ -36,15 +40,19 @@ its frame (rtgen annotates every RT's class); a derived index filled
 lazily on a shared object stays out of its pickled state (the DFG's
 consumer index).
 
-The driver resolves a compile by walking the key chain and restoring
-only the deepest hit.  The parse and optimize entries are small and
-are read first, because the optimize and rtgen keys hash their DFGs;
-every key from rtgen on is a pure chain of the rtgen key and the
-request, so those stages are probed from the deepest back and one
-snapshot is deserialized.  An identical re-compile therefore restores
-three snapshots, and a compile that differs only late in the chain
-(say a new cycle budget) restores the deepest shared prefix once and
-runs the rest.
+The toolchain resolves a compile one key run at a time.  The parse and
+optimize packs are small and are read first, because the optimize and
+rtgen keys hash their DFGs; every key from rtgen on is a pure chain of
+the rtgen key and the request, so the whole run's keys are known up
+front.  A lookup reads the pack under the run's first key and restores
+through the deepest frame whose header key matches; when keys are left
+over, it reads the pack under the next one.  An identical re-compile
+therefore reads and restores three packs.  A compile that diverges
+late (a new cycle budget or seed) restores the shared prefix from the
+head pack, runs the rest, and stores a **branch** pack under its first
+executed key (its new schedule key, say), so both tails stay cached
+and the next lookup walks head → branch.  A compile whose stage raises
+still stores the pack of the stages it ran.
 
 The memory cache can be layered over a persistent
 :class:`~repro.pipeline.backend.CacheBackend`: misses fall through to
@@ -114,14 +122,45 @@ class _SnapshotUnpickler(pickle.Unpickler):
 _UNWRITTEN = object()
 
 
+def encode_pack(frames: Sequence[tuple[str, int]], stream: bytes) -> bytes:
+    """A pack: a header naming each ``(stage key, end offset)`` of
+    ``frames``, then the stream bytes through the last frame.
+
+    Header: a count byte, then per frame a key length byte, the key
+    (ASCII) and the frame's end offset (4 bytes LE) in ``stream``.
+    """
+    header = bytearray([len(frames)])
+    for key, end in frames:
+        raw = key.encode("ascii")
+        header += len(raw).to_bytes(1, "little") + raw
+        header += end.to_bytes(4, "little")
+    return bytes(header) + stream[:frames[-1][1]]
+
+
+def decode_pack(pack: bytes) -> tuple[list[tuple[str, int]], int]:
+    """The ``(stage key, end offset)`` header of ``pack`` and the offset
+    its stream starts at; raises on bytes that are not a pack."""
+    frames, at = [], 1
+    for _ in range(pack[0]):
+        size = pack[at]
+        key = pack[at + 1:at + 1 + size].decode("ascii")
+        at += 1 + size
+        frames.append((key, int.from_bytes(pack[at:at + 4], "little")))
+        at += 4
+    if not frames or at + frames[-1][1] != len(pack):
+        raise ValueError("not a snapshot pack")
+    return frames, at
+
+
 class SnapshotStream:
     """One compile's snapshot stream: one pickle frame per stage.
 
     :meth:`dump` pickles the artifacts whose identity changed since the
-    previous frame and returns the stream's bytes so far — the entry
-    of the stage that just ran.  :meth:`load` reads an entry back.
-    The pickler memo lives as long as the stream, so a frame refers to
-    what earlier frames hold instead of copying it.
+    previous frame; :meth:`pack` hands out the stream so far, with a
+    header naming the frames written since the previous pack.
+    :meth:`load` reads stream bytes back.  The pickler memo lives as
+    long as the stream, so a frame refers to what earlier frames hold
+    instead of copying it.
 
     A stream belongs to one compile and is never shared: the stage
     cache may be used by several threads, the stream by one.
@@ -135,6 +174,8 @@ class SnapshotStream:
         self._buffer: io.BytesIO | None = None
         self._pickler: pickle.Pickler | None = None
         self._unpickler: _SnapshotUnpickler | None = None
+        #: ``(stage key, end offset)`` of each frame not yet packed
+        self._unpacked: list[tuple[str, int]] = []
 
     @classmethod
     def load(cls, blob: bytes, core: CoreSpec) -> "SnapshotStream":
@@ -158,7 +199,7 @@ class SnapshotStream:
     def extend(self, blob: bytes) -> bool:
         """Load the frames ``blob`` adds to this restored stream.
 
-        ``blob`` must be a later entry of the stream (it starts with
+        ``blob`` must be a longer prefix of the stream (it starts with
         every byte loaded so far).  Returns ``False`` when it is not,
         when the stream has started writing, or when the added frames
         do not load; the stream then holds what it held before, and a
@@ -188,18 +229,45 @@ class SnapshotStream:
         self._written.update(added)
         return True
 
-    def dump(self, artifacts: dict[str, Any]) -> tuple[bytes, int]:
-        """Append a frame of the artifacts of ``artifacts`` whose
-        identity changed; return ``(entry bytes, frame bytes)``."""
-        if self._pickler is None:
-            self._open()
+    def dump(self, key: str, artifacts: dict[str, Any]) -> int:
+        """Append the frame of the stage keyed ``key``: the artifacts of
+        ``artifacts`` whose identity changed.  Returns its size."""
         written = self._written
         delta = {name: value for name, value in artifacts.items()
                  if written.get(name, _UNWRITTEN) is not value}
-        start = self._buffer.tell()
-        self._pickler.dump(delta)
+        # A frame (and a pickler memo seeded from a restore) is
+        # thousands of containers and no garbage: cyclic collections
+        # triggered meanwhile would only rescan them.
+        paused = gc.isenabled()
+        gc.disable()
+        try:
+            if self._pickler is None:
+                self._open()
+            start = self._buffer.tell()
+            self._pickler.dump(delta)
+        finally:
+            if paused:
+                gc.enable()
         written.update(delta)
-        return self._buffer.getvalue(), self._buffer.tell() - start
+        end = self._buffer.tell()
+        self._unpacked.append((key, end))
+        current_telemetry().count("stagecache.bytes_pickled", end - start)
+        return end - start
+
+    def pack(self) -> tuple[str, bytes, dict[str, int]] | None:
+        """``(key, pack, schema)`` for the frames dumped since the last
+        pack, or None when there are none.
+
+        The pack is the whole stream through the last of them (a
+        frame refers to every earlier one), its header naming each of
+        them; it is stored under the first one's key.  ``schema`` is
+        the artifact schema of everything the stream holds.
+        """
+        if not self._unpacked:
+            return None
+        frames, self._unpacked = self._unpacked, []
+        pack = encode_pack(frames, self._buffer.getvalue())
+        return frames[0][0], pack, artifact_schema(self._written)
 
     def _open(self, memo: dict[int, Any] | None = None) -> None:
         """Create the pickler; after a restore it continues the loaded
@@ -234,6 +302,7 @@ class CacheStats:
     ``hits`` and ``misses`` count stages: a restore covers every stage
     up to the restored one.  ``disk_hits`` is the subset of ``hits``
     served by the persistent tier (and hydrated into memory).
+    ``stores`` and ``evictions`` count packs.
     """
 
     hits: int = 0
@@ -244,13 +313,14 @@ class CacheStats:
 
 
 class StageCache:
-    """LRU cache of serialized per-stage snapshots, keyed by fingerprint.
+    """LRU cache of snapshot packs, keyed by stage fingerprint.
 
     Thread-safe: explore workers running in threads may share one
-    cache.  Each entry is the bytes of a compile's
-    :class:`SnapshotStream` up to one stage (:meth:`put`), so cached
-    state is immutable by construction and :meth:`restore` hands out a
-    fresh object graph every time.
+    cache.  Each entry is a pack (:meth:`SnapshotStream.pack`): the
+    bytes of a compile's stream through one key run, stored under the
+    key of the run's first executed stage, so cached state is
+    immutable by construction and :meth:`restore` hands out a fresh
+    object graph every time.
 
     ``disk`` layers a persistent backend underneath — any
     :class:`~repro.pipeline.backend.CacheBackend` (the local-directory
@@ -285,45 +355,50 @@ class StageCache:
 
     def resolve(self, keys: Sequence[str], core: CoreSpec,
                 stream: SnapshotStream | None = None,
-                ) -> tuple[int, SnapshotStream | None, str | None]:
-        """Restore the deepest cached stage of a key chain.
+                ) -> tuple[SnapshotStream | None, list[str]]:
+        """Restore the deepest cached stage of a key run.
 
-        ``keys`` are consecutive stages' keys; a key certifies its
-        whole prefix, so they are probed deepest first and only the
-        first hit is deserialized.  Returns ``(n, stream, tier)``: the
-        first ``n`` stages are hits served by ``tier`` (``"memory"`` or
-        ``"disk"``) and restored as ``stream.artifacts``; the rest are
-        misses, and the compile runs them on into ``stream``.
-        ``(0, None, None)`` when nothing is cached.  ``stream`` is the
-        compile's stream so far: a hit that extends it only loads the
-        frames it adds (see :meth:`restore`).
+        ``keys`` are consecutive stages' keys.  The pack under
+        ``keys[0]`` restores through the deepest stage its header
+        shares with ``keys``; when that leaves keys over, the pack
+        under the next one (a branch a diverging compile stored)
+        continues it, and so on.  Returns ``(stream, tiers)``: the
+        first ``len(tiers)`` stages are hits, ``tiers[i]`` the tier
+        (``"memory"`` or ``"disk"``) that served stage ``i``, restored
+        as ``stream.artifacts``; the rest are misses, and the compile
+        runs them on into ``stream``.  ``(None, [])`` when nothing is
+        cached.  ``stream`` is the compile's stream so far: a pack that
+        extends it only loads the frames it adds (see :meth:`restore`).
         """
-        current, stream = stream, None
-        for depth in range(len(keys), 0, -1):
-            blob, tier = self.get_entry(keys[depth - 1])
-            stream = None if blob is None else self.restore(blob, core,
-                                                            current)
-            if stream is not None:
+        tiers: list[str] = []
+        restored = None
+        while len(tiers) < len(keys):
+            pack, tier = self.get_entry(keys[len(tiers)])
+            if pack is None:
                 break
-        else:
-            depth, tier = 0, None
-        misses = len(keys) - depth
+            covered, loaded = self.restore(pack, keys[len(tiers):], core,
+                                           stream)
+            if not covered:
+                break
+            stream = restored = loaded
+            tiers += [tier] * covered
+        depth, misses = len(tiers), len(keys) - len(tiers)
+        from_disk = tiers.count("disk")
         with self._lock:
             self.stats.hits += depth
             self.stats.misses += misses
-            if tier == "disk":
-                self.stats.disk_hits += depth
+            self.stats.disk_hits += from_disk
         obs = current_telemetry()
         if depth:
             obs.count("stagecache.hit", depth)
-            if tier == "disk":
-                obs.count("stagecache.disk_hit", depth)
+        if from_disk:
+            obs.count("stagecache.disk_hit", from_disk)
         if misses:
             obs.count("stagecache.miss", misses)
-        return depth, stream, tier
+        return restored, tiers
 
     def get_entry(self, key: str) -> tuple[bytes | None, str | None]:
-        """The serialized snapshot under ``key`` and its tier.
+        """The pack stored under ``key`` and its tier.
 
         Returns ``(bytes, "memory" | "disk")`` on a hit and
         ``(None, None)`` on a miss; a backend hit hydrates the memory
@@ -344,17 +419,32 @@ class StageCache:
                 return blob, "disk"
         return None, None
 
-    def restore(self, blob: bytes, core: CoreSpec,
+    def restore(self, pack: bytes, keys: Sequence[str], core: CoreSpec,
                 stream: SnapshotStream | None = None,
-                ) -> SnapshotStream | None:
-        """Deserialize one entry, its core references bound to
-        ``core``; ``None`` when the bytes do not load (the stage then
-        runs, and its store replaces the entry).
+                ) -> tuple[int, SnapshotStream | None]:
+        """Deserialize ``pack`` through the deepest frame whose key
+        matches ``keys`` (its header's keys in order), the core
+        references bound to ``core``.
 
-        When ``blob`` extends ``stream`` (a stream restored earlier in
-        the same compile, e.g. up to the stage whose output keys the
-        next run), only the added frames are loaded, into ``stream``,
-        so a warm compile unpickles each frame once."""
+        Returns ``(n, stream)``: the first ``n`` of ``keys`` restored.
+        ``(0, None)`` when the first key does not match or the bytes do
+        not load (the stages then run, and their store replaces the
+        pack).  When the frames extend ``stream`` (a stream restored
+        earlier in the same compile, e.g. up to the stage whose output
+        keys the next run), only the added frames are loaded, into
+        ``stream``, so a warm compile unpickles each frame once."""
+        try:
+            frames, start = decode_pack(pack)
+        except (IndexError, ValueError):
+            return 0, None
+        covered = 0
+        for (key, _), wanted in zip(frames, keys):
+            if key != wanted:
+                break
+            covered += 1
+        if not covered:
+            return 0, None
+        blob = pack[start:start + frames[covered - 1][1]]
         # A snapshot is thousands of fresh containers and no garbage:
         # cyclic collections triggered mid-load would only rescan them.
         paused = gc.isenabled()
@@ -363,35 +453,26 @@ class StageCache:
             if stream is None or not stream.extend(blob):
                 stream = SnapshotStream.load(blob, core)
         except Exception:  # noqa: BLE001 — an unloadable entry is a miss
-            return None
+            return 0, None
         finally:
             if paused:
                 gc.enable()
         current_telemetry().count("stagecache.restore")
-        return stream
+        return covered, stream
 
-    def put(self, key: str, artifacts: dict[str, Any],
-            stream: SnapshotStream | None = None) -> None:
-        """Store the snapshot of ``artifacts`` under ``key`` in memory
-        and, when layered, in the backend.
-
-        ``stream`` is the compile's :class:`SnapshotStream`: only the
-        artifacts that changed since its last frame are pickled, and
-        the entry is the stream so far.  Without one the entry is a
-        one-frame stream of all of ``artifacts``.
-        """
-        if stream is None:
-            stream = SnapshotStream()
-        blob, pickled = stream.dump(artifacts)
+    def put(self, key: str, pack: bytes,
+            schema: dict[str, int] | None = None) -> None:
+        """Store ``pack`` under ``key`` in memory and, when layered, in
+        the backend (with ``schema``, the artifact schema of what it
+        holds)."""
         with self._lock:
-            self._insert(key, blob)
+            self._insert(key, pack)
             self.stats.stores += 1
         obs = current_telemetry()
         obs.count("stagecache.store")
-        obs.count("stagecache.bytes_pickled", pickled)
-        obs.count("stagecache.bytes_stored", len(blob))
+        obs.count("stagecache.bytes_stored", len(pack))
         if self.disk is not None:
-            self.disk.put(key, blob, schema=artifact_schema(artifacts))
+            self.disk.put(key, pack, schema=schema)
 
     def _insert(self, key: str, blob: bytes) -> None:
         """Install an entry and enforce the LRU bound (lock held)."""

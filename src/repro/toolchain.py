@@ -230,7 +230,8 @@ class Toolchain:
     def _run_cached(self, stages: list[Stage], state: CompileState,
                     obs: Telemetry) -> None:
         """The cached stage loop: resolve each run of keys, then
-        execute and store whatever the cache did not cover.
+        execute whatever the cache did not cover and store it as one
+        pack.
 
         A stage whose key needs an artifact (parse, optimize, rtgen)
         starts a run; the :class:`ChainedStage` keys after it are
@@ -240,38 +241,56 @@ class Toolchain:
         the stage that starts it), its own hit/miss record and its own
         boundary verification on the restored state.  Executed stages
         write into one :class:`SnapshotStream` per compile — the
-        restored one after a prefix hit, so their entries extend it.
+        restored one after a prefix hit, so their frames extend it —
+        and the frames a run executed are stored as one pack when the
+        run ends, or when a stage raises.
         """
         keys: list[str] = []
-        restored_to, source = 0, None
+        tiers: list[str] = []
+        run_start = 0
         stream = SnapshotStream()
-        for index, stage in enumerate(stages):
-            with obs.span(f"stage:{stage.name}", stage=stage.name) as span:
-                if index == len(keys):
-                    keys.append(stage.key(state))
-                    for later in stages[index + 1:]:
-                        if not isinstance(later, ChainedStage):
-                            break
-                        keys.append(later.chain_key(keys[-1], state.request))
-                    depth, restored, source = self.cache.resolve(
-                        keys[index:], self.core, stream)
-                    if restored is not None:
-                        stream = restored
-                        state.artifacts = restored.artifacts
-                    restored_to = index + depth
-                key = keys[index]
-                state.fingerprints[stage.name] = key
-                span.tag(fingerprint=key[:16])
-                if index < restored_to:
-                    span.tag(cache_source=source)
-                    state.cache_hits[stage.name] = True
-                    state.cache_sources[stage.name] = source
-                else:
-                    stage.execute(state)
-                    state.cache_hits[stage.name] = False
-                    self.cache.put(key, state.artifacts, stream)
-            state.completed.append(stage.name)
-            self._verify_boundary(stage.name, state, obs)
+        try:
+            for index, stage in enumerate(stages):
+                with obs.span(f"stage:{stage.name}",
+                              stage=stage.name) as span:
+                    if index == len(keys):
+                        run_start = index
+                        keys.append(stage.key(state))
+                        for later in stages[index + 1:]:
+                            if not isinstance(later, ChainedStage):
+                                break
+                            keys.append(later.chain_key(keys[-1],
+                                                        state.request))
+                        restored, tiers = self.cache.resolve(
+                            keys[index:], self.core, stream)
+                        if restored is not None:
+                            stream = restored
+                            state.artifacts = restored.artifacts
+                    key = keys[index]
+                    state.fingerprints[stage.name] = key
+                    span.tag(fingerprint=key[:16])
+                    if index - run_start < len(tiers):
+                        source = tiers[index - run_start]
+                        span.tag(cache_source=source)
+                        state.cache_hits[stage.name] = True
+                        state.cache_sources[stage.name] = source
+                    else:
+                        stage.execute(state)
+                        state.cache_hits[stage.name] = False
+                        stream.dump(key, state.artifacts)
+                        if index + 1 == len(keys):
+                            self._store_pack(stream)
+                state.completed.append(stage.name)
+                self._verify_boundary(stage.name, state, obs)
+        finally:
+            # A stage that raised cut its run short: keep what ran.
+            self._store_pack(stream)
+
+    def _store_pack(self, stream: SnapshotStream) -> None:
+        """Store the frames ``stream`` wrote since its last pack."""
+        pack = stream.pack()
+        if pack is not None:
+            self.cache.put(*pack)
 
     def _verify_boundary(self, stage_name: str, state: CompileState,
                          obs: Telemetry) -> None:

@@ -8,7 +8,8 @@ from pathlib import Path
 
 import pytest
 
-from repro.cli import main, parse_stream, resolve_core
+from repro.arch import resolve_core
+from repro.cli import main, parse_stream
 from repro.errors import ReproError
 from repro.fixed import Q15
 from repro.options import CompileOptions

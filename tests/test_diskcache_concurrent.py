@@ -6,8 +6,8 @@ and every unreadable entry degrades to a miss.  These tests actually
 run N simultaneous compiler processes — same application, different
 applications, cold and warm — against one directory and check the
 three things that matter: no corruption (verify() is clean), correct
-hit accounting (a warm process restores all 8 stages from disk), and
-bit-identical binaries everywhere.
+hit accounting (a warm process restores all 8 stages from disk, out of
+the 3 packs a compile stores), and bit-identical binaries everywhere.
 """
 
 from concurrent.futures import ProcessPoolExecutor
@@ -30,6 +30,8 @@ loop {
 VARIANT = SOURCE.replace("0.5", "0.25").replace("app mp", "app mp_v")
 
 N_STAGES = 8
+#: Packs one compile stores: parse, optimize, rtgen ... assemble.
+N_PACKS = 3
 
 
 def compile_in_process(args):
@@ -60,10 +62,10 @@ class TestConcurrentSameApp:
         # Racing publishers never corrupt the store.
         disk = DiskCache(tmp_path)
         report = disk.verify()
-        assert report.clean and report.checked == N_STAGES
-        # The store holds exactly one entry per stage — the atomic
+        assert report.clean and report.checked == N_PACKS
+        # The store holds exactly one entry per pack — the atomic
         # rename makes the racing writes idempotent, not additive.
-        assert len(disk.keys()) == N_STAGES
+        assert len(disk.keys()) == N_PACKS
 
     def test_warm_process_restores_everything_from_disk(self, tmp_path):
         fan_out([(str(tmp_path), SOURCE, 64)], workers=1)

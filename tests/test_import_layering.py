@@ -76,14 +76,22 @@ def test_compile_loads_only_the_compile_path():
     assert run_python(code) == {"loaded": []}
 
 
+#: What ``repro --help`` must leave unloaded on top: the compile path.
+NOT_FOR_THE_PARSER = ("repro.pipeline.stages", "repro.toolchain",
+                      "repro.arch.explore")
+
+
 def test_cli_help_loads_only_the_parser():
-    code = ("import contextlib, io, runpy, sys\n"
+    code = ("import contextlib, io, json, runpy, sys\n"
             "sys.argv = ['repro', '--help']\n"
             "with contextlib.redirect_stdout(io.StringIO()):\n"
             "    try:\n"
             "        runpy.run_module('repro', run_name='__main__')\n"
             "    except SystemExit as exc:\n"
-            "        assert exc.code == 0\n" + LOADED)
+            "        assert exc.code == 0\n"
+            f"print(json.dumps({{'loaded': [name for name in "
+            f"{NOT_ON_THE_COMPILE_PATH + NOT_FOR_THE_PARSER!r} "
+            f"if name in sys.modules]}}))\n")
     assert run_python(code) == {"loaded": []}
 
 
@@ -119,3 +127,17 @@ def test_cli_engine_choices_are_the_simulators():
     from repro.sim import ENGINES
 
     assert ENGINE_CHOICES == ENGINES
+
+
+def test_cli_merge_choices_are_the_explorers():
+    from repro.arch.explore import MERGE_VARIANTS
+    from repro.cli import MERGE_CHOICES
+
+    assert MERGE_CHOICES == tuple(sorted(MERGE_VARIANTS))
+
+
+def test_stop_after_choices_are_the_pipeline_stages():
+    from repro.options import STAGE_CHOICES
+    from repro.pipeline import STAGE_NAMES
+
+    assert STAGE_CHOICES == STAGE_NAMES

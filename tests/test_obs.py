@@ -194,7 +194,7 @@ class TestCounters:
         toolchain.compile(GAIN)
         n = len(STAGE_NAMES)
         assert obs.counters["stagecache.miss"] == n
-        assert obs.counters["stagecache.store"] == n
+        assert obs.counters["stagecache.store"] == 3  # one pack per key run
         assert "stagecache.hit" not in obs.counters
         toolchain.compile(GAIN)
         assert obs.counters["stagecache.hit"] == n
@@ -206,12 +206,12 @@ class TestCounters:
             store = StageCache(disk=DiskCache(tmp_path))
             Toolchain("audio", CompileOptions(), cache=store).compile(GAIN)
             # A fresh memory tier over the same directory: every stage
-            # restores from disk, reading three entries (parse,
-            # optimize and the deepest snapshot).
+            # restores from disk, reading the three packs (parse,
+            # optimize, rtgen ... assemble) the first compile stored.
             fresh = StageCache(disk=DiskCache(tmp_path))
             Toolchain("audio", CompileOptions(), cache=fresh).compile(GAIN)
         n = len(STAGE_NAMES)
-        assert obs.counters["diskcache.store"] == n
+        assert obs.counters["diskcache.store"] == 3
         assert obs.counters["diskcache.hit"] == 3
         assert obs.counters["stagecache.disk_hit"] == n
         assert obs.counters["stagecache.hit"] == n

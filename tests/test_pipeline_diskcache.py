@@ -10,6 +10,9 @@ and the store honors its size bound.
 from __future__ import annotations
 
 import concurrent.futures
+import hashlib
+import json
+import pickle
 
 import pytest
 
@@ -52,11 +55,32 @@ def toolchain_on(cache_dir, core=None, disk_options=None, **options) -> Toolchai
                      cache=StageCache(disk=disk), **options)
 
 
+def format3_envelope(payload: bytes, schema: dict[str, int]) -> bytes:
+    """An envelope as format 3 wrote it: the stream bytes pickled."""
+    payload = pickle.dumps(payload, protocol=pickle.HIGHEST_PROTOCOL)
+    header = json.dumps({
+        "format": 3,
+        "pipeline": diskcache.PIPELINE_VERSION,
+        "schema": schema,
+        "payload_sha256": hashlib.sha256(payload).hexdigest(),
+    }, sort_keys=True, separators=(",", ":")).encode()
+    return diskcache._MAGIC + len(header).to_bytes(4, "little") + header \
+        + payload
+
+
 class TestEnvelope:
     def test_roundtrip(self):
         obj = {"dfg": [1, 2, 3], "binary": ("words", 42)}
         schema = {"dfg": 1, "binary": 1}
         assert deserialize(serialize(obj, schema), schema) == obj
+
+    def test_bytes_are_the_payload_as_they_are(self):
+        """A snapshot pack is stored as it is, not pickled again."""
+        pack = bytes(range(256)) * 4
+        blob = serialize(pack, {"dfg": 1})
+        assert blob.endswith(pack)
+        assert len(blob) - len(pack) < 300
+        assert deserialize(blob, {"dfg": 1}) == pack
 
     def test_schema_subset_is_compatible(self):
         # An entry holding a prefix of the artifacts (a partial compile)
@@ -195,7 +219,7 @@ class TestUnwritableStore:
         compiled = toolchain.compile(SOURCE)
         assert compiled.run(stimulus()) == \
             run_reference(compiled.dfg, stimulus())
-        assert disk.stats.write_errors == len(STAGE_NAMES)
+        assert disk.stats.write_errors == 3  # one per pack
         assert disk.stats.stores == 0
 
     def test_unpicklable_object_degrades_too(self, tmp_path):
@@ -224,10 +248,10 @@ class TestVersioning:
         disk = DiskCache(tmp_path)
         state = Toolchain(audio_core(), cache=StageCache(disk=disk),
                           budget=64).run_pipeline(SOURCE)
-        # Entries containing a schedule are skew; the pure prefix
-        # (parse/optimize/rtgen/merge/impose) still serves.
-        assert state.cache_hits["parse"]
-        assert state.cache_hits["impose"]
+        # The pack holding a schedule is skew as a whole; the packs
+        # before it (parse, optimize) still serve.
+        assert state.cache_hits["optimize"]
+        assert not state.cache_hits["rtgen"]
         assert not state.cache_hits["schedule"]
         assert not state.cache_hits["assemble"]
         assert disk.stats.version_skips > 0
@@ -243,8 +267,8 @@ class TestVersioning:
         disk = DiskCache(tmp_path)
         state = Toolchain(audio_core(), cache=StageCache(disk=disk),
                           budget=64).run_pipeline(SOURCE)
-        assert state.cache_hits["merge"]
-        assert not state.cache_hits["impose"]
+        assert state.cache_hits["optimize"]
+        assert not state.cache_hits["rtgen"]
         assert disk.stats.version_skips > 0
 
     def test_entries_holding_the_artifact_dict_are_version_skips(
@@ -264,15 +288,17 @@ class TestVersioning:
         state = Toolchain(audio_core(), cache=StageCache(disk=disk),
                           budget=64).run_pipeline(SOURCE)
         assert not any(state.cache_hits.values())
-        assert disk.stats.version_skips == len(STAGE_NAMES)
+        # The parse, optimize and rtgen keys start key runs and are
+        # read; the later keys are only probed behind a pack.
+        assert disk.stats.version_skips == 3
         assert state.binary.words == reference.binary.words
 
     def test_single_snapshot_entries_are_version_skips(
             self, tmp_path, monkeypatch):
         """Format 2 entries held one pickle of the stage's cumulative
-        artifact dict.  They would even load as a one-frame stream, but
-        a format 2 reader handed a format 3 stream would read its parse
-        frame alone, so the two formats skip each other both ways."""
+        artifact dict.  A format 2 reader handed a later entry would
+        read its parse frame alone, so the formats skip each other both
+        ways."""
         from repro.pipeline.session import SnapshotStream
 
         reference = Toolchain(audio_core(), cache=StageCache(),
@@ -280,21 +306,49 @@ class TestVersioning:
         monkeypatch.setattr(diskcache, "FORMAT_VERSION", 2)
         old = DiskCache(tmp_path)
         for key in reference.fingerprints.values():
-            snapshot, _ = SnapshotStream().dump(reference.artifacts)
-            old.put(key, snapshot,
-                    schema=artifact_schema(reference.artifacts))
+            stream = SnapshotStream()
+            stream.dump(key, reference.artifacts)
+            _, pack, schema = stream.pack()
+            old.put(key, pickle.dumps(pack), schema=schema)
         monkeypatch.undo()
         disk = DiskCache(tmp_path)
         state = Toolchain(audio_core(), cache=StageCache(disk=disk),
                           budget=64).run_pipeline(SOURCE)
         assert not any(state.cache_hits.values())
-        assert disk.stats.version_skips == len(STAGE_NAMES)
+        assert disk.stats.version_skips == 3
         assert state.binary.words == reference.binary.words
 
         monkeypatch.setattr(diskcache, "FORMAT_VERSION", 2)
         stale_reader = DiskCache(tmp_path)
-        assert stale_reader.get(state.fingerprints["assemble"]) is None
+        assert stale_reader.get(state.fingerprints["rtgen"]) is None
         assert stale_reader.stats.version_skips == 1
+
+    def test_stream_prefix_entries_are_version_skips(self, tmp_path):
+        """Format 3 stored one entry per stage: the compile's stream up
+        to that stage, pickled.  Each is a version skip to a format 4
+        reader, which stores its packs over the ones it read, and
+        ``verify`` drops the rest."""
+        from repro.pipeline.session import decode_pack
+
+        cache = StageCache()
+        reference = Toolchain(audio_core(), cache=cache,
+                              budget=64).run_pipeline(SOURCE)
+        schema = artifact_schema(reference.artifacts)
+        old = DiskCache(tmp_path)
+        for pack in cache._entries.values():
+            frames, start = decode_pack(pack)
+            for key, end in frames:
+                old._write(key, format3_envelope(pack[start:start + end],
+                                                 schema))
+        assert len(old) == len(STAGE_NAMES)
+        disk = DiskCache(tmp_path)
+        state = Toolchain(audio_core(), cache=StageCache(disk=disk),
+                          budget=64).run_pipeline(SOURCE)
+        assert not any(state.cache_hits.values())
+        assert disk.stats.version_skips == 3
+        assert state.binary.words == reference.binary.words
+        report = DiskCache(tmp_path).verify()
+        assert (report.ok, report.version_skew) == (3, len(STAGE_NAMES) - 3)
 
     def test_format_version_skew_invalidates(self, tmp_path, monkeypatch):
         disk = DiskCache(tmp_path)

@@ -40,6 +40,7 @@ from repro.pipeline import (
     core_fingerprint,
     dfg_fingerprint,
 )
+from repro.pipeline.session import encode_pack
 
 SOURCE = """
 app opts;
@@ -267,10 +268,12 @@ class TestStageCache:
         assert all(state.cache_hits.values())
 
     def test_lru_eviction(self):
-        cache = StageCache(max_entries=4)
+        """The bound counts packs: a first compile stores three (parse,
+        optimize, rtgen ... assemble)."""
+        cache = StageCache(max_entries=2)
         Toolchain(audio_core(), cache=cache, budget=64).compile(SOURCE)
-        assert len(cache) == 4
-        assert cache.stats.evictions == N_STAGES - 4
+        assert len(cache) == 2
+        assert cache.stats.evictions == 1
 
 
 class TestSerializedSnapshots:
@@ -340,10 +343,10 @@ class TestSerializedSnapshots:
         restored = []
         real_restore = StageCache.restore
 
-        def recording(self, blob, core, stream=None):
-            stream = real_restore(self, blob, core, stream)
+        def recording(self, pack, keys, core, stream=None):
+            covered, stream = real_restore(self, pack, keys, core, stream)
             restored.append(set(stream.artifacts))
-            return stream
+            return covered, stream
 
         monkeypatch.setattr(StageCache, "restore", recording)
         state = tc.run_pipeline(audio_application(),
@@ -355,16 +358,22 @@ class TestSerializedSnapshots:
         assert obs.counters["stagecache.bytes_stored"] > 0
 
     def test_unloadable_snapshot_is_a_miss_and_gets_replaced(self):
-        """Bytes that no longer unpickle (a class moved since they were
-        written) count as a miss: the shallower hit restores, the stage
-        runs again and its store replaces the entry."""
+        """A pack whose bytes no longer unpickle (a class moved since
+        they were written) is a miss: the packs before it restore, its
+        key run executes again and the new pack replaces it."""
         tc = toolchain(budget=64)
-        key = tc.run_pipeline(SOURCE).fingerprints["assemble"]
-        tc.cache._entries[key] = b"cno_such_module\nThing\n."
+        state = tc.run_pipeline(SOURCE)
+        key = state.fingerprints["rtgen"]
+        bad = b"cno_such_module\nThing\n."
+        tc.cache._entries[key] = encode_pack([(key, len(bad))], bad)
         again = tc.run_pipeline(SOURCE)
-        assert again.cache_hits["regalloc"]
+        assert again.cache_hits["optimize"]
+        assert not again.cache_hits["rtgen"]
         assert not again.cache_hits["assemble"]
-        assert tc.cache.restore(tc.cache._entries[key], tc.core) is not None
+        keys = [state.fingerprints[stage.name] for stage in PIPELINE_STAGES]
+        covered, _ = tc.cache.restore(tc.cache._entries[key], keys[2:],
+                                      tc.core)
+        assert covered == 6
         assert again.as_compiled().run(stimulus()) == \
             run_reference(again.dfg, stimulus())
 

@@ -117,7 +117,15 @@ class TestCachedColdRatio:
         tool.check_cached_cold_ratio(record(cached_scale=2.15, a=0.010),
                                      tool.MAX_CACHED_COLD_RATIO, problems)
         assert len(problems) == 1
-        assert "2.15x" in problems[0] and "limit 1.80x" in problems[0]
+        assert "2.15x" in problems[0] and "limit 1.65x" in problems[0]
+
+    def test_the_per_stage_entry_ratio_fails(self):
+        """1.74x is what one envelope per stage cost the compile_mix
+        applications before each key run stored one pack."""
+        problems = []
+        tool.check_cached_cold_ratio(record(cached_scale=1.74, a=0.010),
+                                     tool.MAX_CACHED_COLD_RATIO, problems)
+        assert len(problems) == 1
 
     def test_zero_cold_total_is_skipped(self):
         problems = []

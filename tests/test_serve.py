@@ -244,7 +244,7 @@ class TestRoundTrip:
         client.wait(client.submit(SOURCE, "audio")["id"], timeout=60)
         stats = client.cache_stats()["cache"]
         assert stats["backend"] == "MemoryBackend"
-        assert stats["entries"] >= 8
+        assert stats["entries"] >= 3  # the job's packs
         # min_age far in the future: nothing old enough → nothing
         # evicted, in-flight artifacts are safe.
         kept = client.cache_gc(max_bytes=0, min_age=3600)

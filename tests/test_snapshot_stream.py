@@ -1,11 +1,14 @@
 """Tests for the per-compile snapshot stream of the stage cache.
 
-Each cached compile pickles one stream with a frame per stage; a
-stage's entry is the stream up to its frame.  These tests pin what the
+Each cached compile pickles one stream with a frame per stage and
+stores it as one pack per key run: the stream through the run's last
+frame, with a header naming the run's frames.  These tests pin what the
 stream rests on (stages never edit an earlier stage's artifacts), that
-every entry restores to the artifacts its stage stored, that a resumed
-compile's entries restore in a fresh cache, and that a restore leaves
-no garbage for the cyclic collector.
+every frame of every pack restores to the artifacts its stage stored,
+that a compile writes at most three packs and stores little more than
+it pickles, that a diverging or failing compile keeps a pack of what
+it ran, that a resumed compile's packs restore in a fresh cache, and
+that a restore leaves no garbage for the cyclic collector.
 """
 
 from __future__ import annotations
@@ -20,6 +23,8 @@ import pytest
 from repro import Toolchain
 from repro.arch import MergeSpec, audio_core
 from repro.arch.library import CoreSpec
+from repro.errors import ReproError
+from repro.obs import Telemetry, use_telemetry
 from repro.pipeline import (
     PIPELINE_STAGES,
     CompileRequest,
@@ -27,7 +32,8 @@ from repro.pipeline import (
     StageCache,
 )
 from repro.pipeline.backend import MemoryBackend
-from repro.pipeline.session import SnapshotStream
+from repro.pipeline.diskcache import DiskCache
+from repro.pipeline.session import SnapshotStream, decode_pack
 
 from builtin_apps import BUILTIN_APPS, app_case
 
@@ -94,22 +100,27 @@ def fresh_state(application, core, binding, merges, opt):
     return CompileState(request=request)
 
 
+def body(pack: bytes) -> bytes:
+    """The stream bytes a pack holds (without its header)."""
+    _, start = decode_pack(pack)
+    return pack[start:]
+
+
+def header_keys(pack: bytes) -> list[str]:
+    """The stage keys a pack's header names, in order."""
+    frames, _ = decode_pack(pack)
+    return [key for key, _ in frames]
+
+
+def dumped(stream: SnapshotStream, artifacts) -> bytes:
+    """Dump a frame of ``artifacts`` into ``stream``; its bytes so far."""
+    stream.dump("frame", artifacts)
+    return body(stream.pack()[1])
+
+
 def pickled(value) -> bytes:
     """The value's bytes as the stage cache would pickle it."""
-    blob, _ = SnapshotStream().dump({"value": value})
-    return blob
-
-
-class RecordingCache(StageCache):
-    """A stage cache remembering what each put stored."""
-
-    def __init__(self, **kwargs):
-        super().__init__(**kwargs)
-        self.stored: list[tuple[str, object]] = []
-
-    def put(self, key, artifacts, stream=None):
-        super().put(key, artifacts, stream)
-        self.stored.append((key, rendered(artifacts)))
+    return dumped(SnapshotStream(), {"value": value})
 
 
 class TestStagePurity:
@@ -141,55 +152,156 @@ class TestEntriesRestore:
     @pytest.mark.parametrize("opt", [0, 1, 2])
     @pytest.mark.parametrize("name", sorted(BUILTIN_APPS))
     def test_every_entry_restores_its_stored_artifacts(self, name, opt,
-                                                       merged):
+                                                       merged, monkeypatch):
+        """Every frame of every pack restores, through its own key, to
+        the artifacts its stage dumped."""
+        stored = {}
+        real_dump = SnapshotStream.dump
+
+        def recording(self, key, artifacts):
+            stored[key] = rendered(artifacts)
+            return real_dump(self, key, artifacts)
+
+        monkeypatch.setattr(SnapshotStream, "dump", recording)
         application, core, binding = app_case(name)
-        cache = RecordingCache()
+        cache = StageCache()
         toolchain = Toolchain(core, cache=cache, opt=opt)
         toolchain.compile(application, io_binding=binding,
                           merges=merge_spec(name, merged))
-        assert len(cache.stored) == len(PIPELINE_STAGES)
-        for key, expected in cache.stored:
-            blob, _ = cache.get_entry(key)
-            restored = rendered(cache.restore(blob, toolchain.core).artifacts)
-            differing = [name for name in expected
-                         if restored.get(name) != expected[name]]
-            assert sorted(restored) == sorted(expected)
-            assert differing == [], f"entry {key[:12]}"
+        assert len(stored) == len(PIPELINE_STAGES)
+        assert len(cache) == 3
+        for pack in cache._entries.values():
+            keys = header_keys(pack)
+            for depth, key in enumerate(keys, 1):
+                covered, stream = cache.restore(pack, keys[:depth],
+                                                toolchain.core)
+                assert covered == depth
+                restored, expected = rendered(stream.artifacts), stored[key]
+                differing = [name for name in expected
+                             if restored.get(name) != expected[name]]
+                assert sorted(restored) == sorted(expected)
+                assert differing == [], f"frame {key[:12]}"
 
     def test_entries_of_one_compile_are_prefixes(self):
+        """A first compile stores one pack per key run, each under the
+        run's first key; their streams are prefixes of each other."""
         application, core, binding = app_case("audio")
         cache = StageCache()
         state = Toolchain(core, cache=cache).run_pipeline(
             application, io_binding=binding)
-        entries = [cache.get_entry(state.fingerprints[stage.name])[0]
-                   for stage in PIPELINE_STAGES]
-        for shorter, longer in zip(entries, entries[1:]):
+        keys = [state.fingerprints[stage.name] for stage in PIPELINE_STAGES]
+        packs = [cache.get_entry(key)[0] for key in keys[:3]]
+        assert len(cache) == 3
+        assert [header_keys(pack) for pack in packs] == \
+            [keys[:1], keys[1:2], keys[2:]]
+        bodies = [body(pack) for pack in packs]
+        for shorter, longer in zip(bodies, bodies[1:]):
             assert longer.startswith(shorter) and len(longer) > len(shorter)
 
     def test_each_artifact_is_pickled_once(self):
-        """The frames a compile pickles add up to its last entry: no
-        stage re-pickles what an earlier frame holds."""
-        from repro.obs import Telemetry, use_telemetry
-
+        """The frames a compile pickles add up to its last pack's
+        stream: no stage re-pickles what an earlier frame holds."""
         application, core, binding = app_case("audio")
         cache = StageCache()
         obs = Telemetry()
         with use_telemetry(obs):
             state = Toolchain(core, cache=cache).run_pipeline(
                 application, io_binding=binding)
-        entries = [cache.get_entry(key)[0]
-                   for key in state.fingerprints.values()]
-        assert obs.counters["stagecache.bytes_pickled"] == len(entries[-1])
+        packs = [cache.get_entry(state.fingerprints[name])[0]
+                 for name in ("parse", "optimize", "rtgen")]
+        assert obs.counters["stagecache.bytes_pickled"] == len(body(packs[-1]))
         assert obs.counters["stagecache.bytes_stored"] == \
-            sum(len(entry) for entry in entries)
+            sum(len(pack) for pack in packs)
 
-    def test_put_without_a_stream_is_one_frame(self):
+    def test_put_stores_the_pack_as_it_is(self):
         cache = StageCache()
-        cache.put("k", {"a": [1, 2], "b": "x"})
+        stream = SnapshotStream()
+        stream.dump("k", {"a": [1, 2], "b": "x"})
+        key, pack, schema = stream.pack()
+        assert key == "k" and set(schema) == {"a", "b"}
+        assert stream.pack() is None  # every frame is packed
+        cache.put(key, pack, schema)
         blob, tier = cache.get_entry("k")
-        assert tier == "memory"
-        assert cache.restore(blob, audio_core()).artifacts == \
-            {"a": [1, 2], "b": "x"}
+        assert blob is pack and tier == "memory"
+        covered, restored = cache.restore(blob, ["k"], audio_core())
+        assert covered == 1
+        assert restored.artifacts == {"a": [1, 2], "b": "x"}
+        assert cache.restore(blob, ["other"], audio_core()) == (0, None)
+        assert cache.restore(b"not a pack", ["k"], audio_core()) == (0, None)
+
+
+class TestPacks:
+    """One pack per key run: parse, optimize, rtgen ... assemble."""
+
+    @pytest.mark.parametrize("opt", [0, 1, 2])
+    @pytest.mark.parametrize("name", sorted(BUILTIN_APPS))
+    def test_a_first_compile_stores_three_packs(self, name, opt):
+        application, core, binding = app_case(name)
+        obs = Telemetry()
+        with use_telemetry(obs):
+            Toolchain(core, cache=StageCache(disk=MemoryBackend()),
+                      opt=opt).compile(application, io_binding=binding)
+        counters = obs.counters
+        assert counters["diskcache.store"] == counters["stagecache.store"] \
+            <= 3
+        assert counters["stagecache.bytes_stored"] <= \
+            1.3 * counters["stagecache.bytes_pickled"]
+
+    def test_a_partial_then_full_compile_leaves_a_branch_pack(
+            self, tmp_path):
+        """The full compile restores the partial one's pack through
+        impose and stores what it ran as a branch under its schedule
+        key; a warm recompile restores both, from either tier."""
+        application, core, binding = app_case("audio")
+        cache = StageCache(disk=DiskCache(tmp_path))
+        toolchain = Toolchain(core, cache=cache, budget=64)
+        partial = toolchain.replace(stop_after="impose").run_pipeline(
+            application, io_binding=binding)
+        assert partial.completed[-1] == "impose"
+        full = toolchain.run_pipeline(application, io_binding=binding)
+        assert full.cache_counts() == \
+            {"executed": 3, "memory": 5, "disk": 0}
+        keys = [full.fingerprints[stage.name] for stage in PIPELINE_STAGES]
+        head, _ = cache.get_entry(keys[2])
+        branch, _ = cache.get_entry(keys[5])
+        assert header_keys(head) == keys[2:5]
+        assert header_keys(branch) == keys[5:]
+        assert body(branch).startswith(body(head))
+        assert len(cache) == 4
+
+        obs = Telemetry()
+        with use_telemetry(obs):
+            warm = toolchain.run_pipeline(application, io_binding=binding)
+        assert warm.cache_counts() == \
+            {"executed": 0, "memory": 8, "disk": 0}
+        assert obs.counters["stagecache.restore"] == 4
+        fresh = Toolchain(core, cache=StageCache(disk=DiskCache(tmp_path)),
+                          budget=64).run_pipeline(application,
+                                                  io_binding=binding)
+        assert fresh.cache_counts() == \
+            {"executed": 0, "memory": 0, "disk": 8}
+        assert fresh.binary.words == warm.binary.words == full.binary.words
+
+    @pytest.mark.parametrize("tier", ["memory", "disk"])
+    def test_a_failing_stage_keeps_the_pack_of_what_ran(self, tmp_path,
+                                                        tier):
+        """A budget below the critical path makes schedule raise; the
+        stages before it still publish their packs, so a larger budget
+        restores through impose, from the same cache or from a fresh
+        one over the same directory."""
+        application, core, binding = app_case("audio")
+        cache = StageCache(disk=DiskCache(tmp_path))
+        with pytest.raises(ReproError):
+            Toolchain(core, cache=cache, opt=0, budget=10).compile(
+                application, io_binding=binding)
+        assert cache.stats.stores == 3
+        if tier == "disk":
+            cache = StageCache(disk=DiskCache(tmp_path))
+        state = Toolchain(core, cache=cache, opt=0, budget=64).run_pipeline(
+            application, io_binding=binding)
+        assert state.cache_counts() == {"executed": 3, "memory": 0,
+                                        "disk": 0, tier: 5}
+        assert state.as_compiled().n_cycles == 63
 
 
 class TestResumedStreams:
@@ -231,9 +343,9 @@ class TestResumedStreams:
         one = toolchain.replace(opt=1).run_pipeline(application,
                                                     io_binding=binding)
         assert one.cache_hits["parse"] and not one.cache_hits["optimize"]
-        parse_entry, _ = cache.get_entry(zero.fingerprints["parse"])
-        optimize_entry, _ = cache.get_entry(one.fingerprints["optimize"])
-        assert optimize_entry.startswith(parse_entry)
+        parse_pack, _ = cache.get_entry(zero.fingerprints["parse"])
+        optimize_pack, _ = cache.get_entry(one.fingerprints["optimize"])
+        assert body(optimize_pack).startswith(body(parse_pack))
 
     def test_aliased_memo_slots_keep_the_numbering(self):
         """Two distinct equal one-character strings load as one cached
@@ -241,11 +353,10 @@ class TestResumedStreams:
         the unpickler would."""
         literal, computed = "q", "qz"[:1]
         assert literal is not computed
-        stream = SnapshotStream()
-        blob, _ = stream.dump({"a": [literal, computed]})
+        blob = dumped(SnapshotStream(), {"a": [literal, computed]})
         restored = SnapshotStream.load(blob, audio_core())
         shared = ["new"]
-        blob, _ = restored.dump({"a": restored.artifacts["a"],
+        blob = dumped(restored, {"a": restored.artifacts["a"],
                                  "b": (shared, shared, "tail")})
         again = SnapshotStream.load(blob, audio_core()).artifacts
         assert again["a"] == ["q", "q"]
@@ -286,8 +397,8 @@ class TestExtendedRestores:
 
     def test_an_unrelated_or_bad_entry_leaves_the_stream_intact(self):
         stream = SnapshotStream()
-        first, _ = stream.dump({"a": [1, 2]})
-        second, _ = stream.dump({"a": [1, 2], "b": ("x", [3])})
+        first = dumped(stream, {"a": [1, 2]})
+        second = dumped(stream, {"a": [1, 2], "b": ("x", [3])})
         assert SnapshotStream.load(first, audio_core()).extend(second)
         restored = SnapshotStream.load(first, audio_core())
         assert not restored.extend(b"unrelated bytes, longer than first")
@@ -300,7 +411,7 @@ class TestExtendedRestores:
         # objects where they left off.
         assert not restored.extend(second)
         a, shared = restored.artifacts["a"], ["new"]
-        blob, _ = restored.dump({"a": a, "c": (a, shared, shared)})
+        blob = dumped(restored, {"a": a, "c": (a, shared, shared)})
         assert blob.startswith(first)
         again = SnapshotStream.load(blob, audio_core()).artifacts
         assert again == {"a": [1, 2], "c": ([1, 2], ["new"], ["new"])}
@@ -314,10 +425,12 @@ class TestRestoreGarbage:
         cache = StageCache()
         toolchain = Toolchain(core, cache=cache)
         state = toolchain.run_pipeline(application, io_binding=binding)
-        blob, _ = cache.get_entry(state.fingerprints["assemble"])
+        pack, _ = cache.get_entry(state.fingerprints["rtgen"])
         del state
         gc.collect()
-        stream = cache.restore(blob, toolchain.core)
+        covered, stream = cache.restore(pack, header_keys(pack),
+                                        toolchain.core)
+        assert covered == 6
         assert isinstance(stream.artifacts["source_dfg"].nodes, list)
         del stream
         assert gc.collect() == 0
@@ -325,7 +438,7 @@ class TestRestoreGarbage:
     def test_core_references_bind_to_the_requesting_core(self):
         core = audio_core()
         other = audio_core()
-        blob, _ = SnapshotStream().dump({"core": core, "pair": (core, 1)})
+        blob = dumped(SnapshotStream(), {"core": core, "pair": (core, 1)})
         artifacts = SnapshotStream.load(blob, other).artifacts
         assert artifacts["core"] is other
         assert artifacts["pair"][0] is other

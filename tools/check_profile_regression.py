@@ -20,7 +20,7 @@ uncached ``cold`` total p50:
   it, the stage cache no longer pays for itself on a recompile;
 * when the cached-cold total p50 — the first compile through a fresh
   stage cache, which executes and stores every stage — exceeds
-  :data:`MAX_CACHED_COLD_RATIO` (1.8) times it, storing snapshots has
+  :data:`MAX_CACHED_COLD_RATIO` (1.65) times it, storing snapshots has
   become too dear for a design loop whose every resized core misses.
 
 All totals of one record come from one run on one machine, so these
@@ -56,8 +56,11 @@ REGIMES = ("cold", "cached_cold", "warm")
 #: Largest tolerated warm/cold total p50 ratio of one record.
 MAX_WARM_RATIO = 0.25
 
-#: Largest tolerated cached-cold/cold total p50 ratio of one record.
-MAX_CACHED_COLD_RATIO = 1.8
+#: Largest tolerated cached-cold/cold total p50 ratio of one record:
+#: the audio profile measures 1.22-1.37 with one snapshot pack per key
+#: run (2-CPU box), and the bound keeps the warm guard's margin over
+#: what is achieved (0.25 over about 0.2, so 1.25 times about 1.32).
+MAX_CACHED_COLD_RATIO = 1.65
 
 
 def shares(regime: dict[str, dict[str, float]]) -> dict[str, float]:

@@ -52,7 +52,9 @@ loop {
 }
 """
 
-N_STAGES = 8
+#: Store entries one fresh compile publishes: a snapshot pack per key
+#: run (parse, optimize, rtgen ... assemble).
+N_PACKS = 3
 STARTUP_PATTERN = re.compile(r"repro serve: (http://[\d.]+:\d+) ")
 
 
@@ -147,9 +149,9 @@ def main() -> None:
 
         # The server-side view agrees.
         remote = client.cache_stats()["cache"]
-        if remote["entries"] < N_STAGES:
+        if remote["entries"] < N_PACKS:
             fail(f"server store holds {remote['entries']} entries, "
-                 f"expected >= {N_STAGES}")
+                 f"expected >= {N_PACKS}")
     finally:
         process.send_signal(signal.SIGINT)
         try:
@@ -170,7 +172,7 @@ def main() -> None:
                  "--min-age", "3600") != 0:
         fail("repro cache gc (min-age) exited non-zero")
     from repro.pipeline import DiskCache
-    if len(DiskCache(cache_dir).keys()) < N_STAGES:
+    if len(DiskCache(cache_dir).keys()) < N_PACKS:
         fail("gc --min-age evicted fresh (in-flight-age) entries")
     step("gc --min-age 3600 protected every fresh entry")
     if cache_cli("gc", cache_dir, "--max-bytes", "0") != 0:
