@@ -78,6 +78,8 @@ COUNTERS: dict[str, str] = {
     "sim.frames": "sample frames consumed, summed over every simulated "
                   "lane",
     "sim.batch_width": "stimulus lanes entering the simulator",
+    "sim.decodes": "encoded programs decoded into a plan (memo misses: "
+                   "a program is decoded again only when edited)",
     "verify.checks": "stage-boundary verifier passes run by the pipeline "
                      "(verify=boundaries/strict)",
     "verify.findings": "diagnostics produced by the stage verifiers and "

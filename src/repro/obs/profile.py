@@ -1,7 +1,8 @@
 """Compile profiling: repeated cold, cached-cold and warm compiles, p50/p95.
 
 The engine of the ``repro profile`` subcommand.  One profiled
-application is compiled ``runs`` times in each of three regimes:
+application is compiled ``runs`` times in each of three regimes,
+round-robin (one compile of each regime per round):
 **cold** (no cache — every stage body executes), **cached_cold** (a
 fresh in-memory stage cache per compile — every stage executes and
 stores its snapshot, the first compile of a design iteration) and
@@ -54,30 +55,26 @@ def _summarize(samples: dict[str, list[float]]) -> dict[str, dict[str, Any]]:
     }
 
 
-def _timed_compiles(toolchain, application, runs: int, label: str,
-                    fresh_cache: bool = False) -> dict[str, list[float]]:
-    """Run ``runs`` compiles, returning per-stage (and total) duration
-    samples harvested from the telemetry spans.  ``fresh_cache`` gives
-    every compile its own empty stage cache."""
-    from ..pipeline.session import StageCache
+#: The three regimes, in the order every round compiles them.
+REGIMES = ("cold", "cached_cold", "warm")
 
-    samples: dict[str, list[float]] = {}
-    for _ in range(runs):
-        if fresh_cache:
-            toolchain = toolchain.replace(cache=StageCache())
-        obs = Telemetry()
-        with use_telemetry(obs):
-            toolchain.compile(application)
-        roots = obs.spans("compile")
-        if not roots:  # pragma: no cover - compile always opens a root
-            raise RuntimeError(f"no compile span recorded in {label} run")
-        root = roots[0]
-        samples.setdefault("total", []).append(root.duration)
-        for span in root.children:
-            if span.name.startswith("stage:"):
-                stage = span.name[len("stage:"):]
-                samples.setdefault(stage, []).append(span.duration)
-    return samples
+
+def _timed_compile(toolchain, application, regime: str,
+                   samples: dict[str, list[float]]) -> None:
+    """Compile once, appending the per-stage (and total) durations
+    harvested from the telemetry spans to ``samples``."""
+    obs = Telemetry()
+    with use_telemetry(obs):
+        toolchain.compile(application)
+    roots = obs.spans("compile")
+    if not roots:  # pragma: no cover - compile always opens a root
+        raise RuntimeError(f"no compile span recorded in {regime} run")
+    root = roots[0]
+    samples.setdefault("total", []).append(root.duration)
+    for span in root.children:
+        if span.name.startswith("stage:"):
+            stage = span.name[len("stage:"):]
+            samples.setdefault(stage, []).append(span.duration)
 
 
 def profile_compile(
@@ -94,8 +91,9 @@ def profile_compile(
     fresh in-memory :class:`~repro.pipeline.session.StageCache`, so they
     measure executing plus storing every stage; warm runs share one
     cache primed by an uncounted compile, so they measure the restore
-    path.  Returns a JSON-able dict with ``cold``/``cached_cold``/
-    ``warm`` maps of stage name (plus ``total``) to
+    path.  Each of ``runs`` rounds compiles once in every regime, in
+    :data:`REGIMES` order.  Returns a JSON-able dict with ``cold``/
+    ``cached_cold``/``warm`` maps of stage name (plus ``total``) to
     ``{n, p50, p95, mean}`` seconds.
     """
     from ..options import CompileOptions
@@ -110,14 +108,17 @@ def profile_compile(
     options = options.replace(disk_cache=False)
 
     cold_toolchain = Toolchain(core, options, cache=None)
-    cold = _timed_compiles(cold_toolchain, application, runs, "cold")
-
-    cached_cold = _timed_compiles(cold_toolchain, application, runs,
-                                  "cached_cold", fresh_cache=True)
-
     warm_toolchain = Toolchain(core, options, cache=StageCache())
     warm_toolchain.compile(application)  # prime the cache, uncounted
-    warm = _timed_compiles(warm_toolchain, application, runs, "warm")
+    samples: dict[str, dict[str, list[float]]] = {r: {} for r in REGIMES}
+    # Round-robin, one compile of each regime per round: drift of a
+    # shared machine over the run then lands in every regime alike
+    # instead of in the ratios between them.
+    for _ in range(runs):
+        fresh = cold_toolchain.replace(cache=StageCache())
+        for regime, toolchain in zip(
+                REGIMES, (cold_toolchain, fresh, warm_toolchain)):
+            _timed_compile(toolchain, application, regime, samples[regime])
 
     name = getattr(application, "name", None)
     return {
@@ -125,22 +126,19 @@ def profile_compile(
         "core": cold_toolchain.core.name,
         "options": options.to_dict(),
         "runs": runs,
-        "stages": [s for s in cold if s != "total"],
-        "cold": _summarize(cold),
-        "cached_cold": _summarize(cached_cold),
-        "warm": _summarize(warm),
+        "stages": [s for s in samples["cold"] if s != "total"],
+        **{regime: _summarize(samples[regime]) for regime in REGIMES},
     }
 
 
 def render_profile(result: dict[str, Any]) -> str:
     """The per-stage p50/p95 table of one :func:`profile_compile`."""
-    regimes = ("cold", "cached_cold", "warm")
     labels = {"cold": "cold", "cached_cold": "cached", "warm": "warm"}
     header = (f"compile profile: {result['application']} on "
               f"{result['core']} ({result['runs']} runs per regime: "
               f"cold = uncached, cached = first compile through a fresh "
               f"cache, warm = cache primed)")
-    columns = [f"{labels[r]} {q}" for r in regimes for q in ("p50", "p95")]
+    columns = [f"{labels[r]} {q}" for r in REGIMES for q in ("p50", "p95")]
     rows = [header, "",
             f"{'stage':<10}" + "".join(f" {c:>10}" for c in columns)]
     rows.append("-" * len(rows[-1]))
@@ -152,7 +150,7 @@ def render_profile(result: dict[str, Any]) -> str:
     for stage in [*result["stages"], "total"]:
         rows.append(f"{stage:<10}" + "".join(
             f" {cell(regime, stage, q):>10}"
-            for regime in regimes for q in ("p50", "p95")))
+            for regime in REGIMES for q in ("p50", "p95")))
     cold_total = result["cold"]["total"]["p50"]
     cached_total = result["cached_cold"]["total"]["p50"]
     warm_total = result["warm"]["total"]["p50"]

@@ -26,7 +26,9 @@ Execution has two phases:
    or a sign-extended immediate), fixed-point semantic codes, pipeline
    due-offsets and bus names, and the destination writes with their
    mux-selected source bus.  Nothing is looked up per cycle.  A program
-   the plan cannot express raises :class:`PlanError`.
+   the plan cannot express raises :class:`PlanError`.  Each program's
+   plan is memoized for as long as the program lives, and decoded again
+   when the program is edited in place.
 2. **Step** — :class:`DecodedSimulator` steps the plan one lane at a
    time in pure Python.  :class:`BatchSimulator` executes it over ``N``
    stimulus lanes simultaneously: register files and memories are
@@ -34,7 +36,9 @@ Execution has two phases:
    ops with exact two's-complement wrap semantics matching
    :mod:`repro.fixed`, and conditional control flow (``CJMP``) splits
    the lane set so diverging lanes continue under their own program
-   counter with masked (fancy-indexed) writes.
+   counter.  A context holding every lane reads and writes registers
+   through a slice (views); a split context through its lane index
+   array (copies and masked writes).
 
 Engine selection (:func:`resolve_engine`): ``"auto"`` picks numpy when
 it is importable, the batch is wide enough and the data width fits the
@@ -43,7 +47,9 @@ int64 kernels, else the decoded engine.
 
 from __future__ import annotations
 
+import functools
 import importlib.util
+import weakref
 from dataclasses import dataclass
 
 from ..arch.controller import CtrlOp
@@ -159,13 +165,13 @@ class DecodedPlan:
     Everything the per-cycle loop needs, resolved exactly once:
     decoded words, register-file/memory shapes, the fixed-point format
     and the controller envelope.  The plan is immutable and reusable —
-    decode once, simulate any number of stimulus batches.
+    decode once, simulate any number of stimulus batches.  It holds no
+    reference to its program, so :func:`decode_program`'s memo entry
+    dies with the program.
     """
 
     def __init__(self, program: EncodedProgram):
         core = program.core
-        self.program = program
-        self.core = core
         self.fmt = FixedFormat(core.data_width, core.frac_bits)
         self.rf_sizes: dict[str, int] = {
             rf.name: rf.size for rf in core.datapath.register_files.values()
@@ -329,13 +335,52 @@ def _selected_bus(dp, rf, fields) -> str:
     raise PlanError("sink without a bus")
 
 
-def decode_program(program: EncodedProgram) -> DecodedPlan:
-    """Lower an encoded program into a reusable :class:`DecodedPlan`.
+#: ``id(program)`` -> (weak reference to the program, its decode token,
+#: its plan).  The weak reference's callback drops the entry when the
+#: program is collected, so a plan never outlives its program.
+_PLANS: dict[int, tuple[weakref.ref, tuple, DecodedPlan]] = {}
 
-    Raises :class:`PlanError` (a :class:`SimulationError`) when the
-    program uses something the plan cannot express.
+
+def _decode_token(program: EncodedProgram) -> tuple:
+    """Everything :class:`DecodedPlan` reads from ``program``, by value:
+    a memo hit must find it unchanged."""
+    return (
+        program.core, program.format, tuple(program.words),
+        program.body_offset, tuple(program.rom_words),
+        tuple(program.acu_moduli.items()),
+        tuple(program.input_map.items()),
+        tuple(program.output_map.items()),
+        tuple((rf, tuple(inits))
+              for rf, inits in program.initial_registers.items()),
+    )
+
+
+def _forget(key: int, ref: weakref.ref) -> None:
+    entry = _PLANS.get(key)
+    if entry is not None and entry[0] is ref:
+        del _PLANS[key]
+
+
+def decode_program(program: EncodedProgram) -> DecodedPlan:
+    """The reusable :class:`DecodedPlan` of an encoded program.
+
+    A program is decoded once: later calls return the same plan for as
+    long as the program lives and its words, ROM, maps and initial
+    registers are unchanged (an edited program is decoded again).
+    Every real decode counts ``sim.decodes``.  Raises
+    :class:`PlanError` (a :class:`SimulationError`) when the program
+    uses something the plan cannot express.
     """
-    return DecodedPlan(program)
+    key = id(program)
+    token = _decode_token(program)
+    entry = _PLANS.get(key)
+    if entry is not None and entry[0]() is program and entry[1] == token:
+        return entry[2]
+    plan = DecodedPlan(program)
+    current_telemetry().count("sim.decodes")
+    ref = weakref.ref(program, functools.partial(_forget, key))
+    _PLANS[key] = (ref, token, plan)
+    return plan
 
 
 def _cycle_budget(plan: DecodedPlan, n_frames: int,
@@ -561,14 +606,18 @@ class _Context:
     A diverging ``CJMP`` splits a context into two children (taken /
     fall-through lane subsets); contexts never re-merge — each runs to
     its own settle point.  Per-lane *data* stays in the simulator's
-    global ``(N, size)`` arrays; a context only slices it by lane."""
+    global ``(N, size)`` arrays; a context only slices it by lane:
+    ``index`` is ``slice(None)`` when the context holds every lane in
+    order (register reads are then views) and ``lanes`` otherwise."""
 
-    __slots__ = ("lanes", "pc", "cycle", "start_tokens", "frame", "halted",
-                 "stack", "in_flight", "cursors", "budget")
+    __slots__ = ("lanes", "index", "pc", "cycle", "start_tokens", "frame",
+                 "halted", "stack", "in_flight", "cursors", "budget")
 
-    def __init__(self, lanes, pc=0, cycle=0, start_tokens=0, frame=0,
-                 stack=None, in_flight=None, cursors=None, budget=0):
+    def __init__(self, lanes, index=None, pc=0, cycle=0, start_tokens=0,
+                 frame=0, stack=None, in_flight=None, cursors=None,
+                 budget=0):
         self.lanes = lanes
+        self.index = lanes if index is None else index
         self.pc = pc
         self.cycle = cycle
         self.start_tokens = start_tokens
@@ -621,6 +670,13 @@ def _slice_lanes(value, selector):
     if isinstance(value, int):
         return value
     return value[selector]
+
+
+def _owned(value):
+    """A per-lane value that keeps its start-of-cycle contents after the
+    cycle's register writes: an array (maybe a view of a register file)
+    is copied, an immediate is returned as it is."""
+    return value.copy() if isinstance(value, _np.ndarray) else value
 
 
 class BatchSimulator:
@@ -720,8 +776,8 @@ class BatchSimulator:
         one output-stream dict per lane."""
         budget = _cycle_budget(self.plan, n_frames, max_cycles)
         root = _Context(
-            lanes=_np.arange(self.n_lanes), start_tokens=n_frames,
-            budget=budget,
+            lanes=_np.arange(self.n_lanes), index=slice(None),
+            start_tokens=n_frames, budget=budget,
         )
         work = [root]
         words = self.plan.words
@@ -759,15 +815,21 @@ class BatchSimulator:
 
     def _step(self, ctx: _Context, word: WordPlan):
         """One cycle for every lane of ``ctx``; returns the two child
-        contexts when a CJMP diverges, else ``None``."""
+        contexts when a CJMP diverges, else ``None``.
+
+        Register reads through a full-lane context's slice are views, so
+        a value used after the end-of-cycle register writes (a RAM
+        write's address and data, a result put on a bus) is taken with
+        :func:`_owned`."""
         lanes = ctx.lanes
+        index = ctx.index
         registers = self.registers
         produced: list[tuple[str, object, int]] = []
         memory_writes: list[tuple[str, object, object]] = []
         alu_result = None
         for op in word.ops:
             values = [
-                registers[src[1]][lanes, src[2]] if src[0] else src[1]
+                registers[src[1]][index, src[2]] if src[0] else src[1]
                 for src in op.operands
             ]
             sem = op.sem
@@ -788,7 +850,8 @@ class BatchSimulator:
             elif sem == SEM_RAM_READ or sem == SEM_ROM_READ:
                 result = self._memory_gather(op.target, lanes, values[0])
             elif sem == SEM_RAM_WRITE:
-                memory_writes.append((op.target, values[0], values[1]))
+                memory_writes.append(
+                    (op.target, _owned(values[0]), _owned(values[1])))
                 result = None
             elif sem == SEM_ACU_ADDMOD:
                 result = (values[0] + values[1]) % op.constant
@@ -797,7 +860,7 @@ class BatchSimulator:
             elif sem == SEM_ACU_ADD:
                 result = self._wrap(values[0] + values[1])
             elif sem == SEM_CONST:
-                result = values[0]
+                result = _owned(values[0])
             elif sem == SEM_INPUT:
                 result = self._input_read(ctx, op.target)
             else:  # SEM_OUTPUT
@@ -826,13 +889,13 @@ class BatchSimulator:
                     f"cycle {ctx.cycle}: register file {write.rf!r} expects "
                     f"a value on {write.bus!r} but nothing matured there"
                 )
-            registers[write.rf][lanes, write.addr] = bus_values[write.bus]
+            registers[write.rf][index, write.addr] = bus_values[write.bus]
         for memory, address, value in memory_writes:
             self._memory_scatter(memory, lanes, address, value)
         if alu_result is not None and self.plan.n_flags:
-            self.flags[lanes, 0] = _np.asarray(alu_result) < 0
+            self.flags[index, 0] = _np.asarray(alu_result) < 0
             if self.plan.n_flags > 1:
-                self.flags[lanes, 1] = _np.asarray(alu_result) == 0
+                self.flags[index, 1] = _np.asarray(alu_result) == 0
 
         ctx.cycle += 1
         return self._advance(ctx, word)
@@ -868,10 +931,10 @@ class BatchSimulator:
     def _input_read(self, ctx: _Context, port: str):
         cursor = ctx.cursors.get(port, 0)
         lengths = self.input_lengths.get(port)
-        if lengths is None or (lengths[ctx.lanes] <= cursor).any():
+        if lengths is None or (lengths[ctx.index] <= cursor).any():
             raise SimulationError(f"input stream {port!r} exhausted")
         ctx.cursors[port] = cursor + 1
-        return self.inputs[port][ctx.lanes, cursor]
+        return self.inputs[port][ctx.index, cursor]
 
     def _advance(self, ctx: _Context, word: WordPlan):
         ctrl = word.ctrl
@@ -885,7 +948,7 @@ class BatchSimulator:
         elif ctrl is CtrlOp.JUMP:
             ctx.pc = word.arg
         elif ctrl is CtrlOp.CJMP:
-            taken = self.flags[ctx.lanes, word.flag] != 0
+            taken = self.flags[ctx.index, word.flag] != 0
             if taken.all():
                 ctx.pc = word.arg
             elif not taken.any():

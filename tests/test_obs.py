@@ -360,6 +360,23 @@ class TestProfile:
                 assert stats["n"] == 2
                 assert 0 <= stats["p50"] <= stats["p95"]
 
+    def test_regimes_run_round_robin(self, monkeypatch):
+        # One compile of each regime per round, so drift between phases
+        # of a run cannot land in the cached/cold and warm/cold ratios.
+        import repro.obs.profile as profile_module
+
+        order = []
+        timed = profile_module._timed_compile
+
+        def spy(toolchain, application, regime, samples):
+            order.append(regime)
+            timed(toolchain, application, regime, samples)
+
+        monkeypatch.setattr(profile_module, "_timed_compile", spy)
+        record = profile_compile(GAIN, core="audio", runs=3)
+        assert order == ["cold", "cached_cold", "warm"] * 3
+        assert record["cached_cold"]["total"]["n"] == 3
+
     def test_render_and_write_profile(self, tmp_path):
         record = profile_compile(GAIN, core="audio", runs=1)
         table = render_profile(record)

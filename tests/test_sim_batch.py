@@ -13,12 +13,17 @@ and cycle counts directly.  The suite covers:
   pipelined-OPU in-flight results,
 * engine resolution (``auto`` by lane count and data width, an
   undecodable image raising :class:`~repro.sim.PlanError`),
+* the plan memo (one decode per program, a fresh one after an edit,
+  no plan outliving its program) and the numpy engine's register views
+  on full-lane contexts,
 * the short-stimulus guard and the ``sim.*`` telemetry counters.
 """
 
 from __future__ import annotations
 
 import dataclasses
+import gc
+import weakref
 
 import pytest
 from hypothesis import given, settings
@@ -33,7 +38,8 @@ from repro import (
 )
 from repro.analyze import lint_program
 from repro.apps import fir_application, lms_application
-from repro.arch import CtrlOp, fir_core
+from repro.arch import ControllerSpec, CtrlOp, fir_core
+from repro.encode import CTRL_OPCODES
 from repro.encode.assembler import EncodedProgram
 from repro.errors import SimulationError
 from repro.fixed import FixedFormat
@@ -95,6 +101,22 @@ def lms_program(lms_compiled):
     return lms_compiled.binary
 
 
+def fresh_copy(program):
+    """An undecoded copy of ``program`` with its own words and maps."""
+    return dataclasses.replace(
+        program, words=list(program.words),
+        input_map=dict(program.input_map),
+        output_map=dict(program.output_map))
+
+
+def count_decodes(action):
+    """(``sim.decodes`` counted while ``action`` ran, its result)."""
+    obs = Telemetry()
+    with use_telemetry(obs):
+        result = action()
+    return obs.counters.get("sim.decodes", 0), result
+
+
 class TestDecodePlan:
     def test_plan_covers_every_word(self, fir_program):
         plan = decode_program(fir_program)
@@ -107,6 +129,62 @@ class TestDecodePlan:
         assert [simulator.run_frames(12)] == reference_oracle(
             fir_compiled, [streams], 12)
 
+
+class TestPlanMemo:
+    """``decode_program`` decodes a program once for as long as it lives
+    and stays unchanged."""
+
+    @pytest.mark.parametrize("engine", BATCH_ENGINES)
+    def test_repeated_runs_decode_once(self, fir_program, engine):
+        program = fresh_copy(fir_program)
+        lanes = [random_streams(["x"], 4, seed=s) for s in range(3)]
+
+        def runs():
+            for _ in range(3):
+                run_batch(program, lanes, engine=engine)
+                run_program(program, lanes[0], engine=engine)
+
+        assert count_decodes(runs)[0] == 1
+        assert count_decodes(runs)[0] == 0
+        assert count_decodes(lambda: lint_program(program))[0] == 0
+
+    def test_word_edit_decodes_again(self, fir_program):
+        program = fresh_copy(fir_program)
+        first = decode_program(program)
+        assert decode_program(program) is first
+        index = next(w.index for w in first.words if w.ops)
+        program.words[index] = program.format.encode(
+            {"ctrl.op": CTRL_OPCODES[CtrlOp.CONT]})
+        decodes, second = count_decodes(lambda: decode_program(program))
+        assert decodes == 1
+        assert second is not first
+        assert second.words[index].ops == ()
+        assert decode_program(program) is second
+
+    def test_map_edit_is_never_served_a_stale_plan(self, fir_program):
+        program = fresh_copy(fir_program)
+        decode_program(program)
+        program.input_map.clear()
+        with pytest.raises(PlanError, match="no logical port"):
+            decode_program(program)
+
+    def test_replaced_copy_gets_its_own_plan(self, fir_program):
+        program = fresh_copy(fir_program)
+        plan = decode_program(program)
+        copy = dataclasses.replace(program)
+        assert count_decodes(lambda: decode_program(copy))[0] == 1
+        assert decode_program(copy) is not plan
+
+    def test_plan_dies_with_its_program(self, fir_program):
+        program = fresh_copy(fir_program)
+        run_program(program, random_streams(["x"], 4, seed=2))
+        plan = weakref.ref(decode_program(program))
+        key = id(program)
+        assert key in batch_module._PLANS
+        del program
+        gc.collect()
+        assert plan() is None
+        assert key not in batch_module._PLANS
 
 class TestDifferentialApps:
     """Compiled applications: every engine equals the reference."""
@@ -222,6 +300,106 @@ class TestControlFlowEdges:
         lanes = [random_streams(["x"], 8, seed=s) for s in range(8)]
         assert run_batch(compiled.binary, lanes, engine=engine) == \
             reference_oracle(compiled, lanes)
+
+
+def build_aliasing_program():
+    """Hand-assembled words in which a register feeding a RAM write, an
+    OUTPUT or a pipelined multiply is overwritten in the same cycle.
+
+    The seven-word block runs once over every lane, then again on each
+    side of a CJMP that splits the lanes by the sign of the first input
+    (ports suffixed ``_neg`` on the taken side).  Per block: ``o`` is
+    the input, ``m`` the input stored to RAM address 3 and read back,
+    ``p`` the input times ``0.75``.  Every read must see the start of
+    its cycle, so none of them sees the same cycle's ``x + 1000``.
+    """
+    core = dataclasses.replace(
+        pipelined_core(mult_latency=2),
+        controller=ControllerSpec(stack_depth=2, program_size=128,
+                                  n_flags=2, supports_conditionals=True))
+    pb = ProgramBuilder(core)
+    op = pb.opcodes
+
+    def to(rf, addr, bus):
+        fields = {f"{rf}.wr_en": 1, f"{rf}.wr_addr": addr}
+        select = mux_index(core, rf, bus)
+        if select is not None:
+            fields[f"{rf}.mux"] = select
+        return fields
+
+    def acu(imm, addr):
+        return {"acu.op": op["acu"]["addmod"], "acu.p0.addr": 0,
+                "acu.p1.imm": imm, **to("rf_ram_addr", addr, "bus_acu")}
+
+    input_map, output_map = {}, {}
+
+    def block(suffix):
+        start = len(pb.words)
+        input_map[("ipb", start)] = "x"
+        pb.word(**{"ipb.op": op["ipb"]["read"],
+                   **to("rf_ram_data", 0, "bus_ipb"),
+                   **to("rf_mult_data", 0, "bus_ipb"),
+                   **to("rf_alu_p0", 0, "bus_ipb"), **acu(3, 1)})
+        pb.word(**{"alu.op": op["alu"]["pass"], "alu.p0.addr": 0,
+                   **to("rf_opb", 0, "bus_alu"), **acu(3, 0)})
+        # The aliasing cycle: RAM address, RAM data, the OUTPUT's
+        # register and the multiply's operand are all rewritten.
+        pb.word(**{"ram.op": op["ram"]["write"], "ram.p0.addr": 0,
+                   "ram.p1.addr": 0,
+                   "opb.op": op["opb"]["write"], "opb.p0.addr": 0,
+                   "mult.op": op["mult"]["mult"], "mult.p0.addr": 0,
+                   "mult.p1.addr": 0,
+                   "alu.op": op["alu"]["add"], "alu.p0.addr": 0,
+                   "alu.p1.addr": 0,
+                   **to("rf_ram_data", 0, "bus_alu"),
+                   **to("rf_mult_data", 0, "bus_alu"),
+                   **to("rf_opb", 0, "bus_alu"), **acu(5, 0)})
+        pb.word(**{"ram.op": op["ram"]["read"], "ram.p0.addr": 1,
+                   **to("rf_alu_p1", 1, "bus_ram"),
+                   **to("rf_alu_p0", 1, "bus_mult")})
+        pb.word(**{"alu.op": op["alu"]["add"], "alu.p0.addr": 2,
+                   "alu.p1.addr": 1, **to("rf_opb", 1, "bus_alu")})
+        pb.word(**{"opb.op": op["opb"]["write"], "opb.p0.addr": 1,
+                   "alu.op": op["alu"]["add"], "alu.p0.addr": 1,
+                   "alu.p1.addr": 2, **to("rf_opb", 1, "bus_alu")})
+        pb.word(**{"opb.op": op["opb"]["write"], "opb.p0.addr": 1})
+        for offset, port in ((2, "o"), (5, "m"), (6, "p")):
+            output_map[("opb", start + offset)] = port + suffix
+
+    block("")
+    pb.word(**{"alu.op": op["alu"]["pass"], "alu.p0.addr": 0})
+    cjmp = pb.word(ctrl=CtrlOp.CJMP, flag=0)
+    block("")
+    jump = pb.word(ctrl=CtrlOp.JUMP)
+    pb.words[cjmp]["ctrl.arg"] = len(pb.words)
+    block("_neg")
+    pb.words[jump]["ctrl.arg"] = len(pb.words)
+    pb.word(ctrl=CtrlOp.HALT)
+    return dataclasses.replace(
+        pb.build(), input_map=input_map, output_map=output_map,
+        acu_moduli={"acu": 8},
+        initial_registers={"rf_alu_p1": [(0, 1000)],
+                           "rf_mult_coef": [(0, 0x6000)]})
+
+
+class TestRegisterViews:
+    @pytest.mark.parametrize("engine", BATCH_ENGINES)
+    def test_same_cycle_overwrites_read_the_cycle_start(self, engine):
+        program = build_aliasing_program()
+        fmt = FixedFormat(16, 15)
+        firsts = (1200, -3000, 77, -5, 0, 32000, -32768, 9, -1, 4)
+        lanes = [{"x": [x, 11 - x // 2]} for x in firsts]
+
+        def expected(x0, x1):
+            out = {"o": [x0], "m": [x0], "p": [fmt.mult(x0, 0x6000)]}
+            suffix = "_neg" if x0 < 0 else ""
+            for port, value in (("o", x1), ("m", x1),
+                                ("p", fmt.mult(x1, 0x6000))):
+                out.setdefault(port + suffix, []).append(value)
+            return out
+
+        assert run_batch(program, lanes, n_frames=0, engine=engine) == \
+            [expected(*lane["x"]) for lane in lanes]
 
 
 class TestShortStreams:
