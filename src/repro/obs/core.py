@@ -34,10 +34,10 @@ COUNTERS: dict[str, str] = {
                            "persistent disk tier",
     "stagecache.miss": "stages the cache did not cover, so they executed",
     "stagecache.store": "snapshot packs stored into the memory tier (one "
-                        "per key run a compile executed)",
+                        "per compile that executed a stage)",
     "stagecache.eviction": "memory-tier LRU evictions",
     "stagecache.restore": "snapshot packs deserialized (one per pack a "
-                          "key run's lookup matched)",
+                          "compile's lookup matched)",
     "stagecache.bytes_pickled": "bytes the stage stores actually "
                                 "pickled (each stage's frame: the "
                                 "artifacts it changed)",

@@ -3,16 +3,18 @@
 Every stage of :mod:`repro.pipeline` consumes and produces named
 artifacts held in a :class:`CompileState`.  Each stage is keyed by a
 *content fingerprint* — a SHA-256 digest over a canonical rendering of
-the inputs that determine its output: the DFG as parsed/optimized, the
-core description, and the request options the stage actually reads.
-Two compilations that reach a stage with identical fingerprints are
-guaranteed to produce identical artifacts, which is what makes the
-stage cache (:class:`repro.pipeline.session.StageCache`) sound.
+the inputs that determine its output: the application (source text, or
+the content of a graph handed in directly), the core description, and
+the request options the stage actually reads, each stage's key chained
+onto the key of the stage before it.  Two compilations that reach a
+stage with identical fingerprints are guaranteed to produce identical
+artifacts, which is what makes the stage cache
+(:class:`repro.pipeline.session.StageCache`) sound.
 
 Fingerprints are deliberately *content*-keyed rather than
-identity-keyed: a source text and the DFG it parses to converge on the
-same optimize-stage key, and two cores that serialize identically share
-every core-dependent stage.
+identity-keyed: two cores that serialize identically share every
+core-dependent stage, and an equal graph handed in twice shares every
+stage.
 """
 
 from __future__ import annotations
@@ -39,7 +41,9 @@ from ..rtgen.generator import RouteTable, route_table
 #: raw request attributes.
 #: v3: -O2 runs the machine-independent half to a fixpoint, then the
 #: core-aware half; its OptReport's pass order and iterations differ.
-PIPELINE_VERSION = 3
+#: v4: optimize and rtgen key on the stage before them, not on a graph's
+#: content, so a compile's keys form one chain from parse.
+PIPELINE_VERSION = 4
 
 #: Serialization version of every artifact type the stages produce.
 #: Bump an entry whenever the artifact's Python shape changes (fields
@@ -208,7 +212,6 @@ class CompileState:
     cache_hits: dict[str, bool] = field(default_factory=dict)
     #: stage name -> "memory" | "disk", for stages restored from cache
     cache_sources: dict[str, str] = field(default_factory=dict)
-    _source_fp: str | None = field(default=None, repr=False)
 
     def __getattr__(self, name: str) -> Any:
         artifacts = self.__dict__.get("artifacts", {})
@@ -230,22 +233,6 @@ class CompileState:
             else:
                 counts["executed"] += 1
         return counts
-
-    def core_fp(self) -> str:
-        """The bound core's fingerprint (several stages key on it)."""
-        return self.request.bound.fingerprint
-
-    def source_fp(self) -> str:
-        """Memoized fingerprint of the parsed graph (the parse and
-        optimize keys both cover it).  Parse passes a graph application
-        through, so that graph's own fingerprint serves before parse
-        has run and after it was restored."""
-        if self._source_fp is None:
-            application = self.request.application
-            self._source_fp = dfg_fingerprint(
-                application if isinstance(application, Dfg)
-                else self.artifacts["source_dfg"])
-        return self._source_fp
 
     @property
     def is_complete(self) -> bool:

@@ -77,8 +77,9 @@ from .artifacts import PIPELINE_VERSION
 #: the artifacts its stage changed; a v2 reader would load the first
 #: frame alone, so v2 and v3 entries are version skips to each other.
 #: v4: a ``bytes`` object is the payload as it is (``"raw"`` in the
-#: header), not pickled again; stage-cache entries are snapshot packs,
-#: one per key run, which a v3 reader would take for a bare stream.
+#: header), not pickled again; stage-cache entries are snapshot packs
+#: (a frame header, then the stream), which a v3 reader would take for a
+#: bare stream.
 FORMAT_VERSION = 4
 
 _MAGIC = b"RPDC"

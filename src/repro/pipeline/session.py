@@ -13,20 +13,19 @@ holding only the artifacts whose identity changed — after parse just
 ``source_dfg``, after impose just the new ``program`` and
 ``conflict_model`` — and every object an earlier frame already holds
 is written as a memo reference, not copied again.  The stream is
-stored once per **key run** (parse; optimize; rtgen … assemble) as a
-**pack**: the stream's bytes through the run's last executed frame,
-behind a header mapping each of the run's stage keys to the end offset
-of its frame.  A pack is stored under the key of the first stage the
-run executed, so a first compile writes three, and the packs of one
-compile are prefixes of each other.  A restore reads the frames in
-order and merges them into one artifact dict: a single
-unpickling pass, so every compile works on a private object graph and
-nothing a downstream stage (or the caller) does to its artifacts can
-reach a cached prefix.  When stages run after a restored prefix, the
-compile continues the restored stream (its pickler memo seeded from
-the unpickler's), so a resumed compile still pickles only its new
-artifacts.  The core is pickled by reference: restored artifacts point
-at the requesting toolchain's own core object.
+stored once per compile as a **pack**: the whole stream, behind a
+header mapping every frame's stage key to the end offset of its frame.
+A pack is stored under the key of the first stage the compile
+executed, so a first compile writes one, under its parse key.  A
+restore unpickles the frames in order, each restored stage its own
+frame, into one artifact dict: one unpickler for the whole stream, so
+every compile works on a private object graph and nothing a downstream
+stage (or the caller) does to its artifacts can reach a cached prefix.
+When stages run after a restored prefix, the compile continues the
+restored stream (its pickler memo seeded from the unpickler's), so a
+resumed compile still pickles only its new artifacts.  The core is
+pickled by reference: restored artifacts point at the requesting
+toolchain's own core object.
 
 The stream rests on one rule: **a stage never edits an artifact an
 earlier stage produced.**  A later frame refers to such an object
@@ -40,19 +39,20 @@ its frame (rtgen annotates every RT's class); a derived index filled
 lazily on a shared object stays out of its pickled state (the DFG's
 consumer index).
 
-The toolchain resolves a compile one key run at a time.  The parse and
-optimize packs are small and are read first, because the optimize and
-rtgen keys hash their DFGs; every key from rtgen on is a pure chain of
-the rtgen key and the request, so the whole run's keys are known up
-front.  A lookup reads the pack under the run's first key and restores
-through the deepest frame whose header key matches; when keys are left
-over, it reads the pack under the next one.  An identical re-compile
-therefore reads and restores three packs.  A compile that diverges
-late (a new cycle budget or seed) restores the shared prefix from the
-head pack, runs the rest, and stores a **branch** pack under its first
-executed key (its new schedule key, say), so both tails stay cached
-and the next lookup walks head → branch.  A compile whose stage raises
-still stores the pack of the stages it ran.
+Every stage key chains onto the one before it, from the parse key on,
+so the toolchain knows a compile's eight keys from the request and
+resolves them once.  A lookup reads the pack under the parse key and
+restores through the deepest frame whose header key matches; an
+identical re-compile therefore reads and restores one pack.  A compile
+that diverges (a new ``-O`` level, cycle budget or seed) restores the
+shared prefix from that head pack, runs the rest, and stores a
+**branch** pack under its first executed key (its new schedule key,
+say).  The branch holds the whole stream, its header naming the
+restored frames too, so both tails stay cached: when the head pack
+leaves keys over, the lookup reads the pack under the next one and
+restores from the deepest.  A compile whose stage raises still stores
+the pack of the stages it ran; one whose restored frame does not load
+drops the pack and stores nothing.
 
 The memory cache can be layered over a persistent
 :class:`~repro.pipeline.backend.CacheBackend`: misses fall through to
@@ -152,13 +152,31 @@ def decode_pack(pack: bytes) -> tuple[list[tuple[str, int]], int]:
     return frames, at
 
 
+def matched_frames(pack: bytes, keys: Sequence[str],
+                   ) -> tuple[list[tuple[str, int]], int]:
+    """The leading ``(stage key, end offset)`` frames of ``pack``'s
+    header whose keys match ``keys``, and the offset its stream starts
+    at; no frames for bytes that are not a pack."""
+    try:
+        frames, start = decode_pack(pack)
+    except (IndexError, ValueError):
+        return [], 0
+    covered = 0
+    for (key, _), wanted in zip(frames, keys):
+        if key != wanted:
+            break
+        covered += 1
+    return frames[:covered], start
+
+
 class SnapshotStream:
     """One compile's snapshot stream: one pickle frame per stage.
 
     :meth:`dump` pickles the artifacts whose identity changed since the
-    previous frame; :meth:`pack` hands out the stream so far, with a
-    header naming the frames written since the previous pack.
-    :meth:`load` reads stream bytes back.  The pickler memo lives as
+    previous frame; :meth:`pack` hands out the stream with a header
+    naming every frame.  A stream opened over a pack's bytes
+    (:meth:`open`) loads its frames one at a time (:meth:`load_frame`), so each
+    restored stage pays for its own frame.  The pickler memo lives as
     long as the stream, so a frame refers to what earlier frames hold
     instead of copying it.
 
@@ -167,64 +185,59 @@ class SnapshotStream:
     """
 
     def __init__(self) -> None:
-        #: the artifacts a restore produced (the compile takes this
-        #: dict over); empty for a new stream
+        #: the artifacts loaded so far (the compile takes this dict over)
         self.artifacts: dict[str, Any] = {}
+        #: the key of the pack the stream was opened over
+        self.origin: str | None = None
         self._written: dict[str, Any] = {}
         self._buffer: io.BytesIO | None = None
         self._pickler: pickle.Pickler | None = None
         self._unpickler: _SnapshotUnpickler | None = None
-        #: ``(stage key, end offset)`` of each frame not yet packed
-        self._unpacked: list[tuple[str, int]] = []
+        #: ``(stage key, end offset)`` of every frame, restored or written
+        self._frames: list[tuple[str, int]] = []
+        #: how many leading frames came from a pack, and how many of
+        #: those are loaded
+        self._restored = 0
+        self._loaded = 0
+        #: set when a restored frame did not load: the stream then
+        #: writes nothing and has no pack
+        self._closed = False
 
     @classmethod
-    def load(cls, blob: bytes, core: CoreSpec) -> "SnapshotStream":
-        """Read every frame of ``blob`` (merging them in order) with the
-        core references bound to ``core``; raises on bytes that do not
-        load."""
-        buffer = io.BytesIO(blob)
-        unpickler = _SnapshotUnpickler(buffer, core)
-        artifacts: dict[str, Any] = {}
-        while buffer.tell() < len(blob):
-            artifacts.update(unpickler.load())
+    def open(cls, blob: bytes, frames: Sequence[tuple[str, int]],
+             core: CoreSpec) -> "SnapshotStream":
+        """A stream over ``blob``, the bytes of ``frames``, with the
+        core references bound to ``core``; nothing is loaded yet."""
         stream = cls()
-        stream.artifacts = artifacts
-        stream._written = dict(artifacts)
-        stream._buffer = buffer
-        # Kept only to seed the pickler if this compile runs on; a
-        # compile that restores its last stage never pays for that.
-        stream._unpickler = unpickler
+        stream._buffer = io.BytesIO(blob)
+        stream._unpickler = _SnapshotUnpickler(stream._buffer, core)
+        stream._frames = list(frames)
+        stream._restored = len(frames)
         return stream
 
-    def extend(self, blob: bytes) -> bool:
-        """Load the frames ``blob`` adds to this restored stream.
+    @property
+    def pending(self) -> int:
+        """The restored frames not loaded yet."""
+        return self._restored - self._loaded
 
-        ``blob`` must be a longer prefix of the stream (it starts with
-        every byte loaded so far).  Returns ``False`` when it is not,
-        when the stream has started writing, or when the added frames
-        do not load; the stream then holds what it held before, and a
-        stream whose extension failed is written on, never extended.
-        """
-        unpickler, buffer = self._unpickler, self._buffer
-        if unpickler is None:
-            return False
-        size = buffer.tell()
-        if len(blob) <= size or not blob.startswith(buffer.getvalue()):
-            return False
-        memo = unpickler.memo.copy()
-        buffer.write(blob[size:])
-        buffer.seek(size)
-        added: dict[str, Any] = {}
+    def load_frame(self) -> bool:
+        """Load the next restored frame, merging it into
+        :attr:`artifacts`.  Returns ``False`` when it does not load; the
+        stream is then closed."""
+        # A frame is thousands of fresh containers and no garbage:
+        # cyclic collections triggered mid-load would only rescan them.
+        paused = gc.isenabled()
+        gc.disable()
         try:
-            while buffer.tell() < len(blob):
-                added.update(unpickler.load())
-        except Exception:  # noqa: BLE001 — an unloadable entry is a miss
-            # The unpickler's memo now holds the torn frame's objects:
-            # cut the bytes back and continue from the memo as it was.
-            buffer.seek(size)
-            buffer.truncate()
-            self._open(memo)
+            added = self._unpickler.load()
+        except Exception:  # noqa: BLE001 — an unloadable frame is a miss
+            self._restored = self._loaded
+            self._closed = True
             return False
+        finally:
+            if paused:
+                gc.enable()
+        self._loaded += 1
         self.artifacts.update(added)
         self._written.update(added)
         return True
@@ -232,6 +245,8 @@ class SnapshotStream:
     def dump(self, key: str, artifacts: dict[str, Any]) -> int:
         """Append the frame of the stage keyed ``key``: the artifacts of
         ``artifacts`` whose identity changed.  Returns its size."""
+        if self._closed:
+            return 0
         written = self._written
         delta = {name: value for name, value in artifacts.items()
                  if written.get(name, _UNWRITTEN) is not value}
@@ -250,37 +265,36 @@ class SnapshotStream:
                 gc.enable()
         written.update(delta)
         end = self._buffer.tell()
-        self._unpacked.append((key, end))
+        self._frames.append((key, end))
         current_telemetry().count("stagecache.bytes_pickled", end - start)
         return end - start
 
     def pack(self) -> tuple[str, bytes, dict[str, int]] | None:
-        """``(key, pack, schema)`` for the frames dumped since the last
-        pack, or None when there are none.
+        """``(key, pack, schema)`` of the stream, or None when it wrote
+        no frame (or is closed).
 
-        The pack is the whole stream through the last of them (a
-        frame refers to every earlier one), its header naming each of
-        them; it is stored under the first one's key.  ``schema`` is
-        the artifact schema of everything the stream holds.
+        The pack is the whole stream (a frame refers to every earlier
+        one), its header naming every frame, the restored ones too, so
+        it restores on its own; it is stored under the key of the
+        first frame written.  ``schema`` is the artifact schema of
+        everything the stream holds.
         """
-        if not self._unpacked:
+        if self._closed or len(self._frames) == self._restored:
             return None
-        frames, self._unpacked = self._unpacked, []
-        pack = encode_pack(frames, self._buffer.getvalue())
-        return frames[0][0], pack, artifact_schema(self._written)
+        pack = encode_pack(self._frames, self._buffer.getvalue())
+        return (self._frames[self._restored][0], pack,
+                artifact_schema(self._written))
 
-    def _open(self, memo: dict[int, Any] | None = None) -> None:
+    def _open(self) -> None:
         """Create the pickler; after a restore it continues the loaded
-        stream, numbering new objects where the unpickler left off (or
-        after ``memo``, the unpickler's memo as it was)."""
+        stream, numbering new objects where the unpickler left off."""
         if self._buffer is None:
             self._buffer = io.BytesIO()
         pickler = pickle.Pickler(self._buffer, pickle.HIGHEST_PROTOCOL)
         pickler.dispatch_table = _SNAPSHOT_REDUCERS
-        if memo is None and self._unpickler is not None:
+        if self._unpickler is not None:
             memo = self._unpickler.memo.copy()
-        self._unpickler = None
-        if memo is not None:
+            self._unpickler = None
             # The pickler numbers its next object len(memo).  Two slots
             # can load as one object (pickle returns cached one-character
             # strings); a placeholder then keeps the slot counted.
@@ -299,9 +313,10 @@ class SnapshotStream:
 class CacheStats:
     """Hit/miss/store counters of one :class:`StageCache`.
 
-    ``hits`` and ``misses`` count stages: a restore covers every stage
-    up to the restored one.  ``disk_hits`` is the subset of ``hits``
-    served by the persistent tier (and hydrated into memory).
+    ``hits`` and ``misses`` count stages: a compile's restored stages
+    are hits, the rest of its chain misses.  ``disk_hits`` is the subset
+    of ``hits`` served by the persistent tier (and hydrated into
+    memory).
     ``stores`` and ``evictions`` count packs.
     """
 
@@ -317,8 +332,8 @@ class StageCache:
 
     Thread-safe: explore workers running in threads may share one
     cache.  Each entry is a pack (:meth:`SnapshotStream.pack`): the
-    bytes of a compile's stream through one key run, stored under the
-    key of the run's first executed stage, so cached state is
+    bytes of a compile's stream through its last executed stage,
+    stored under the key of its first executed stage, so cached state is
     immutable by construction and :meth:`restore` hands out a fresh
     object graph every time.
 
@@ -354,48 +369,68 @@ class StageCache:
         return True
 
     def resolve(self, keys: Sequence[str], core: CoreSpec,
-                stream: SnapshotStream | None = None,
-                ) -> tuple[SnapshotStream | None, list[str]]:
-        """Restore the deepest cached stage of a key run.
+                ) -> tuple[SnapshotStream, str | None]:
+        """Find the deepest cached stage of a compile's key chain.
 
-        ``keys`` are consecutive stages' keys.  The pack under
-        ``keys[0]`` restores through the deepest stage its header
-        shares with ``keys``; when that leaves keys over, the pack
-        under the next one (a branch a diverging compile stored)
-        continues it, and so on.  Returns ``(stream, tiers)``: the
-        first ``len(tiers)`` stages are hits, ``tiers[i]`` the tier
-        (``"memory"`` or ``"disk"``) that served stage ``i``, restored
-        as ``stream.artifacts``; the rest are misses, and the compile
-        runs them on into ``stream``.  ``(None, [])`` when nothing is
-        cached.  ``stream`` is the compile's stream so far: a pack that
-        extends it only loads the frames it adds (see :meth:`restore`).
+        ``keys`` are consecutive stages' keys, from parse on.  The pack
+        under ``keys[0]`` covers the stages its header shares with
+        ``keys``; when that leaves keys over, the pack under the next
+        one (a branch a diverging compile stored) is read, and so on,
+        and the deepest pack wins.  Returns ``(stream, tier)``: a
+        stream opened over that pack, whose first ``stream.pending``
+        stages are hits the compile loads one frame at a time
+        (:meth:`load_frame`), and the tier (``"memory"`` or ``"disk"``)
+        that served it.  A fresh stream and ``None`` when nothing is
+        cached.  Nothing is deserialized here.
         """
-        tiers: list[str] = []
-        restored = None
-        while len(tiers) < len(keys):
-            pack, tier = self.get_entry(keys[len(tiers)])
-            if pack is None:
+        found, tier, depth = None, None, 0
+        while depth < len(keys):
+            origin = keys[depth]
+            pack, source = self.get_entry(origin)
+            covered = 0 if pack is None else len(matched_frames(pack, keys)[0])
+            if covered <= depth:
                 break
-            covered, loaded = self.restore(pack, keys[len(tiers):], core,
-                                           stream)
-            if not covered:
-                break
-            stream = restored = loaded
-            tiers += [tier] * covered
-        depth, misses = len(tiers), len(keys) - len(tiers)
-        from_disk = tiers.count("disk")
+            found, tier, depth = (origin, pack), source, covered
+        if found is None:
+            return SnapshotStream(), None
+        origin, pack = found
+        current_telemetry().count("stagecache.restore")
+        stream = self.restore(pack, keys, core)
+        stream.origin = origin
+        return stream, tier
+
+    def load_frame(self, stream: SnapshotStream) -> bool:
+        """Load the next restored frame of a stream :meth:`resolve`
+        returned.
+
+        A frame that does not load (a class moved since the pack was
+        written) drops the pack from both tiers and returns ``False``:
+        the compile runs its remaining stages uncached, and the next
+        compile stores a new pack.
+        """
+        if stream.load_frame():
+            return True
         with self._lock:
-            self.stats.hits += depth
+            self._entries.pop(stream.origin, None)
+        if self.disk is not None:
+            self.disk.delete(stream.origin)
+        return False
+
+    def tally(self, hits: int, misses: int, tier: str | None) -> None:
+        """Count one compile's stages: ``hits`` restored from ``tier``,
+        ``misses`` not."""
+        from_disk = hits if tier == "disk" else 0
+        with self._lock:
+            self.stats.hits += hits
             self.stats.misses += misses
             self.stats.disk_hits += from_disk
         obs = current_telemetry()
-        if depth:
-            obs.count("stagecache.hit", depth)
+        if hits:
+            obs.count("stagecache.hit", hits)
         if from_disk:
             obs.count("stagecache.disk_hit", from_disk)
         if misses:
             obs.count("stagecache.miss", misses)
-        return restored, tiers
 
     def get_entry(self, key: str) -> tuple[bytes | None, str | None]:
         """The pack stored under ``key`` and its tier.
@@ -419,46 +454,19 @@ class StageCache:
                 return blob, "disk"
         return None, None
 
-    def restore(self, pack: bytes, keys: Sequence[str], core: CoreSpec,
-                stream: SnapshotStream | None = None,
-                ) -> tuple[int, SnapshotStream | None]:
-        """Deserialize ``pack`` through the deepest frame whose key
+    def restore(self, pack: bytes, keys: Sequence[str],
+                core: CoreSpec) -> SnapshotStream | None:
+        """A stream over ``pack`` through the deepest frame whose key
         matches ``keys`` (its header's keys in order), the core
-        references bound to ``core``.
-
-        Returns ``(n, stream)``: the first ``n`` of ``keys`` restored.
-        ``(0, None)`` when the first key does not match or the bytes do
-        not load (the stages then run, and their store replaces the
-        pack).  When the frames extend ``stream`` (a stream restored
-        earlier in the same compile, e.g. up to the stage whose output
-        keys the next run), only the added frames are loaded, into
-        ``stream``, so a warm compile unpickles each frame once."""
-        try:
-            frames, start = decode_pack(pack)
-        except (IndexError, ValueError):
-            return 0, None
-        covered = 0
-        for (key, _), wanted in zip(frames, keys):
-            if key != wanted:
-                break
-            covered += 1
-        if not covered:
-            return 0, None
-        blob = pack[start:start + frames[covered - 1][1]]
-        # A snapshot is thousands of fresh containers and no garbage:
-        # cyclic collections triggered mid-load would only rescan them.
-        paused = gc.isenabled()
-        gc.disable()
-        try:
-            if stream is None or not stream.extend(blob):
-                stream = SnapshotStream.load(blob, core)
-        except Exception:  # noqa: BLE001 — an unloadable entry is a miss
-            return 0, None
-        finally:
-            if paused:
-                gc.enable()
-        current_telemetry().count("stagecache.restore")
-        return covered, stream
+        references bound to ``core``; ``stream.pending`` is the number
+        of stages it restores.  None when the first key does not match
+        or the bytes are not a pack (the stages then run, and their
+        store replaces the pack)."""
+        frames, start = matched_frames(pack, keys)
+        if not frames:
+            return None
+        return SnapshotStream.open(pack[start:start + frames[-1][1]],
+                                   frames, core)
 
     def put(self, key: str, pack: bytes,
             schema: dict[str, int] | None = None) -> None:

@@ -12,19 +12,19 @@ The :meth:`repro.toolchain.Toolchain.run_pipeline` driver runs the
 chain, consults the cache keyed on these fingerprints, and can stop
 after any stage (partial compilation) or resume from a cached prefix.
 
-A hit at stage *k* certifies the entire prefix: parse, optimize and
-rtgen key on the content they read, and every later stage is a
-:class:`ChainedStage` whose key folds the key of the stage before it
-into the request options it reads — no artifact — so the driver can
-compute the whole tail of the chain up front.  Option
-sensitivity is expressed through
+The keys form one chain.  Parse is its root: it keys on the source
+text, or on the content of a graph handed in directly.  Every later
+stage folds the key of the stage before it into the request fields it
+reads — no artifact — so the driver computes a whole compile's keys
+(:func:`chain_keys`) before any stage runs, and a hit at stage *k*
+certifies the entire prefix.  Option sensitivity is expressed through
 :meth:`repro.options.CompileOptions.fingerprint` *subsets* — each
 stage folds in the digest of exactly the option fields it reads, so a
 changed budget invalidates scheduling but not the lowered prefix.
 Where a stage's output is insensitive to part of the request, the key
 omits it — e.g. the optimize stage keys on the core only at ``-O2``
-(the sole level with a core-aware pass), so one optimized DFG is
-shared across candidate cores during design-space exploration.
+(the sole level with a core-aware pass), so a core change below
+``-O2`` keeps the parsed and optimized graphs.
 
 Every graph is validated once, where it is made: the builder checks a
 parsed graph, the parse stage an outside one, and each optimizer half
@@ -39,6 +39,7 @@ from __future__ import annotations
 
 import dataclasses
 from collections import Counter
+from typing import Sequence
 
 from ..core.artificial import impose_instruction_set
 from ..core.merge import apply_merges, merged_register_file_sizes
@@ -74,10 +75,15 @@ class Stage:
     name: str = "?"
     provides: tuple[str, ...] = ()
 
-    def key(self, state: CompileState) -> str:
-        """Content fingerprint of everything that determines this
-        stage's output on ``state`` (chained onto the upstream key)."""
-        raise NotImplementedError
+    def key(self, upstream: str, request: CompileRequest) -> str:
+        """This stage's key, given the key of the stage before it
+        (``""`` for parse, the root)."""
+        return fingerprint(self.name, PIPELINE_VERSION, upstream,
+                           *self.key_parts(request))
+
+    def key_parts(self, request: CompileRequest) -> tuple:
+        """The request fields this stage's output depends on."""
+        return ()
 
     def run(self, state: CompileState) -> None:
         """Produce this stage's artifacts into ``state.artifacts``."""
@@ -111,27 +117,14 @@ class Stage:
             self.run(state)
 
 
-class ChainedStage(Stage):
-    """A stage keyed on the upstream stage's key plus request options.
-
-    Its key reads no artifact, so a driver can compute it ahead of
-    running the chain (:meth:`chain_key`) and probe the cache for the
-    deepest stage already computed.
-    """
-
-    def key(self, state: CompileState) -> str:
-        upstream = state.fingerprints.get(state.completed[-1], "") \
-            if state.completed else ""
-        return self.chain_key(upstream, state.request)
-
-    def chain_key(self, upstream: str, request: CompileRequest) -> str:
-        """This stage's key, given the key of the stage before it."""
-        return fingerprint(self.name, PIPELINE_VERSION, upstream,
-                           *self.key_parts(request))
-
-    def key_parts(self, request: CompileRequest) -> tuple:
-        """The request fields this stage's output depends on."""
-        return ()
+def chain_keys(stages: Sequence[Stage], request: CompileRequest) -> list[str]:
+    """The keys of ``stages`` (the chain from parse on) under
+    ``request``, each chained onto the one before it."""
+    keys, upstream = [], ""
+    for stage in stages:
+        upstream = stage.key(upstream, request)
+        keys.append(upstream)
+    return keys
 
 
 class ParseStage(Stage):
@@ -140,12 +133,11 @@ class ParseStage(Stage):
     name = "parse"
     provides = ("source_dfg",)
 
-    def key(self, state: CompileState) -> str:
-        application = state.request.application
+    def key_parts(self, request: CompileRequest) -> tuple:
+        application = request.application
         if isinstance(application, str):
-            return fingerprint(self.name, PIPELINE_VERSION, "text", application)
-        return fingerprint(self.name, PIPELINE_VERSION, "dfg",
-                           state.source_fp())
+            return ("text", application)
+        return ("dfg", dfg_fingerprint(application))
 
     def run(self, state: CompileState) -> None:
         application = state.request.application
@@ -160,25 +152,19 @@ class ParseStage(Stage):
 class OptimizeStage(Stage):
     """Machine-independent DFG optimization (:mod:`repro.opt`).
 
-    Content-keyed on the *parsed graph*, not on the source text, so
-    equivalent sources converge here.  The core enters the key only at
-    ``-O2`` — the one level with a core-aware pass (strength reduction);
-    below that, only the core's fixed-point format matters.
+    The core enters the key only at ``-O2`` — the one level with a
+    core-aware pass (strength reduction); below that, only the core's
+    fixed-point format matters.
     """
 
     name = "optimize"
     provides = ("dfg", "opt_report")
 
-    def key(self, state: CompileState) -> str:
-        request = state.request
+    def key_parts(self, request: CompileRequest) -> tuple:
         core = request.core
-        core_part = (state.core_fp() if request.options.opt >= 2
+        core_part = (request.bound.fingerprint if request.options.opt >= 2
                      else ("fmt", core.data_width, core.frac_bits))
-        return fingerprint(
-            self.name, PIPELINE_VERSION,
-            state.source_fp(),
-            request.options.fingerprint("opt"), core_part,
-        )
+        return (request.options.fingerprint("opt"), core_part)
 
     def run(self, state: CompileState) -> None:
         request = state.request
@@ -194,14 +180,10 @@ class RtGenStage(Stage):
     name = "rtgen"
     provides = ("base_program",)
 
-    def key(self, state: CompileState) -> str:
-        binding = state.request.io_binding
-        return fingerprint(
-            self.name, PIPELINE_VERSION,
-            dfg_fingerprint(state.artifacts["dfg"]),
-            state.core_fp(),
-            sorted(binding.items()) if binding else None,
-        )
+    def key_parts(self, request: CompileRequest) -> tuple:
+        binding = request.io_binding
+        return (request.bound.fingerprint,
+                sorted(binding.items()) if binding else None)
 
     def run(self, state: CompileState) -> None:
         request = state.request
@@ -218,7 +200,7 @@ class RtGenStage(Stage):
         state.artifacts["base_program"] = program
 
 
-class MergeStage(ChainedStage):
+class MergeStage(Stage):
     """Apply register-file/bus merges as RT modifications (step 2a).
 
     ``base_program`` (the unmerged lowering) is kept for binary
@@ -247,7 +229,7 @@ class MergeStage(ChainedStage):
             state.artifacts["program"] = base
 
 
-class ImposeStage(ChainedStage):
+class ImposeStage(Stage):
     """Impose the instruction set via artificial resources (step 2b).
 
     ``program`` is replaced by a copy whose RTs carry the artificial
@@ -273,7 +255,7 @@ class ImposeStage(ChainedStage):
         state.artifacts["conflict_model"] = model
 
 
-class ScheduleStage(ChainedStage):
+class ScheduleStage(Stage):
     """Pack RTs into VLIW instructions within the cycle budget."""
 
     name = "schedule"
@@ -293,7 +275,7 @@ class ScheduleStage(ChainedStage):
         state.artifacts["schedule"] = schedule
 
 
-class RegallocStage(ChainedStage):
+class RegallocStage(Stage):
     """Bind virtual values to physical registers along the schedule."""
 
     name = "regalloc"
@@ -306,7 +288,7 @@ class RegallocStage(ChainedStage):
         )
 
 
-class AssembleStage(ChainedStage):
+class AssembleStage(Stage):
     """Emit binary microcode.
 
     For a merged core the schedule was computed against the *merged*

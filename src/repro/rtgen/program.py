@@ -75,9 +75,6 @@ class RTProgram:
     def live_in_values(self) -> dict[int, LoopCarry]:
         return {carry.old: carry for carry in self.loop_carries}
 
-    def loop_new_values(self) -> dict[int, LoopCarry]:
-        return {carry.new: carry for carry in self.loop_carries}
-
     def opu_histogram(self) -> dict[str, int]:
         """RT count per OPU — the raw material of figure 9."""
         histogram: dict[str, int] = {}

@@ -128,9 +128,6 @@ def build_dependence_graph(program: RTProgram,
         for dest in rt.destinations:
             producers.setdefault(dest.value, rt)
 
-    live_ins = program.live_in_values()
-    carry_new = program.loop_new_values()
-
     # RAW: value producers feed readers.
     readers: dict[int, list[RT]] = {}
     for rt in rts:
@@ -178,7 +175,6 @@ def build_dependence_graph(program: RTProgram,
             last_reads[location] = []
             last_write[location] = rt
 
-    _ = live_ins, carry_new  # documented above; kept for readability
     return DependenceGraph(rts=list(rts), edges=edges)
 
 

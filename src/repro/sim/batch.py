@@ -706,8 +706,9 @@ class BatchSimulator:
         self._half = 1 << (fmt.width - 1)
         self._mask = (1 << fmt.width) - 1
         self._frac = fmt.frac_bits
-        self._min = fmt.min_value
-        self._max = fmt.max_value
+        # int64 scalars, so a clamp converts no Python int per call.
+        self._min = _np.int64(fmt.min_value)
+        self._max = _np.int64(fmt.max_value)
 
         self.registers = {
             name: _np.zeros((n_lanes, size), dtype=_np.int64)
@@ -741,7 +742,7 @@ class BatchSimulator:
         return ((x + self._half) & self._mask) - self._half
 
     def _clip(self, x):
-        return _np.clip(x, self._min, self._max)
+        return _np.minimum(_np.maximum(x, self._min), self._max)
 
     # -- stimulus -------------------------------------------------------
 

@@ -52,7 +52,7 @@ from .pipeline.session import (
     StageCache,
     _DefaultCache,
 )
-from .pipeline.stages import PIPELINE_STAGES, ChainedStage, Stage
+from .pipeline.stages import PIPELINE_STAGES, Stage, chain_keys
 
 
 class Toolchain:
@@ -229,68 +229,50 @@ class Toolchain:
 
     def _run_cached(self, stages: list[Stage], state: CompileState,
                     obs: Telemetry) -> None:
-        """The cached stage loop: resolve each run of keys, then
-        execute whatever the cache did not cover and store it as one
-        pack.
+        """The cached stage loop: resolve the compile's keys once, then
+        restore or execute each stage and store what ran as one pack.
 
-        A stage whose key needs an artifact (parse, optimize, rtgen)
-        starts a run; the :class:`ChainedStage` keys after it are
-        computed up front, and :meth:`StageCache.resolve` restores the
-        deepest one cached.  Each stage keeps its own ``stage:<name>``
-        span (the run's lookup and restore are paid inside the span of
-        the stage that starts it), its own hit/miss record and its own
-        boundary verification on the restored state.  Executed stages
-        write into one :class:`SnapshotStream` per compile — the
-        restored one after a prefix hit, so their frames extend it —
-        and the frames a run executed are stored as one pack when the
-        run ends, or when a stage raises.
+        Every key chains onto the one before it (:func:`chain_keys`),
+        so the whole compile's keys are known before any stage runs,
+        and :meth:`StageCache.resolve` finds the deepest one cached,
+        inside the ``stage:parse`` span.  Each restored stage loads its
+        own frame inside its own span, so a stage's span holds what
+        restoring it costs; each stage keeps its own hit/miss record
+        and its own boundary verification.  Executed stages write into
+        one :class:`SnapshotStream` — the restored one after a prefix
+        hit, so their frames extend it — stored as one pack at the end,
+        also when a stage raises.
         """
         keys: list[str] = []
-        tiers: list[str] = []
-        run_start = 0
-        stream = SnapshotStream()
+        stream, tier = SnapshotStream(), None
         try:
             for index, stage in enumerate(stages):
                 with obs.span(f"stage:{stage.name}",
                               stage=stage.name) as span:
-                    if index == len(keys):
-                        run_start = index
-                        keys.append(stage.key(state))
-                        for later in stages[index + 1:]:
-                            if not isinstance(later, ChainedStage):
-                                break
-                            keys.append(later.chain_key(keys[-1],
-                                                        state.request))
-                        restored, tiers = self.cache.resolve(
-                            keys[index:], self.core, stream)
-                        if restored is not None:
-                            stream = restored
-                            state.artifacts = restored.artifacts
+                    if index == 0:
+                        keys = chain_keys(stages, state.request)
+                        stream, tier = self.cache.resolve(keys, self.core)
+                        state.artifacts = stream.artifacts
                     key = keys[index]
                     state.fingerprints[stage.name] = key
                     span.tag(fingerprint=key[:16])
-                    if index - run_start < len(tiers):
-                        source = tiers[index - run_start]
-                        span.tag(cache_source=source)
+                    if stream.pending and self.cache.load_frame(stream):
+                        span.tag(cache_source=tier)
                         state.cache_hits[stage.name] = True
-                        state.cache_sources[stage.name] = source
+                        state.cache_sources[stage.name] = tier
                     else:
                         stage.execute(state)
                         state.cache_hits[stage.name] = False
                         stream.dump(key, state.artifacts)
-                        if index + 1 == len(keys):
-                            self._store_pack(stream)
                 state.completed.append(stage.name)
                 self._verify_boundary(stage.name, state, obs)
         finally:
-            # A stage that raised cut its run short: keep what ran.
-            self._store_pack(stream)
-
-    def _store_pack(self, stream: SnapshotStream) -> None:
-        """Store the frames ``stream`` wrote since its last pack."""
-        pack = stream.pack()
-        if pack is not None:
-            self.cache.put(*pack)
+            if keys:
+                hits = len(state.cache_sources)
+                self.cache.tally(hits, len(keys) - hits, tier)
+            pack = stream.pack()
+            if pack is not None:
+                self.cache.put(*pack)
 
     def _verify_boundary(self, stage_name: str, state: CompileState,
                          obs: Telemetry) -> None:

@@ -246,8 +246,8 @@ class TestByteCounters:
             Toolchain(audio_core(), cache=StageCache(disk=backend),
                       budget=64).compile(SOURCE)
         envelopes = sum(len(blob) for blob, _ in backend._entries.values())
-        # One envelope per pack: parse, optimize, rtgen ... assemble.
-        assert telemetry.counters["diskcache.store"] == len(backend) == 3
+        # One envelope: the compile's one pack.
+        assert telemetry.counters["diskcache.store"] == len(backend) == 1
         assert telemetry.counters["diskcache.bytes_written"] == envelopes
         assert telemetry.counters["diskcache.bytes_read"] == 0
 
@@ -263,7 +263,7 @@ class TestByteCounters:
         with use_telemetry(warm):
             Toolchain(audio_core(), cache=StageCache(disk=backend),
                       budget=64).compile(SOURCE)
-        assert warm.counters["diskcache.hit"] == len(read) == 3
+        assert warm.counters["diskcache.hit"] == len(read) == 1
         assert warm.counters["diskcache.bytes_read"] == sum(read)
         assert warm.counters["diskcache.bytes_written"] == 0
 

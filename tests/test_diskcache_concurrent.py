@@ -30,8 +30,8 @@ loop {
 VARIANT = SOURCE.replace("0.5", "0.25").replace("app mp", "app mp_v")
 
 N_STAGES = 8
-#: Packs one compile stores: parse, optimize, rtgen ... assemble.
-N_PACKS = 3
+#: Packs one compile stores: one, under its parse key.
+N_PACKS = 1
 
 
 def compile_in_process(args):

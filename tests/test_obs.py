@@ -194,10 +194,11 @@ class TestCounters:
         toolchain.compile(GAIN)
         n = len(STAGE_NAMES)
         assert obs.counters["stagecache.miss"] == n
-        assert obs.counters["stagecache.store"] == 3  # one pack per key run
+        assert obs.counters["stagecache.store"] == 1  # one pack per compile
         assert "stagecache.hit" not in obs.counters
         toolchain.compile(GAIN)
         assert obs.counters["stagecache.hit"] == n
+        assert obs.counters["stagecache.restore"] == 1
         assert "stagecache.disk_hit" not in obs.counters
 
     def test_disk_tier_counters(self, tmp_path):
@@ -206,13 +207,13 @@ class TestCounters:
             store = StageCache(disk=DiskCache(tmp_path))
             Toolchain("audio", CompileOptions(), cache=store).compile(GAIN)
             # A fresh memory tier over the same directory: every stage
-            # restores from disk, reading the three packs (parse,
-            # optimize, rtgen ... assemble) the first compile stored.
+            # restores from disk, reading the one pack the first
+            # compile stored.
             fresh = StageCache(disk=DiskCache(tmp_path))
             Toolchain("audio", CompileOptions(), cache=fresh).compile(GAIN)
         n = len(STAGE_NAMES)
-        assert obs.counters["diskcache.store"] == 3
-        assert obs.counters["diskcache.hit"] == 3
+        assert obs.counters["diskcache.store"] == 1
+        assert obs.counters["diskcache.hit"] == 1
         assert obs.counters["stagecache.disk_hit"] == n
         assert obs.counters["stagecache.hit"] == n
 

@@ -219,7 +219,7 @@ class TestUnwritableStore:
         compiled = toolchain.compile(SOURCE)
         assert compiled.run(stimulus()) == \
             run_reference(compiled.dfg, stimulus())
-        assert disk.stats.write_errors == 3  # one per pack
+        assert disk.stats.write_errors == 1  # the compile's one pack
         assert disk.stats.stores == 0
 
     def test_unpicklable_object_degrades_too(self, tmp_path):
@@ -248,13 +248,10 @@ class TestVersioning:
         disk = DiskCache(tmp_path)
         state = Toolchain(audio_core(), cache=StageCache(disk=disk),
                           budget=64).run_pipeline(SOURCE)
-        # The pack holding a schedule is skew as a whole; the packs
-        # before it (parse, optimize) still serve.
-        assert state.cache_hits["optimize"]
-        assert not state.cache_hits["rtgen"]
-        assert not state.cache_hits["schedule"]
-        assert not state.cache_hits["assemble"]
-        assert disk.stats.version_skips > 0
+        # The compile's one pack holds a schedule, so it is skew as a
+        # whole: no stage, not even parse, is served from it.
+        assert not any(state.cache_hits.values())
+        assert disk.stats.version_skips == 1
 
     def test_stale_conflict_model_is_a_version_skip(self, tmp_path,
                                                     monkeypatch):
@@ -267,9 +264,8 @@ class TestVersioning:
         disk = DiskCache(tmp_path)
         state = Toolchain(audio_core(), cache=StageCache(disk=disk),
                           budget=64).run_pipeline(SOURCE)
-        assert state.cache_hits["optimize"]
-        assert not state.cache_hits["rtgen"]
-        assert disk.stats.version_skips > 0
+        assert not any(state.cache_hits.values())
+        assert disk.stats.version_skips == 1
 
     def test_entries_holding_the_artifact_dict_are_version_skips(
             self, tmp_path, monkeypatch):
@@ -288,9 +284,9 @@ class TestVersioning:
         state = Toolchain(audio_core(), cache=StageCache(disk=disk),
                           budget=64).run_pipeline(SOURCE)
         assert not any(state.cache_hits.values())
-        # The parse, optimize and rtgen keys start key runs and are
-        # read; the later keys are only probed behind a pack.
-        assert disk.stats.version_skips == 3
+        # Only the parse key is read; the later keys are probed only
+        # behind a pack that restored.
+        assert disk.stats.version_skips == 1
         assert state.binary.words == reference.binary.words
 
     def test_single_snapshot_entries_are_version_skips(
@@ -315,18 +311,18 @@ class TestVersioning:
         state = Toolchain(audio_core(), cache=StageCache(disk=disk),
                           budget=64).run_pipeline(SOURCE)
         assert not any(state.cache_hits.values())
-        assert disk.stats.version_skips == 3
+        assert disk.stats.version_skips == 1
         assert state.binary.words == reference.binary.words
 
         monkeypatch.setattr(diskcache, "FORMAT_VERSION", 2)
         stale_reader = DiskCache(tmp_path)
-        assert stale_reader.get(state.fingerprints["rtgen"]) is None
+        assert stale_reader.get(state.fingerprints["parse"]) is None
         assert stale_reader.stats.version_skips == 1
 
     def test_stream_prefix_entries_are_version_skips(self, tmp_path):
         """Format 3 stored one entry per stage: the compile's stream up
         to that stage, pickled.  Each is a version skip to a format 4
-        reader, which stores its packs over the ones it read, and
+        reader, which stores its pack over the parse entry it read, and
         ``verify`` drops the rest."""
         from repro.pipeline.session import decode_pack
 
@@ -345,10 +341,10 @@ class TestVersioning:
         state = Toolchain(audio_core(), cache=StageCache(disk=disk),
                           budget=64).run_pipeline(SOURCE)
         assert not any(state.cache_hits.values())
-        assert disk.stats.version_skips == 3
+        assert disk.stats.version_skips == 1
         assert state.binary.words == reference.binary.words
         report = DiskCache(tmp_path).verify()
-        assert (report.ok, report.version_skew) == (3, len(STAGE_NAMES) - 3)
+        assert (report.ok, report.version_skew) == (1, len(STAGE_NAMES) - 1)
 
     def test_format_version_skew_invalidates(self, tmp_path, monkeypatch):
         disk = DiskCache(tmp_path)

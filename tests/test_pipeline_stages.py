@@ -34,13 +34,14 @@ from repro.pipeline import (
     PIPELINE_STAGES,
     STAGE_NAMES,
     CompileRequest,
-    CompileState,
     DiskCache,
     StageCache,
     core_fingerprint,
     dfg_fingerprint,
 )
+from repro.pipeline import stages as stages_module
 from repro.pipeline.session import encode_pack
+from repro.pipeline.stages import chain_keys
 
 SOURCE = """
 app opts;
@@ -179,17 +180,6 @@ class TestStageCache:
         # downstream stages must re-run too.
         assert not state.cache_hits["rtgen"]
 
-    def test_opt_level_change_with_identical_graph_reconverges(self):
-        # -O2 adds only strength reduction; on a graph it does not
-        # rewrite, the optimize *stage* re-runs but its output content
-        # is identical, so lowering and everything after it are reused.
-        tc = toolchain(opt=1)
-        tc.compile(SOURCE)
-        state = tc.replace(opt=2).run_pipeline(SOURCE)
-        assert not state.cache_hits["optimize"]
-        assert state.cache_hits["rtgen"]
-        assert state.cache_hits["assemble"]
-
     def test_core_change_keeps_machine_independent_prefix(self):
         tc = toolchain()
         tc.compile("app g; input i; output o; loop { o = pass(i); }")
@@ -208,14 +198,6 @@ class TestStageCache:
         for name in ("parse", "optimize", "rtgen", "merge", "impose"):
             assert state.cache_hits[name], name
         assert not state.cache_hits["schedule"]
-
-    def test_text_and_dfg_sources_converge_at_optimize(self):
-        tc = toolchain(budget=64)
-        tc.compile(SOURCE)
-        state = tc.run_pipeline(parse_source(SOURCE))
-        assert not state.cache_hits["parse"]      # different parse key...
-        assert state.cache_hits["optimize"]       # ...same graph content
-        assert state.cache_hits["assemble"]
 
     def test_downstream_mutation_cannot_poison_cache(self):
         tc = toolchain(budget=64)
@@ -268,12 +250,15 @@ class TestStageCache:
         assert all(state.cache_hits.values())
 
     def test_lru_eviction(self):
-        """The bound counts packs: a first compile stores three (parse,
-        optimize, rtgen ... assemble)."""
-        cache = StageCache(max_entries=2)
-        Toolchain(audio_core(), cache=cache, budget=64).compile(SOURCE)
-        assert len(cache) == 2
-        assert cache.stats.evictions == 1
+        """The bound counts packs: a first compile stores one."""
+        cache = StageCache(max_entries=1)
+        tc = Toolchain(audio_core(), cache=cache, budget=64)
+        tc.compile(SOURCE)
+        assert (len(cache), cache.stats.evictions) == (1, 0)
+        tc.compile(VARIANT)
+        assert (len(cache), cache.stats.evictions) == (1, 1)
+        state = tc.run_pipeline(SOURCE)
+        assert not any(state.cache_hits.values())
 
 
 class TestSerializedSnapshots:
@@ -333,47 +318,55 @@ class TestSerializedSnapshots:
         assert cold_checks > 0
         assert obs.counters["verify.checks"] == 2 * cold_checks
 
-    def test_warm_audio_compile_restores_at_most_three_snapshots(
+    def test_warm_audio_compile_reads_one_pack_a_frame_per_stage(
             self, monkeypatch):
+        """One lookup, one pack, and each stage unpickles its own frame
+        inside its own span."""
+        from repro.obs import current_telemetry
+        from repro.pipeline.session import SnapshotStream
+
         obs = Telemetry()
         tc = Toolchain("audio", CompileOptions(disk_cache=False),
                        telemetry=obs)
         tc.compile(audio_application(), io_binding=audio_io_binding())
         assert "stagecache.restore" not in obs.counters
-        restored = []
-        real_restore = StageCache.restore
+        lookups, spans = [], []
+        real_get, real_load = StageCache.get_entry, SnapshotStream.load_frame
 
-        def recording(self, pack, keys, core, stream=None):
-            covered, stream = real_restore(self, pack, keys, core, stream)
-            restored.append(set(stream.artifacts))
-            return covered, stream
+        def get_entry(self, key):
+            lookups.append(key)
+            return real_get(self, key)
 
-        monkeypatch.setattr(StageCache, "restore", recording)
+        def load_frame(self):
+            spans.append(current_telemetry().current_span.name)
+            return real_load(self)
+
+        monkeypatch.setattr(StageCache, "get_entry", get_entry)
+        monkeypatch.setattr(SnapshotStream, "load_frame", load_frame)
         state = tc.run_pipeline(audio_application(),
                                 io_binding=audio_io_binding())
         assert state.cache_counts()["memory"] == N_STAGES
-        assert obs.counters["stagecache.restore"] == len(restored) <= 3
-        full = [keys for keys in restored if keys == set(state.artifacts)]
-        assert len(full) == 1
+        assert lookups == [state.fingerprints["parse"]]
+        assert obs.counters["stagecache.restore"] == 1
+        assert spans == [f"stage:{name}" for name in STAGE_NAMES]
         assert obs.counters["stagecache.bytes_stored"] > 0
 
     def test_unloadable_snapshot_is_a_miss_and_gets_replaced(self):
         """A pack whose bytes no longer unpickle (a class moved since
-        they were written) is a miss: the packs before it restore, its
-        key run executes again and the new pack replaces it."""
+        they were written) is a miss: the compile executes again and
+        drops the pack, and the next compile stores a new one."""
         tc = toolchain(budget=64)
         state = tc.run_pipeline(SOURCE)
-        key = state.fingerprints["rtgen"]
+        key = state.fingerprints["parse"]
         bad = b"cno_such_module\nThing\n."
         tc.cache._entries[key] = encode_pack([(key, len(bad))], bad)
         again = tc.run_pipeline(SOURCE)
-        assert again.cache_hits["optimize"]
-        assert not again.cache_hits["rtgen"]
-        assert not again.cache_hits["assemble"]
+        assert not any(again.cache_hits.values())
+        assert key not in tc.cache._entries
+        tc.run_pipeline(SOURCE)
         keys = [state.fingerprints[stage.name] for stage in PIPELINE_STAGES]
-        covered, _ = tc.cache.restore(tc.cache._entries[key], keys[2:],
-                                      tc.core)
-        assert covered == 6
+        restored = tc.cache.restore(tc.cache._entries[key], keys, tc.core)
+        assert restored.pending == N_STAGES
         assert again.as_compiled().run(stimulus()) == \
             run_reference(again.dfg, stimulus())
 
@@ -395,6 +388,38 @@ class TestSerializedSnapshots:
             assert artificial_uses(state.program)
             assert artificial_uses(state.base_program) == []
             assert state.base_rts == state.base_program.rts
+
+
+class TestKeyChain:
+    """Parse is the one root key; every later key chains onto the one
+    before it, so a compile's keys are known from the request alone."""
+
+    def test_only_a_graph_application_is_hashed(self, monkeypatch):
+        hashed = []
+        real = stages_module.dfg_fingerprint
+
+        def recording(dfg):
+            hashed.append(dfg)
+            return real(dfg)
+
+        monkeypatch.setattr(stages_module, "dfg_fingerprint", recording)
+        monkeypatch.setattr("repro.pipeline.artifacts.dfg_fingerprint",
+                            recording)
+        tc = toolchain(budget=64)
+        tc.compile(SOURCE)
+        tc.compile(SOURCE)
+        assert hashed == []
+        graph = parse_source(SOURCE)
+        tc.compile(graph)
+        assert hashed == [graph]
+
+    def test_keys_are_known_before_any_stage_runs(self):
+        request = CompileRequest(application=SOURCE, core=audio_core(),
+                                 options=CompileOptions(budget=64))
+        keys = chain_keys(PIPELINE_STAGES, request)
+        state = toolchain(budget=64).run_pipeline(SOURCE)
+        assert keys == [state.fingerprints[name] for name in STAGE_NAMES]
+        assert len(set(keys)) == N_STAGES
 
 
 class TestFingerprints:
@@ -488,16 +513,10 @@ class TestOptionsRoundTrip:
 
     def _schedule_key(self, options):
         """The schedule stage's cache key under ``options``."""
-        state = CompileState(request=CompileRequest(
-            application=SOURCE, core=audio_core(), options=options))
-        for stage in PIPELINE_STAGES:
-            key = stage.key(state)
-            state.fingerprints[stage.name] = key
-            stage.execute(state)
-            state.completed.append(stage.name)
-            if stage.name == "schedule":
-                return key
-        raise AssertionError("no schedule stage")
+        request = CompileRequest(application=SOURCE, core=audio_core(),
+                                 options=options)
+        return chain_keys(PIPELINE_STAGES, request)[
+            STAGE_NAMES.index("schedule")]
 
     def test_same_options_same_stage_key_changed_option_cache_miss(self):
         base = CompileOptions(budget=64)

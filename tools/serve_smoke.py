@@ -52,9 +52,8 @@ loop {
 }
 """
 
-#: Store entries one fresh compile publishes: a snapshot pack per key
-#: run (parse, optimize, rtgen ... assemble).
-N_PACKS = 3
+#: Store entries one fresh compile publishes: one snapshot pack.
+N_PACKS = 1
 STARTUP_PATTERN = re.compile(r"repro serve: (http://[\d.]+:\d+) ")
 
 
