@@ -49,11 +49,11 @@ __getattr__, __dir__ = lazy_exports(__name__, {
     "analyze": ("Finding", "Severity", "lint_program", "verify_state"),
     "apps": ("adaptive_core",),
     "arch": (
-        "Allocation", "CandidateSimulation", "CoreSpec", "ExploreCache",
-        "RefinedSweep", "SweepSpec", "audio_core", "explore",
-        "explore_refined", "fir_core", "get_core",
-        "intermediate_architecture", "list_cores", "pareto_front",
-        "register_core", "resolve_core", "simulate_points", "tiny_core",
+        "Allocation", "CandidateSimulation", "CoreSpec", "RefinedSweep",
+        "SweepSpec", "audio_core", "explore", "explore_refined",
+        "fir_core", "get_core", "intermediate_architecture", "list_cores",
+        "pareto_front", "register_core", "resolve_core", "simulate_points",
+        "tiny_core",
     ),
     "errors": ("OptionsError", "ReproError", "VerificationError"),
     "fixed": ("Q15", "FixedFormat"),
@@ -70,8 +70,8 @@ __getattr__, __dir__ = lazy_exports(__name__, {
     "options": ("CompileOptions",),
     "pipeline": (
         "BatchResult", "CacheBackend", "CompiledProgram", "CompileState",
-        "DiskCache", "MemoryBackend", "StageCache", "backend_stats",
-        "open_backend",
+        "DiskCache", "ExploreCache", "MemoryBackend", "StageCache",
+        "backend_stats", "open_backend",
     ),
     "serve": (
         "CompileServer", "ServeClient", "ServerConfig", "run_worker",

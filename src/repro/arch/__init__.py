@@ -18,7 +18,6 @@ from .explore import (
     Allocation,
     CandidateSimulation,
     ExplorationPoint,
-    ExploreCache,
     RefinedSweep,
     SweepSpec,
     explore,
@@ -77,7 +76,6 @@ __all__ = [
     "Bus",
     "CandidateSimulation",
     "ExplorationPoint",
-    "ExploreCache",
     "MERGE_VARIANTS",
     "PARETO_AXES",
     "RefinedSweep",

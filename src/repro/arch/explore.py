@@ -42,7 +42,8 @@ The explorer is *optimizer-aware* and built on the staged pipeline:
 * :func:`pareto_front` extracts the candidates worth a designer's
   attention (no other candidate is at least as good on every cost
   axis and better on one);
-* repeated sweeps reuse an :class:`ExploreCache` — a designer
+* repeated sweeps reuse an
+  :class:`~repro.pipeline.session.ExploreCache` — a designer
   narrowing the ranges pays only for the new candidates — and the
   coarse and fine phases of a refined sweep share one cache.
 """
@@ -51,19 +52,25 @@ from __future__ import annotations
 
 import concurrent.futures
 import itertools
+from collections.abc import Mapping
 from dataclasses import dataclass, field, fields, replace
 from functools import partial
+from types import MappingProxyType
+from typing import TYPE_CHECKING
 
 from ..errors import ArchitectureError, ReproError
 from ..lang.dfg import Dfg, NodeKind
 from ..obs import Telemetry, current_telemetry, use_telemetry
-from ..opt import optimize_machine_independent, specialize_for_core
+from ..opt import specialize_for_core
 from ..options import CompileOptions
 from .controller import ControllerSpec
 from .datapath import Datapath
 from .library import ClassDef, CoreSpec
 from .merge import MergeSpec
 from .opu import Operation, OpuKind
+
+if TYPE_CHECKING:
+    from ..pipeline.session import ExploreCache
 
 #: Operation sets per functional-unit kind the allocator can instantiate.
 _ALU_OPS = ("add", "sub", "add_clip", "pass", "pass_clip")
@@ -127,6 +134,17 @@ def canonical_variant(variant: str, operations: set[str]) -> str:
     if required is not None and required not in operations:
         return "none"
     return variant
+
+
+def _canonical_allocation(allocation: Allocation,
+                          operations: set[str]) -> Allocation:
+    """``allocation`` with its merge variant canonicalized
+    (:func:`canonical_variant`): the candidate a sweep evaluates and
+    keys it under."""
+    variant = canonical_variant(allocation.merge_variant, operations)
+    if variant == allocation.merge_variant:
+        return allocation
+    return replace(allocation, merge_variant=variant)
 
 
 def merge_spec_for(variant: str, core: CoreSpec) -> MergeSpec | None:
@@ -429,7 +447,7 @@ def intermediate_architecture(
     )
 
 
-@dataclass
+@dataclass(frozen=True)
 class ExplorationPoint:
     """One design-space candidate and its quantitative feedback.
 
@@ -441,15 +459,29 @@ class ExplorationPoint:
     ``storage_words`` totals every word of storage the candidate
     instantiates (registers + data memories + coefficient ROM) — the
     cost axes :func:`pareto_front` can trade against schedule length.
+    A point is frozen, its mappings read-only copies, so the memo, a
+    sweep's alias rows and every caller share one object.
     """
 
     allocation: Allocation
-    schedule_lengths: dict[str, int]
+    schedule_lengths: Mapping[str, int]
     n_opus: int
-    failures: dict[str, str] = field(default_factory=dict)
+    failures: Mapping[str, str] = field(default_factory=dict)
     opt_level: int = 1
     n_rfs: int = 0
     storage_words: int = 0
+
+    def __post_init__(self) -> None:
+        for name in ("schedule_lengths", "failures"):
+            object.__setattr__(self, name,
+                               MappingProxyType(dict(getattr(self, name))))
+
+    def __reduce__(self):
+        # A mapping proxy does not pickle: ship plain dicts.
+        return ExplorationPoint, (
+            self.allocation, dict(self.schedule_lengths), self.n_opus,
+            dict(self.failures), self.opt_level, self.n_rfs,
+            self.storage_words)
 
     @property
     def feasible(self) -> bool:
@@ -518,97 +550,8 @@ def pareto_front(points: list[ExplorationPoint],
 #: Serialization version of :class:`ExplorationPoint` in the disk
 #: cache; bump when the dataclass shape changes.
 #: v2: Allocation.merge_variant, ExplorationPoint.n_rfs/storage_words.
-EXPLORATION_POINT_VERSION = 2
-
-_POINT_SCHEMA = {"exploration_point": EXPLORATION_POINT_VERSION}
-
-
-class ExploreCache:
-    """Memo of evaluated candidates, keyed by (applications, allocation,
-    budget, opt level).  Share one across sweeps to pay only for new
-    candidates when iterating on the allocation ranges.
-
-    It also memoizes the sweep's front end (:meth:`optimize`): a
-    re-sweep over the same sources reuses their optimized graphs
-    instead of re-running the optimizer, so a designer narrowing the
-    ranges pays only for the new candidates.  That memo lives in memory
-    only.
-
-    ``disk`` layers a persistent
-    :class:`~repro.pipeline.diskcache.DiskCache` underneath: a memory
-    miss falls through to the store, and evaluated candidates are
-    written through — so the morning's warm re-sweep in a *new process*
-    reads yesterday's feedback from disk instead of recompiling it.
-    """
-
-    def __init__(self, disk=None):
-        self._points: dict[str, ExplorationPoint] = {}
-        # (source fingerprint, opt level) -> (optimized graph, its
-        # fingerprint)
-        self._optimized: dict[tuple[str, int], tuple[Dfg, str]] = {}
-        self.disk = disk
-        self.hits = 0
-        self.misses = 0
-        #: subset of ``hits`` served by the on-disk layer
-        self.disk_hits = 0
-
-    def __len__(self) -> int:
-        return len(self._points)
-
-    def __bool__(self) -> bool:
-        # An *empty* memo is still a memo: without this, __len__ makes
-        # a fresh ExploreCache falsy and `cache or ExploreCache()`
-        # silently drops a configured (e.g. disk-backed) empty cache —
-        # the exact PR-4 --refine bug.  Pinned by regression test.
-        return True
-
-    @staticmethod
-    def _copy(point: ExplorationPoint) -> ExplorationPoint:
-        return ExplorationPoint(
-            allocation=point.allocation,
-            schedule_lengths=dict(point.schedule_lengths),
-            n_opus=point.n_opus,
-            failures=dict(point.failures),
-            opt_level=point.opt_level,
-            n_rfs=point.n_rfs,
-            storage_words=point.storage_words,
-        )
-
-    def get(self, key: str) -> ExplorationPoint | None:
-        point = self._points.get(key)
-        if point is not None:
-            self.hits += 1
-            return self._copy(point)
-        if self.disk is not None:
-            point = self.disk.get(key, schema=_POINT_SCHEMA)
-            if point is not None:
-                self._points[key] = self._copy(point)
-                self.hits += 1
-                self.disk_hits += 1
-                return point
-        self.misses += 1
-        return None
-
-    def put(self, key: str, point: ExplorationPoint) -> None:
-        # Store a copy, symmetric with get(): callers may mutate the
-        # points a sweep hands back without poisoning later sweeps.
-        self._points[key] = self._copy(point)
-        if self.disk is not None:
-            self.disk.put(key, self._points[key], schema=_POINT_SCHEMA)
-
-    def optimize(self, dfg: Dfg, level: int) -> tuple[Dfg, str]:
-        """``dfg`` machine-independently optimized at ``level``, with the
-        optimized graph's fingerprint (what candidate keys are built
-        from), memoized on the source's fingerprint."""
-        from ..pipeline import dfg_fingerprint
-
-        key = (dfg_fingerprint(dfg), level)
-        front = self._optimized.get(key)
-        if front is None:
-            optimized = optimize_machine_independent(dfg, level=level)[0]
-            front = self._optimized[key] = (optimized,
-                                            dfg_fingerprint(optimized))
-        return front
+#: v3: frozen; the two mappings pickle as plain dicts (``__reduce__``).
+EXPLORATION_POINT_VERSION = 3
 
 
 def _evaluate_candidate(dfgs: list[Dfg], allocation: Allocation,
@@ -743,7 +686,7 @@ def explore(
     with ``explore.candidates``/``explore.cache_hits`` counters
     tracking evaluations vs memo hits.
     """
-    from ..pipeline import fingerprint
+    from ..pipeline import ExploreCache, fingerprint
 
     if options is None:
         options = CompileOptions()
@@ -783,12 +726,10 @@ def explore(
         # A variant with nothing to merge on this application set *is*
         # the plain candidate: canonicalize so it shares that cache
         # entry (and row) instead of recompiling identical feedback.
-        variant = canonical_variant(allocation.merge_variant, operations)
-        if variant != allocation.merge_variant:
-            allocation = replace(allocation, merge_variant=variant)
+        allocation = _canonical_allocation(allocation, operations)
         key = fingerprint("explore", app_key, allocation.astuple(),
                           options.budget, options.opt, options_fp)
-        cached = cache.get(key) if cache is not None else None
+        cached = memo.get(key)
         if cached is not None:
             results[index] = cached
             obs.count("explore.cache_hits")
@@ -821,14 +762,11 @@ def explore(
             evaluated.append(point)
             obs.count("explore.candidates")
             report(alloc, point, cached=False)
-    by_key: dict[str, ExplorationPoint] = {}
     for (index, _, key), point in zip(pending, evaluated):
         results[index] = point
-        by_key[key] = point
-        if cache is not None:
-            cache.put(key, point)
+        memo.put(key, point)
     for index, key in aliases:
-        results[index] = ExploreCache._copy(by_key[key])
+        results[index] = results[pending_keys[key]]
         report(allocations[index], results[index], cached=True)
     return [results[index] for index in range(len(allocations))]
 
@@ -870,7 +808,8 @@ def explore_refined(
     points (:meth:`SweepSpec.neighborhood`), pruning the combinatorial
     blowup of the full cross-product: schedule length is monotone in
     every resource axis, so fine-grid optima cluster around the coarse
-    front.  Both phases share one :class:`ExploreCache`, so nothing is
+    front.  Both phases share one
+    :class:`~repro.pipeline.session.ExploreCache`, so nothing is
     evaluated twice and a later full sweep pays only for the points the
     refinement skipped.  ``options`` supplies the base
     :class:`~repro.options.CompileOptions` (budget, opt level, cover,
@@ -881,6 +820,8 @@ def explore_refined(
     if options is None:
         options = CompileOptions()
     if cache is None:
+        from ..pipeline import ExploreCache
+
         cache = ExploreCache()
     if axes is None:
         axes = pareto_axes(spec)
@@ -901,18 +842,12 @@ def explore_refined(
     # allocation — keying `seen` on the raw grid tuples would re-add
     # already-evaluated coarse points as "fine" ones.
     operations = required_operations(optimized)
-
-    def canonical(allocation: Allocation) -> tuple:
-        variant = canonical_variant(allocation.merge_variant, operations)
-        if variant != allocation.merge_variant:
-            allocation = replace(allocation, merge_variant=variant)
-        return allocation.astuple()
-
-    seen = {canonical(allocation) for allocation in coarse_allocations}
+    seen = {_canonical_allocation(allocation, operations).astuple()
+            for allocation in coarse_allocations}
     fine_allocations: list[Allocation] = []
     for point in coarse_front:
         for allocation in spec.neighborhood(point.allocation):
-            key = canonical(allocation)
+            key = _canonical_allocation(allocation, operations).astuple()
             if key not in seen:
                 seen.add(key)
                 fine_allocations.append(allocation)

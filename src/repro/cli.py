@@ -382,15 +382,9 @@ def sweep_spec_from_args(args: argparse.Namespace) -> SweepSpec:
 
 
 def cmd_explore(args: argparse.Namespace) -> int:
-    from .arch import (
-        ExploreCache,
-        explore,
-        explore_refined,
-        pareto_axes,
-        pareto_front,
-    )
+    from .arch import explore, explore_refined, pareto_axes, pareto_front
     from .lang import parse_source
-    from .pipeline import open_backend
+    from .pipeline import ExploreCache, open_backend
     from .report import exploration_report
 
     options = CompileOptions.from_args(args)
@@ -409,9 +403,6 @@ def cmd_explore(args: argparse.Namespace) -> int:
                   f"{record['allocation']} {tag}", file=sys.stderr)
     with use_telemetry(obs):
         if args.refine:
-            # NB: an empty ExploreCache is falsy (it has __len__), so
-            # the disk-backed cache must be tested against None, not
-            # truthiness.
             sweep = explore_refined(dfgs, spec, options=options,
                                     jobs=args.jobs, cache=cache, axes=axes,
                                     progress=progress)
@@ -451,9 +442,9 @@ def cmd_explore(args: argparse.Namespace) -> int:
                     "n_rfs": p.n_rfs,
                     "storage_words": p.storage_words,
                     "feasible": p.feasible,
-                    "schedule_lengths": p.schedule_lengths,
+                    "schedule_lengths": dict(p.schedule_lengths),
                     "worst_length": (p.worst_length if p.feasible else None),
-                    "failures": p.failures,
+                    "failures": dict(p.failures),
                     "pareto": id(p) in front,
                 }
                 for p in points

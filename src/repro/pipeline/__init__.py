@@ -58,6 +58,7 @@ from .session import (
     BatchEntry,
     BatchResult,
     CacheStats,
+    ExploreCache,
     StageCache,
 )
 from .stages import PIPELINE_STAGES, STAGE_EXECUTIONS, STAGE_NAMES, Stage
@@ -73,6 +74,7 @@ __all__ = [
     "CompiledProgram",
     "DiskCache",
     "DiskCacheStats",
+    "ExploreCache",
     "MemoryBackend",
     "VerifyReport",
     "backend_stats",

@@ -208,8 +208,6 @@ class CompileState:
     artifacts: dict[str, Any] = field(default_factory=dict)
     fingerprints: dict[str, str] = field(default_factory=dict)
     completed: list[str] = field(default_factory=list)
-    #: stage name -> True when the stage was restored from cache
-    cache_hits: dict[str, bool] = field(default_factory=dict)
     #: stage name -> "memory" | "disk", for stages restored from cache
     cache_sources: dict[str, str] = field(default_factory=dict)
 
@@ -222,16 +220,20 @@ class CompileState:
             f"(available: {sorted(artifacts)})"
         )
 
+    @property
+    def cache_hits(self) -> dict[str, bool]:
+        """Stage name -> True when the stage was restored from cache,
+        for every stage the cached chain keyed."""
+        return {name: name in self.cache_sources
+                for name in self.fingerprints}
+
     def cache_counts(self) -> dict[str, int]:
         """``{"executed": n, "memory": n, "disk": n}`` over the stages
         this compile ran — the one tally the CLI summary line, the
         batch table and the batch JSON all derive from."""
         counts = {"executed": 0, "memory": 0, "disk": 0}
-        for name, hit in self.cache_hits.items():
-            if hit:
-                counts[self.cache_sources[name]] += 1
-            else:
-                counts["executed"] += 1
+        for name in self.fingerprints:
+            counts[self.cache_sources.get(name, "executed")] += 1
         return counts
 
     @property

@@ -466,7 +466,7 @@ class DiskCache(CacheBackend):
 
     The generic persistence layer: :class:`.session.StageCache` stores
     stage snapshot streams under stage keys, and
-    :class:`repro.arch.explore.ExploreCache` stores evaluated sweep
+    :class:`.session.ExploreCache` stores evaluated sweep
     candidates — both through this one store, distinguished by their
     fingerprint namespaces and their schemas.
 

@@ -2,7 +2,8 @@
 
 The stage-chain *driver* lives on :class:`repro.toolchain.Toolchain`
 (the typed facade binding a core + options + cache); this module keeps
-the cache machinery it drives — :class:`StageCache`, the per-compile
+the cache machinery it drives — :class:`StageCache` (and the sweep
+memo :class:`ExploreCache` beside it), the per-compile
 :class:`SnapshotStream`, the cache statistics, and the batch result
 types of :meth:`~repro.toolchain.Toolchain.compile_many`.
 
@@ -54,14 +55,14 @@ restores from the deepest.  A compile whose stage raises still stores
 the pack of the stages it ran; one whose restored frame does not load
 drops the pack and stores nothing.
 
-The memory cache can be layered over a persistent
-:class:`~repro.pipeline.backend.CacheBackend`: misses fall through to
-the store, hydrate the memory tier with the same bytes, and stores are
-written through — which is what makes a *second process* (or a warm
-design sweep the next morning) start from the artifacts instead of the
-source.  :meth:`~repro.toolchain.Toolchain.compile_many` compiles a
-whole application set through one shared cache so identical prefixes
-are computed once across the batch.
+:class:`StageCache` and the explorer's :class:`ExploreCache` share one
+policy, :class:`TwoTierCache`: a memory LRU over an optional
+persistent :class:`~repro.pipeline.backend.CacheBackend`, which is
+what makes a *second process* (or a warm design sweep the next
+morning) start from the artifacts instead of the source.
+:meth:`~repro.toolchain.Toolchain.compile_many` compiles a whole
+application set through one shared cache so identical prefixes are
+computed once across the batch.
 """
 
 from __future__ import annotations
@@ -75,9 +76,13 @@ from collections import OrderedDict
 from dataclasses import dataclass, field
 from typing import Any, Sequence
 
+from ..arch.explore import EXPLORATION_POINT_VERSION, ExplorationPoint
 from ..arch.library import CoreSpec
+from ..lang.dfg import Dfg
 from ..obs import current_telemetry
-from .artifacts import CompileState, artifact_schema
+from ..opt import optimize_machine_independent
+from . import artifacts as _artifacts
+from .artifacts import CompileState, artifact_schema, dfg_fingerprint
 from .backend import CacheBackend
 
 
@@ -327,32 +332,22 @@ class CacheStats:
     disk_hits: int = 0
 
 
-class StageCache:
-    """LRU cache of snapshot packs, keyed by stage fingerprint.
+class TwoTierCache:
+    """A bounded, thread-safe in-memory LRU over an optional
+    :class:`~repro.pipeline.backend.CacheBackend` (``disk``): the one
+    tiering policy of :class:`StageCache` and :class:`ExploreCache`.
 
-    Thread-safe: explore workers running in threads may share one
-    cache.  Each entry is a pack (:meth:`SnapshotStream.pack`): the
-    bytes of a compile's stream through its last executed stage,
-    stored under the key of its first executed stage, so cached state is
-    immutable by construction and :meth:`restore` hands out a fresh
-    object graph every time.
-
-    ``disk`` layers a persistent backend underneath — any
-    :class:`~repro.pipeline.backend.CacheBackend` (the local-directory
-    :class:`~repro.pipeline.diskcache.DiskCache`, the in-process
-    :class:`~repro.pipeline.backend.MemoryBackend`, a remote store): it
-    receives the same bytes on every store, and a memory miss that the
-    backend serves hydrates the memory tier with them.
+    A memory miss falls through to the backend, and its hit is copied
+    into memory; :meth:`store` writes both tiers.  Values are held as
+    given, so a subclass stores only immutable ones.
     """
 
-    def __init__(self, max_entries: int = 256,
-                 disk: "CacheBackend | None" = None):
+    def __init__(self, max_entries: int, disk: "CacheBackend | None"):
         if max_entries < 1:
             raise ValueError("max_entries must be >= 1")
         self.max_entries = max_entries
         self.disk = disk
-        self.stats = CacheStats()
-        self._entries: OrderedDict[str, bytes] = OrderedDict()
+        self._entries: OrderedDict[str, Any] = OrderedDict()
         self._lock = threading.Lock()
 
     def __len__(self) -> int:
@@ -367,6 +362,71 @@ class StageCache:
         ``is None`` remains the way to ask "is caching disabled".
         """
         return True
+
+    def lookup(self, key: str, schema: dict[str, int],
+               ) -> tuple[Any, str | None]:
+        """``(value, "memory" | "disk")`` stored under ``key``, or
+        ``(None, None)``; the backend serves only entries of ``schema``."""
+        with self._lock:
+            value = self._entries.get(key)
+            if value is not None:
+                self._entries.move_to_end(key)
+                return value, "memory"
+        if self.disk is not None:
+            value = self.disk.get(key, schema=schema)
+            if value is not None:
+                with self._lock:
+                    self._insert(key, value)
+                return value, "disk"
+        return None, None
+
+    def store(self, key: str, value: Any,
+              schema: dict[str, int] | None) -> None:
+        """Store ``value`` under ``key`` in memory and, when layered, in
+        the backend (with ``schema``)."""
+        with self._lock:
+            self._insert(key, value)
+        if self.disk is not None:
+            self.disk.put(key, value, schema=schema)
+
+    def drop(self, key: str) -> None:
+        """Remove ``key`` from both tiers."""
+        with self._lock:
+            self._entries.pop(key, None)
+        if self.disk is not None:
+            self.disk.delete(key)
+
+    def clear(self) -> None:
+        """Drop the memory tier (the disk store is untouched)."""
+        with self._lock:
+            self._entries.clear()
+
+    def _insert(self, key: str, value: Any) -> None:
+        """Install an entry and enforce the LRU bound (lock held)."""
+        self._entries[key] = value
+        self._entries.move_to_end(key)
+        while len(self._entries) > self.max_entries:
+            self._entries.popitem(last=False)
+            self._evicted()
+
+    def _evicted(self) -> None:
+        """Account for one LRU eviction (lock held)."""
+
+
+class StageCache(TwoTierCache):
+    """Cache of snapshot packs, keyed by stage fingerprint.
+
+    Each entry is a pack (:meth:`SnapshotStream.pack`): the bytes of a
+    compile's stream through its last executed stage, stored under the
+    key of its first executed stage, so cached state is immutable by
+    construction and :meth:`restore` hands out a fresh object graph
+    every time.
+    """
+
+    def __init__(self, max_entries: int = 256,
+                 disk: "CacheBackend | None" = None):
+        super().__init__(max_entries, disk)
+        self.stats = CacheStats()
 
     def resolve(self, keys: Sequence[str], core: CoreSpec,
                 ) -> tuple[SnapshotStream, str | None]:
@@ -410,10 +470,7 @@ class StageCache:
         """
         if stream.load_frame():
             return True
-        with self._lock:
-            self._entries.pop(stream.origin, None)
-        if self.disk is not None:
-            self.disk.delete(stream.origin)
+        self.drop(stream.origin)
         return False
 
     def tally(self, hits: int, misses: int, tier: str | None) -> None:
@@ -433,26 +490,9 @@ class StageCache:
             obs.count("stagecache.miss", misses)
 
     def get_entry(self, key: str) -> tuple[bytes | None, str | None]:
-        """The pack stored under ``key`` and its tier.
-
-        Returns ``(bytes, "memory" | "disk")`` on a hit and
-        ``(None, None)`` on a miss; a backend hit hydrates the memory
-        tier.  Nothing is deserialized.
-        """
-        with self._lock:
-            blob = self._entries.get(key)
-            if blob is not None:
-                self._entries.move_to_end(key)
-                return blob, "memory"
-        if self.disk is not None:
-            from .artifacts import ARTIFACT_VERSIONS
-
-            blob = self.disk.get(key, schema=ARTIFACT_VERSIONS)
-            if blob is not None:
-                with self._lock:
-                    self._insert(key, blob)
-                return blob, "disk"
-        return None, None
+        """The pack stored under ``key`` and its tier (:meth:`lookup`
+        under the current artifact schema).  Nothing is deserialized."""
+        return self.lookup(key, _artifacts.ARTIFACT_VERSIONS)
 
     def restore(self, pack: bytes, keys: Sequence[str],
                 core: CoreSpec) -> SnapshotStream | None:
@@ -470,31 +510,73 @@ class StageCache:
 
     def put(self, key: str, pack: bytes,
             schema: dict[str, int] | None = None) -> None:
-        """Store ``pack`` under ``key`` in memory and, when layered, in
-        the backend (with ``schema``, the artifact schema of what it
-        holds)."""
+        """Store ``pack`` under ``key`` in both tiers (with ``schema``,
+        the artifact schema of what it holds)."""
+        self.store(key, pack, schema)
         with self._lock:
-            self._insert(key, pack)
             self.stats.stores += 1
         obs = current_telemetry()
         obs.count("stagecache.store")
         obs.count("stagecache.bytes_stored", len(pack))
-        if self.disk is not None:
-            self.disk.put(key, pack, schema=schema)
 
-    def _insert(self, key: str, blob: bytes) -> None:
-        """Install an entry and enforce the LRU bound (lock held)."""
-        self._entries[key] = blob
-        self._entries.move_to_end(key)
-        while len(self._entries) > self.max_entries:
-            self._entries.popitem(last=False)
-            self.stats.evictions += 1
-            current_telemetry().count("stagecache.eviction")
+    def _evicted(self) -> None:
+        self.stats.evictions += 1
+        current_telemetry().count("stagecache.eviction")
 
-    def clear(self) -> None:
-        """Drop the memory tier (the disk store is untouched)."""
-        with self._lock:
-            self._entries.clear()
+
+#: Points an :class:`ExploreCache` keeps in memory: more than any
+#: committed sweep evaluates, so a warm re-sweep is served from memory.
+_EXPLORE_MEMORY_POINTS = 4096
+
+_POINT_SCHEMA = {"exploration_point": EXPLORATION_POINT_VERSION}
+
+
+class ExploreCache(TwoTierCache):
+    """Memo of evaluated candidates, keyed by (applications, allocation,
+    budget, opt level).  Share one across sweeps to pay only for new
+    candidates; with ``disk``, a warm re-sweep in a *new process* reads
+    yesterday's feedback instead of recompiling it.  Points are frozen,
+    so the memo hands out the objects it holds.
+
+    It also memoizes, in memory only, the sweep's front end
+    (:meth:`optimize`), so a re-sweep over the same sources runs no
+    optimizer pass.
+    """
+
+    def __init__(self, disk: "CacheBackend | None" = None):
+        super().__init__(_EXPLORE_MEMORY_POINTS, disk)
+        # (source fingerprint, opt level) -> (optimized graph, its
+        # fingerprint)
+        self._optimized: dict[tuple[str, int], tuple[Dfg, str]] = {}
+        self.hits = 0
+        self.misses = 0
+        #: subset of ``hits`` served by the persistent tier
+        self.disk_hits = 0
+
+    def get(self, key: str) -> ExplorationPoint | None:
+        point, tier = self.lookup(key, _POINT_SCHEMA)
+        if point is None:
+            self.misses += 1
+            return None
+        self.hits += 1
+        if tier == "disk":
+            self.disk_hits += 1
+        return point
+
+    def put(self, key: str, point: ExplorationPoint) -> None:
+        self.store(key, point, _POINT_SCHEMA)
+
+    def optimize(self, dfg: Dfg, level: int) -> tuple[Dfg, str]:
+        """``dfg`` machine-independently optimized at ``level``, with the
+        optimized graph's fingerprint (what candidate keys are built
+        from), memoized on the source's fingerprint."""
+        key = (dfg_fingerprint(dfg), level)
+        front = self._optimized.get(key)
+        if front is None:
+            optimized = optimize_machine_independent(dfg, level=level)[0]
+            front = self._optimized[key] = (optimized,
+                                            dfg_fingerprint(optimized))
+        return front
 
 
 class _DefaultCache:

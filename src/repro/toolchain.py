@@ -48,6 +48,7 @@ from .pipeline.session import (
     _DEFAULT_CACHE,
     BatchEntry,
     BatchResult,
+    ExploreCache,
     SnapshotStream,
     StageCache,
     _DefaultCache,
@@ -258,11 +259,9 @@ class Toolchain:
                     span.tag(fingerprint=key[:16])
                     if stream.pending and self.cache.load_frame(stream):
                         span.tag(cache_source=tier)
-                        state.cache_hits[stage.name] = True
                         state.cache_sources[stage.name] = tier
                     else:
                         stage.execute(state)
-                        state.cache_hits[stage.name] = False
                         stream.dump(key, state.artifacts)
                 state.completed.append(stage.name)
                 self._verify_boundary(stage.name, state, obs)
@@ -429,26 +428,15 @@ class Toolchain:
         ``refine`` is on, else the list of
         :class:`~repro.arch.explore.ExplorationPoint`.
         """
-        from .arch.explore import (
-            ExploreCache,
-            SweepSpec,
-            explore,
-            explore_refined,
-        )
+        from .arch.explore import SweepSpec, explore, explore_refined
         from .lang.parser import parse_source
 
         dfgs = [parse_source(app) if isinstance(app, str) else app
                 for app in applications]
         if isinstance(cache, _DefaultCache):
-            if self.cache is None:
-                # Unmemoized; refined sweeps still need a memo for the
-                # coarse/fine phases to share, so give them a
-                # transient one scoped to this call.
-                cache = ExploreCache() if refine else None
-            else:
-                if self._explore_cache is None:
-                    self._explore_cache = ExploreCache(disk=self.cache.disk)
-                cache = self._explore_cache
+            if self.cache is not None and self._explore_cache is None:
+                self._explore_cache = ExploreCache(disk=self.cache.disk)
+            cache = self._explore_cache
         obs = self._obs()
         with use_telemetry(obs), \
                 obs.span("explore", applications=len(dfgs), refine=refine):

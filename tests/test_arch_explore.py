@@ -1,5 +1,9 @@
 """Tests for intermediate architectures and design-space exploration."""
 
+import dataclasses
+import pickle
+from types import MappingProxyType
+
 import pytest
 
 from repro import Q15, CompileOptions, Toolchain, run_reference
@@ -13,7 +17,6 @@ from repro.arch import (
     ControllerSpec,
     CoreSpec,
     ExplorationPoint,
-    ExploreCache,
     SweepSpec,
     explore,
     explore_refined,
@@ -25,6 +28,7 @@ from repro.arch import (
 )
 from repro.errors import ArchitectureError
 from repro.lang import DfgBuilder
+from repro.pipeline import ExploreCache
 
 
 def app_set():
@@ -32,6 +36,28 @@ def app_set():
         stress_application(4, seed=1),
         fir_application([0.5, 0.25, 0.125]),
     ]
+
+
+def is_frozen(point) -> bool:
+    return (isinstance(point.schedule_lengths, MappingProxyType)
+            and isinstance(point.failures, MappingProxyType))
+
+
+@pytest.fixture
+def optimizer_calls(monkeypatch):
+    """The names of the graphs the sweep memo optimizes, in call order."""
+    import repro.pipeline.session as session_module
+
+    calls = []
+    real = session_module.optimize_machine_independent
+
+    def counting(dfg, level=1, fmt=None):
+        calls.append(dfg.name)
+        return real(dfg, level=level, fmt=fmt)
+
+    monkeypatch.setattr(session_module, "optimize_machine_independent",
+                        counting)
+    return calls
 
 
 class TestIntermediateArchitecture:
@@ -241,24 +267,12 @@ class TestExploration:
         assert [p.allocation for p in points] == allocations
 
     def test_machine_independent_optimization_runs_once_per_dfg(
-            self, monkeypatch):
-        import importlib
-        explore_module = importlib.import_module("repro.arch.explore")
-        calls = []
-        real = explore_module.optimize_machine_independent
-
-        def counting(dfg, level=1, fmt=None):
-            calls.append(dfg.name)
-            return real(dfg, level=level, fmt=fmt)
-
-        monkeypatch.setattr(explore_module,
-                            "optimize_machine_independent", counting)
+            self, optimizer_calls):
         dfgs = app_set()
         allocations = [Allocation(n_mult=m, n_alu=a)
                        for m in (1, 2) for a in (1, 2)]
-        explore_module.explore(dfgs, allocations,
-                               options=CompileOptions(opt=1))
-        assert sorted(calls) == sorted(d.name for d in dfgs)
+        explore(dfgs, allocations, options=CompileOptions(opt=1))
+        assert sorted(optimizer_calls) == sorted(d.name for d in dfgs)
 
     def test_parallel_matches_sequential(self):
         """jobs=2 must agree with jobs=None point for point — including
@@ -278,6 +292,8 @@ class TestExploration:
         assert [p.n_rfs for p in parallel] == [p.n_rfs for p in sequential]
         assert [p.storage_words for p in parallel] == \
             [p.storage_words for p in sequential]
+        assert parallel == sequential
+        assert all(is_frozen(p) for p in parallel)
 
     def test_degenerate_variant_is_not_recompiled(self, monkeypatch):
         """A merge variant with nothing to merge on the application set
@@ -301,7 +317,8 @@ class TestExploration:
         )
         assert len(calls) == 1
         assert points[1].allocation.merge_variant == "none"
-        assert points[0].schedule_lengths == points[1].schedule_lengths
+        # The alias row shares the evaluated point: it is frozen.
+        assert points[1] is points[0]
 
     def test_cache_reuses_candidates_across_sweeps(self):
         dfgs = [stress_application(4, seed=1)]
@@ -357,23 +374,13 @@ class TestRefinement:
         refined = explore_refined(dfgs, spec, options=options)
         assert self.front_keys(refined.front) == self.front_keys(full_front)
 
-    def test_refinement_optimizes_each_application_once(self, monkeypatch):
+    def test_refinement_optimizes_each_application_once(
+            self, optimizer_calls):
         """Both phases reuse one machine-independent optimization of
         the application set — never one per explore() call."""
-        import importlib
-        explore_module = importlib.import_module("repro.arch.explore")
-        calls = []
-        real = explore_module.optimize_machine_independent
-
-        def counting(dfg, level=1, fmt=None):
-            calls.append(dfg.name)
-            return real(dfg, level=level, fmt=fmt)
-
-        monkeypatch.setattr(explore_module,
-                            "optimize_machine_independent", counting)
         dfgs = app_set()
-        explore_module.explore_refined(dfgs, self.spec())
-        assert sorted(calls) == sorted(d.name for d in dfgs)
+        explore_refined(dfgs, self.spec())
+        assert sorted(optimizer_calls) == sorted(d.name for d in dfgs)
 
     def test_phases_share_one_cache(self):
         cache = ExploreCache()
@@ -478,9 +485,8 @@ class TestDiskBackedSweeps:
         warm = explore(dfgs, allocations, cache=warm_cache)
         assert warm_cache.disk_hits == len(allocations)
         assert warm_cache.misses == 0
-        assert [p.schedule_lengths for p in warm] == \
-            [p.schedule_lengths for p in cold]
-        assert [p.n_opus for p in warm] == [p.n_opus for p in cold]
+        assert warm == cold
+        assert all(is_frozen(p) for p in warm)
 
     def test_corrupt_candidate_entry_is_recomputed(self, tmp_path):
         from repro.pipeline import DiskCache
@@ -510,6 +516,69 @@ class TestDiskBackedSweeps:
         assert warm[0].failures == cold[0].failures
 
 
+class TestFrozenPoints:
+    """An ExplorationPoint is immutable, so the memo, alias rows and
+    callers share one object instead of copying it."""
+
+    @staticmethod
+    def point():
+        return ExplorationPoint(
+            allocation=Allocation(), schedule_lengths={"a": 12}, n_opus=9,
+            failures={"b": "BudgetExceededError: ..."})
+
+    def test_writes_raise(self):
+        point = self.point()
+        with pytest.raises(TypeError):
+            point.schedule_lengths["a"] = 1
+        with pytest.raises(TypeError):
+            point.failures["c"] = "x"
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            point.n_opus = 1
+
+    def test_constructor_copies_the_mappings(self):
+        lengths = {"a": 12}
+        point = ExplorationPoint(allocation=Allocation(),
+                                 schedule_lengths=lengths, n_opus=9)
+        lengths["a"] = 1
+        assert point.schedule_lengths == {"a": 12}
+
+    def test_pickle_round_trip_is_equal_and_frozen(self):
+        point = self.point()
+        again = pickle.loads(pickle.dumps(point))
+        assert again == point
+        assert is_frozen(again)
+
+    def test_v2_entry_is_a_version_skip(self, tmp_path):
+        """An entry written under the previous point schema (mutable
+        dicts) is never served as a frozen point."""
+        from repro.pipeline import DiskCache
+
+        disk = DiskCache(tmp_path)
+        disk.put("k", self.point(), schema={"exploration_point": 2})
+        cache = ExploreCache(disk=disk)
+        assert cache.get("k") is None
+        assert (cache.misses, cache.disk_hits) == (1, 0)
+        assert disk.stats.version_skips == 1
+
+    def test_sweeps_count_no_stage_cache_event(self):
+        """A sweep point goes through the shared two-tier class but is
+        no compile stage: no stagecache.* counter fires, cold or warm."""
+        from repro import Telemetry, use_telemetry
+        from repro.pipeline import MemoryBackend
+
+        cache = ExploreCache(disk=MemoryBackend())
+        obs = Telemetry()
+        allocations = [Allocation(), Allocation(n_alu=2)]
+        with use_telemetry(obs):
+            cold = explore(app_set(), allocations, cache=cache)
+            warm = explore(app_set(), allocations, cache=cache)
+        assert [w is c for w, c in zip(warm, cold)] == [True, True]
+        assert cache.hits == 2
+        assert obs.counters["explore.candidates"] == 2
+        assert not [name for name in obs.counters
+                    if name.startswith("stagecache.")]
+
+
 class TestExploreOptionValidation:
     """The sweep takes its budget and opt level from one validated
     CompileOptions: an out-of-range budget is refused when the options
@@ -530,7 +599,6 @@ class TestExploreHonorsBaseOptions:
 
     def test_cover_and_seed_key_the_memo(self):
         from repro import CompileOptions
-        from repro.arch import ExploreCache
 
         dfgs = app_set()[:1]
         cache = ExploreCache()

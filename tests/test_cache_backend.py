@@ -14,10 +14,10 @@ import threading
 import pytest
 
 from repro import Telemetry, Toolchain, audio_core, cli, use_telemetry
-from repro.arch import ExploreCache
 from repro.pipeline import (
     CacheBackend,
     DiskCache,
+    ExploreCache,
     MemoryBackend,
     StageCache,
     backend_stats,

@@ -236,8 +236,7 @@ class TestExploreCommand:
         """--refine must write through to --cache-dir (regression: an
         *empty* ExploreCache is falsy, so `cache or ExploreCache()`
         silently dropped the disk tier)."""
-        from repro.arch import ExploreCache
-        from repro.pipeline import DiskCache
+        from repro.pipeline import DiskCache, ExploreCache
 
         cache = str(tmp_path / "cache")
         args = ["explore", source_file, "--mults", "1", "--alus", "1-3",

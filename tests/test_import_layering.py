@@ -95,6 +95,26 @@ def test_cli_help_loads_only_the_parser():
     assert run_python(code) == {"loaded": []}
 
 
+def test_import_arch_loads_no_pipeline():
+    """The architecture model stands below the pipeline: the explorer
+    imports its memo (``repro.pipeline.ExploreCache``) inside the
+    sweep, never at import time."""
+    loaded = run_python("import json, sys\nimport repro.arch\n"
+                        "print(json.dumps([m for m in sys.modules "
+                        "if m.startswith('repro.pipeline')]))")
+    assert loaded == []
+
+
+@pytest.mark.parametrize("first, second", [("repro.pipeline", "repro.arch"),
+                                           ("repro.arch", "repro.pipeline")])
+def test_arch_and_pipeline_import_in_either_order(first, second):
+    code = (f"import json, {first}, {second}\n"
+            "print(json.dumps([repro.pipeline.ExploreCache.__module__, "
+            "repro.arch.ExplorationPoint.__module__]))")
+    assert run_python(code) == ["repro.pipeline.session",
+                                "repro.arch.explore"]
+
+
 @pytest.mark.parametrize("package", ["repro", "repro.sched",
                                      "repro.analyze"])
 def test_every_exported_name_resolves(package):
