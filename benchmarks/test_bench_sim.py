@@ -8,12 +8,14 @@ stimulus batches as array operations.
 This bench measures cycles/second for both engines at batch widths 1,
 16 and 256, next to the reference interpreter
 (:func:`repro.run_reference` on the source graph) over the same
-stimulus.  The program is decoded and numpy imported once before any
-timing (the decode is recorded on its own as ``decode_seconds``), and
-every row is the median of :data:`REPEATS` runs, so a row measures
-stepping the warm plan.  It asserts every engine stays bit-identical
-to the reference, asserts the numpy engine clears a 10x speedup over
-the reference at width 256, and writes the trajectory to
+stimulus.  The program is decoded, its step code generated and numpy
+imported once before any timing (the decode and the code generation
+are recorded on their own as ``decode_seconds`` and
+``codegen_seconds``), and every row is the median of :data:`REPEATS`
+runs, so a row measures stepping the warm plan.  It asserts every
+engine stays bit-identical to the reference, asserts the decoded
+engine clears a 2x speedup over the reference at width 1 and the numpy
+engine a 10x speedup at width 256, and writes the trajectory to
 ``BENCH_sim.json`` (uploaded as a CI artifact;
 ``tools/check_sim_regression.py`` guards it against the committed
 ``benchmarks/sim_baseline.json``).
@@ -54,6 +56,9 @@ REPEATS = 5
 #: The acceptance floor for the numpy engine at the widest batch,
 #: as a speedup over the reference interpreter.
 MIN_NUMPY_SPEEDUP = 10.0
+#: The acceptance floor for the decoded engine at width 1, as a
+#: speedup over the reference interpreter.
+MIN_DECODED_SPEEDUP = 2.0
 
 
 def compiled_program():
@@ -105,7 +110,10 @@ def test_bench_sim_engines():
     # Set-up a user pays once per program, kept out of every row.
     _, decode_seconds = median_seconds(
         lambda: DecodedPlan(compiled.binary))
-    decode_program(compiled.binary)
+    # Each build on a plan of its own, so none is served from the plan.
+    fresh = iter([DecodedPlan(compiled.binary) for _ in range(REPEATS)])
+    _, codegen_seconds = median_seconds(lambda: next(fresh).step_binder)
+    decode_program(compiled.binary).step_binder
     if NUMPY_AVAILABLE:
         import numpy  # noqa: F401  (the import, paid before any row)
 
@@ -115,9 +123,11 @@ def test_bench_sim_engines():
         "numpy_available": NUMPY_AVAILABLE,
         "repeats": REPEATS,
         "decode_seconds": decode_seconds,
+        "codegen_seconds": codegen_seconds,
         "batch": {},
     }
     print(f"\ndecode (once per program): {decode_seconds * 1e3:.3f} ms")
+    print(f"codegen (once per program): {codegen_seconds * 1e3:.3f} ms")
     print(f"{'N':>4}  {'engine':9}  {'seconds':>9}  {'cycles/s':>12}  "
           f"{'vs ref':>8}")
     for n_lanes in BATCH_WIDTHS:
@@ -145,6 +155,11 @@ def test_bench_sim_engines():
                   f"{speedup:>7.1f}x")
         record["batch"][str(n_lanes)] = rows
 
+    narrowest = record["batch"][str(BATCH_WIDTHS[0])]
+    speedup = narrowest["decoded"]["speedup_vs_reference"]
+    assert speedup >= MIN_DECODED_SPEEDUP, (
+        f"decoded engine at N={BATCH_WIDTHS[0]} is only {speedup:.1f}x "
+        f"over the reference (floor {MIN_DECODED_SPEEDUP}x)")
     if NUMPY_AVAILABLE:
         widest = record["batch"][str(BATCH_WIDTHS[-1])]
         speedup = widest["numpy"]["speedup_vs_reference"]

@@ -54,7 +54,8 @@ import concurrent.futures
 import itertools
 from collections.abc import Mapping
 from dataclasses import dataclass, field, fields, replace
-from functools import partial
+from functools import cache, partial
+from operator import attrgetter
 from types import MappingProxyType
 from typing import TYPE_CHECKING
 
@@ -178,7 +179,15 @@ class Allocation:
         _check_merge_variant(self.merge_variant)
 
     def astuple(self) -> tuple:
-        return tuple(getattr(self, f.name) for f in fields(self))
+        return _field_values(type(self))(self)
+
+
+@cache
+def _field_values(cls) -> attrgetter:
+    """A getter of every field of dataclass ``cls``, as a tuple in field
+    order; read once per class (an allocation has more than one field,
+    so the getter always returns a tuple)."""
+    return attrgetter(*(f.name for f in fields(cls)))
 
 
 #: ``SweepSpec`` axis name -> the :class:`Allocation` field it sweeps.

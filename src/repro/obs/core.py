@@ -80,6 +80,9 @@ COUNTERS: dict[str, str] = {
     "sim.batch_width": "stimulus lanes entering the simulator",
     "sim.decodes": "encoded programs decoded into a plan (memo misses: "
                    "a program is decoded again only when edited)",
+    "sim.codegens": "decoded plans compiled into Python step code, one "
+                    "generator per straight-line block (once per plan, on "
+                    "its first decoded-engine run)",
     "verify.checks": "stage-boundary verifier passes run by the pipeline "
                      "(verify=boundaries/strict)",
     "verify.findings": "diagnostics produced by the stage verifiers and "

@@ -3,7 +3,8 @@
 One machine model, the decoded plan: :func:`~repro.sim.batch.decode_program`
 lowers an encoded program once into a flat
 :class:`~repro.sim.batch.DecodedPlan`, which two engines step — one
-lane at a time in pure Python (:class:`~repro.sim.batch.DecodedSimulator`)
+lane at a time in pure Python, on code generated from the plan
+(:class:`~repro.sim.batch.DecodedSimulator`)
 or over a whole stimulus batch as numpy array ops
 (:class:`~repro.sim.batch.BatchSimulator`; numpy is an optional extra).
 :func:`~repro.sim.batch.run_program` and :func:`~repro.sim.batch.run_batch`

@@ -29,16 +29,30 @@ Execution has two phases:
    the plan cannot express raises :class:`PlanError`.  Each program's
    plan is memoized for as long as the program lives, and decoded again
    when the program is edited in place.
-2. **Step** — :class:`DecodedSimulator` steps the plan one lane at a
-   time in pure Python.  :class:`BatchSimulator` executes it over ``N``
-   stimulus lanes simultaneously: register files and memories are
-   ``(N, size)`` numpy int arrays, every micro-op is a handful of array
-   ops with exact two's-complement wrap semantics matching
-   :mod:`repro.fixed`, and conditional control flow (``CJMP``) splits
-   the lane set so diverging lanes continue under their own program
-   counter.  A context holding every lane reads and writes registers
-   through a slice (views); a split context through its lane index
-   array (copies and masked writes).
+2. **Step** — :class:`DecodedSimulator` runs one lane in pure Python
+   on code generated from the plan: on its first decoded run a plan is
+   specialized into Python source, one generator per straight-line
+   block of words, and built with :func:`compile`
+   (:attr:`DecodedPlan.step_binder`, kept with the plan and counted as
+   ``sim.codegens``).  In a word's code a register read is a
+   constant-index list load, the fixed-point semantics are integer
+   expressions with the format's constants as literals, every write of
+   the cycle is one tuple assignment (latency-1 results straight into
+   their destination registers), and the block yields the next PC after
+   each word.  Only decoded integers and fixed identifiers reach the
+   source text.  The code is built once per program, and pays off from
+   about 20 frames: a fresh program run once for fewer frames costs
+   more than the interpreter it replaced did, and every later run of it
+   is several times faster.
+   :class:`BatchSimulator` executes the plan over ``N`` stimulus lanes
+   simultaneously: register files and memories are ``(N, size)`` numpy
+   int arrays, every micro-op is a handful of array ops with exact
+   two's-complement wrap semantics matching :mod:`repro.fixed`, and
+   conditional control flow (``CJMP``) splits the lane set so diverging
+   lanes continue under their own program counter.  A context holding
+   every lane reads and writes registers through a slice (views); a
+   split context through its lane index array (copies and masked
+   writes).
 
 Engine selection (:func:`resolve_engine`): ``"auto"`` picks numpy when
 it is importable, the batch is wide enough and the data width fits the
@@ -167,7 +181,8 @@ class DecodedPlan:
     and the controller envelope.  The plan is immutable and reusable —
     decode once, simulate any number of stimulus batches.  It holds no
     reference to its program, so :func:`decode_program`'s memo entry
-    dies with the program.
+    dies with the program, and with it the step code the decoded engine
+    generates from the plan (:attr:`step_binder`).
     """
 
     def __init__(self, program: EncodedProgram):
@@ -191,18 +206,40 @@ class DecodedPlan:
         }
         self.stack_depth = core.controller.stack_depth
         self.n_flags = core.controller.n_flags
-        opcode_names = {
-            opu: {code: name for name, code in table.items()}
-            for opu, table in opcode_table(core).items()
-        }
+        tables = _decode_tables(program)
+        allowed = core.controller.allowed_ops()
         self.words: tuple[WordPlan, ...] = tuple(
-            _decode_word(program, index, opcode_names)
+            _decode_word(program, index, tables, allowed)
             for index in range(len(program.words))
         )
+        # Memories and IO ports in the index order the generated step
+        # code addresses them by.
+        self.memory_names = (*self.ram_sizes, *self.rom_contents)
+        self.memory_sizes = (*self.ram_sizes.values(),
+                             *map(len, self.rom_contents.values()))
+        self.input_ports = _ports(self.words, SEM_INPUT)
+        self.output_ports = _ports(self.words, SEM_OUTPUT)
+        #: Per word: whether it is an IDLE, where a run waits for a frame.
+        self.idle = tuple(word.ctrl is CtrlOp.IDLE for word in self.words)
 
     @property
     def n_words(self) -> int:
         return len(self.words)
+
+    @functools.cached_property
+    def step_binder(self):
+        """The plan's generated step code (:func:`_generate_steps`),
+        built on first use and kept with the plan, so it lives and dies
+        with it (no second memo).  Every build counts ``sim.codegens``."""
+        binder = _generate_steps(self)
+        current_telemetry().count("sim.codegens")
+        return binder
+
+
+def _ports(words: tuple[WordPlan, ...], sem: int) -> tuple[str, ...]:
+    """The IO ports ``sem`` ops name, in first-use order."""
+    return tuple(dict.fromkeys(
+        op.target for word in words for op in word.ops if op.sem == sem))
 
 
 def _sign_extend(value: int, width: int) -> int:
@@ -211,62 +248,122 @@ def _sign_extend(value: int, width: int) -> int:
     return value
 
 
-def _decode_word(program: EncodedProgram, index: int,
-                 opcode_names: dict[str, dict[int, str]]) -> WordPlan:
+def _decode_tables(program: EncodedProgram) -> tuple[list, list, tuple]:
+    """What :func:`_decode_word` reads of the core, built once per plan.
+
+    A field is its ``(offset, mask)`` in the word (``(0, 0)``, reading
+    0, when the format lacks it).  Per OPU: the OPU, its opcode field,
+    opcode -> operation name, per port ``(is_register, field, rf name
+    or sign-extend flag)``, and the micro-ops made so far, by opcode and
+    port fields.  Per register file: the file, its write-enable, address
+    and mux-select fields, the buses the select picks from (a message
+    when nothing can feed the file), and the writes made so far.  Last,
+    the controller's op, arg and flag fields.  A plan's words share
+    equal micro-ops and writes; both are immutable.
+    """
     core = program.core
     dp = core.datapath
-    fields = program.format.decode(program.words[index])
-    ctrl = CTRL_DECODE[fields["ctrl.op"]]
-    if ctrl not in core.controller.allowed_ops():
+    layout = program.format.fields
+
+    def at(name: str) -> tuple[int, int]:
+        field = layout.get(name)
+        return (field.offset, field.mask) if field else (0, 0)
+
+    opcodes = opcode_table(core)
+    units = []
+    for opu in dp.opus.values():
+        ports = tuple(
+            (False, at(f"{opu.name}.p{i}.imm"), opu.kind is OpuKind.CONST)
+            if port.accepts_immediate else
+            (True, at(f"{opu.name}.p{i}.addr"), port.register_file.name)
+            for i, port in enumerate(opu.ports))
+        names = {code: name
+                 for name, code in opcodes.get(opu.name, {}).items()}
+        units.append((opu, at(f"{opu.name}.op"), names, ports, {}))
+    files = []
+    for rf in dp.register_files.values():
+        select, buses = _write_buses(dp, rf)
+        files.append((rf, at(f"{rf.name}.wr_en"), at(f"{rf.name}.wr_addr"),
+                      at(select) if select else (0, 0), buses, {}))
+    return units, files, (at("ctrl.op"), at("ctrl.arg"), at("ctrl.flag"))
+
+
+def _decode_word(program: EncodedProgram, index: int, tables: tuple,
+                 allowed: set[CtrlOp]) -> WordPlan:
+    units, files, ((op_at, op_mask), (arg_at, arg_mask),
+                   (flag_at, flag_mask)) = tables
+    word = program.words[index]
+    if word < 0 or word >> program.format.width:
+        program.format.decode(word)     # raises: wider than the format
+    ctrl = CTRL_DECODE[word >> op_at & op_mask]
+    if ctrl not in allowed:
         raise PlanError(
             f"controller op {ctrl.value!r} not supported by this core"
         )
     body_cycle = index - program.body_offset
-
     ops: list[OpPlan] = []
-    for opu in dp.opus.values():
-        opcode = fields.get(f"{opu.name}.op", 0)
+    for opu, (at, mask), names, ports, made in units:
+        opcode = word >> at & mask
         if opcode == 0:
             continue
-        operation_name = opcode_names[opu.name][opcode]
-        operation = opu.operation(operation_name)
-        operands: list[tuple] = []
-        for port_index in range(operation.arity):
-            port = opu.ports[port_index]
-            if port.accepts_immediate:
-                raw = fields.get(f"{opu.name}.p{port_index}.imm", 0)
-                if opu.kind is OpuKind.CONST:
-                    raw = _sign_extend(raw, core.data_width)
-                operands.append((False, raw, 0))
-            else:
-                operands.append((
-                    True, port.register_file.name,
-                    fields.get(f"{opu.name}.p{port_index}.addr", 0),
-                ))
-        sem, target, constant = _resolve_semantics(
-            program, opu, operation_name, body_cycle)
-        produces = sem not in (SEM_RAM_WRITE, SEM_OUTPUT)
-        bus = opu.bus.name if (produces and opu.bus is not None) else None
-        ops.append(OpPlan(
-            opu=opu.name, sem=sem, operands=tuple(operands),
-            latency=operation.latency, bus=bus, target=target,
-            constant=constant, sets_flags=opu.kind is OpuKind.ALU,
-        ))
+        key = (opcode, *(word >> at & mask for _, (at, mask), _ in ports))
+        op = made.get(key)
+        if op is None:
+            op = _op_plan(program, opu, names[opcode], ports, key[1:],
+                          body_cycle)
+            if opu.kind not in (OpuKind.INPUT, OpuKind.OUTPUT):
+                made[key] = op
+        ops.append(op)
 
     writes: list[WritePlan] = []
-    for rf in dp.register_files.values():
-        if not fields.get(f"{rf.name}.wr_en", 0):
+    for rf, (at, mask), (address_at, address_mask), (select_at, select_mask), \
+            buses, made in files:
+        if not word >> at & mask:
             continue
-        address = fields.get(f"{rf.name}.wr_addr", 0)
-        if address >= rf.size:
-            raise PlanError(f"register index {address} outside {rf.name!r}")
-        writes.append(WritePlan(
-            rf=rf.name, addr=address, bus=_selected_bus(dp, rf, fields)))
+        address = word >> address_at & address_mask
+        select = word >> select_at & select_mask
+        write = made.get((address, select))
+        if write is None:
+            if address >= rf.size:
+                raise PlanError(
+                    f"register index {address} outside {rf.name!r}")
+            if isinstance(buses, str):
+                raise PlanError(buses)
+            if select >= len(buses):
+                raise PlanError(
+                    f"mux select {select} outside mux of {rf.name!r}")
+            write = made[address, select] = WritePlan(
+                rf=rf.name, addr=address, bus=buses[select])
+        writes.append(write)
 
     return WordPlan(
-        index=index, ctrl=ctrl, arg=fields.get("ctrl.arg", 0),
-        flag=fields.get("ctrl.flag", 0), ops=tuple(ops),
+        index=index, ctrl=ctrl, arg=word >> arg_at & arg_mask,
+        flag=word >> flag_at & flag_mask, ops=tuple(ops),
         writes=tuple(writes),
+    )
+
+
+def _op_plan(program: EncodedProgram, opu, operation_name: str,
+             ports: tuple, fields: tuple[int, ...],
+             body_cycle: int) -> OpPlan:
+    """The micro-op ``opu`` runs for ``operation_name``, its port fields
+    holding ``fields``."""
+    operation = opu.operation(operation_name)
+    sem, target, constant = _resolve_semantics(
+        program, opu, operation_name, body_cycle)
+    width = program.core.data_width
+    operands = tuple(
+        (True, where, value) if is_register else
+        (False, _sign_extend(value, width) if where else value, 0)
+        for (is_register, _, where), value in zip(
+            ports[:operation.arity], fields))
+    produces = sem not in (SEM_RAM_WRITE, SEM_OUTPUT)
+    return OpPlan(
+        opu=opu.name, sem=sem, operands=operands,
+        latency=operation.latency,
+        bus=opu.bus.name if (produces and opu.bus is not None) else None,
+        target=target, constant=constant,
+        sets_flags=opu.kind is OpuKind.ALU,
     )
 
 
@@ -317,22 +414,21 @@ def _resolve_semantics(program: EncodedProgram, opu, operation_name: str,
         f"no fixed-point semantics for operation {operation_name!r}")
 
 
-def _selected_bus(dp, rf, fields) -> str:
-    """The bus a destination write reads, resolved at decode time."""
+def _write_buses(dp, rf) -> tuple[str | None, tuple[str, ...] | str]:
+    """The mux-select field of ``rf`` (``None`` without a mux) and the
+    buses a write can read, by select value; a message instead of the
+    buses when nothing can feed ``rf``."""
     mux = dp.muxes.get(f"mux_{rf.name}")
     if mux is not None:
-        select = fields.get(f"{rf.name}.mux", 0)
-        if select >= len(mux.inputs):
-            raise PlanError(f"mux select {select} outside mux of {rf.name!r}")
-        return mux.inputs[select].name
+        return f"{rf.name}.mux", tuple(bus.name for bus in mux.inputs)
     writers = list(rf.writers)
     if not writers:
-        raise PlanError(f"register file {rf.name!r} has no writer")
+        return None, f"register file {rf.name!r} has no writer"
     sink = writers[0]
     for bus in dp.buses.values():
         if sink in bus.sinks:
-            return bus.name
-    raise PlanError("sink without a bus")
+            return None, (bus.name,)
+    return None, "sink without a bus"
 
 
 #: ``id(program)`` -> (weak reference to the program, its decode token,
@@ -392,15 +488,312 @@ def _cycle_budget(plan: DecodedPlan, n_frames: int,
 
 
 # ---------------------------------------------------------------------------
-# Pure-Python decoded engine: one lane, no per-cycle decode.
+# Pure-Python decoded engine: straight-line blocks generated as Python.
 # ---------------------------------------------------------------------------
+
+def _step_faults(plan: DecodedPlan) -> dict[str, object]:
+    """The error helpers generated step code calls, by the name it calls
+    them.  The code passes them indices; the names are looked up here,
+    so no name from the core or the program reaches generated text."""
+    memories = plan.memory_names
+    sizes = plan.memory_sizes
+    ports = plan.input_ports
+    words = plan.words
+
+    def address_fault(*checked: int):
+        """Raise for the first ``address, memory`` pair out of range."""
+        for address, memory in zip(checked[::2], checked[1::2]):
+            if not 0 <= address < sizes[memory]:
+                raise SimulationError(
+                    f"address {address} outside memory "
+                    f"{memories[memory]!r} (size {sizes[memory]})"
+                )
+
+    def input_fault(port: int):
+        raise SimulationError(f"input stream {ports[port]!r} exhausted")
+
+    def unmatured(cycle: int, word: int, write: int):
+        expected = words[word].writes[write]
+        raise SimulationError(
+            f"cycle {cycle}: register file {expected.rf!r} expects a value "
+            f"on {expected.bus!r} but nothing matured there"
+        )
+
+    def stack_overflow():
+        raise SimulationError("loop stack overflow")
+
+    def stack_underflow():
+        raise SimulationError("ENDL with empty loop stack")
+
+    return {
+        "address_fault": address_fault,
+        "input_fault": input_fault,
+        "unmatured": unmatured,
+        "stack_overflow": stack_overflow,
+        "stack_underflow": stack_underflow,
+    }
+
+
+def _blocks(plan: DecodedPlan) -> list[range]:
+    """The plan's straight-line blocks, in order: a block runs ``CONT``
+    words up to and including the first other controller op, and stops
+    before an ``IDLE`` (a frame wait always starts its own block)."""
+    blocks = []
+    start = 0
+    for w, word in enumerate(plan.words):
+        follows = w + 1 < plan.n_words and not plan.idle[w + 1]
+        if word.ctrl is not CtrlOp.CONT or not follows:
+            blocks.append(range(start, w + 1))
+            start = w + 1
+    return blocks
+
+
+def _generate_steps(plan: DecodedPlan):
+    """Specialize ``plan`` into Python source, one generator per
+    straight-line block (:func:`_blocks`), and compile it; returns the
+    generated ``bind`` function.
+
+    ``bind(sim, registers, memories, streams, cursors, outputs, flags,
+    stack, pending)`` takes one simulator's state, its lists in the
+    plan's index order, and returns, per word, the generator function of
+    its block, ``block(cycle, pc)``: entered at word ``pc`` in cycle
+    ``cycle``, it runs one word per resumption and yields the next PC.
+    In a word a register read is a constant-index load, the fixed-point
+    semantics are integer expressions with the format's constants as
+    literals, and every write of the cycle is one tuple assignment, so
+    every read sees the registers as the cycle started.  A latency-1
+    result is assigned straight into its destination registers; only a
+    later-maturing result goes through ``pending`` (due cycle -> bus
+    number -> value).
+
+    The text is built from decoded integers and fixed identifiers only.
+    A register file, memory or port is a list index, and the error
+    helpers (:func:`_step_faults`) look names up by index, so no name
+    from the core or the program reaches :func:`compile`.
+    """
+    fmt = plan.fmt
+    half, mask = 1 << (fmt.width - 1), (1 << fmt.width) - 1
+    frac, low, high = fmt.frac_bits, fmt.min_value, fmt.max_value
+    rf_index = {name: i for i, name in enumerate(plan.rf_sizes)}
+    memory_index = {name: i for i, name in enumerate(plan.memory_names)}
+    input_index = {port: i for i, port in enumerate(plan.input_ports)}
+    output_index = {port: i for i, port in enumerate(plan.output_ports)}
+    # Buses that carry a result maturing after its issue cycle.
+    late_bus = {}
+    for word in plan.words:
+        for op in word.ops:
+            if op.latency > 1 and op.bus is not None:
+                late_bus.setdefault(op.bus, len(late_bus))
+
+    def operand(source) -> str:
+        is_register, where, address = source
+        if is_register:
+            return f"rf{rf_index[where]}[{int(address)}]"
+        return repr(int(where))
+
+    # Per semantic code, the value of a micro-op that only computes:
+    # ``{0}``/``{1}`` its operands, ``{n}`` its constant, ``{k}`` its
+    # index in the word.  A wrapped expression binds at least as tightly
+    # as ``+``; ``clip`` names the unclipped value ``v{k}``.
+    wrap = f"({{}} + {half} & {mask}) - {half}"
+    clip = f"({high} if (v{{k}} := {{}}) > {high} else " \
+           f"{low} if v{{k}} < {low} else v{{k}})"
+    computed = {
+        SEM_ADD: wrap.format("{0} + {1}"),
+        SEM_ACU_ADD: wrap.format("{0} + {1}"),
+        SEM_SUB: wrap.format("{0} - {1}"),
+        SEM_MULT: wrap.format(f"({{0}} * {{1}} >> {frac})"),
+        SEM_PASS: wrap.format("{0}"),
+        SEM_ASR: wrap.format("({0} >> {n})"),
+        SEM_ADD_CLIP: clip.replace("{}", "{0} + {1}"),
+        SEM_PASS_CLIP: clip.replace("{}", "{0}"),
+        SEM_ACU_ADDMOD: "({0} + {1}) % {n}",
+        SEM_ACU_INCA: "({0} + 1) % {n}",
+        SEM_CONST: "{0}",
+    }
+
+    def address(k: int, expr: str, j: int, tests: list[str],
+                faults: list[str]) -> str:
+        """``expr`` as an address into memory ``j``; its range test and
+        its ``address, memory`` pair go to ``tests`` and ``faults``."""
+        size = plan.memory_sizes[j]
+        if not expr.startswith("rf"):
+            if not 0 <= int(expr) < size:
+                tests.append("1")
+                faults.append(f"{expr}, {j}")
+            return expr
+        if size & (size - 1) == 0:
+            # A power-of-two size: any bit at or above it, or a sign.
+            tests.append(f"(a{k} := {expr}) >> {size.bit_length() - 1}")
+        else:
+            tests.append(f"(not 0 <= (a{k} := {expr}) < {size})")
+        faults.append(f"a{k}, {j}")
+        return f"a{k}"
+
+    def word_lines(w: int, word: WordPlan, cycle: str) -> list[str]:
+        """Word ``w`` run in cycle ``cycle``: its reads, then one tuple
+        assignment of every write, then the next PC, yielded."""
+        body: list[str] = []            # statements before the writes
+        tests: list[str] = []           # address range tests
+        faults: list[str] = []          # their ``address, memory`` pairs
+        results = []                    # (op, its value expression)
+        stores = []                     # (target, value), committed last
+        for k, op in enumerate(word.ops):
+            x = [operand(source) for source in op.operands]
+            sem = op.sem
+            if sem in computed:
+                value = computed[sem].format(*x, n=int(op.constant), k=k)
+            elif sem == SEM_RAM_READ or sem == SEM_ROM_READ:
+                j = memory_index[op.target]
+                value = f"mem{j}[{address(k, x[0], j, tests, faults)}]"
+            elif sem == SEM_RAM_WRITE:
+                j = memory_index[op.target]
+                at = address(k, x[0], j, tests, faults)
+                stores.append((f"mem{j}[{at}]", x[1]))
+                continue
+            elif sem == SEM_INPUT:
+                p = input_index[op.target]
+                body += [f"if (k{k} := cursors[{p}]) >= len(in{p}): "
+                         f"input_fault({p})",
+                         f"cursors[{p}] = k{k} + 1"]
+                value = wrap.format(f"in{p}[k{k}]")
+            else:  # SEM_OUTPUT
+                body.append(f"out{output_index[op.target]}.append({x[0]})")
+                continue
+            results.append((op, value))
+        if tests:
+            # One test for every address of the word, before any effect.
+            body.insert(0, f"if {' | '.join(tests)}: "
+                           f"address_fault({', '.join(faults)})")
+
+        # Each result's uses: (target, value template), ``{}`` standing
+        # for the result.  A result used more than once is named at its
+        # first use; the right-hand side evaluates left to right.
+        on_bus = {op.bus: n for n, (op, _) in enumerate(results)
+                  if op.bus is not None and op.latency == 1}
+        uses: list[list[tuple[str, str]]] = [[] for _ in results]
+        matured: list[tuple[str, str]] = []
+        for n, write in enumerate(word.writes):
+            target = f"rf{rf_index[write.rf]}[{int(write.addr)}]"
+            if write.bus in on_bus:
+                uses[on_bus[write.bus]].append((target, "{}"))
+            elif write.bus in late_bus:
+                b = late_bus[write.bus]
+                matured.append((target, f"arrived[{b}] if {b} in arrived "
+                                        f"else unmatured({cycle}, {w}, {n})"))
+            else:
+                matured.append((target, f"unmatured({cycle}, {w}, {n})"))
+        for n, (op, _) in enumerate(results):
+            if op.bus is not None and op.latency > 1:
+                uses[n].append((f"pending.setdefault({cycle} + "
+                                f"{op.latency - 1}, {{}})"
+                                f"[{late_bus[op.bus]}]", "{}"))
+        flagged = [n for n, (op, _) in enumerate(results) if op.sets_flags]
+        if flagged and plan.n_flags:
+            uses[flagged[-1]].append(("flags[0]", "1 if {} < 0 else 0"))
+            if plan.n_flags > 1:
+                uses[flagged[-1]].append(("flags[1]", "1 if {} == 0 else 0"))
+        if late_bus:
+            # Every cycle takes its matured results out of the table.
+            body.append(f"arrived = pending.pop({cycle}, NOTHING)" if matured
+                        else f"pending.pop({cycle}, None)")
+
+        targets, values = [], []
+        for n, (op, value) in enumerate(results):
+            later = value
+            if len(uses[n]) > 1 and op.sem != SEM_CONST:
+                value, later = f"(t{n} := {value})", f"t{n}"
+            for target, template in uses[n]:
+                targets.append(target)
+                values.append(template.format(value))
+                value = later
+        for target, value in matured + stores:
+            targets.append(target)
+            values.append(value)
+        if targets:
+            body.append(f"{', '.join(targets)} = {', '.join(values)}")
+        return body + _control_lines(word, w, plan.stack_depth)
+
+    lines = ["def bind(sim, registers, memories, streams, cursors, "
+             "outputs, flags, stack, pending):"]
+    for prefix, parameter, count in (
+            ("rf", "registers", len(plan.rf_sizes)),
+            ("mem", "memories", len(plan.memory_names)),
+            ("in", "streams", len(plan.input_ports)),
+            ("out", "outputs", len(plan.output_ports))):
+        if count:
+            names = ", ".join(f"{prefix}{i}" for i in range(count))
+            lines.append(f"    {names}, = {parameter}")
+    entries = []
+    for block in _blocks(plan):
+        start = block.start
+        lines.append(f"    def b{start}(c, at):")
+        entries += [f"b{start}, "] * len(block)
+        if len(block) == 1:
+            lines += [f"        {line}"
+                      for line in word_lines(start, plan.words[start], "c")]
+            continue
+        for w in block:
+            # Entered at word ``at``, the block skips the words before
+            # it; word ``w`` runs in cycle ``c - at + w``.
+            lines.append(f"        if at <= {w}:")
+            body = word_lines(w, plan.words[w], f"c - at + {w}")
+            lines += [f"            {line}" for line in body]
+    lines.append(f"    return ({''.join(entries)})")
+
+    namespace = {"__builtins__": {}, "len": len, "NOTHING": {},
+                 **_step_faults(plan)}
+    exec(compile("\n".join(lines) + "\n", "<decoded plan>", "exec"),
+         namespace)
+    return namespace["bind"]
+
+
+def _control_lines(word: WordPlan, w: int, stack_depth: int) -> list[str]:
+    """The controller's part of word ``w``: it yields the next PC."""
+    ctrl, arg = word.ctrl, int(word.arg)
+    if ctrl is CtrlOp.CONT:
+        return [f"yield {w + 1}"]
+    if ctrl is CtrlOp.JUMP:
+        return [f"yield {arg}"]
+    if ctrl is CtrlOp.CJMP:
+        return [f"yield {arg} if flags[{int(word.flag)}] else {w + 1}"]
+    if ctrl is CtrlOp.LOOP:
+        return [f"if len(stack) >= {int(stack_depth)}: stack_overflow()",
+                f"stack.append(({w + 1}, {arg}))",
+                f"yield {w + 1}"]
+    if ctrl is CtrlOp.ENDL:
+        return ["if not stack: stack_underflow()",
+                "address, count = stack[-1]",
+                "if count > 1:",
+                "    stack[-1] = (address, count - 1)",
+                "    yield address",
+                "else:",
+                "    stack.pop()",
+                f"    yield {w + 1}"]
+    if ctrl is CtrlOp.IDLE:
+        return ["if sim.start_tokens > 0:",
+                "    sim.start_tokens -= 1",
+                "    sim.frame += 1",
+                f"    yield {w + 1}",
+                "else:",
+                f"    yield {w}"]
+    if ctrl is CtrlOp.HALT:
+        return ["sim.halted = True", f"yield {w}"]
+    raise PlanError(f"unhandled controller op {ctrl}")  # pragma: no cover
+
 
 class DecodedSimulator:
     """Steps one lane over a :class:`DecodedPlan` — pure Python.
 
-    The instruction words were decoded exactly once, so a cycle is a
-    walk over preresolved micro-ops; the differential suite pins the
-    outputs to :func:`repro.lang.reference.run_reference`.
+    The words run as generated code (:attr:`DecodedPlan.step_binder`,
+    built once per plan), one generator per straight-line block, bound
+    to this simulator's register files, memories and streams when it is
+    made: a cycle is one resumption that yields the next PC.  The
+    containers in :attr:`registers`, :attr:`memories`, :attr:`inputs`,
+    :attr:`outputs`, :attr:`flags` and :attr:`stack` are the ones the
+    code holds: edit them in place, do not rebind them.  The
+    differential suite pins the outputs to
+    :func:`repro.lang.reference.run_reference`.
     """
 
     def __init__(self, plan: DecodedPlan):
@@ -424,175 +817,62 @@ class DecodedSimulator:
         self.frame = 0
         self.halted = False
         self.start_tokens = 0
-        self.inputs: dict[str, list[int]] = {}
-        self.outputs: dict[str, list[int]] = {}
-        self._input_cursor: dict[str, int] = {}
-        self._in_flight: dict[int, list[tuple[str, int]]] = {}
+        self.inputs: dict[str, list[int]] = {
+            port: [] for port in plan.input_ports}
+        self.outputs: dict[str, list[int]] = {
+            port: [] for port in plan.output_ports}
+        self._cursors = [0] * len(plan.input_ports)
+        self._blocks = plan.step_binder(
+            self, list(self.registers.values()),
+            [self.memories[name] for name in plan.memory_names],
+            list(self.inputs.values()), self._cursors,
+            list(self.outputs.values()), self.flags, self.stack, {})
 
     def load_inputs(self, streams: dict[str, list[int]]) -> None:
-        self.inputs = {port: list(values) for port, values in streams.items()}
-        self._input_cursor = {port: 0 for port in streams}
+        for port, stream in self.inputs.items():
+            stream[:] = streams.get(port, ())
+        self._cursors[:] = [0] * len(self._cursors)
 
     def run_frames(self, n_frames: int,
                    max_cycles: int | None = None) -> dict[str, list[int]]:
         self.start_tokens += n_frames
         budget = _cycle_budget(self.plan, n_frames, max_cycles)
-        words = self.plan.words
-        n_words = len(words)
-        while not self.halted and self.cycle < budget:
-            if self.pc >= n_words:
-                raise SimulationError(f"PC {self.pc} outside the program")
-            word = words[self.pc]
-            if word.ctrl is CtrlOp.IDLE and self.start_tokens == 0:
-                break
-            self.step(word)
+        blocks = self._blocks
+        idle = self.plan.idle
+        n_words = len(blocks)
+        pc, cycle = self.pc, self.cycle
+        try:
+            while cycle < budget and not self.halted:
+                # Only a block's first word can be outside the program or
+                # an IDLE, and only its last can halt.
+                if pc >= n_words:
+                    raise SimulationError(f"PC {pc} outside the program")
+                if idle[pc] and not self.start_tokens:
+                    break
+                for pc in blocks[pc](cycle, pc):
+                    cycle += 1
+                    if cycle >= budget:
+                        break
+        finally:
+            self.pc, self.cycle = pc, cycle
         if not self.halted:
-            if self.pc >= n_words:
-                raise SimulationError(f"PC {self.pc} outside the program")
-            word = words[self.pc]
-            if not (word.ctrl is CtrlOp.IDLE and self.start_tokens == 0):
+            if pc >= n_words:
+                raise SimulationError(f"PC {pc} outside the program")
+            if not (idle[pc] and self.start_tokens == 0):
                 raise SimulationError(
                     f"simulation did not settle within {budget} cycles"
                 )
-        return {port: list(values) for port, values in self.outputs.items()}
+        return {port: list(values) for port, values in self.outputs.items()
+                if values}
 
-    def step(self, word: WordPlan | None = None) -> None:
+    def step(self) -> None:
+        """Execute the word at :attr:`pc`: one cycle."""
         if self.halted:
             raise SimulationError("stepping a halted core")
-        if word is None:
-            word = self.plan.words[self.pc]
-        fmt = self.fmt
-        registers = self.registers
-        cycle = self.cycle
-
-        produced: list[tuple[str, int, int]] = []
-        memory_writes: list[tuple[str, int, int]] = []
-        alu_result: int | None = None
-        for op in word.ops:
-            values = [
-                registers[src[1]][src[2]] if src[0] else src[1]
-                for src in op.operands
-            ]
-            sem = op.sem
-            if sem == SEM_ADD:
-                result = fmt.add(values[0], values[1])
-            elif sem == SEM_MULT:
-                result = fmt.mult(values[0], values[1])
-            elif sem == SEM_SUB:
-                result = fmt.sub(values[0], values[1])
-            elif sem == SEM_ADD_CLIP:
-                result = fmt.add_clip(values[0], values[1])
-            elif sem == SEM_PASS:
-                result = fmt.pass_(values[0])
-            elif sem == SEM_PASS_CLIP:
-                result = fmt.pass_clip(values[0])
-            elif sem == SEM_ASR:
-                result = fmt.asr(values[0], op.constant)
-            elif sem == SEM_RAM_READ or sem == SEM_ROM_READ:
-                memory = self.memories[op.target]
-                address = values[0]
-                if not 0 <= address < len(memory):
-                    raise SimulationError(
-                        f"address {address} outside memory {op.target!r} "
-                        f"(size {len(memory)})"
-                    )
-                result = memory[address]
-            elif sem == SEM_RAM_WRITE:
-                memory = self.memories[op.target]
-                address = values[0]
-                if not 0 <= address < len(memory):
-                    raise SimulationError(
-                        f"address {address} outside memory {op.target!r} "
-                        f"(size {len(memory)})"
-                    )
-                memory_writes.append((op.target, address, values[1]))
-                result = None
-            elif sem == SEM_ACU_ADDMOD:
-                result = (values[0] + values[1]) % op.constant
-            elif sem == SEM_ACU_INCA:
-                result = (values[0] + 1) % op.constant
-            elif sem == SEM_ACU_ADD:
-                result = fmt.wrap(values[0] + values[1])
-            elif sem == SEM_CONST:
-                result = values[0]
-            elif sem == SEM_INPUT:
-                port = op.target
-                cursor = self._input_cursor.get(port, 0)
-                stream = self.inputs.get(port, [])
-                if cursor >= len(stream):
-                    raise SimulationError(f"input stream {port!r} exhausted")
-                self._input_cursor[port] = cursor + 1
-                result = fmt.wrap(stream[cursor])
-            else:  # SEM_OUTPUT
-                self.outputs.setdefault(op.target, []).append(values[0])
-                result = None
-            if result is not None:
-                if op.sets_flags:
-                    alu_result = result
-                if op.bus is not None:
-                    produced.append((op.bus, result, cycle + op.latency - 1))
-
-        bus_values: dict[str, int] = {}
-        for bus, value in self._in_flight.pop(cycle, []):
-            bus_values[bus] = value
-        for bus, value, due in produced:
-            if due == cycle:
-                bus_values[bus] = value
-            else:
-                self._in_flight.setdefault(due, []).append((bus, value))
-
-        for write in word.writes:
-            if write.bus not in bus_values:
-                raise SimulationError(
-                    f"cycle {cycle}: register file {write.rf!r} expects "
-                    f"a value on {write.bus!r} but nothing matured there"
-                )
-            registers[write.rf][write.addr] = bus_values[write.bus]
-        for memory, address, value in memory_writes:
-            self.memories[memory][address] = value
-        if alu_result is not None and self.plan.n_flags:
-            self.flags[0] = 1 if alu_result < 0 else 0
-            if self.plan.n_flags > 1:
-                self.flags[1] = 1 if alu_result == 0 else 0
-
-        self._advance_pc(word)
+        if self.pc >= len(self._blocks):
+            raise SimulationError(f"PC {self.pc} outside the program")
+        self.pc = next(self._blocks[self.pc](self.cycle, self.pc))
         self.cycle += 1
-
-    def _advance_pc(self, word: WordPlan) -> None:
-        ctrl = word.ctrl
-        if ctrl is CtrlOp.CONT:
-            self.pc += 1
-        elif ctrl is CtrlOp.IDLE:
-            if self.start_tokens > 0:
-                self.start_tokens -= 1
-                self.frame += 1
-                self.pc += 1
-        elif ctrl is CtrlOp.JUMP:
-            self.pc = word.arg
-        elif ctrl is CtrlOp.CJMP:
-            if self.flags[word.flag]:
-                self.pc = word.arg
-            else:
-                self.pc += 1
-        elif ctrl is CtrlOp.LOOP:
-            if len(self.stack) >= self.plan.stack_depth:
-                raise SimulationError("loop stack overflow")
-            self.stack.append((self.pc + 1, word.arg))
-            self.pc += 1
-        elif ctrl is CtrlOp.ENDL:
-            if not self.stack:
-                raise SimulationError("ENDL with empty loop stack")
-            address, count = self.stack[-1]
-            if count > 1:
-                self.stack[-1] = (address, count - 1)
-                self.pc = address
-            else:
-                self.stack.pop()
-                self.pc += 1
-        elif ctrl is CtrlOp.HALT:
-            self.halted = True
-        else:  # pragma: no cover - decode rejects unknown ops
-            raise SimulationError(f"unhandled controller op {ctrl}")
 
 
 # ---------------------------------------------------------------------------
@@ -721,6 +1001,12 @@ class BatchSimulator:
         for name, contents in plan.rom_contents.items():
             self.memories[name] = _np.tile(
                 _np.array(contents, dtype=_np.int64), (n_lanes, 1))
+        # Per memory: a flat view, and where each lane's row starts in it.
+        self._flat = {name: memory.reshape(-1)
+                      for name, memory in self.memories.items()}
+        self._row_starts = {
+            name: _np.arange(n_lanes) * memory.shape[1]
+            for name, memory in self.memories.items()}
         for rf_name, inits in plan.initial_registers.items():
             for register, value in inits:
                 self.registers[rf_name][:, register] = value
@@ -849,7 +1135,7 @@ class BatchSimulator:
             elif sem == SEM_ASR:
                 result = self._wrap(values[0] >> op.constant)
             elif sem == SEM_RAM_READ or sem == SEM_ROM_READ:
-                result = self._memory_gather(op.target, lanes, values[0])
+                result = self._memory_gather(op.target, ctx, values[0])
             elif sem == SEM_RAM_WRITE:
                 memory_writes.append(
                     (op.target, _owned(values[0]), _owned(values[1])))
@@ -892,7 +1178,7 @@ class BatchSimulator:
                 )
             registers[write.rf][index, write.addr] = bus_values[write.bus]
         for memory, address, value in memory_writes:
-            self._memory_scatter(memory, lanes, address, value)
+            self._memory_scatter(memory, ctx, address, value)
         if alu_result is not None and self.plan.n_flags:
             self.flags[index, 0] = _np.asarray(alu_result) < 0
             if self.plan.n_flags > 1:
@@ -901,33 +1187,43 @@ class BatchSimulator:
         ctx.cycle += 1
         return self._advance(ctx, word)
 
-    def _memory_gather(self, name: str, lanes, address):
-        memory = self.memories[name]
-        size = memory.shape[1]
-        addresses = _np.asarray(address)
-        if addresses.ndim == 0:
-            addresses = _np.full(len(lanes), int(address), dtype=_np.int64)
-        bad = (addresses < 0) | (addresses >= size)
-        if bad.any():
-            offender = int(addresses[bad][0])
-            raise SimulationError(
-                f"address {offender} outside memory {name!r} (size {size})"
-            )
-        return memory[lanes, addresses]
+    def _memory_gather(self, name: str, ctx: _Context, address):
+        """Every lane of ``ctx`` reads memory ``name``.  The result is an
+        owned array: a result still in flight must not see a later RAM
+        write (a full-lane column read is a view, so it is copied)."""
+        if isinstance(address, int):
+            self._check_address(name, address)
+            column = self.memories[name][ctx.index, address]
+            return column.copy() if isinstance(ctx.index, slice) else column
+        return self._flat[name][self._offsets(name, ctx, address)]
 
-    def _memory_scatter(self, name: str, lanes, address, value) -> None:
-        memory = self.memories[name]
-        size = memory.shape[1]
-        addresses = _np.asarray(address)
-        if addresses.ndim == 0:
-            addresses = _np.full(len(lanes), int(address), dtype=_np.int64)
-        bad = (addresses < 0) | (addresses >= size)
-        if bad.any():
-            offender = int(addresses[bad][0])
+    def _memory_scatter(self, name: str, ctx: _Context, address,
+                        value) -> None:
+        if isinstance(address, int):
+            self._check_address(name, address)
+            self.memories[name][ctx.index, address] = value
+        else:
+            self._flat[name][self._offsets(name, ctx, address)] = value
+
+    def _check_address(self, name: str, address: int) -> None:
+        """Range-check an address every lane shares (an immediate)."""
+        size = self.memories[name].shape[1]
+        if not 0 <= address < size:
             raise SimulationError(
-                f"address {offender} outside memory {name!r} (size {size})"
-            )
-        memory[lanes, addresses] = value
+                f"address {address} outside memory {name!r} (size {size})")
+
+    def _offsets(self, name: str, ctx: _Context, addresses):
+        """Offsets into the flattened memory ``name`` of one address per
+        lane of ``ctx``; raises for the first lane whose address is
+        outside the memory."""
+        size = self.memories[name].shape[1]
+        # Seen as unsigned, a negative address is too large as well.
+        if (addresses.view(_np.uint64) >= size).any():
+            self._check_address(name, int(
+                addresses[(addresses < 0) | (addresses >= size)][0]))
+        if isinstance(ctx.index, slice):
+            return self._row_starts[name] + addresses
+        return ctx.lanes * size + addresses
 
     def _input_read(self, ctx: _Context, port: str):
         cursor = ctx.cursors.get(port, 0)

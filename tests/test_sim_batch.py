@@ -13,9 +13,11 @@ and cycle counts directly.  The suite covers:
   pipelined-OPU in-flight results,
 * engine resolution (``auto`` by lane count and data width, an
   undecodable image raising :class:`~repro.sim.PlanError`),
-* the plan memo (one decode per program, a fresh one after an edit,
-  no plan outliving its program) and the numpy engine's register views
-  on full-lane contexts,
+* the plan memo (one decode and one step-code build per program, fresh
+  ones after an edit, neither outliving its program), the numpy
+  engine's register views on full-lane contexts, generated step code
+  on a core whose names are not Python identifiers, and in-place edits
+  of the decoded engine's registers and memories reaching that code,
 * the short-stimulus guard and the ``sim.*`` telemetry counters.
 """
 
@@ -39,10 +41,12 @@ from repro import (
 from repro.analyze import lint_program
 from repro.apps import fir_application, lms_application
 from repro.arch import ControllerSpec, CtrlOp, fir_core
+from repro.arch.serialize import core_from_dict, core_to_dict
 from repro.encode import CTRL_OPCODES
 from repro.encode.assembler import EncodedProgram
 from repro.errors import SimulationError
 from repro.fixed import FixedFormat
+from repro.lang.builder import DfgBuilder
 from repro.sim import (
     ENGINES,
     NUMPY_AVAILABLE,
@@ -109,12 +113,12 @@ def fresh_copy(program):
         output_map=dict(program.output_map))
 
 
-def count_decodes(action):
-    """(``sim.decodes`` counted while ``action`` ran, its result)."""
+def count_decodes(action, counter="sim.decodes"):
+    """(``counter`` counted while ``action`` ran, its result)."""
     obs = Telemetry()
     with use_telemetry(obs):
         result = action()
-    return obs.counters.get("sim.decodes", 0), result
+    return obs.counters.get(counter, 0), result
 
 
 class TestDecodePlan:
@@ -185,6 +189,191 @@ class TestPlanMemo:
         gc.collect()
         assert plan() is None
         assert key not in batch_module._PLANS
+
+    def test_ten_runs_generate_once(self, fir_program):
+        program = fresh_copy(fir_program)
+        streams = random_streams(["x"], 4, seed=4)
+
+        def runs():
+            for _ in range(10):
+                run_program(program, streams, engine="decoded")
+
+        assert count_decodes(runs, "sim.codegens")[0] == 1
+        assert count_decodes(runs, "sim.codegens")[0] == 0
+
+    def test_word_edit_generates_new_code(self, fir_program):
+        program = fresh_copy(fir_program)
+        first = decode_program(program)
+        code = first.step_binder
+        index = next(w.index for w in first.words if w.ops)
+        program.words[index] = program.format.encode(
+            {"ctrl.op": CTRL_OPCODES[CtrlOp.CONT]})
+        codegens, second = count_decodes(
+            lambda: decode_program(program).step_binder, "sim.codegens")
+        assert codegens == 1
+        assert decode_program(program) is not first
+        assert second is not code
+        lanes = [random_streams(["x"], 4, seed=s) for s in range(3)]
+        assert run_batch(program, lanes, engine="decoded") == [
+            run_program(program, lane, engine="decoded") for lane in lanes]
+        if NUMPY_AVAILABLE:
+            assert run_batch(program, lanes, engine="decoded") == \
+                run_batch(program, lanes, engine="numpy")
+
+    def test_code_dies_with_its_program(self, fir_program):
+        program = fresh_copy(fir_program)
+        run_program(program, random_streams(["x"], 4, seed=2),
+                    engine="decoded")
+        code = weakref.ref(decode_program(program).step_binder)
+        del program
+        gc.collect()
+        assert code() is None
+
+
+#: Quotes, braces, a backslash and a newline: nothing of a core's names
+#: may reach generated step code except through an index.
+ODD = "'\"{}}\\\n"
+
+
+def odd(name):
+    return name + ODD
+
+
+@pytest.fixture(scope="module")
+def odd_compiled():
+    """A two-tap filter on a fir core whose register files, RAM, IO
+    units, IO ports and core name all end in :data:`ODD`."""
+    data = core_to_dict(fir_core(ram_size=16))
+    data["name"] = odd(data["name"])
+    datapath = data["datapath"]
+    units = {"ram", "ipb", "opb"}
+    for rf in datapath["register_files"]:
+        rf["name"] = odd(rf["name"])
+    for unit in datapath["opus"]:
+        if unit["name"] in units:
+            unit["name"] = odd(unit["name"])
+        for port in unit["ports"]:
+            if port["register_file"] is not None:
+                port["register_file"] = odd(port["register_file"])
+    for route in datapath["routes"]:
+        route["register_file"] = odd(route["register_file"])
+    for class_def in data["class_defs"]:
+        if class_def["opu"] in units:
+            class_def["opu"] = odd(class_def["opu"])
+    builder = DfgBuilder("odd")
+    x = builder.input(odd("x"))
+    delay = builder.state("d", depth=2)
+    builder.write(delay, x)
+    builder.output(odd("y"), builder.op(
+        "add", builder.op("mult", builder.param("h0", 0.5), x),
+        builder.op("mult", builder.param("h1", 0.25),
+                   builder.delay(delay, 1))))
+    return Toolchain(core_from_dict(data), OPTIONS).compile(builder.build())
+
+
+class TestGeneratedSource:
+    @pytest.mark.parametrize("engine", BATCH_ENGINES)
+    def test_odd_names_match_reference(self, odd_compiled, engine):
+        lanes = [random_streams([odd("x")], 8, seed=s) for s in range(8)]
+        assert run_batch(odd_compiled.binary, lanes, engine=engine) == \
+            reference_oracle(odd_compiled, lanes)
+
+    @pytest.mark.parametrize("engine", BATCH_ENGINES)
+    def test_address_error_names_the_memory(self, odd_compiled, engine):
+        # The ACU walks the delay line modulo 100 from 50: past the
+        # 16-word RAM at the first access.
+        program = odd_compiled.binary
+        image = dataclasses.replace(
+            program, acu_moduli={unit: 100 for unit in program.acu_moduli},
+            initial_registers={**program.initial_registers,
+                               odd("rf_acu"): [(0, 50)]})
+        with pytest.raises(SimulationError) as error:
+            run_program(image, random_streams([odd("x")], 4, seed=1),
+                        engine=engine)
+        assert f"outside memory {odd('ram')!r} (size 16)" in \
+            str(error.value)
+
+def fill_memories(sim):
+    """Every memory of ``sim`` holds ``10 * address``, edited in place."""
+    for memory in sim.memories.values():
+        memory[:] = range(0, 10 * len(memory), 10)
+
+
+class TestLiveState:
+    """The decoded engine's register files and memories are the lists
+    its generated code holds: an edit made in place before a run is seen
+    by the run."""
+
+    @staticmethod
+    def run(program, edit):
+        sim = DecodedSimulator(decode_program(program))
+        sim.load_inputs(random_streams(["x"], 4, seed=5))
+        edit(sim)
+        return sim.run_frames(4)
+
+    def test_memory_edit_is_seen(self, fir_program):
+        assert self.run(fir_program, fill_memories) != \
+            self.run(fir_program, lambda sim: None)
+
+    def test_register_edit_is_seen(self, fir_program):
+        # The ACU's base register picks which delay-line words are read.
+        def base(value):
+            def edit(sim):
+                fill_memories(sim)
+                sim.registers["rf_acu"][0] = value
+            return edit
+
+        assert self.run(fir_program, base(7)) != \
+            self.run(fir_program, base(0))
+
+    def test_stepping_each_word_matches_a_run(self, lms_program):
+        # ``step()`` enters a straight-line block at any of its words.
+        plan = decode_program(lms_program)
+        streams = random_streams(["x", "d"], 3, seed=8)
+        ran, stepped = DecodedSimulator(plan), DecodedSimulator(plan)
+        ran.load_inputs(streams)
+        stepped.load_inputs(streams)
+        outputs = ran.run_frames(3)
+        stepped.start_tokens = 3
+        while stepped.cycle < ran.cycle:
+            stepped.step()
+        assert (stepped.pc, stepped.registers, stepped.memories) == \
+            (ran.pc, ran.registers, ran.memories)
+        assert {port: values for port, values in stepped.outputs.items()
+                if values} == outputs
+
+
+class TestAddressBounds:
+    """The decoded engine tests every address of a word at once: one
+    past either end of a memory faults, with the interpreter's message,
+    and its first and last words do not."""
+
+    @pytest.mark.parametrize("ram_size", [12, 16])   # a power of 2 or not
+    @pytest.mark.parametrize("sem", [batch_module.SEM_RAM_READ,
+                                     batch_module.SEM_RAM_WRITE])
+    def test_ram_access(self, ram_size, sem):
+        compiled = Toolchain(fir_core(ram_size=ram_size), OPTIONS).compile(
+            fir_application([0.25, 0.5, -0.125, 0.3]))
+        plan = decode_program(compiled.binary)
+        word, (_, rf, register) = next(
+            (word.index, op.operands[0])
+            for word in plan.words for op in word.ops if op.sem == sem)
+        for address in (-1, 0, ram_size - 1, ram_size):
+            sim = DecodedSimulator(plan)
+            sim.load_inputs(random_streams(["x"], 2, seed=1))
+            sim.start_tokens = 1
+            while sim.pc != word:
+                sim.step()
+            sim.registers[rf][register] = address
+            if 0 <= address < ram_size:
+                sim.step()
+                continue
+            with pytest.raises(SimulationError) as error:
+                sim.step()
+            assert str(error.value) == (
+                f"address {address} outside memory 'ram' "
+                f"(size {ram_size})")
+
 
 class TestDifferentialApps:
     """Compiled applications: every engine equals the reference."""
@@ -293,6 +482,22 @@ class TestControlFlowEdges:
             assert list(simulator.registers["rf_alu_p0"][:, 0]) == [24] * 6
             assert simulator.lane_cycles == 6 * single.cycle
 
+    def test_idle_after_straight_line_waits_before_it(self):
+        # Two CONT words run into an IDLE: with no frame signal the run
+        # stops at the IDLE without issuing it, and one frame later it
+        # has issued the IDLE and the add once more.
+        core = make_core()
+        pb = ProgramBuilder(core)
+        pb.const_p1(1, 0)
+        pb.alu("add", a=0, b=0, dest=("rf_alu_p0", 0))
+        pb.word(ctrl=CtrlOp.IDLE)
+        pb.word(ctrl=CtrlOp.JUMP, arg=1)
+        sim = DecodedSimulator(decode_program(pb.build()))
+        sim.run_frames(0)
+        assert (sim.pc, sim.cycle, sim.registers["rf_alu_p0"][0]) == (2, 2, 1)
+        sim.run_frames(1)
+        assert (sim.pc, sim.cycle, sim.registers["rf_alu_p0"][0]) == (2, 5, 2)
+
     @pytest.mark.parametrize("engine", BATCH_ENGINES)
     def test_pipelined_opu_latency(self, engine):
         toolchain = Toolchain(pipelined_core(mult_latency=2), OPTIONS)
@@ -400,6 +605,66 @@ class TestRegisterViews:
 
         assert run_batch(program, lanes, n_frames=0, engine=engine) == \
             [expected(*lane["x"]) for lane in lanes]
+
+
+@pytest.mark.skipif(not NUMPY_AVAILABLE, reason="numpy not installed")
+class TestMemoryAccess:
+    """The numpy engine's RAM reads and writes, one address per lane or
+    one immediate for all, on full-lane and split contexts."""
+
+    @pytest.fixture
+    def simulator(self, fir_program):
+        simulator = batch_module.BatchSimulator(
+            decode_program(fir_program), 6)
+        (name,) = simulator.plan.ram_sizes
+        simulator.memories[name][:] = batch_module._np.arange(
+            6 * 256).reshape(6, 256)
+        return simulator, name
+
+    def contexts(self):
+        np = batch_module._np
+        full = batch_module._Context(lanes=np.arange(6), index=slice(None))
+        split = batch_module._Context(lanes=np.array([1, 4, 5]))
+        return full, split
+
+    def test_lane_addresses_pair_each_lane_with_its_own(self, simulator):
+        simulator, name = simulator
+        np = batch_module._np
+        memory = simulator.memories[name]
+        for ctx in self.contexts():
+            addresses = np.array([3, 0, 255, 7, 7, 1])[:len(ctx.lanes)]
+            expected = memory[ctx.lanes, addresses]
+            assert simulator._memory_gather(
+                name, ctx, addresses).tolist() == expected.tolist()
+            simulator._memory_scatter(name, ctx, addresses, -addresses)
+            assert memory[ctx.lanes, addresses].tolist() == \
+                (-addresses).tolist()
+
+    def test_immediate_read_is_owned(self, simulator):
+        # A read still in flight must not see a later write to its word.
+        simulator, name = simulator
+        for ctx in self.contexts():
+            value = simulator._memory_gather(name, ctx, 9)
+            before = value.tolist()
+            simulator._memory_scatter(name, ctx, 9, 12345)
+            assert value.tolist() == before
+            assert simulator._memory_gather(name, ctx, 9).tolist() == \
+                [12345] * len(ctx.lanes)
+
+    def test_address_outside_names_the_first_lane(self, simulator):
+        simulator, name = simulator
+        np = batch_module._np
+        for ctx in self.contexts():
+            addresses = np.array([4, -2, 256, 5, 300, 1])[:len(ctx.lanes)]
+            for action in (
+                    lambda: simulator._memory_gather(name, ctx, addresses),
+                    lambda: simulator._memory_scatter(
+                        name, ctx, addresses, 0)):
+                with pytest.raises(SimulationError,
+                                   match=r"address -2 outside memory"):
+                    action()
+            with pytest.raises(SimulationError, match="address 256 outside"):
+                simulator._memory_gather(name, ctx, 256)
 
 
 class TestShortStreams:

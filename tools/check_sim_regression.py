@@ -10,9 +10,10 @@ Absolute cycles/second is machine-dependent, so the guard compares
 run's reference interpreter (``repro.run_reference`` over the same
 stimulus), and that ratio survives slower or faster CI hardware.  An
 engine whose speedup at some batch width fell below
-``baseline / max-ratio`` fails; the numpy engine at the widest batch
-additionally must clear the absolute ``--min-numpy-speedup`` floor
-over the reference (the repo's acceptance threshold).
+``baseline / max-ratio`` fails.  Two engines must also clear an
+absolute floor over the reference (the repo's acceptance thresholds):
+the decoded engine at the narrowest batch ``--min-decoded-speedup``,
+and the numpy engine at the widest batch ``--min-numpy-speedup``.
 
 A (width, engine) pair missing from the baseline — a newly added
 width or engine — is reported as informational, never a failure;
@@ -23,7 +24,8 @@ Usage::
 
     python tools/check_sim_regression.py BENCH_sim.json \
         [--baseline benchmarks/sim_baseline.json] \
-        [--max-ratio 4.0] [--min-numpy-speedup 10.0]
+        [--max-ratio 4.0] [--min-decoded-speedup 2.0] \
+        [--min-numpy-speedup 10.0]
 
 Exits 0 when every speedup is within bounds, 1 otherwise.
 """
@@ -63,6 +65,10 @@ def main(argv: list[str]) -> int:
     parser.add_argument("--max-ratio", type=float, default=4.0,
                         help="largest tolerated speedup shrink vs the "
                              "baseline (default 4.0)")
+    parser.add_argument("--min-decoded-speedup", type=float, default=2.0,
+                        help="absolute floor for the decoded engine's "
+                             "speedup over the reference at the narrowest "
+                             "batch (default 2.0)")
     parser.add_argument("--min-numpy-speedup", type=float, default=10.0,
                         help="absolute floor for the numpy engine's "
                              "speedup over the reference at the widest "
@@ -91,23 +97,33 @@ def main(argv: list[str]) -> int:
                 f"{value:.1f}x (baseline {base:.1f}x, floor {floor:.1f}x "
                 f"at --max-ratio {args.max_ratio:.1f})")
 
-    if current.get("numpy_available"):
-        widths = sorted(current.get("batch", {}), key=int)
-        if widths:
-            widest = widths[-1]
-            value = current_speedups.get((widest, "numpy"))
-            if value is None:
-                problems.append(
-                    f"N={widest}: numpy is available but the record has "
-                    f"no numpy speedup")
-            elif value < args.min_numpy_speedup:
-                problems.append(
-                    f"N={widest} numpy: {value:.1f}x over the reference "
-                    f"is below the absolute "
-                    f"{args.min_numpy_speedup:.1f}x floor")
-    else:
+    widths = sorted(current.get("batch", {}), key=int)
+    if widths:
+        narrowest = widths[0]
+        value = current_speedups.get((narrowest, "decoded"))
+        if value is None:
+            problems.append(
+                f"N={narrowest}: the record has no decoded speedup")
+        elif value < args.min_decoded_speedup:
+            problems.append(
+                f"N={narrowest} decoded: {value:.1f}x over the reference "
+                f"is below the absolute "
+                f"{args.min_decoded_speedup:.1f}x floor")
+    if not current.get("numpy_available"):
         notes.append("record was produced without numpy; numpy rows "
                      "not checked")
+    elif widths:
+        widest = widths[-1]
+        value = current_speedups.get((widest, "numpy"))
+        if value is None:
+            problems.append(
+                f"N={widest}: numpy is available but the record has "
+                f"no numpy speedup")
+        elif value < args.min_numpy_speedup:
+            problems.append(
+                f"N={widest} numpy: {value:.1f}x over the reference "
+                f"is below the absolute "
+                f"{args.min_numpy_speedup:.1f}x floor")
 
     for note in notes:
         print(f"note: {note}")
