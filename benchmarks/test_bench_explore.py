@@ -16,9 +16,11 @@ feedback is unchanged, and writes the measured numbers to
 
 from __future__ import annotations
 
+import copy
 import importlib
 import json
 import os
+import statistics
 import time
 from pathlib import Path
 
@@ -34,9 +36,19 @@ from repro.arch import (
     pareto_front,
 )
 from repro.errors import ReproError
-from repro.pipeline import DiskCache, ExploreCache
+from repro.pipeline import DiskCache, ExploreCache, dfg_fingerprint
 
 RESULTS_PATH = Path(__file__).resolve().parent.parent / "BENCH_explore.json"
+
+#: Warm re-sweeps (and source renderings) sampled for their medians.
+WARM_SAMPLES = 41
+
+#: Ceiling on a warm re-sweep's median over the median cost of
+#: rendering the sweep's sources once.  A re-sweep that renders every
+#: source again costs more than one rendering of them (about 1.3x on a
+#: 2-CPU box); with each graph rendered once while unchanged it costs
+#: about 0.37x.
+MAX_RESWEEP_PER_SOURCE_HASH = 0.9
 
 
 def application_set():
@@ -133,6 +145,27 @@ def test_bench_explore_speedup(monkeypatch, tmp_path):
         f"vs {seed_seconds:.2f}s"
     assert warm_seconds <= staged_seconds * 0.5
 
+    # The designer's inner loop, sampled: warm re-sweeps against one
+    # rendering of the sweep's sources (fresh shallow copies, so no
+    # digest is remembered), interleaved so that load shifts both.
+    resweep_ms, source_hash_ms = [], []
+    for _ in range(WARM_SAMPLES):
+        t0 = time.perf_counter()
+        explore(dfgs, allocations, cache=cache)
+        resweep_ms.append((time.perf_counter() - t0) * 1e3)
+        copies = [copy.copy(dfg) for dfg in dfgs]
+        t0 = time.perf_counter()
+        for dfg in copies:
+            dfg_fingerprint(dfg)
+        source_hash_ms.append((time.perf_counter() - t0) * 1e3)
+    warm_resweep_ms = statistics.median(resweep_ms)
+    source_hash_median = statistics.median(source_hash_ms)
+    resweep_per_hash = warm_resweep_ms / source_hash_median
+    assert resweep_per_hash <= MAX_RESWEEP_PER_SOURCE_HASH, \
+        f"a warm re-sweep ({warm_resweep_ms:.3f} ms) costs " \
+        f"{resweep_per_hash:.2f}x rendering its sources " \
+        f"({source_hash_median:.3f} ms)"
+
     # Persistent disk cache: a cold sweep fills the store; the "next
     # morning's" sweep — a fresh process, empty memory tiers, the same
     # cache directory — must come from disk, not from recompiling.
@@ -164,6 +197,9 @@ def test_bench_explore_speedup(monkeypatch, tmp_path):
         "warm_cache_seconds": round(warm_seconds, 4),
         "staged_speedup": round(seed_seconds / staged_seconds, 3),
         "warm_cache_speedup": round(seed_seconds / warm_seconds, 1),
+        "warm_resweep_ms": round(warm_resweep_ms, 4),
+        "source_hash_ms": round(source_hash_median, 4),
+        "warm_resweep_per_source_hash": round(resweep_per_hash, 3),
         "disk_cold_seconds": round(disk_cold_seconds, 4),
         "disk_warm_seconds": round(disk_warm_seconds, 4),
         "disk_warm_speedup": round(disk_cold_seconds / disk_warm_seconds, 1),
@@ -192,6 +228,8 @@ def test_bench_explore_speedup(monkeypatch, tmp_path):
               f"({results['parallel_speedup']:.2f}x)")
     print(f"  warm candidate cache          : {warm_seconds:8.3f}s "
           f"({seed_seconds / warm_seconds:.0f}x)")
+    print(f"  warm re-sweep, median         : {warm_resweep_ms:8.3f}ms "
+          f"({resweep_per_hash:.2f}x rendering the sources)")
     print(f"  disk cache, cold fill         : {disk_cold_seconds:8.3f}s")
     print(f"  disk cache, new process       : {disk_warm_seconds:8.3f}s "
           f"({disk_cold_seconds / disk_warm_seconds:.0f}x)")

@@ -60,6 +60,26 @@ def optimizer_calls(monkeypatch):
     return calls
 
 
+@pytest.fixture
+def hashed(monkeypatch):
+    """The first part of every digest computed, in call order: "dfg"
+    for a graph rendering (``dfg_fingerprint``), "explore" for a
+    candidate key (which ``explore`` builds through ``repro.pipeline``)."""
+    import repro.pipeline
+    import repro.pipeline.artifacts as artifacts_module
+
+    kinds = []
+    real = artifacts_module.fingerprint
+
+    def counting(*parts):
+        kinds.append(parts[0])
+        return real(*parts)
+
+    monkeypatch.setattr(artifacts_module, "fingerprint", counting)
+    monkeypatch.setattr(repro.pipeline, "fingerprint", counting)
+    return kinds
+
+
 class TestIntermediateArchitecture:
     def test_is_style_valid(self):
         core = intermediate_architecture(app_set())
@@ -330,6 +350,35 @@ class TestExploration:
                          cache=cache)
         assert cache.hits == 1
         assert second[0].schedule_lengths == first[1].schedule_lengths
+
+    def test_warm_resweep_renders_no_graph(self, hashed):
+        dfgs = app_set()
+        allocations = [Allocation(), Allocation(n_alu=2), Allocation(n_mult=2)]
+        cache = ExploreCache()
+        cold = explore(dfgs, allocations, cache=cache)
+        # The cold sweep renders each source and its optimized graph.
+        assert hashed.count("dfg") == 2 * len(dfgs)
+        hashed.clear()
+        warm = explore(dfgs, allocations, cache=cache)
+        assert hashed == ["explore"] * len(allocations)
+        assert warm == cold
+
+    def test_source_edited_in_place_is_optimized_again(
+            self, optimizer_calls):
+        dfgs = app_set()
+        allocations = [Allocation(), Allocation(n_alu=2)]
+        cache = ExploreCache()
+        before = explore(dfgs, allocations, cache=cache)
+        fir = dfgs[1]
+        # Two zero taps fold away: the schedule gets shorter.
+        fir.params["h1"] = fir.params["h2"] = 0.0
+        edited = explore(dfgs, allocations, cache=cache)
+        assert optimizer_calls == [d.name for d in dfgs] + [fir.name]
+        fresh = explore(dfgs, allocations, cache=ExploreCache())
+        assert [p.schedule_lengths for p in edited] == \
+            [p.schedule_lengths for p in fresh]
+        assert edited[0].schedule_lengths[fir.name] < \
+            before[0].schedule_lengths[fir.name]
 
     def test_opt_level_shortens_or_keeps_lengths(self):
         dfgs = [stress_application(6, seed=2)]

@@ -7,10 +7,14 @@ binaries between cached and cold compiles, and the
 the cache keys rest on.
 """
 
+import copy
+import dataclasses
+import gc
 import json
 import os
 import subprocess
 import sys
+import weakref
 from pathlib import Path
 
 import pytest
@@ -28,7 +32,9 @@ from repro import (
 )
 from repro.apps import audio_application, audio_io_binding
 from repro.errors import OptionsError
+from repro.gen import GenSpec, generate_dfg
 from repro.lang import parse_source
+from repro.lang.dfg import Node, NodeKind, StateSpec
 from repro.options import SEMANTIC_FIELDS
 from repro.pipeline import (
     PIPELINE_STAGES,
@@ -39,9 +45,12 @@ from repro.pipeline import (
     core_fingerprint,
     dfg_fingerprint,
 )
+from repro.pipeline import artifacts as artifacts_module
 from repro.pipeline import stages as stages_module
 from repro.pipeline.session import encode_pack
 from repro.pipeline.stages import chain_keys
+
+from builtin_apps import BUILTIN_APPS
 
 SOURCE = """
 app opts;
@@ -413,6 +422,14 @@ class TestKeyChain:
         tc.compile(graph)
         assert hashed == [graph]
 
+    def test_an_unchanged_graph_is_rendered_once(self, dfg_renders):
+        tc = toolchain(budget=64)
+        graph = parse_source(SOURCE)
+        first = tc.compile(graph)
+        second = tc.compile(graph)
+        assert dfg_renders == [graph.name]
+        assert words_of(second) == words_of(first)
+
     def test_keys_are_known_before_any_stage_runs(self):
         request = CompileRequest(application=SOURCE, core=audio_core(),
                                  options=CompileOptions(budget=64))
@@ -420,6 +437,103 @@ class TestKeyChain:
         state = toolchain(budget=64).run_pipeline(SOURCE)
         assert keys == [state.fingerprints[name] for name in STAGE_NAMES]
         assert len(set(keys)) == N_STAGES
+
+
+@pytest.fixture
+def dfg_renders(monkeypatch):
+    """The graph renderings :func:`dfg_fingerprint` pays for (its
+    ``fingerprint("dfg", ...)`` calls), counted as they happen."""
+    renders = []
+    real = artifacts_module.fingerprint
+
+    def counting(*parts):
+        if parts[0] == "dfg":
+            renders.append(parts[1])
+        return real(*parts)
+
+    monkeypatch.setattr(artifacts_module, "fingerprint", counting)
+    return renders
+
+
+def fresh_digest(dfg) -> str:
+    """The digest of an equal graph that was never fingerprinted."""
+    twin = copy.deepcopy(dfg)
+    assert id(twin) not in artifacts_module._DFG_DIGESTS
+    return dfg_fingerprint(twin)
+
+
+#: Graphs the digest memo is checked over: every builtin application
+#: and a few generated ones.
+MEMO_GRAPHS = {
+    **{name: factory for name, (factory, _, _) in BUILTIN_APPS.items()},
+    **{f"gen_{seed}": (lambda seed=seed: generate_dfg(GenSpec(), seed))
+       for seed in (1, 2, 3)},
+}
+
+
+def edit_append_node(dfg):
+    dfg.nodes.append(Node(id=len(dfg.nodes), kind=NodeKind.OUTPUT,
+                          name=dfg.outputs[0], args=(0,)))
+
+
+def edit_replace_node(dfg):
+    node = dfg.nodes[-1]
+    dfg.nodes[-1] = dataclasses.replace(node, label=(node.label or "") + "_")
+    dfg.invalidate_consumers()
+
+
+def set_param(value):
+    def edit(dfg):
+        dfg.params[next(iter(dfg.params))] = value
+    return edit
+
+
+def edit_rename_param(dfg):
+    name = next(iter(dfg.params))
+    dfg.params[name + "_"] = dfg.params.pop(name)
+
+
+def edit_rename_graph(dfg):
+    dfg.name += "_"
+
+
+def edit_reorder_ports(dfg):
+    dfg.inputs.append(dfg.inputs.pop(0))
+    dfg.outputs.append(dfg.outputs.pop(0))
+
+
+def edit_rename_port(dfg):
+    dfg.outputs[0] += "_"
+
+
+def edit_state_depth(dfg):
+    name, spec = next(iter(dfg.states.items()))
+    dfg.states[name] = StateSpec(name, spec.depth + 1)
+
+
+#: In-place edits of the audio graph that change what its digest renders.
+IN_PLACE_EDITS = {
+    "append_node": edit_append_node,
+    "replace_node": edit_replace_node,
+    "param_negative_zero": set_param(-0.0),
+    "param_int": set_param(1),
+    "rename_param": edit_rename_param,
+    "rename_graph": edit_rename_graph,
+    "reorder_ports": edit_reorder_ports,
+    "rename_port": edit_rename_port,
+    "state_depth": edit_state_depth,
+}
+
+
+def edit_base(name):
+    """The audio graph to edit: the signed-zero and int edits start
+    from the parameter values they must be told apart from."""
+    dfg = audio_application()
+    if name == "param_negative_zero":
+        set_param(0.0)(dfg)
+    elif name == "param_int":
+        set_param(1.0)(dfg)
+    return dfg
 
 
 class TestFingerprints:
@@ -432,6 +546,50 @@ class TestFingerprints:
     def test_core_fingerprint_distinguishes_cores(self):
         assert core_fingerprint(audio_core()) == core_fingerprint(audio_core())
         assert core_fingerprint(audio_core()) != core_fingerprint(tiny_core())
+
+    def test_audio_digest_is_pinned(self):
+        """Stage keys and every persistent store rest on this digest."""
+        assert dfg_fingerprint(audio_application()) == (
+            "f221d37f5d20de4bf93a6dd6676d8975d9eeb22dab1e831407bee2d29e95da0a")
+
+    @pytest.mark.parametrize("name", sorted(MEMO_GRAPHS))
+    def test_a_graph_is_rendered_once(self, name, dfg_renders):
+        dfg = MEMO_GRAPHS[name]()
+        first = dfg_fingerprint(dfg)
+        assert dfg_renders == [dfg.name]
+        assert dfg_fingerprint(dfg) == first
+        assert dfg_renders == [dfg.name]
+        assert fresh_digest(dfg) == first
+
+    @pytest.mark.parametrize("name", sorted(IN_PLACE_EDITS))
+    def test_an_in_place_edit_is_rendered_again(self, name, dfg_renders):
+        dfg = edit_base(name)
+        before = dfg_fingerprint(dfg)
+        IN_PLACE_EDITS[name](dfg)
+        after = dfg_fingerprint(dfg)
+        assert len(dfg_renders) == 2
+        assert after != before
+        assert after == fresh_digest(dfg)
+        assert dfg_fingerprint(dfg) == after
+        assert len(dfg_renders) == 3  # the fresh twin only
+
+    def test_an_equal_replacement_node_is_rendered_again(self, dfg_renders):
+        dfg = audio_application()
+        before = dfg_fingerprint(dfg)
+        dfg.nodes[0] = dataclasses.replace(dfg.nodes[0])
+        assert dfg_fingerprint(dfg) == before
+        assert len(dfg_renders) == 2
+
+    def test_digest_dies_with_its_graph(self):
+        dfg = audio_application()
+        dfg_fingerprint(dfg)
+        key = id(dfg)
+        graph = weakref.ref(dfg)
+        assert key in artifacts_module._DFG_DIGESTS
+        del dfg
+        gc.collect()
+        assert graph() is None
+        assert key not in artifacts_module._DFG_DIGESTS
 
 
 # ----------------------------------------------------------------------
