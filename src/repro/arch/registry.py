@@ -58,6 +58,13 @@ def list_cores() -> list[str]:
     return sorted(_REGISTRY)
 
 
+def registered_factory(name: str) -> Callable[[], CoreSpec] | None:
+    """The factory registered under ``name``, or None.  What keeps a
+    core bound across resolutions compares it to notice that the name
+    was re-registered."""
+    return _REGISTRY.get(name)
+
+
 def get_core(name: str) -> CoreSpec:
     """Instantiate the registered core ``name``."""
     factory = _REGISTRY.get(name)

@@ -11,9 +11,10 @@ Design constraints, in order:
   the hot paths permanently.
 * **Thread-correct.**  The span stack is thread-local (spans nest
   along each thread's own call stack); counters and event lists are
-  lock-guarded.  The *current registry* is process-global — scoping it
-  with :func:`use_telemetry` from concurrent threads is the one thing
-  this module does not arbitrate.
+  lock-guarded.  The *current registry* is the calling thread's
+  :func:`use_telemetry` scope, else the process-wide default
+  :func:`set_telemetry` installs, so concurrent threads each scoping
+  their own registry never see each other's counters.
 """
 
 from __future__ import annotations
@@ -22,6 +23,7 @@ import threading
 import time
 from collections import Counter
 from contextlib import contextmanager
+from contextvars import ContextVar
 from typing import Any, Callable, Iterator
 
 #: Canonical counter names every instrumented layer emits, with their
@@ -345,17 +347,27 @@ class Telemetry:
 
 #: The null default: recording costs one attribute check, stores nothing.
 _NULL = Telemetry(enabled=False)
+#: The process-wide default (:func:`set_telemetry`).
 _current: Telemetry = _NULL
+#: The calling thread's (or task's) :func:`use_telemetry` scope; None
+#: outside every scope, where the process-wide default applies.
+_scoped: ContextVar[Telemetry | None] = ContextVar("repro_telemetry",
+                                                   default=None)
 
 
 def current_telemetry() -> Telemetry:
-    """The process-wide registry instrumented code reports to."""
-    return _current
+    """The registry instrumented code reports to: the innermost
+    :func:`use_telemetry` scope of the calling thread, else the
+    process-wide default."""
+    scoped = _scoped.get()
+    return _current if scoped is None else scoped
 
 
 def set_telemetry(telemetry: Telemetry | None) -> Telemetry:
-    """Install ``telemetry`` as the process-wide registry (``None``
-    restores the null default).  Returns the previous registry."""
+    """Install ``telemetry`` as the process-wide default registry
+    (``None`` restores the null default).  Returns the previous
+    default.  A thread inside a :func:`use_telemetry` scope keeps
+    reporting to that scope."""
     global _current
     previous = _current
     _current = telemetry if telemetry is not None else _NULL
@@ -364,13 +376,16 @@ def set_telemetry(telemetry: Telemetry | None) -> Telemetry:
 
 @contextmanager
 def use_telemetry(telemetry: Telemetry | None):
-    """Scope the process-wide registry to a ``with`` block.
+    """Scope the calling thread's registry to a ``with`` block
+    (``None`` scopes it to the null registry).
 
-    The previous registry is restored on exit, so nested scopes (a
-    toolchain verb inside a CLI command) compose.
+    Other threads are unaffected: each sees its own scope, else the
+    process-wide default.  The previous scope is restored on exit, so
+    nested scopes (a toolchain verb inside a CLI command) compose.
     """
-    previous = set_telemetry(telemetry)
+    previous = _scoped.get()
+    _scoped.set(telemetry if telemetry is not None else _NULL)
     try:
         yield current_telemetry()
     finally:
-        set_telemetry(previous)
+        _scoped.set(previous)

@@ -79,11 +79,13 @@ from typing import Any, Sequence
 from ..arch.explore import EXPLORATION_POINT_VERSION, ExplorationPoint
 from ..arch.library import CoreSpec
 from ..lang.dfg import Dfg
+from ..lang.parser import parse_source
 from ..obs import current_telemetry
 from ..opt import optimize_machine_independent
+from ..options import CompileOptions
 from . import artifacts as _artifacts
 from .artifacts import CompileState, artifact_schema, dfg_fingerprint
-from .backend import CacheBackend
+from .backend import CacheBackend, open_backend
 
 
 def _core_ref() -> CoreSpec:
@@ -428,6 +430,17 @@ class StageCache(TwoTierCache):
         super().__init__(max_entries, disk)
         self.stats = CacheStats()
 
+    @classmethod
+    def placed(cls, options: CompileOptions) -> "StageCache":
+        """The cache ``options`` place: memory only without
+        ``disk_cache``, else over the backend ``cache_dir`` names (a
+        directory path, ``None`` for the default :class:`DiskCache`
+        placement, or ``"memory:<name>"`` for a process-shared
+        in-memory backend)."""
+        if options.disk_cache:
+            return cls(disk=open_backend(options.cache_dir))
+        return cls()
+
     def resolve(self, keys: Sequence[str], core: CoreSpec,
                 ) -> tuple[SnapshotStream, str | None]:
         """Find the deepest cached stage of a compile's key chain.
@@ -539,12 +552,14 @@ class ExploreCache(TwoTierCache):
     so the memo hands out the objects it holds.
 
     It also memoizes, in memory only, the sweep's front end
-    (:meth:`optimize`), so a re-sweep over the same sources runs no
-    optimizer pass.
+    (:meth:`parse` and :meth:`optimize`), so a re-sweep over the same
+    sources parses nothing and runs no optimizer pass.
     """
 
     def __init__(self, disk: "CacheBackend | None" = None):
         super().__init__(_EXPLORE_MEMORY_POINTS, disk)
+        # source text -> its parsed graph
+        self._parsed: dict[str, Dfg] = {}
         # (source fingerprint, opt level) -> (optimized graph, its
         # fingerprint)
         self._optimized: dict[tuple[str, int], tuple[Dfg, str]] = {}
@@ -565,6 +580,15 @@ class ExploreCache(TwoTierCache):
 
     def put(self, key: str, point: ExplorationPoint) -> None:
         self.store(key, point, _POINT_SCHEMA)
+
+    def parse(self, text: str) -> Dfg:
+        """``text`` parsed, memoized on the text.  The sweep only reads
+        its source graphs, so every sweep shares the one parsed graph
+        (and with it that graph's memoized fingerprint)."""
+        dfg = self._parsed.get(text)
+        if dfg is None:
+            dfg = self._parsed[text] = parse_source(text)
+        return dfg
 
     def optimize(self, dfg: Dfg, level: int) -> tuple[Dfg, str]:
         """``dfg`` machine-independently optimized at ``level``, with the

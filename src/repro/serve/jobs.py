@@ -27,6 +27,7 @@ from dataclasses import dataclass, field
 from typing import Any
 
 from ..errors import ReproError
+from ..obs.profile import percentile
 from ..options import CompileOptions
 from .protocol import (
     CANCELLED,
@@ -243,3 +244,32 @@ class JobStore:
         for job in self.jobs.values():
             counts[job.state] = counts.get(job.state, 0) + 1
         return counts
+
+    def latency(self) -> dict[str, dict[str, Any]]:
+        """Per terminal state, over the jobs the store retains: the job
+        count and the p50/p90 milliseconds of the queue wait (``started
+        - submitted``), of the worker-reported ``seconds`` and of the
+        whole turnaround (``finished - submitted``).  A percentile is
+        None when no job of the state has that time (a job cancelled
+        while queued never started)."""
+        samples = {state: {"queue_wait_ms": [], "worker_ms": [],
+                           "total_ms": []}
+                   for state in (DONE, FAILED, TIMEOUT, CANCELLED)}
+        for job in self.jobs.values():
+            if not job.terminal:
+                continue
+            times = samples[job.state]
+            if job.started is not None:
+                times["queue_wait_ms"].append(
+                    1e3 * (job.started - job.submitted))
+            if job.seconds is not None:
+                times["worker_ms"].append(1e3 * job.seconds)
+            times["total_ms"].append(1e3 * (job.finished - job.submitted))
+        return {
+            state: {"jobs": len(times["total_ms"]), **{
+                name: ({"p50": round(percentile(values, 50), 3),
+                        "p90": round(percentile(values, 90), 3)}
+                       if values else None)
+                for name, values in times.items()}}
+            for state, times in samples.items()
+        }

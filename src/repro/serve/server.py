@@ -8,7 +8,8 @@ web framework, same as the rest of this repo takes no dependencies.
 Endpoints (all JSON; every response stamps ``wire_version``)::
 
     GET  /v1/health                    liveness + served cores + mode
-    GET  /v1/stats                     queue/job/counter/cache snapshot
+    GET  /v1/stats                     queue/job/latency/counter/cache
+                                       snapshot
     POST /v1/jobs                      submit one compile  → 202 + job
     POST /v1/batch                     submit many         → 202 + jobs
     GET  /v1/jobs/{id}[?wait=S]        job status (long-poll up to S)
@@ -412,6 +413,7 @@ class CompileServer:
         return {
             "jobs": self.store.state_counts(),
             "queue_depth": len(self.store.pending),
+            "latency": self.store.latency(),
             "counters": dict(self.telemetry.counters),
             "cache": self._cache_stats()["cache"],
         }

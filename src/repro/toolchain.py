@@ -42,7 +42,6 @@ from .pipeline.artifacts import (
     CompileState,
     core_fingerprint,
 )
-from .pipeline.backend import open_backend
 from .pipeline.program import CompiledProgram
 from .pipeline.session import (
     _DEFAULT_CACHE,
@@ -84,9 +83,10 @@ class Toolchain:
     telemetry:
         A :class:`repro.obs.Telemetry` this toolchain's verbs report
         spans/counters/events to; ``None`` (the default) reports to the
-        process-wide registry (:func:`repro.obs.current_telemetry` —
-        the disabled null registry unless one was installed), so
-        instrumentation costs nothing until observability is wanted.
+        current registry (:func:`repro.obs.current_telemetry`: the
+        calling thread's ``use_telemetry`` scope, else the process-wide
+        default — the disabled null registry unless one was installed),
+        so instrumentation costs nothing until observability is wanted.
     """
 
     def __init__(
@@ -105,7 +105,7 @@ class Toolchain:
         self.bound = BoundCore(self.core)
         self.options: CompileOptions = options
         self.cache: StageCache | None = (
-            self._default_cache() if isinstance(cache, _DefaultCache)
+            StageCache.placed(options) if isinstance(cache, _DefaultCache)
             else cache
         )
         self.telemetry: Telemetry | None = telemetry
@@ -116,17 +116,9 @@ class Toolchain:
 
     def _obs(self) -> Telemetry:
         """The registry this toolchain reports to: the bound one, else
-        whatever is currently installed process-wide."""
+        the current one (:func:`repro.obs.current_telemetry`)."""
         return self.telemetry if self.telemetry is not None \
             else current_telemetry()
-
-    def _default_cache(self) -> StageCache:
-        if self.options.disk_cache:
-            # cache_dir is a *backend spec*: a directory path (or None
-            # for the default DiskCache placement), or "memory:<name>"
-            # for a process-shared in-memory backend.
-            return StageCache(disk=open_backend(self.options.cache_dir))
-        return StageCache()
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (f"Toolchain(core={self.core.name!r}, "
@@ -416,7 +408,8 @@ class Toolchain:
         unmemoized (a refined sweep then uses a transient in-call memo
         only, so its two phases never evaluate a candidate twice).
         Pass ``cache=ExploreCache(...)`` explicitly to override.  The
-        bound *core* is deliberately not used: exploration synthesizes
+        memo also keeps each source text's parsed graph, so a re-sweep
+        over text parses nothing.  The bound *core* is deliberately not used: exploration synthesizes
         its own intermediate candidates (phase 1 of the paper).
 
         ``progress`` is an optional callable invoked once per evaluated
@@ -431,12 +424,13 @@ class Toolchain:
         from .arch.explore import SweepSpec, explore, explore_refined
         from .lang.parser import parse_source
 
-        dfgs = [parse_source(app) if isinstance(app, str) else app
-                for app in applications]
         if isinstance(cache, _DefaultCache):
             if self.cache is not None and self._explore_cache is None:
                 self._explore_cache = ExploreCache(disk=self.cache.disk)
             cache = self._explore_cache
+        parse = parse_source if cache is None else cache.parse
+        dfgs = [parse(app) if isinstance(app, str) else app
+                for app in applications]
         obs = self._obs()
         with use_telemetry(obs), \
                 obs.span("explore", applications=len(dfgs), refine=refine):

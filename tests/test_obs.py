@@ -177,6 +177,51 @@ class TestDisabledIsFree:
                           "events": []}
 
 
+class TestScopes:
+    def test_use_telemetry_scopes_the_calling_thread_only(self):
+        mine, theirs = Telemetry(), Telemetry()
+        seen = {}
+        entered, checked = threading.Event(), threading.Event()
+
+        def other() -> None:
+            with use_telemetry(theirs):
+                entered.set()
+                checked.wait(5)
+                seen["inside"] = current_telemetry()
+            seen["after"] = current_telemetry()
+
+        thread = threading.Thread(target=other)
+        thread.start()
+        entered.wait(5)
+        with use_telemetry(mine):
+            assert current_telemetry() is mine
+            checked.set()
+            thread.join(5)
+            assert current_telemetry() is mine
+        assert seen["inside"] is theirs
+        assert not seen["after"].enabled
+
+    def test_set_telemetry_is_the_default_outside_scopes(self):
+        default, scoped = Telemetry(), Telemetry()
+        set_telemetry(default)
+        seen = []
+        with use_telemetry(scoped):
+            thread = threading.Thread(
+                target=lambda: seen.append(current_telemetry()))
+            thread.start()
+            thread.join(5)
+            assert current_telemetry() is scoped
+        assert seen == [default]
+        assert current_telemetry() is default
+
+    def test_none_scopes_the_null_registry(self):
+        set_telemetry(Telemetry())
+        with use_telemetry(None) as obs:
+            assert obs is current_telemetry()
+            assert not obs.enabled
+        assert current_telemetry().enabled
+
+
 class TestCounters:
     def test_every_emitted_counter_is_canonical(self):
         """A compile through both cache tiers only emits counters

@@ -10,14 +10,18 @@ shared cache backend (zero executed stages, proven through the
 ``stagecache.*`` counters the stats endpoint aggregates).
 """
 
+import sys
 import threading
 import time
+from concurrent.futures import ThreadPoolExecutor
 
 import pytest
 
-from repro import CompileOptions, Toolchain, audio_core
+from repro import CompileOptions, Toolchain, audio_core, fir_core
+from repro.arch import register_core, unregister_core
 from repro.errors import ReproError
 from repro.options import OPTIONS_SCHEMA_VERSION
+from repro.pipeline import artifacts
 from repro.pipeline.backend import _MEMORY_BACKENDS, open_backend
 from repro.serve import (
     ProtocolError,
@@ -29,6 +33,7 @@ from repro.serve import (
     parse_compile_request,
     run_worker,
     start_in_thread,
+    workers,
 )
 from repro.serve.protocol import job_payload
 
@@ -51,8 +56,10 @@ BAD_SOURCE = "app broken; loop { o = add(x, y); }"
 
 
 def fresh_memory(name: str) -> str:
-    """A guaranteed-empty named memory backend spec."""
+    """A guaranteed-empty named memory backend spec (this process's
+    workers forget what they kept, the memory tiers included)."""
     _MEMORY_BACKENDS.pop(name, None)
+    workers._STATE.clear()
     return f"memory:{name}"
 
 
@@ -142,6 +149,100 @@ class TestExecuteCompileJob:
         local = Toolchain(audio_core(), options, cache=None).compile(SOURCE)
         assert report["result"]["program"]["words"] == \
             [hex(word) for word in local.binary.words]
+
+
+def seeded_sources(count: int) -> list[str]:
+    """``count`` distinct applications (no two share a stage key)."""
+    return [SOURCE.replace("0.5", f"0.{k + 1:03d}")
+            .replace("app served", f"app served_{k}") for k in range(count)]
+
+
+class TestWorkerState:
+    """A worker keeps each core's binding and each backend spec's
+    memory tier across jobs; every job still reports its own
+    counters."""
+
+    def run(self, source: str, core: str = "audio", **options):
+        report = execute_compile_job(job_payload(
+            source, core, CompileOptions(**options), None, None))
+        assert report["ok"], report.get("error")
+        return report
+
+    def test_two_jobs_on_one_core_bind_it_once(self, monkeypatch):
+        calls = []
+        fingerprint = artifacts.core_fingerprint
+
+        def counted(core):
+            calls.append(core.name)
+            return fingerprint(core)
+
+        monkeypatch.setattr(artifacts, "core_fingerprint", counted)
+        spec = fresh_memory("t-bind")
+        self.run(SOURCE, cache_dir=spec)
+        self.run(SOURCE_B, cache_dir=spec, budget=64)
+        assert calls == ["audio"]
+
+    def test_reregistered_core_compiles_against_the_new_core(self):
+        spec = fresh_memory("t-rereg")
+        register_core("t-swapped", fir_core)
+        try:
+            first = self.run(SOURCE, "t-swapped", cache_dir=spec)
+            register_core("t-swapped", audio_core, replace=True)
+            second = self.run(SOURCE, "t-swapped", cache_dir=spec)
+        finally:
+            unregister_core("t-swapped")
+        for report, core in ((first, fir_core()), (second, audio_core())):
+            local = Toolchain(core, cache=None).compile(SOURCE)
+            assert report["result"]["program"]["words"] == \
+                [hex(word) for word in local.binary.words]
+        # Only parse and optimize, which never read the core, are shared.
+        assert second["result"]["cache"] == {
+            "executed": 6, "memory": 2, "disk": 0}
+
+    def test_seed_variant_restores_its_prefix_from_memory(self):
+        spec = fresh_memory("t-seed")
+        self.run(SOURCE, cache_dir=spec)
+        variant = self.run(SOURCE, cache_dir=spec, seed=7)
+        # parse ... impose are shared; schedule keys on the seed.
+        assert variant["result"]["cache"] == {
+            "executed": 3, "memory": 5, "disk": 0}
+
+    def test_report_carries_only_its_own_counters(self):
+        spec = fresh_memory("t-own")
+        first = self.run(SOURCE, cache_dir=spec)["counters"]
+        again = self.run(SOURCE, cache_dir=spec)["counters"]
+        assert first["stagecache.miss"] == 8
+        assert "stagecache.hit" not in first
+        assert again["stagecache.hit"] == 8
+        assert "stagecache.miss" not in again
+        assert "stagecache.store" not in again
+
+    def test_concurrent_thread_jobs_report_their_own_counters(self):
+        payloads = [job_payload(source, "audio",
+                                CompileOptions(disk_cache=False), None, None)
+                    for source in seeded_sources(40)]
+        # A process's first 19 compiles of these sources pickle 14
+        # bytes fewer each than later ones, so the sequential run that
+        # sets the expected counters is the second.
+        sequential = []
+        for _ in range(2):
+            workers._STATE.clear()
+            sequential = [execute_compile_job(p) for p in payloads]
+        workers._STATE.clear()
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            with ThreadPoolExecutor(max_workers=4) as pool:
+                concurrent = list(pool.map(execute_compile_job, payloads,
+                                           timeout=120))
+        finally:
+            sys.setswitchinterval(interval)
+            workers._STATE.clear()
+        for alone, together in zip(sequential, concurrent):
+            assert together["ok"] and alone["ok"]
+            assert together["counters"] == alone["counters"]
+            assert together["result"]["program"] == \
+                alone["result"]["program"]
 
 
 class TestRoundTrip:
@@ -271,6 +372,30 @@ class TestRoundTrip:
         assert after == before + 1
 
 
+class TestLatencyStats:
+    def test_stats_report_latency_percentiles_per_terminal_state(self):
+        config = ServerConfig(workers=2, executor="thread",
+                              cache=fresh_memory("t-latency"))
+        with start_in_thread(config) as handle:
+            client = ServeClient(handle.url)
+            jobs = [client.submit(source, "audio")
+                    for source in (SOURCE, SOURCE_B, SOURCE, BAD_SOURCE)]
+            finals = [client.wait(job["id"], timeout=60) for job in jobs]
+            latency = client.stats()["latency"]
+        assert set(latency) == {"done", "failed", "timeout", "cancelled"}
+        assert latency["done"]["jobs"] == 3
+        assert latency["failed"]["jobs"] == 1
+        assert latency["timeout"] == {"jobs": 0, "queue_wait_ms": None,
+                                      "worker_ms": None, "total_ms": None}
+        done = latency["done"]
+        for name in ("queue_wait_ms", "worker_ms", "total_ms"):
+            assert 0 <= done[name]["p50"] <= done[name]["p90"]
+        slowest = max(final["finished"] - final["submitted"]
+                      for final in finals if final["state"] == "done")
+        assert done["total_ms"]["p90"] <= 1e3 * slowest + 1e-3
+        assert done["worker_ms"]["p50"] <= done["total_ms"]["p90"]
+
+
 class TestLimits:
     def test_queue_bound_yields_503(self):
         config = ServerConfig(workers=0, max_queue=2,
@@ -365,9 +490,13 @@ class TestPullMode:
             backend = open_backend(spec)
             assert backend.keys()  # stage snapshots were published
             job2 = client.submit(SOURCE, "audio")
+            # A worker that kept nothing (another process) restores
+            # every stage from the shared backend.
+            workers._STATE.clear()
             run_worker(handle.url, name="w", poll=0.05, max_jobs=1)
             final = client.wait(job2["id"], timeout=30)
-            assert final["result"]["cache"]["executed"] == 0
+            assert final["result"]["cache"] == {
+                "executed": 0, "memory": 0, "disk": 8}
 
 
 class TestServeClient:

@@ -266,6 +266,26 @@ class TestToolchain:
         assert toolchain._explore_cache.hits == 1
         assert toolchain._explore_cache.misses == 1
 
+    def test_warm_resweep_over_text_parses_nothing(self, monkeypatch):
+        from repro.pipeline import session
+
+        parsed = []
+        parse = session.parse_source
+
+        def counted(text):
+            parsed.append(text)
+            return parse(text)
+
+        monkeypatch.setattr(session, "parse_source", counted)
+        sources = [SOURCE, SOURCE.replace("0.5", "0.25")]
+        spec = SweepSpec(n_alus=(1, 2))
+        toolchain = Toolchain("audio", disk_cache=False)
+        cold = toolchain.explore(sources, spec)
+        assert len(parsed) == 2
+        warm = toolchain.explore(sources, spec)
+        assert len(parsed) == 2
+        assert warm == cold
+
     def test_explore_memo_mirrors_the_stage_cache_backing(self, tmp_path,
                                                           monkeypatch):
         # A memory-only toolchain must not read or write the shared
