@@ -83,8 +83,8 @@ COUNTERS: dict[str, str] = {
     "sim.decodes": "encoded programs decoded into a plan (memo misses: "
                    "a program is decoded again only when edited)",
     "sim.codegens": "decoded plans compiled into Python step code, one "
-                    "generator per straight-line block (once per plan, on "
-                    "its first decoded-engine run)",
+                    "generator per straight-line block (once per plan and "
+                    "engine, on its first run on that engine)",
     "verify.checks": "stage-boundary verifier passes run by the pipeline "
                      "(verify=boundaries/strict)",
     "verify.findings": "diagnostics produced by the stage verifiers and "

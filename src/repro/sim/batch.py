@@ -29,30 +29,26 @@ Execution has two phases:
    the plan cannot express raises :class:`PlanError`.  Each program's
    plan is memoized for as long as the program lives, and decoded again
    when the program is edited in place.
-2. **Step** — :class:`DecodedSimulator` runs one lane in pure Python
-   on code generated from the plan: on its first decoded run a plan is
-   specialized into Python source, one generator per straight-line
-   block of words, and built with :func:`compile`
-   (:attr:`DecodedPlan.step_binder`, kept with the plan and counted as
-   ``sim.codegens``).  In a word's code a register read is a
-   constant-index list load, the fixed-point semantics are integer
-   expressions with the format's constants as literals, every write of
-   the cycle is one tuple assignment (latency-1 results straight into
-   their destination registers), and the block yields the next PC after
-   each word.  Only decoded integers and fixed identifiers reach the
-   source text.  The code is built once per program, and pays off from
-   about 20 frames: a fresh program run once for fewer frames costs
-   more than the interpreter it replaced did, and every later run of it
-   is several times faster.
-   :class:`BatchSimulator` executes the plan over ``N`` stimulus lanes
-   simultaneously: register files and memories are ``(N, size)`` numpy
-   int arrays, every micro-op is a handful of array ops with exact
-   two's-complement wrap semantics matching :mod:`repro.fixed`, and
-   conditional control flow (``CJMP``) splits the lane set so diverging
-   lanes continue under their own program counter.  A context holding
-   every lane reads and writes registers through a slice (views); a
-   split context through its lane index array (copies and masked
-   writes).
+2. **Step** — both engines run code generated from the plan: on a
+   plan's first run on an engine it is specialized into Python source,
+   one generator per straight-line block of words, and built with
+   :func:`compile` (:attr:`DecodedPlan.step_binder` and
+   :attr:`DecodedPlan.batch_binder`, kept with the plan, each build
+   counted as ``sim.codegens``).  One lowering serves both: a register
+   read is a constant-index load, the fixed-point semantics are
+   expressions with the format's constants, every write of the cycle is
+   one tuple assignment, and the block yields the next PC after each
+   word.  Only decoded integers and fixed identifiers reach the source
+   text.  :class:`DecodedSimulator` runs one lane on Python ints, the
+   constants as literals.  :class:`BatchSimulator` runs ``N`` stimulus
+   lanes at once on int64 rows: a register file is a ``(size, N)``
+   array, so a register is a contiguous row of lanes, a wrap is a sign
+   extension matching :mod:`repro.fixed`, and a ``CJMP`` whose lanes
+   disagree splits them into two compacted simulators that run on by
+   themselves.  The code is built once per program and engine, and pays
+   off when a program runs more than once or long enough: a fresh
+   program run once for a few frames costs more than the interpreters
+   it replaced did, and every later run of it is several times faster.
 
 Engine selection (:func:`resolve_engine`): ``"auto"`` picks numpy when
 it is importable, the batch is wide enough and the data width fits the
@@ -85,8 +81,10 @@ NUMPY_AVAILABLE = importlib.util.find_spec("numpy") is not None
 _np = None
 
 #: Lane count at which ``"auto"`` prefers the numpy engine over the
-#: decoded engine (below it, per-call array overhead dominates).
-NUMPY_MIN_LANES = 8
+#: decoded engine (below it, per-call array overhead dominates).  On
+#: warm plans the two break even at about 17 lanes on fir8 and lms and
+#: 20 on audio (the ``crossover`` row of ``BENCH_sim.json``).
+NUMPY_MIN_LANES = 20
 
 #: Widest data word the numpy engine's int64 kernels hold exactly
 #: (a product of two words plus rounding must not overflow).
@@ -181,8 +179,8 @@ class DecodedPlan:
     and the controller envelope.  The plan is immutable and reusable —
     decode once, simulate any number of stimulus batches.  It holds no
     reference to its program, so :func:`decode_program`'s memo entry
-    dies with the program, and with it the step code the decoded engine
-    generates from the plan (:attr:`step_binder`).
+    dies with the program, and with it the step code the engines
+    generate from the plan (:attr:`step_binder`, :attr:`batch_binder`).
     """
 
     def __init__(self, program: EncodedProgram):
@@ -231,7 +229,18 @@ class DecodedPlan:
         """The plan's generated step code (:func:`_generate_steps`),
         built on first use and kept with the plan, so it lives and dies
         with it (no second memo).  Every build counts ``sim.codegens``."""
-        binder = _generate_steps(self)
+        binder = _generate_steps(self, lanes=False)
+        current_telemetry().count("sim.codegens")
+        return binder
+
+    @functools.cached_property
+    def batch_binder(self):
+        """The plan's numpy step code (:func:`_generate_steps` spelled
+        for rows of lanes), built on the numpy engine's first run of the
+        plan and kept beside :attr:`step_binder`.  Every build counts
+        ``sim.codegens``."""
+        _load_numpy()
+        binder = _generate_steps(self, lanes=True)
         current_telemetry().count("sim.codegens")
         return binder
 
@@ -488,7 +497,7 @@ def _cycle_budget(plan: DecodedPlan, n_frames: int,
 
 
 # ---------------------------------------------------------------------------
-# Pure-Python decoded engine: straight-line blocks generated as Python.
+# Step code: a plan's straight-line blocks generated as Python, per engine.
 # ---------------------------------------------------------------------------
 
 def _step_faults(plan: DecodedPlan) -> dict[str, object]:
@@ -500,14 +509,16 @@ def _step_faults(plan: DecodedPlan) -> dict[str, object]:
     ports = plan.input_ports
     words = plan.words
 
-    def address_fault(*checked: int):
-        """Raise for the first ``address, memory`` pair out of range."""
+    def address_fault(*checked):
+        """Raise for the first ``address, memory`` pair out of range; a
+        numpy address holds one address per lane, checked in order."""
         for address, memory in zip(checked[::2], checked[1::2]):
-            if not 0 <= address < sizes[memory]:
-                raise SimulationError(
-                    f"address {address} outside memory "
-                    f"{memories[memory]!r} (size {sizes[memory]})"
-                )
+            for value in getattr(address, "flat", (address,)):
+                if not 0 <= value < sizes[memory]:
+                    raise SimulationError(
+                        f"address {value} outside memory "
+                        f"{memories[memory]!r} (size {sizes[memory]})"
+                    )
 
     def input_fault(port: int):
         raise SimulationError(f"input stream {ports[port]!r} exhausted")
@@ -548,57 +559,32 @@ def _blocks(plan: DecodedPlan) -> list[range]:
     return blocks
 
 
-def _generate_steps(plan: DecodedPlan):
-    """Specialize ``plan`` into Python source, one generator per
-    straight-line block (:func:`_blocks`), and compile it; returns the
-    generated ``bind`` function.
+def _value_templates(fmt: FixedFormat,
+                     lanes: bool) -> tuple[str, dict[int, str]]:
+    """The wrap template and, per semantic code, the value of a micro-op
+    that only computes: ``{0}``/``{1}`` its operands, ``{n}`` its
+    constant, ``{k}`` its index in the word.  A wrapped expression binds
+    at least as tightly as ``+``.
 
-    ``bind(sim, registers, memories, streams, cursors, outputs, flags,
-    stack, pending)`` takes one simulator's state, its lists in the
-    plan's index order, and returns, per word, the generator function of
-    its block, ``block(cycle, pc)``: entered at word ``pc`` in cycle
-    ``cycle``, it runs one word per resumption and yields the next PC.
-    In a word a register read is a constant-index load, the fixed-point
-    semantics are integer expressions with the format's constants as
-    literals, and every write of the cycle is one tuple assignment, so
-    every read sees the registers as the cycle started.  A latency-1
-    result is assigned straight into its destination registers; only a
-    later-maturing result goes through ``pending`` (due cycle -> bus
-    number -> value).
-
-    The text is built from decoded integers and fixed identifiers only.
-    A register file, memory or port is a list index, and the error
-    helpers (:func:`_step_faults`) look names up by index, so no name
-    from the core or the program reaches :func:`compile`.
+    One lane (``lanes`` false) computes on Python ints with the
+    format's constants as literals; ``clip`` names the unclipped value
+    ``v{k}``.  Many lanes compute on int64 rows with the constants named
+    (:func:`_lane_namespace`): a wrap is a sign extension from the
+    format's width, exact for every width up to
+    :data:`NUMPY_MAX_WIDTH`, and a clip is ``minimum``/``maximum``.
     """
-    fmt = plan.fmt
-    half, mask = 1 << (fmt.width - 1), (1 << fmt.width) - 1
-    frac, low, high = fmt.frac_bits, fmt.min_value, fmt.max_value
-    rf_index = {name: i for i, name in enumerate(plan.rf_sizes)}
-    memory_index = {name: i for i, name in enumerate(plan.memory_names)}
-    input_index = {port: i for i, port in enumerate(plan.input_ports)}
-    output_index = {port: i for i, port in enumerate(plan.output_ports)}
-    # Buses that carry a result maturing after its issue cycle.
-    late_bus = {}
-    for word in plan.words:
-        for op in word.ops:
-            if op.latency > 1 and op.bus is not None:
-                late_bus.setdefault(op.bus, len(late_bus))
-
-    def operand(source) -> str:
-        is_register, where, address = source
-        if is_register:
-            return f"rf{rf_index[where]}[{int(address)}]"
-        return repr(int(where))
-
-    # Per semantic code, the value of a micro-op that only computes:
-    # ``{0}``/``{1}`` its operands, ``{n}`` its constant, ``{k}`` its
-    # index in the word.  A wrapped expression binds at least as tightly
-    # as ``+``; ``clip`` names the unclipped value ``v{k}``.
-    wrap = f"({{}} + {half} & {mask}) - {half}"
-    clip = f"({high} if (v{{k}} := {{}}) > {high} else " \
-           f"{low} if v{{k}} < {low} else v{{k}})"
-    computed = {
+    if lanes:
+        wrap = "({} << EXT >> EXT)"
+        clip = "minimum(maximum({}, LO), HI)"
+        frac = "FRAC"
+    else:
+        half, mask = 1 << (fmt.width - 1), (1 << fmt.width) - 1
+        low, high = fmt.min_value, fmt.max_value
+        wrap = f"({{}} + {half} & {mask}) - {half}"
+        clip = f"({high} if (v{{k}} := {{}}) > {high} else " \
+               f"{low} if v{{k}} < {low} else v{{k}})"
+        frac = fmt.frac_bits
+    return wrap, {
         SEM_ADD: wrap.format("{0} + {1}"),
         SEM_ACU_ADD: wrap.format("{0} + {1}"),
         SEM_SUB: wrap.format("{0} - {1}"),
@@ -611,6 +597,81 @@ def _generate_steps(plan: DecodedPlan):
         SEM_ACU_INCA: "({0} + 1) % {n}",
         SEM_CONST: "{0}",
     }
+
+
+def _lane_namespace(fmt: FixedFormat) -> dict[str, object]:
+    """What numpy step code names besides its error helpers: the
+    format's constants as int64 scalars (so no op converts a Python int)
+    and the array functions it calls."""
+    int64 = _np.int64
+    return {
+        "EXT": int64(64 - fmt.width), "FRAC": int64(fmt.frac_bits),
+        "LO": int64(fmt.min_value), "HI": int64(fmt.max_value),
+        "minimum": _np.minimum, "maximum": _np.maximum,
+        "count_nonzero": _np.count_nonzero, "full": _np.full,
+    }
+
+
+def _generate_steps(plan: DecodedPlan, lanes: bool):
+    """Specialize ``plan`` into Python source, one generator per
+    straight-line block (:func:`_blocks`), and compile it; returns the
+    generated ``bind`` function.
+
+    ``bind(sim, registers, memories, rows, streams, cursors, outputs,
+    flags, stack, pending)`` takes one simulator's state, its lists in
+    the plan's index order, and returns, per word, the generator
+    function of its block, ``block(cycle, pc)``: entered at word ``pc``
+    in cycle ``cycle``, it runs one word per resumption and yields the
+    next PC.  In a word a register read is a constant-index load, the
+    fixed-point semantics are expressions with the format's constants
+    (:func:`_value_templates`), and every write of the cycle is one
+    tuple assignment, so every read sees the registers as the cycle
+    started.  A latency-1 result is assigned straight into its
+    destination registers; only a later-maturing result goes through
+    ``pending`` (due cycle -> bus number -> value).
+
+    The decoded engine's code (``lanes`` false) computes on Python ints.
+    The numpy engine's (``lanes`` true) is the same lowering spelled for
+    rows of lanes: a register is a row of a ``(size, lanes)`` array (a
+    view), a RAM is flat with each lane's row starting at ``rows[j]``, a
+    ROM is one row every lane shares, IO moves whole rows, flags are
+    rows and a ``CJMP`` at word ``w`` whose lanes disagree yields ``~w``
+    for the driver to split the lanes.  As a register read is a
+    view, no value may be used after a write of the cycle could change
+    it: RAM stores are the first targets of the tuple, so their
+    addresses and data are read before any register is written, and an
+    output, or a result that is a bare register read, is copied.
+
+    The text is built from decoded integers and fixed identifiers only.
+    A register file, memory or port is a list index, and the error
+    helpers (:func:`_step_faults`) look names up by index, so no name
+    from the core or the program reaches :func:`compile`.
+    """
+    rf_index = {name: i for i, name in enumerate(plan.rf_sizes)}
+    memory_index = {name: i for i, name in enumerate(plan.memory_names)}
+    input_index = {port: i for i, port in enumerate(plan.input_ports)}
+    output_index = {port: i for i, port in enumerate(plan.output_ports)}
+    # Memories ``0 .. n_rams - 1`` are RAMs, the rest ROMs.
+    n_rams = len(plan.ram_sizes)
+    # Buses that carry a result maturing after its issue cycle.
+    late_bus = {}
+    for word in plan.words:
+        for op in word.ops:
+            if op.latency > 1 and op.bus is not None:
+                late_bus.setdefault(op.bus, len(late_bus))
+    wrap, computed = _value_templates(plan.fmt, lanes)
+    if lanes:
+        any_of = "count_nonzero({})"
+        negative, zero = "{} < 0", "{} == 0"
+    else:
+        any_of = "{}"
+        negative, zero = "1 if {} < 0 else 0", "1 if {} == 0 else 0"
+
+    def operand(source) -> str:
+        is_register, where, address = source
+        if is_register:
+            return f"rf{rf_index[where]}[{int(address)}]"
+        return repr(int(where))
 
     def address(k: int, expr: str, j: int, tests: list[str],
                 faults: list[str]) -> str:
@@ -625,10 +686,19 @@ def _generate_steps(plan: DecodedPlan):
         if size & (size - 1) == 0:
             # A power-of-two size: any bit at or above it, or a sign.
             tests.append(f"(a{k} := {expr}) >> {size.bit_length() - 1}")
+        elif lanes:
+            tests.append(f"((a{k} := {expr}) < 0) | (a{k} >= {size})")
         else:
             tests.append(f"(not 0 <= (a{k} := {expr}) < {size})")
         faults.append(f"a{k}, {j}")
         return f"a{k}"
+
+    def cell(j: int, at: str) -> str:
+        """Word ``at`` of memory ``j``: a lane's RAM row starts at
+        ``row{j}`` in the flat memory."""
+        if lanes and j < n_rams:
+            return f"mem{j}[row{j} + {at}]"
+        return f"mem{j}[{at}]"
 
     def word_lines(w: int, word: WordPlan, cycle: str) -> list[str]:
         """Word ``w`` run in cycle ``cycle``: its reads, then one tuple
@@ -637,33 +707,45 @@ def _generate_steps(plan: DecodedPlan):
         tests: list[str] = []           # address range tests
         faults: list[str] = []          # their ``address, memory`` pairs
         results = []                    # (op, its value expression)
-        stores = []                     # (target, value), committed last
+        uniform = []                    # per result: one value, all lanes
+        stores = []                     # (target, value), committed first
         for k, op in enumerate(word.ops):
             x = [operand(source) for source in op.operands]
             sem = op.sem
             if sem in computed:
                 value = computed[sem].format(*x, n=int(op.constant), k=k)
+                if lanes and value.startswith("rf"):
+                    value += ".copy()"  # a bare register row is a view
             elif sem == SEM_RAM_READ or sem == SEM_ROM_READ:
                 j = memory_index[op.target]
-                value = f"mem{j}[{address(k, x[0], j, tests, faults)}]"
+                value = cell(j, address(k, x[0], j, tests, faults))
             elif sem == SEM_RAM_WRITE:
                 j = memory_index[op.target]
                 at = address(k, x[0], j, tests, faults)
-                stores.append((f"mem{j}[{at}]", x[1]))
+                stores.append((cell(j, at), x[1]))
                 continue
             elif sem == SEM_INPUT:
                 p = input_index[op.target]
                 body += [f"if (k{k} := cursors[{p}]) >= len(in{p}): "
                          f"input_fault({p})",
                          f"cursors[{p}] = k{k} + 1"]
-                value = wrap.format(f"in{p}[k{k}]")
+                # The numpy engine wraps its streams when they load.
+                value = f"in{p}[k{k}]" if lanes else \
+                    wrap.format(f"in{p}[k{k}]")
             else:  # SEM_OUTPUT
-                body.append(f"out{output_index[op.target]}.append({x[0]})")
+                value = x[0]
+                if lanes:
+                    value = f"{value}.copy()" if value.startswith("rf") \
+                        else f"full(sim.n_lanes, {value})"
+                body.append(f"out{output_index[op.target]}.append({value})")
                 continue
             results.append((op, value))
+            # A numpy value of immediates alone is one scalar, all lanes.
+            uniform.append(lanes and sem not in (SEM_RAM_READ, SEM_INPUT)
+                           and not any(source[0] for source in op.operands))
         if tests:
             # One test for every address of the word, before any effect.
-            body.insert(0, f"if {' | '.join(tests)}: "
+            body.insert(0, f"if {any_of.format(' | '.join(tests))}: "
                            f"address_fault({', '.join(faults)})")
 
         # Each result's uses: (target, value template), ``{}`` standing
@@ -690,15 +772,22 @@ def _generate_steps(plan: DecodedPlan):
                                 f"[{late_bus[op.bus]}]", "{}"))
         flagged = [n for n, (op, _) in enumerate(results) if op.sets_flags]
         if flagged and plan.n_flags:
-            uses[flagged[-1]].append(("flags[0]", "1 if {} < 0 else 0"))
+            n = flagged[-1]
+            # A flag is a row of lanes even when its value is one scalar,
+            # so a CJMP on it never mistakes the scalar for one lane.
+            row = "full(sim.n_lanes, {})" if uniform[n] else "{}"
+            uses[n].append(("flags[0]", row.format(negative)))
             if plan.n_flags > 1:
-                uses[flagged[-1]].append(("flags[1]", "1 if {} == 0 else 0"))
+                uses[n].append(("flags[1]", row.format(zero)))
         if late_bus:
             # Every cycle takes its matured results out of the table.
             body.append(f"arrived = pending.pop({cycle}, NOTHING)" if matured
                         else f"pending.pop({cycle}, None)")
 
-        targets, values = [], []
+        # Stores first: a numpy store's address and data may be register
+        # rows that a later target of the tuple rewrites.
+        targets = [target for target, _ in stores]
+        values = [value for _, value in stores]
         for n, (op, value) in enumerate(results):
             later = value
             if len(uses[n]) > 1 and op.sem != SEM_CONST:
@@ -707,18 +796,19 @@ def _generate_steps(plan: DecodedPlan):
                 targets.append(target)
                 values.append(template.format(value))
                 value = later
-        for target, value in matured + stores:
+        for target, value in matured:
             targets.append(target)
             values.append(value)
         if targets:
             body.append(f"{', '.join(targets)} = {', '.join(values)}")
-        return body + _control_lines(word, w, plan.stack_depth)
+        return body + _control_lines(word, w, plan.stack_depth, lanes)
 
-    lines = ["def bind(sim, registers, memories, streams, cursors, "
+    lines = ["def bind(sim, registers, memories, rows, streams, cursors, "
              "outputs, flags, stack, pending):"]
     for prefix, parameter, count in (
             ("rf", "registers", len(plan.rf_sizes)),
             ("mem", "memories", len(plan.memory_names)),
+            ("row", "rows", n_rams if lanes else 0),
             ("in", "streams", len(plan.input_ports)),
             ("out", "outputs", len(plan.output_ports))):
         if count:
@@ -743,12 +833,15 @@ def _generate_steps(plan: DecodedPlan):
 
     namespace = {"__builtins__": {}, "len": len, "NOTHING": {},
                  **_step_faults(plan)}
+    if lanes:
+        namespace.update(_lane_namespace(plan.fmt))
     exec(compile("\n".join(lines) + "\n", "<decoded plan>", "exec"),
          namespace)
     return namespace["bind"]
 
 
-def _control_lines(word: WordPlan, w: int, stack_depth: int) -> list[str]:
+def _control_lines(word: WordPlan, w: int, stack_depth: int,
+                   lanes: bool) -> list[str]:
     """The controller's part of word ``w``: it yields the next PC."""
     ctrl, arg = word.ctrl, int(word.arg)
     if ctrl is CtrlOp.CONT:
@@ -756,7 +849,12 @@ def _control_lines(word: WordPlan, w: int, stack_depth: int) -> list[str]:
     if ctrl is CtrlOp.JUMP:
         return [f"yield {arg}"]
     if ctrl is CtrlOp.CJMP:
-        return [f"yield {arg} if flags[{int(word.flag)}] else {w + 1}"]
+        flag = f"flags[{int(word.flag)}]"
+        if lanes:
+            # Lanes that disagree: ``~w`` asks the driver to split them.
+            return [f"yield {arg} if (taken := count_nonzero({flag})) == "
+                    f"sim.n_lanes else {w + 1} if not taken else {~w}"]
+        return [f"yield {arg} if {flag} else {w + 1}"]
     if ctrl is CtrlOp.LOOP:
         return [f"if len(stack) >= {int(stack_depth)}: stack_overflow()",
                 f"stack.append(({w + 1}, {arg}))",
@@ -780,6 +878,39 @@ def _control_lines(word: WordPlan, w: int, stack_depth: int) -> list[str]:
     if ctrl is CtrlOp.HALT:
         return ["sim.halted = True", f"yield {w}"]
     raise PlanError(f"unhandled controller op {ctrl}")  # pragma: no cover
+
+
+def _run_blocks(sim, budget: int) -> None:
+    """Run ``sim``'s generated blocks from ``sim.pc`` until it halts,
+    waits at an ``IDLE`` with no frame signal left, spends ``budget``
+    cycles, or its lanes diverge at a ``CJMP`` (numpy: the PC is then
+    ``~w``, ``w`` the ``CJMP``'s word).  Raises for a PC outside the
+    program and a run that stopped anywhere else."""
+    blocks = sim._blocks
+    idle = sim.plan.idle
+    n_words = len(blocks)
+    pc, cycle = sim.pc, sim.cycle
+    try:
+        while cycle < budget and not sim.halted and pc >= 0:
+            # Only a block's first word can be outside the program or an
+            # IDLE, and only its last can halt or split.
+            if pc >= n_words:
+                raise SimulationError(f"PC {pc} outside the program")
+            if idle[pc] and not sim.start_tokens:
+                break
+            for pc in blocks[pc](cycle, pc):
+                cycle += 1
+                if cycle >= budget:
+                    break
+    finally:
+        sim.pc, sim.cycle = pc, cycle
+    if sim.halted or pc < 0:
+        return
+    if pc >= n_words:
+        raise SimulationError(f"PC {pc} outside the program")
+    if not (idle[pc] and sim.start_tokens == 0):
+        raise SimulationError(
+            f"simulation did not settle within {budget} cycles")
 
 
 class DecodedSimulator:
@@ -824,7 +955,7 @@ class DecodedSimulator:
         self._cursors = [0] * len(plan.input_ports)
         self._blocks = plan.step_binder(
             self, list(self.registers.values()),
-            [self.memories[name] for name in plan.memory_names],
+            [self.memories[name] for name in plan.memory_names], (),
             list(self.inputs.values()), self._cursors,
             list(self.outputs.values()), self.flags, self.stack, {})
 
@@ -836,32 +967,7 @@ class DecodedSimulator:
     def run_frames(self, n_frames: int,
                    max_cycles: int | None = None) -> dict[str, list[int]]:
         self.start_tokens += n_frames
-        budget = _cycle_budget(self.plan, n_frames, max_cycles)
-        blocks = self._blocks
-        idle = self.plan.idle
-        n_words = len(blocks)
-        pc, cycle = self.pc, self.cycle
-        try:
-            while cycle < budget and not self.halted:
-                # Only a block's first word can be outside the program or
-                # an IDLE, and only its last can halt.
-                if pc >= n_words:
-                    raise SimulationError(f"PC {pc} outside the program")
-                if idle[pc] and not self.start_tokens:
-                    break
-                for pc in blocks[pc](cycle, pc):
-                    cycle += 1
-                    if cycle >= budget:
-                        break
-        finally:
-            self.pc, self.cycle = pc, cycle
-        if not self.halted:
-            if pc >= n_words:
-                raise SimulationError(f"PC {pc} outside the program")
-            if not (idle[pc] and self.start_tokens == 0):
-                raise SimulationError(
-                    f"simulation did not settle within {budget} cycles"
-                )
+        _run_blocks(self, _cycle_budget(self.plan, n_frames, max_cycles))
         return {port: list(values) for port, values in self.outputs.items()
                 if values}
 
@@ -879,56 +985,6 @@ class DecodedSimulator:
 # Numpy batch engine: N lanes in lockstep, lane-set splits on divergence.
 # ---------------------------------------------------------------------------
 
-class _Context:
-    """One lock-stepped lane set: a program counter, loop stack, frame
-    tokens and in-flight results shared by every lane in ``lanes``.
-
-    A diverging ``CJMP`` splits a context into two children (taken /
-    fall-through lane subsets); contexts never re-merge — each runs to
-    its own settle point.  Per-lane *data* stays in the simulator's
-    global ``(N, size)`` arrays; a context only slices it by lane:
-    ``index`` is ``slice(None)`` when the context holds every lane in
-    order (register reads are then views) and ``lanes`` otherwise."""
-
-    __slots__ = ("lanes", "index", "pc", "cycle", "start_tokens", "frame",
-                 "halted", "stack", "in_flight", "cursors", "budget")
-
-    def __init__(self, lanes, index=None, pc=0, cycle=0, start_tokens=0,
-                 frame=0, stack=None, in_flight=None, cursors=None,
-                 budget=0):
-        self.lanes = lanes
-        self.index = lanes if index is None else index
-        self.pc = pc
-        self.cycle = cycle
-        self.start_tokens = start_tokens
-        self.frame = frame
-        self.halted = False
-        self.stack = stack if stack is not None else []
-        self.in_flight = in_flight if in_flight is not None else {}
-        self.cursors = cursors if cursors is not None else {}
-        self.budget = budget
-
-    def split(self, mask) -> tuple["_Context", "_Context"]:
-        """(taken, fall-through) children along a boolean lane mask."""
-        positions = _np.nonzero(mask)[0]
-        complement = _np.nonzero(~mask)[0]
-        children = []
-        for selector in (positions, complement):
-            child = _Context(
-                lanes=self.lanes[selector], pc=self.pc, cycle=self.cycle,
-                start_tokens=self.start_tokens, frame=self.frame,
-                stack=list(self.stack),
-                in_flight={
-                    due: [(bus, _slice_lanes(value, selector))
-                          for bus, value in entries]
-                    for due, entries in self.in_flight.items()
-                },
-                cursors=dict(self.cursors), budget=self.budget,
-            )
-            children.append(child)
-        return children[0], children[1]
-
-
 def _load_numpy() -> None:
     """Bind :data:`_np` on the numpy engine's first use."""
     global _np
@@ -945,30 +1001,26 @@ def _load_numpy() -> None:
     _np = numpy
 
 
-def _slice_lanes(value, selector):
-    """Slice a per-lane value (array) or broadcast scalar by position."""
-    if isinstance(value, int):
-        return value
-    return value[selector]
-
-
-def _owned(value):
-    """A per-lane value that keeps its start-of-cycle contents after the
-    cycle's register writes: an array (maybe a view of a register file)
-    is copied, an immediate is returned as it is."""
-    return value.copy() if isinstance(value, _np.ndarray) else value
-
-
 class BatchSimulator:
     """Executes one :class:`DecodedPlan` over ``n_lanes`` stimulus lanes
     as numpy array ops.
 
-    Register files and data memories are ``(n_lanes, size)`` int64
-    arrays; each decoded micro-op becomes a gather, a vectorized
-    fixed-point kernel and (at end of cycle) a masked scatter.  Exact
-    two's-complement wrap semantics match :mod:`repro.fixed` —
-    outputs are bit-identical to :class:`DecodedSimulator`.  Every lane
-    runs the same program; only the stimulus differs per lane.
+    The words run as generated code (:attr:`DecodedPlan.batch_binder`,
+    built once per plan), the decoded engine's lowering spelled for rows
+    of lanes.  A register file is a ``(size, n_lanes)`` int64 array, so
+    a register is a contiguous row of lanes; a RAM is ``(n_lanes,
+    size)``; a ROM is its contents, one row every lane shares; an input
+    stream is a ``(samples, n_lanes)`` table; :attr:`flags` holds one
+    row per flag.  Exact two's-complement wrap semantics match
+    :mod:`repro.fixed`, so outputs are bit-identical to
+    :class:`DecodedSimulator`.  Every lane runs the same program; only
+    the stimulus differs per lane.
+
+    A ``CJMP`` whose lanes disagree splits the simulator into two
+    children, each a compacted copy of its side's lanes (:attr:`lanes`
+    holds their batch indices) that runs on by itself; lanes never
+    re-merge.  When a run ends, every child's registers, RAMs and flags
+    are scattered back, so this simulator's hold every lane's.
     """
 
     def __init__(self, plan: DecodedPlan, n_lanes: int):
@@ -982,55 +1034,32 @@ class BatchSimulator:
             raise SimulationError("a batch needs at least one lane")
         self.plan = plan
         self.n_lanes = n_lanes
-        fmt = plan.fmt
-        self._half = 1 << (fmt.width - 1)
-        self._mask = (1 << fmt.width) - 1
-        self._frac = fmt.frac_bits
-        # int64 scalars, so a clamp converts no Python int per call.
-        self._min = _np.int64(fmt.min_value)
-        self._max = _np.int64(fmt.max_value)
-
+        #: The batch lanes this simulator steps, in order.
+        self.lanes = _np.arange(n_lanes)
+        int64 = _np.int64
         self.registers = {
-            name: _np.zeros((n_lanes, size), dtype=_np.int64)
+            name: _np.zeros((size, n_lanes), dtype=int64)
             for name, size in plan.rf_sizes.items()
         }
+        for rf_name, inits in plan.initial_registers.items():
+            for register, value in inits:
+                self.registers[rf_name][register] = value
         self.memories = {
-            name: _np.zeros((n_lanes, size), dtype=_np.int64)
+            name: _np.zeros((n_lanes, size), dtype=int64)
             for name, size in plan.ram_sizes.items()
         }
         for name, contents in plan.rom_contents.items():
-            self.memories[name] = _np.tile(
-                _np.array(contents, dtype=_np.int64), (n_lanes, 1))
-        # Per memory: a flat view, and where each lane's row starts in it.
-        self._flat = {name: memory.reshape(-1)
-                      for name, memory in self.memories.items()}
-        self._row_starts = {
-            name: _np.arange(n_lanes) * memory.shape[1]
-            for name, memory in self.memories.items()}
-        for rf_name, inits in plan.initial_registers.items():
-            for register, value in inits:
-                self.registers[rf_name][:, register] = value
-        self.flags = _np.zeros((n_lanes, max(1, plan.n_flags)),
-                               dtype=_np.int64)
-        self.inputs: dict[str, _np.ndarray] = {}
-        self.input_lengths: dict[str, _np.ndarray] = {}
-        #: (port, lane index array, per-lane values) in emission order.
-        self._out_chunks: list[tuple[str, _np.ndarray, _np.ndarray]] = []
-        self._finished: list[_Context] = []
+            self.memories[name] = _np.array(contents, dtype=int64)
+        self.flags = [_np.zeros(n_lanes, dtype=bool)
+                      for _ in range(max(1, plan.n_flags))]
+        self.inputs = {port: _np.zeros((0, n_lanes), dtype=int64)
+                       for port in plan.input_ports}
+        self.input_lengths = {port: _np.zeros(n_lanes, dtype=int64)
+                              for port in plan.input_ports}
         #: Lane-cycles actually stepped (telemetry: ``sim.cycles``).
         self.lane_cycles = 0
         #: Frames consumed summed over lanes (telemetry: ``sim.frames``).
         self.lane_frames = 0
-
-    # -- fixed-point kernels, vectorized --------------------------------
-
-    def _wrap(self, x):
-        return ((x + self._half) & self._mask) - self._half
-
-    def _clip(self, x):
-        return _np.minimum(_np.maximum(x, self._min), self._max)
-
-    # -- stimulus -------------------------------------------------------
 
     def load_inputs(self, streams: list[dict[str, list[int]]]) -> None:
         """Load one stimulus dict per lane (``len(streams) == n_lanes``).
@@ -1040,274 +1069,137 @@ class BatchSimulator:
         if len(streams) != self.n_lanes:
             raise SimulationError(
                 f"{len(streams)} stimulus dicts for {self.n_lanes} lanes")
-        ports = sorted({port for lanes in streams for port in lanes})
-        for port in ports:
-            lengths = _np.array(
-                [len(lane.get(port, ())) for lane in streams],
-                dtype=_np.int64)
-            width = int(lengths.max()) if len(lengths) else 0
-            table = _np.zeros((self.n_lanes, max(width, 1)), dtype=_np.int64)
-            for lane, stream in enumerate(streams):
-                values = stream.get(port, ())
-                if values:
-                    table[lane, :len(values)] = _np.array(
-                        values, dtype=_np.int64)
-            self.inputs[port] = self._wrap(table)
-            self.input_lengths[port] = lengths
-
-    # -- execution ------------------------------------------------------
+        ext = _np.int64(64 - self.plan.fmt.width)
+        for port in self.plan.input_ports:
+            values = [lane.get(port, ()) for lane in streams]
+            lengths = [len(stream) for stream in values]
+            width = max(lengths)
+            if min(lengths) < width:
+                values = [[*stream, *[0] * (width - len(stream))]
+                          for stream in values]
+            table = _np.array(values, dtype=_np.int64).reshape(
+                self.n_lanes, width)
+            self.inputs[port] = (table << ext >> ext).T.copy()
+            self.input_lengths[port] = _np.array(lengths, dtype=_np.int64)
 
     def run_frames(self, n_frames: int,
                    max_cycles: int | None = None) -> list[dict[str, list[int]]]:
-        """Run ``n_frames`` time-loop iterations on every lane; returns
-        one output-stream dict per lane."""
+        """Run ``n_frames`` time-loop iterations on every lane from the
+        first word; returns one output-stream dict per lane."""
         budget = _cycle_budget(self.plan, n_frames, max_cycles)
-        root = _Context(
-            lanes=_np.arange(self.n_lanes), index=slice(None),
-            start_tokens=n_frames, budget=budget,
-        )
-        work = [root]
-        words = self.plan.words
-        n_words = len(words)
-        while work:
-            ctx = work.pop()
-            split = None
-            while not ctx.halted and ctx.cycle < ctx.budget:
-                if ctx.pc >= n_words:
-                    raise SimulationError(f"PC {ctx.pc} outside the program")
-                word = words[ctx.pc]
-                if word.ctrl is CtrlOp.IDLE and ctx.start_tokens == 0:
-                    break
-                split = self._step(ctx, word)
-                if split is not None:
-                    work.extend(split)
-                    break
-            if split is not None:
-                continue
-            if not ctx.halted:
-                if ctx.pc >= n_words:
-                    raise SimulationError(f"PC {ctx.pc} outside the program")
-                word = words[ctx.pc]
-                if not (word.ctrl is CtrlOp.IDLE and ctx.start_tokens == 0):
-                    raise SimulationError(
-                        f"simulation did not settle within {ctx.budget} "
-                        f"cycles"
-                    )
-            self._finished.append(ctx)
-        self.lane_cycles = sum(
-            ctx.cycle * len(ctx.lanes) for ctx in self._finished)
-        self.lane_frames = sum(
-            ctx.frame * len(ctx.lanes) for ctx in self._finished)
-        return self._collect_outputs()
-
-    def _step(self, ctx: _Context, word: WordPlan):
-        """One cycle for every lane of ``ctx``; returns the two child
-        contexts when a CJMP diverges, else ``None``.
-
-        Register reads through a full-lane context's slice are views, so
-        a value used after the end-of-cycle register writes (a RAM
-        write's address and data, a result put on a bus) is taken with
-        :func:`_owned`."""
-        lanes = ctx.lanes
-        index = ctx.index
-        registers = self.registers
-        produced: list[tuple[str, object, int]] = []
-        memory_writes: list[tuple[str, object, object]] = []
-        alu_result = None
-        for op in word.ops:
-            values = [
-                registers[src[1]][index, src[2]] if src[0] else src[1]
-                for src in op.operands
-            ]
-            sem = op.sem
-            if sem == SEM_ADD:
-                result = self._wrap(values[0] + values[1])
-            elif sem == SEM_MULT:
-                result = self._wrap((values[0] * values[1]) >> self._frac)
-            elif sem == SEM_SUB:
-                result = self._wrap(values[0] - values[1])
-            elif sem == SEM_ADD_CLIP:
-                result = self._clip(values[0] + values[1])
-            elif sem == SEM_PASS:
-                result = self._wrap(values[0])
-            elif sem == SEM_PASS_CLIP:
-                result = self._clip(values[0])
-            elif sem == SEM_ASR:
-                result = self._wrap(values[0] >> op.constant)
-            elif sem == SEM_RAM_READ or sem == SEM_ROM_READ:
-                result = self._memory_gather(op.target, ctx, values[0])
-            elif sem == SEM_RAM_WRITE:
-                memory_writes.append(
-                    (op.target, _owned(values[0]), _owned(values[1])))
-                result = None
-            elif sem == SEM_ACU_ADDMOD:
-                result = (values[0] + values[1]) % op.constant
-            elif sem == SEM_ACU_INCA:
-                result = (values[0] + 1) % op.constant
-            elif sem == SEM_ACU_ADD:
-                result = self._wrap(values[0] + values[1])
-            elif sem == SEM_CONST:
-                result = _owned(values[0])
-            elif sem == SEM_INPUT:
-                result = self._input_read(ctx, op.target)
-            else:  # SEM_OUTPUT
-                self._out_chunks.append((
-                    op.target, lanes, _as_lane_array(values[0], len(lanes))))
-                result = None
-            if result is not None:
-                if op.sets_flags:
-                    alu_result = result
-                if op.bus is not None:
-                    produced.append(
-                        (op.bus, result, ctx.cycle + op.latency - 1))
-
-        bus_values: dict[str, object] = {}
-        for bus, value in ctx.in_flight.pop(ctx.cycle, []):
-            bus_values[bus] = value
-        for bus, value, due in produced:
-            if due == ctx.cycle:
-                bus_values[bus] = value
-            else:
-                ctx.in_flight.setdefault(due, []).append((bus, value))
-
-        for write in word.writes:
-            if write.bus not in bus_values:
-                raise SimulationError(
-                    f"cycle {ctx.cycle}: register file {write.rf!r} expects "
-                    f"a value on {write.bus!r} but nothing matured there"
-                )
-            registers[write.rf][index, write.addr] = bus_values[write.bus]
-        for memory, address, value in memory_writes:
-            self._memory_scatter(memory, ctx, address, value)
-        if alu_result is not None and self.plan.n_flags:
-            self.flags[index, 0] = _np.asarray(alu_result) < 0
-            if self.plan.n_flags > 1:
-                self.flags[index, 1] = _np.asarray(alu_result) == 0
-
-        ctx.cycle += 1
-        return self._advance(ctx, word)
-
-    def _memory_gather(self, name: str, ctx: _Context, address):
-        """Every lane of ``ctx`` reads memory ``name``.  The result is an
-        owned array: a result still in flight must not see a later RAM
-        write (a full-lane column read is a view, so it is copied)."""
-        if isinstance(address, int):
-            self._check_address(name, address)
-            column = self.memories[name][ctx.index, address]
-            return column.copy() if isinstance(ctx.index, slice) else column
-        return self._flat[name][self._offsets(name, ctx, address)]
-
-    def _memory_scatter(self, name: str, ctx: _Context, address,
-                        value) -> None:
-        if isinstance(address, int):
-            self._check_address(name, address)
-            self.memories[name][ctx.index, address] = value
-        else:
-            self._flat[name][self._offsets(name, ctx, address)] = value
-
-    def _check_address(self, name: str, address: int) -> None:
-        """Range-check an address every lane shares (an immediate)."""
-        size = self.memories[name].shape[1]
-        if not 0 <= address < size:
-            raise SimulationError(
-                f"address {address} outside memory {name!r} (size {size})")
-
-    def _offsets(self, name: str, ctx: _Context, addresses):
-        """Offsets into the flattened memory ``name`` of one address per
-        lane of ``ctx``; raises for the first lane whose address is
-        outside the memory."""
-        size = self.memories[name].shape[1]
-        # Seen as unsigned, a negative address is too large as well.
-        if (addresses.view(_np.uint64) >= size).any():
-            self._check_address(name, int(
-                addresses[(addresses < 0) | (addresses >= size)][0]))
-        if isinstance(ctx.index, slice):
-            return self._row_starts[name] + addresses
-        return ctx.lanes * size + addresses
-
-    def _input_read(self, ctx: _Context, port: str):
-        cursor = ctx.cursors.get(port, 0)
-        lengths = self.input_lengths.get(port)
-        if lengths is None or (lengths[ctx.index] <= cursor).any():
-            raise SimulationError(f"input stream {port!r} exhausted")
-        ctx.cursors[port] = cursor + 1
-        return self.inputs[port][ctx.index, cursor]
-
-    def _advance(self, ctx: _Context, word: WordPlan):
-        ctrl = word.ctrl
-        if ctrl is CtrlOp.CONT:
-            ctx.pc += 1
-        elif ctrl is CtrlOp.IDLE:
-            if ctx.start_tokens > 0:
-                ctx.start_tokens -= 1
-                ctx.frame += 1
-                ctx.pc += 1
-        elif ctrl is CtrlOp.JUMP:
-            ctx.pc = word.arg
-        elif ctrl is CtrlOp.CJMP:
-            taken = self.flags[ctx.index, word.flag] != 0
-            if taken.all():
-                ctx.pc = word.arg
-            elif not taken.any():
-                ctx.pc += 1
-            else:
-                child_taken, child_fall = ctx.split(taken)
-                child_taken.pc = word.arg
-                child_fall.pc = ctx.pc + 1
-                return (child_taken, child_fall)
-        elif ctrl is CtrlOp.LOOP:
-            if len(ctx.stack) >= self.plan.stack_depth:
-                raise SimulationError("loop stack overflow")
-            ctx.stack.append((ctx.pc + 1, word.arg))
-            ctx.pc += 1
-        elif ctrl is CtrlOp.ENDL:
-            if not ctx.stack:
-                raise SimulationError("ENDL with empty loop stack")
-            address, count = ctx.stack[-1]
-            if count > 1:
-                ctx.stack[-1] = (address, count - 1)
-                ctx.pc = address
-            else:
-                ctx.stack.pop()
-                ctx.pc += 1
-        elif ctrl is CtrlOp.HALT:
-            ctx.halted = True
-        else:  # pragma: no cover - decode rejects unknown ops
-            raise SimulationError(f"unhandled controller op {ctrl}")
-        return None
-
-    def _collect_outputs(self) -> list[dict[str, list[int]]]:
-        """Per-lane output-stream dicts, in per-lane emission order."""
+        self._resume(0, 0, 0, n_frames, [],
+                     [0] * len(self.plan.input_ports), {})
         results: list[dict[str, list[int]]] = [
-            {} for _ in range(self.n_lanes)
-        ]
-        # Fast path: no divergence means every chunk covers the full
-        # lane set in identity order — stack and transpose per port.
-        full = all(
-            len(lanes) == self.n_lanes and (lanes == _np.arange(
-                self.n_lanes)).all()
-            for _, lanes, _ in self._out_chunks
-        )
-        if full:
-            by_port: dict[str, list[_np.ndarray]] = {}
-            for port, _, values in self._out_chunks:
-                by_port.setdefault(port, []).append(values)
-            for port, rows in by_port.items():
-                matrix = _np.stack(rows, axis=1)          # (N, n_values)
-                for lane, row in enumerate(matrix.tolist()):
-                    results[lane][port] = row
-            return results
-        for port, lanes, values in self._out_chunks:
-            for lane, value in zip(lanes.tolist(), values.tolist()):
-                results[lane].setdefault(port, []).append(value)
+            {} for _ in range(self.n_lanes)]
+        work, leaves = [self], []
+        while work:
+            sim = work.pop()
+            try:
+                _run_blocks(sim, budget)
+            finally:
+                # The bound code holds the simulator: unbound, a simulator
+                # and its arrays are freed as soon as it is dropped, not
+                # at the next cyclic garbage collection.
+                sim._blocks = None
+            sim._flush(results)
+            if sim.pc < 0:
+                work += sim._split(~sim.pc)
+            else:
+                leaves.append(sim)
+        if leaves != [self]:
+            self._merge(leaves)
+        self.lane_cycles = sum(leaf.cycle * leaf.n_lanes for leaf in leaves)
+        self.lane_frames = sum(leaf.frame * leaf.n_lanes for leaf in leaves)
         return results
 
+    def _resume(self, pc: int, cycle: int, frame: int, start_tokens: int,
+                stack: list, cursors: list, pending: dict) -> None:
+        """Set the run state, then bind the plan's numpy step code to
+        this simulator's state; a stream is cut to the samples every
+        lane has."""
+        self.pc, self.cycle, self.frame = pc, cycle, frame
+        self.halted = False
+        self.start_tokens = start_tokens
+        self.stack = stack
+        self._cursors = cursors
+        self._pending = pending
+        plan = self.plan
+        self.outputs = [[] for _ in plan.output_ports]
+        self._blocks = plan.batch_binder(
+            self, list(self.registers.values()),
+            [self.memories[name].reshape(-1) for name in plan.memory_names],
+            [_np.arange(0, self.n_lanes * size, size)
+             for size in plan.ram_sizes.values()],
+            [self.inputs[port][:self.input_lengths[port].min()]
+             for port in plan.input_ports],
+            self._cursors, self.outputs, self.flags, self.stack,
+            self._pending)
 
-def _as_lane_array(value, n: int):
-    array = _np.asarray(value)
-    if array.ndim == 0:
-        return _np.full(n, int(value), dtype=_np.int64)
-    return array.copy()
+    def _flush(self, results: list[dict[str, list[int]]]) -> None:
+        """Append what this simulator's lanes output to ``results``."""
+        lanes = self.lanes.tolist()
+        for port, rows in zip(self.plan.output_ports, self.outputs):
+            if not rows:
+                continue
+            for lane, values in zip(lanes, _np.stack(rows, axis=1).tolist()):
+                known = results[lane].get(port)
+                if known is None:
+                    results[lane][port] = values
+                else:
+                    known.extend(values)
+
+    def _split(self, w: int) -> list["BatchSimulator"]:
+        """The children of the ``CJMP`` at word ``w`` whose lanes
+        disagreed: the taken side's, then the fall-through side's.  A
+        flag is a row of lanes, so each side has at least one lane."""
+        word = self.plan.words[w]
+        taken = self.flags[word.flag]
+        return [self._child(_np.flatnonzero(taken), word.arg),
+                self._child(_np.flatnonzero(~taken), w + 1)]
+
+    def _child(self, positions, pc: int) -> "BatchSimulator":
+        """A simulator holding this one's lanes at ``positions``, its
+        arrays compacted to them, continuing at ``pc``."""
+        def rows(value):
+            # An in-flight value of immediates alone is a scalar.
+            return value[positions] if isinstance(value, _np.ndarray) \
+                else value
+
+        plan = self.plan
+        child = object.__new__(BatchSimulator)
+        child.plan = plan
+        child.n_lanes = len(positions)
+        child.lanes = self.lanes[positions]
+        child.registers = {name: rf.take(positions, axis=1)
+                           for name, rf in self.registers.items()}
+        child.memories = {name: memory.take(positions, axis=0)
+                          if name in plan.ram_sizes else memory
+                          for name, memory in self.memories.items()}
+        child.flags = [flag[positions] for flag in self.flags]
+        child.inputs = {port: table.take(positions, axis=1)
+                        for port, table in self.inputs.items()}
+        child.input_lengths = {port: lengths[positions] for port, lengths
+                               in self.input_lengths.items()}
+        child._resume(pc, self.cycle, self.frame, self.start_tokens,
+                      list(self.stack), list(self._cursors), {
+                          due: {bus: rows(value)
+                                for bus, value in arrived.items()}
+                          for due, arrived in self._pending.items()})
+        return child
+
+    def _merge(self, leaves: list["BatchSimulator"]) -> None:
+        """Scatter the registers, RAMs and flags of the simulators the
+        lanes ended in back into this one's."""
+        flags = [_np.zeros(self.n_lanes, dtype=bool) for _ in self.flags]
+        for leaf in leaves:
+            lanes = leaf.lanes
+            for name, rf in leaf.registers.items():
+                self.registers[name][:, lanes] = rf
+            for name in self.plan.ram_sizes:
+                self.memories[name][lanes] = leaf.memories[name]
+            for merged, flag in zip(flags, leaf.flags):
+                merged[lanes] = flag
+        self.flags[:] = flags
 
 
 # ---------------------------------------------------------------------------
@@ -1353,10 +1245,10 @@ def default_frame_count(
     """
     if not inputs:
         raise SimulationError("n_frames is required without inputs")
-    port = min(inputs, key=lambda name: len(inputs[name]))
-    shortest = len(inputs[port])
-    n_frames = shortest // program.repeat_count
+    n_frames = min(map(len, inputs.values())) // program.repeat_count
     if n_frames == 0:
+        port = min(inputs, key=lambda name: len(inputs[name]))
+        shortest = len(inputs[port])
         raise SimulationError(
             f"input stream {port!r} has {shortest} samples but one frame "
             f"consumes {program.repeat_count}; supply at least a full "

@@ -14,10 +14,16 @@ and cycle counts directly.  The suite covers:
 * engine resolution (``auto`` by lane count and data width, an
   undecodable image raising :class:`~repro.sim.PlanError`),
 * the plan memo (one decode and one step-code build per program, fresh
-  ones after an edit, neither outliving its program), the numpy
-  engine's register views on full-lane contexts, generated step code
-  on a core whose names are not Python identifiers, and in-place edits
-  of the decoded engine's registers and memories reaching that code,
+  ones after an edit, neither outliving its program), generated step
+  code on a core whose names are not Python identifiers, and in-place
+  edits of the decoded engine's registers and memories reaching that
+  code,
+* the numpy engine's traps: register rows are views, so same-cycle
+  overwrites of a RAM write's address and data, an output or an
+  operand must not leak; per-lane and immediate memory addresses;
+  in-flight results and ragged streams across a lane split, and a flag
+  set from immediates alone that must not split; the sign-extension
+  wrap against :mod:`repro.fixed`,
 * the short-stimulus guard and the ``sim.*`` telemetry counters.
 """
 
@@ -40,7 +46,15 @@ from repro import (
 )
 from repro.analyze import lint_program
 from repro.apps import fir_application, lms_application
-from repro.arch import ControllerSpec, CtrlOp, fir_core
+from repro.arch import (
+    ControllerSpec,
+    CoreSpec,
+    CtrlOp,
+    Datapath,
+    Operation,
+    OpuKind,
+    fir_core,
+)
 from repro.arch.serialize import core_from_dict, core_to_dict
 from repro.encode import CTRL_OPCODES
 from repro.encode.assembler import EncodedProgram
@@ -479,7 +493,8 @@ class TestControlFlowEdges:
             simulator = batch_module.BatchSimulator(plan, 6)
             simulator.load_inputs([{} for _ in range(6)])
             simulator.run_frames(0, max_cycles=500)
-            assert list(simulator.registers["rf_alu_p0"][:, 0]) == [24] * 6
+            # A register is a row of lanes.
+            assert simulator.registers["rf_alu_p0"][0].tolist() == [24] * 6
             assert simulator.lane_cycles == 6 * single.cycle
 
     def test_idle_after_straight_line_waits_before_it(self):
@@ -507,6 +522,23 @@ class TestControlFlowEdges:
             reference_oracle(compiled, lanes)
 
 
+def write_fields(core, rf, addr, bus):
+    """The fields that write register ``addr`` of ``rf`` from ``bus``."""
+    fields = {f"{rf}.wr_en": 1, f"{rf}.wr_addr": addr}
+    select = mux_index(core, rf, bus)
+    if select is not None:
+        fields[f"{rf}.mux"] = select
+    return fields
+
+
+def flagged_pipelined_core(mult_latency):
+    """The pipelined test core with two flags and conditional jumps."""
+    return dataclasses.replace(
+        pipelined_core(mult_latency=mult_latency),
+        controller=ControllerSpec(stack_depth=2, program_size=128,
+                                  n_flags=2, supports_conditionals=True))
+
+
 def build_aliasing_program():
     """Hand-assembled words in which a register feeding a RAM write, an
     OUTPUT or a pipelined multiply is overwritten in the same cycle.
@@ -514,23 +546,18 @@ def build_aliasing_program():
     The seven-word block runs once over every lane, then again on each
     side of a CJMP that splits the lanes by the sign of the first input
     (ports suffixed ``_neg`` on the taken side).  Per block: ``o`` is
-    the input, ``m`` the input stored to RAM address 3 and read back,
-    ``p`` the input times ``0.75``.  Every read must see the start of
+    the input, ``m`` the input stored to RAM address ``base + 3`` and
+    read back (``base + 43`` on the taken side; ``base`` is ``rf_acu[0]``,
+    and the sum is taken modulo the ACU modulus, 8), ``p`` the input
+    times ``0.75``.  Every read must see the start of
     its cycle, so none of them sees the same cycle's ``x + 1000``.
     """
-    core = dataclasses.replace(
-        pipelined_core(mult_latency=2),
-        controller=ControllerSpec(stack_depth=2, program_size=128,
-                                  n_flags=2, supports_conditionals=True))
+    core = flagged_pipelined_core(mult_latency=2)
     pb = ProgramBuilder(core)
     op = pb.opcodes
 
     def to(rf, addr, bus):
-        fields = {f"{rf}.wr_en": 1, f"{rf}.wr_addr": addr}
-        select = mux_index(core, rf, bus)
-        if select is not None:
-            fields[f"{rf}.mux"] = select
-        return fields
+        return write_fields(core, rf, addr, bus)
 
     def acu(imm, addr):
         return {"acu.op": op["acu"]["addmod"], "acu.p0.addr": 0,
@@ -538,15 +565,15 @@ def build_aliasing_program():
 
     input_map, output_map = {}, {}
 
-    def block(suffix):
+    def block(suffix, offset=3):
         start = len(pb.words)
         input_map[("ipb", start)] = "x"
         pb.word(**{"ipb.op": op["ipb"]["read"],
                    **to("rf_ram_data", 0, "bus_ipb"),
                    **to("rf_mult_data", 0, "bus_ipb"),
-                   **to("rf_alu_p0", 0, "bus_ipb"), **acu(3, 1)})
+                   **to("rf_alu_p0", 0, "bus_ipb"), **acu(offset, 1)})
         pb.word(**{"alu.op": op["alu"]["pass"], "alu.p0.addr": 0,
-                   **to("rf_opb", 0, "bus_alu"), **acu(3, 0)})
+                   **to("rf_opb", 0, "bus_alu"), **acu(offset, 0)})
         # The aliasing cycle: RAM address, RAM data, the OUTPUT's
         # register and the multiply's operand are all rewritten.
         pb.word(**{"ram.op": op["ram"]["write"], "ram.p0.addr": 0,
@@ -577,7 +604,7 @@ def build_aliasing_program():
     block("")
     jump = pb.word(ctrl=CtrlOp.JUMP)
     pb.words[cjmp]["ctrl.arg"] = len(pb.words)
-    block("_neg")
+    block("_neg", offset=43)
     pb.words[jump]["ctrl.arg"] = len(pb.words)
     pb.word(ctrl=CtrlOp.HALT)
     return dataclasses.replace(
@@ -587,7 +614,201 @@ def build_aliasing_program():
                            "rf_mult_coef": [(0, 0x6000)]})
 
 
+def build_in_flight_split_program():
+    """A latency-3 multiply issued in the cycle before a CJMP that splits
+    the lanes by the sign of the input ``x``; its product matures after
+    the split, on each side.  Output ``p`` (fall-through) or ``p_neg``
+    (taken) is ``x`` times ``0.75``; only the taken side reads a second
+    sample of ``x``, output as ``x_neg``."""
+    core = flagged_pipelined_core(mult_latency=3)
+    pb = ProgramBuilder(core)
+    op = pb.opcodes
+
+    def to(rf, addr, bus):
+        return write_fields(core, rf, addr, bus)
+
+    def product_to_output(output_map, port):
+        pb.word(**to("rf_alu_p0", 1, "bus_mult"))
+        pb.word(**{"alu.op": op["alu"]["pass"], "alu.p0.addr": 1,
+                   **to("rf_opb", 0, "bus_alu")})
+        output_map[("opb", len(pb.words))] = port
+        pb.word(**{"opb.op": op["opb"]["write"], "opb.p0.addr": 0})
+
+    input_map, output_map = {("ipb", 0): "x"}, {}
+    pb.word(**{"ipb.op": op["ipb"]["read"],
+               **to("rf_mult_data", 0, "bus_ipb"),
+               **to("rf_alu_p0", 0, "bus_ipb")})
+    pb.word(**{"mult.op": op["mult"]["mult"], "mult.p0.addr": 0,
+               "mult.p1.addr": 0, "alu.op": op["alu"]["pass"],
+               "alu.p0.addr": 0})
+    cjmp = pb.word(ctrl=CtrlOp.CJMP, flag=0)
+    product_to_output(output_map, "p")
+    pb.word(ctrl=CtrlOp.HALT)
+    pb.words[cjmp]["ctrl.arg"] = len(pb.words)
+    product_to_output(output_map, "p_neg")
+    input_map[("ipb", len(pb.words))] = "x"
+    pb.word(**{"ipb.op": op["ipb"]["read"],
+               **to("rf_alu_p0", 2, "bus_ipb")})
+    pb.word(**{"alu.op": op["alu"]["pass"], "alu.p0.addr": 2,
+               **to("rf_opb", 1, "bus_alu")})
+    output_map[("opb", len(pb.words))] = "x_neg"
+    pb.word(**{"opb.op": op["opb"]["write"], "opb.p0.addr": 1})
+    pb.word(ctrl=CtrlOp.HALT)
+    return dataclasses.replace(
+        pb.build(), input_map=input_map, output_map=output_map,
+        initial_registers={"rf_mult_coef": [(0, 0x6000)]})
+
+
+class TestSplits:
+    """What a diverging CJMP hands each side: in-flight results and the
+    stream samples its own lanes have."""
+
+    @staticmethod
+    def expected(lane):
+        fmt = FixedFormat(16, 15)
+        x = lane["x"]
+        if x[0] >= 0:
+            return {"p": [fmt.mult(x[0], 0x6000)]}
+        return {"p_neg": [fmt.mult(x[0], 0x6000)], "x_neg": [x[1]]}
+
+    @pytest.mark.parametrize("engine", BATCH_ENGINES)
+    def test_pipelined_result_in_flight_across_a_split(self, engine):
+        program = build_in_flight_split_program()
+        lanes = [{"x": [x, x // 2 + 1]}
+                 for x in (1200, -3000, 77, -5, 0, 32000, -32768, 9)]
+        assert run_batch(program, lanes, n_frames=0, engine=engine) == \
+            [self.expected(lane) for lane in lanes]
+
+    @pytest.mark.skipif(not NUMPY_AVAILABLE, reason="numpy not installed")
+    def test_simulators_die_with_their_last_reference(self, monkeypatch):
+        # Bound step code refers back to its simulator.  A run unbinds
+        # every simulator it ran, so neither the batch nor a child of
+        # its split waits for the cyclic collector to free its arrays.
+        made = []
+        child = batch_module.BatchSimulator._child
+
+        def recording(self, positions, pc):
+            made.append(weakref.ref(result := child(self, positions, pc)))
+            return result
+
+        monkeypatch.setattr(batch_module.BatchSimulator, "_child", recording)
+        plan = decode_program(build_in_flight_split_program())
+        gc.collect()
+        gc.disable()
+        try:
+            sim = batch_module.BatchSimulator(plan, 4)
+            sim.load_inputs([{"x": [x, 1]} for x in (3, -3, 5, -5)])
+            sim.run_frames(0)
+            batch = weakref.ref(sim)
+            del sim
+            assert len(made) == 2
+            assert batch() is None
+            assert [ref() for ref in made] == [None, None]
+        finally:
+            gc.enable()
+
+    @pytest.mark.skipif(not NUMPY_AVAILABLE, reason="numpy not installed")
+    def test_flag_from_immediates_does_not_split(self):
+        # The flag is one value for every lane, so every lane jumps, the
+        # batch never splits and its registers are the lanes' own.
+        lanes = [{"x": [x, 3 * x - 1]} for x in (6, -40, 0, 1000)]
+        batch, singles = per_lane_runs(
+            build_immediate_flag_program(), lanes, lambda *_: None)
+        outputs = batch.run_frames(0)
+        assert batch.flags[1].tolist() == [True] * len(lanes)
+        for lane, single in enumerate(singles):
+            assert outputs[lane] == single.run_frames(0) == \
+                {"y": [lanes[lane]["x"][1]]}
+            assert batch.registers["rf_x"][:, lane].tolist() == \
+                single.registers["rf_x"]
+        assert batch.lane_cycles == len(lanes) * singles[0].cycle
+
+    @pytest.mark.parametrize("engine", BATCH_ENGINES)
+    def test_ragged_streams_exhaust_only_in_their_child(self, engine):
+        # Only the taken side reads twice: one-sample lanes that fall
+        # through are fine, a one-sample lane that jumps is not.
+        program = build_in_flight_split_program()
+        lanes = [{"x": [x]} if x >= 0 else {"x": [x, -x // 3, 5]}
+                 for x in (40, -2, 7, -900, 0)]
+        assert run_batch(program, lanes, n_frames=0, engine=engine) == \
+            [self.expected(lane) for lane in lanes]
+        lanes[1] = {"x": [-2]}
+        with pytest.raises(SimulationError,
+                           match="input stream 'x' exhausted"):
+            run_batch(program, lanes, n_frames=0, engine=engine)
+
+
+def build_immediate_flag_program():
+    """An ALU that passes an immediate 0, so the zero flag is set on
+    every lane by an op with no register operand; the CJMP on it is
+    taken by all lanes, which then read a second input into
+    ``rf_x[1]``."""
+    dp = Datapath("imm-flag")
+    alu = dp.add_opu("alu", OpuKind.ALU, [Operation("pass", arity=1)])
+    ipb = dp.add_opu("ipb", OpuKind.INPUT, [Operation("read", arity=0)])
+    dp.add_opu("opb", OpuKind.OUTPUT, [Operation("write", arity=1)])
+    held = dp.add_register_file("rf_x", 2)
+    dp.make_immediate_port(alu, 0)
+    dp.connect_port("opb", 0, held)
+    dp.route_bus(dp.attach_bus(ipb), held)
+    dp.route_bus(dp.attach_bus(alu), held)
+    core = CoreSpec(name="imm-flag", datapath=dp, controller=ControllerSpec(
+        stack_depth=1, program_size=8, n_flags=2,
+        supports_conditionals=True))
+    pb = ProgramBuilder(core)
+    op = pb.opcodes
+    pb.word(**{"alu.op": op["alu"]["pass"], "alu.p0.imm": 0,
+               "ipb.op": op["ipb"]["read"],
+               **write_fields(core, "rf_x", 0, "bus_ipb")})
+    pb.word(ctrl=CtrlOp.CJMP, arg=3, flag=1)
+    pb.word(ctrl=CtrlOp.HALT)
+    pb.word(**{"ipb.op": op["ipb"]["read"],
+               **write_fields(core, "rf_x", 1, "bus_ipb")})
+    pb.word(**{"opb.op": op["opb"]["write"], "opb.p0.addr": 1})
+    pb.word(ctrl=CtrlOp.HALT)
+    return dataclasses.replace(
+        pb.build(), input_map={("ipb", 0): "x", ("ipb", 3): "x"},
+        output_map={("opb", 4): "y"})
+
+
+def build_register_const_program():
+    """A CONST unit fed by a register, its result in flight for a cycle
+    while that register takes the next input: output ``y`` is the
+    first input ``x``."""
+    dp = Datapath("reg-const")
+    const = dp.add_opu("prg_c", OpuKind.CONST, [
+        Operation("const", arity=1, latency=2, initiation_interval=1)])
+    ipb = dp.add_opu("ipb", OpuKind.INPUT, [Operation("read", arity=0)])
+    dp.add_opu("opb", OpuKind.OUTPUT, [Operation("write", arity=1)])
+    held = dp.add_register_file("rf_c", 1)
+    out = dp.add_register_file("rf_opb", 1)
+    dp.connect_port(const, 0, held)
+    dp.connect_port("opb", 0, out)
+    dp.route_bus(dp.attach_bus(ipb), held)
+    dp.route_bus(dp.attach_bus(const), out)
+    pb = ProgramBuilder(CoreSpec(
+        name="reg-const", datapath=dp,
+        controller=ControllerSpec(stack_depth=1, program_size=8)))
+    op = pb.opcodes
+    read = {"ipb.op": op["ipb"]["read"], "rf_c.wr_en": 1}
+    pb.word(**read)
+    pb.word(**read, **{"prg_c.op": op["prg_c"]["const"]})
+    pb.word(**{"rf_opb.wr_en": 1})
+    pb.word(**{"opb.op": op["opb"]["write"]})
+    pb.word(ctrl=CtrlOp.HALT)
+    return dataclasses.replace(
+        pb.build(), input_map={("ipb", 0): "x", ("ipb", 1): "x"},
+        output_map={("opb", 3): "y"})
+
+
 class TestRegisterViews:
+    @pytest.mark.parametrize("engine", BATCH_ENGINES)
+    def test_register_fed_const_in_flight_keeps_its_value(self, engine):
+        lanes = [{"x": [x, 100 + x]} for x in (4, -9, 0, 31000)]
+        assert run_batch(build_register_const_program(), lanes,
+                         n_frames=0, engine=engine) == \
+            [{"y": [lane["x"][0]]} for lane in lanes]
+
     @pytest.mark.parametrize("engine", BATCH_ENGINES)
     def test_same_cycle_overwrites_read_the_cycle_start(self, engine):
         program = build_aliasing_program()
@@ -607,64 +828,293 @@ class TestRegisterViews:
             [expected(*lane["x"]) for lane in lanes]
 
 
+def per_lane_runs(program, lanes, edit):
+    """A numpy simulator over ``lanes`` and one decoded simulator per
+    lane, all loaded and set up by ``edit(registers, memories, lane)``
+    for each lane, none run yet."""
+    plan = decode_program(program)
+    batch = batch_module.BatchSimulator(plan, len(lanes))
+    batch.load_inputs(lanes)
+    for lane in range(len(lanes)):
+        registers = {name: rf[:, lane] for name, rf in batch.registers.items()}
+        memories = {name: batch.memories[name][lane] for name in plan.ram_sizes}
+        edit(registers, memories, lane)
+    singles = []
+    for lane, streams in enumerate(lanes):
+        single = DecodedSimulator(plan)
+        single.load_inputs(streams)
+        edit(single.registers, single.memories, lane)
+        singles.append(single)
+    return batch, singles
+
+
+def immediate_ram_core():
+    """A 48-word RAM addressed by an instruction-word immediate, whose
+    read matures a cycle after its issue, between an input and an
+    output."""
+    dp = Datapath("imm-ram")
+    ram = dp.add_opu("ram", OpuKind.RAM, [
+        Operation("read", arity=1, reads_memory=True, latency=2,
+                  initiation_interval=1),
+        Operation("write", arity=2, writes_memory=True),
+    ], memory_size=48)
+    ipb = dp.add_opu("ipb", OpuKind.INPUT, [Operation("read", arity=0)])
+    dp.add_opu("opb", OpuKind.OUTPUT, [Operation("write", arity=1)])
+    data = dp.add_register_file("rf_ram_data", 2)
+    out = dp.add_register_file("rf_opb", 2)
+    dp.make_immediate_port(ram, 0)
+    dp.connect_port(ram, 1, data)
+    dp.connect_port("opb", 0, out)
+    dp.route_bus(dp.attach_bus(ipb), data)
+    dp.route_bus(dp.attach_bus(ram), out)
+    return CoreSpec(name="imm-ram", datapath=dp,
+                    controller=ControllerSpec(stack_depth=1,
+                                              program_size=16))
+
+
+def build_immediate_ram_program(last_address=9):
+    """Store ``x`` at word 9, read it back while ``y`` overwrites word 9
+    in the cycle the read matures, then read ``y`` from
+    ``last_address``: output ``o`` is ``[x, y]``."""
+    pb = ProgramBuilder(immediate_ram_core())
+    op = pb.opcodes
+    read, write = op["ram"]["read"], op["ram"]["write"]
+    pb.word(**{"ipb.op": op["ipb"]["read"], "rf_ram_data.wr_en": 1,
+               "rf_ram_data.wr_addr": 0})
+    pb.word(**{"ipb.op": op["ipb"]["read"], "rf_ram_data.wr_en": 1,
+               "rf_ram_data.wr_addr": 1,
+               "ram.op": write, "ram.p0.imm": 9, "ram.p1.addr": 0})
+    pb.word(**{"ram.op": read, "ram.p0.imm": 9})
+    pb.word(**{"ram.op": write, "ram.p0.imm": 9, "ram.p1.addr": 1,
+               "rf_opb.wr_en": 1, "rf_opb.wr_addr": 0})
+    pb.word(**{"opb.op": op["opb"]["write"], "opb.p0.addr": 0,
+               "ram.op": read, "ram.p0.imm": last_address})
+    pb.word(**{"rf_opb.wr_en": 1, "rf_opb.wr_addr": 1})
+    pb.word(**{"opb.op": op["opb"]["write"], "opb.p0.addr": 1})
+    pb.word(ctrl=CtrlOp.HALT)
+    return dataclasses.replace(
+        pb.build(), input_map={("ipb", 0): "x", ("ipb", 1): "y"},
+        output_map={("opb", 4): "o", ("opb", 6): "o"})
+
+
+def build_lane_address_program(ram_size, sem):
+    """A RAM ``sem`` (``"read"`` or ``"write"``) at the address a lane
+    reads from input ``a``, on a RAM of ``ram_size`` words; input ``s``
+    picks the side of a CJMP first (taken when negative), so the access
+    runs on the full lane set when every ``s`` agrees and in a child of
+    the split when they do not."""
+    dp = Datapath("lane-ram")
+    ram = dp.add_opu("ram", OpuKind.RAM, [
+        Operation("read", arity=1, reads_memory=True),
+        Operation("write", arity=2, writes_memory=True),
+    ], memory_size=ram_size)
+    alu = dp.add_opu("alu", OpuKind.ALU, [Operation("pass", arity=1)])
+    ipb = dp.add_opu("ipb", OpuKind.INPUT, [Operation("read", arity=0)])
+    dp.add_opu("opb", OpuKind.OUTPUT, [Operation("write", arity=1)])
+    rf = {name: dp.add_register_file(name, 2)
+          for name in ("rf_a", "rf_d", "rf_s", "rf_o")}
+    dp.connect_port(ram, 0, rf["rf_a"])
+    dp.connect_port(ram, 1, rf["rf_d"])
+    dp.connect_port(alu, 0, rf["rf_s"])
+    dp.connect_port("opb", 0, rf["rf_o"])
+    ipb_bus = dp.attach_bus(ipb)
+    for name in ("rf_a", "rf_d", "rf_s"):
+        dp.route_bus(ipb_bus, rf[name])
+    dp.route_bus(dp.attach_bus(ram), rf["rf_o"])
+    dp.route_bus(dp.attach_bus(alu), rf["rf_o"])
+    core = CoreSpec(name="lane-ram", datapath=dp, controller=ControllerSpec(
+        stack_depth=1, program_size=16, n_flags=2,
+        supports_conditionals=True))
+    pb = ProgramBuilder(core)
+    op = pb.opcodes
+    access = {"ram.op": op["ram"][sem], "ram.p0.addr": 0}
+    if sem == "read":
+        access.update(write_fields(core, "rf_o", 0, "bus_ram"))
+    else:
+        access["ram.p1.addr"] = 0
+    pb.word(**{"ipb.op": op["ipb"]["read"],
+               **write_fields(core, "rf_s", 0, "bus_ipb")})
+    pb.word(**{"ipb.op": op["ipb"]["read"],
+               **write_fields(core, "rf_a", 0, "bus_ipb"),
+               **write_fields(core, "rf_d", 0, "bus_ipb"),
+               "alu.op": op["alu"]["pass"], "alu.p0.addr": 0})
+    pb.word(ctrl=CtrlOp.CJMP, arg=5, flag=0)
+    pb.word(**access)
+    pb.word(ctrl=CtrlOp.HALT)
+    pb.word(**access)
+    pb.word(ctrl=CtrlOp.HALT)
+    return dataclasses.replace(
+        pb.build(), input_map={("ipb", 0): "s", ("ipb", 1): "a"})
+
+
 @pytest.mark.skipif(not NUMPY_AVAILABLE, reason="numpy not installed")
 class TestMemoryAccess:
     """The numpy engine's RAM reads and writes, one address per lane or
-    one immediate for all, on full-lane and split contexts."""
+    one immediate for all, on the full lane set and on each side of a
+    diverging CJMP, against the decoded engine lane by lane."""
 
-    @pytest.fixture
-    def simulator(self, fir_program):
-        simulator = batch_module.BatchSimulator(
-            decode_program(fir_program), 6)
-        (name,) = simulator.plan.ram_sizes
-        simulator.memories[name][:] = batch_module._np.arange(
-            6 * 256).reshape(6, 256)
-        return simulator, name
+    #: First inputs: negative ones take the CJMP of the aliasing program.
+    FIRSTS = (5, -3, -7, 4, 0, -1)
 
-    def contexts(self):
-        np = batch_module._np
-        full = batch_module._Context(lanes=np.arange(6), index=slice(None))
-        split = batch_module._Context(lanes=np.array([1, 4, 5]))
-        return full, split
+    def lanes(self):
+        return [{"x": [x, 7 * x + 1]} for x in self.FIRSTS]
 
-    def test_lane_addresses_pair_each_lane_with_its_own(self, simulator):
-        simulator, name = simulator
-        np = batch_module._np
-        memory = simulator.memories[name]
-        for ctx in self.contexts():
-            addresses = np.array([3, 0, 255, 7, 7, 1])[:len(ctx.lanes)]
-            expected = memory[ctx.lanes, addresses]
-            assert simulator._memory_gather(
-                name, ctx, addresses).tolist() == expected.tolist()
-            simulator._memory_scatter(name, ctx, addresses, -addresses)
-            assert memory[ctx.lanes, addresses].tolist() == \
-                (-addresses).tolist()
+    @staticmethod
+    def bases(values):
+        """An edit giving each lane its own ACU base register and RAM
+        contents, so each lane's addresses and data are its own."""
+        def edit(registers, memories, lane):
+            registers["rf_acu"][0] = values[lane]
+            memories["ram"][:] = range(100 * lane, 100 * lane + 64)
+        return edit
 
-    def test_immediate_read_is_owned(self, simulator):
+    def test_lane_addresses_pair_each_lane_with_its_own(self):
+        program = dataclasses.replace(build_aliasing_program(),
+                                      acu_moduli={"acu": 64})
+        lanes = self.lanes()
+        batch, singles = per_lane_runs(program, lanes,
+                                       self.bases([0, 9, 30, 17, 51, 2]))
+        outputs = batch.run_frames(0)
+        for lane, single in enumerate(singles):
+            assert outputs[lane] == single.run_frames(0)
+            # Every child's state is scattered back to its lanes.
+            assert batch.memories["ram"][lane].tolist() == \
+                single.memories["ram"]
+            for name, rf in batch.registers.items():
+                assert rf[:, lane].tolist() == single.registers[name]
+
+    def test_ram_write_address_and_data_rewritten_in_its_cycle(self):
+        # The store of the aliasing cycle goes to the start-of-cycle
+        # address (base + 3, not the rewritten base + 5) and stores the
+        # start-of-cycle data (the input, not the input + 1000).
+        program = dataclasses.replace(build_aliasing_program(),
+                                      acu_moduli={"acu": 64})
+        lanes = [{"x": [x, x]} for x in (8, 21, 5, 2)]
+        bases = [0, 9, 30, 17]
+        batch, _ = per_lane_runs(program, lanes, self.bases(bases))
+        before = batch.memories["ram"].copy()
+        batch.run_frames(0)
+        ram = batch.memories["ram"]
+        for lane, base in enumerate(bases):
+            assert ram[lane, base + 3] == lanes[lane]["x"][0]
+            assert ram[lane, base + 5] == before[lane, base + 5]
+
+    def test_immediate_read_is_owned(self):
         # A read still in flight must not see a later write to its word.
-        simulator, name = simulator
-        for ctx in self.contexts():
-            value = simulator._memory_gather(name, ctx, 9)
-            before = value.tolist()
-            simulator._memory_scatter(name, ctx, 9, 12345)
-            assert value.tolist() == before
-            assert simulator._memory_gather(name, ctx, 9).tolist() == \
-                [12345] * len(ctx.lanes)
+        program = build_immediate_ram_program()
+        lanes = [{"x": [x], "y": [-x - 1]} for x in (3, -8, 1200, 0, 77)]
+        assert run_batch(program, lanes, n_frames=0, engine="numpy") == \
+            [{"o": [x, -x - 1]} for x in (3, -8, 1200, 0, 77)]
 
-    def test_address_outside_names_the_first_lane(self, simulator):
-        simulator, name = simulator
+    def test_immediate_address_outside_is_named(self):
+        # The 6-bit immediate field holds 50, past the 48-word RAM.
+        program = build_immediate_ram_program(last_address=50)
+        for engine in BATCH_ENGINES:
+            with pytest.raises(SimulationError) as error:
+                run_batch(program, [{"x": [1], "y": [2]}] * 3, n_frames=0,
+                          engine=engine)
+            assert str(error.value) == \
+                "address 50 outside memory 'ram' (size 48)"
+
+    @pytest.mark.parametrize("bases, bad", [
+        # The first block: lanes 1 and 3 are out, lane 1 is named.
+        ([0, 70, 3, 100, 2, 5], 73),
+        # Only on the taken side (negative firsts, base + 43): lane 2.
+        ([0, 12, 30, 25, 60, 1], 73),
+    ])
+    def test_address_outside_names_the_first_lane(self, bases, bad):
+        program = build_aliasing_program()
+        program = dataclasses.replace(program, acu_moduli={"acu": 1000})
+        batch, singles = per_lane_runs(program, self.lanes(),
+                                       self.bases(bases))
+        message = f"address {bad} outside memory 'ram' (size 64)"
+        with pytest.raises(SimulationError) as error:
+            batch.run_frames(0)
+        assert str(error.value) == message
+        failed = []
+        for single in singles:
+            try:
+                single.run_frames(0)
+            except SimulationError as fault:
+                failed.append(str(fault))
+        assert failed[0] == message
+
+    @pytest.mark.parametrize("ram_size", [12, 16])   # a power of 2 or not
+    @pytest.mark.parametrize("sem", ["read", "write"])
+    @pytest.mark.parametrize("selects, addresses, bad", [
+        # Every lane falls through: lane 1's negative address is named,
+        # not lane 4's address past the end.
+        ([1] * 6, [4, -2, "last", 5, "size+300", 1], -2),
+        ([1] * 6, [4, 0, "last", -1, 5, 1], -1),
+        ([1] * 6, [4, 3, "size", -5, 0, 1], "size"),
+        # Only in the taken child (lanes 1, 3 and 4): lane 3, then 4.
+        ([1, -1, 1, -1, -1, 1], [0, 5, 2, -2, "size", 0], -2),
+        ([1, -1, 1, -1, -1, 1], [0, 5, 2, "last", -3, 0], -3),
+        # Only in the fall-through child (lanes 1, 2, 4 and 5): lane 2.
+        ([-1, 1, 1, -1, 1, 1], [0, 3, "size", 1, -5, 2], "size"),
+    ])
+    def test_lane_address_outside_names_the_first_lane(
+            self, ram_size, sem, selects, addresses, bad):
+        def at(value):
+            return {"last": ram_size - 1, "size": ram_size,
+                    "size+300": ram_size + 300}.get(value, value)
+
+        program = build_lane_address_program(ram_size, sem)
+        lanes = [{"s": [select], "a": [at(address)]}
+                 for select, address in zip(selects, addresses)]
+        message = f"address {at(bad)} outside memory 'ram' (size {ram_size})"
+        for engine in BATCH_ENGINES:
+            with pytest.raises(SimulationError) as error:
+                run_batch(program, lanes, n_frames=0, engine=engine)
+            assert str(error.value) == message
+
+    @pytest.mark.parametrize("sem", ["read", "write"])
+    def test_lane_addresses_at_both_ends_are_in_range(self, sem):
+        program = build_lane_address_program(12, sem)
+        lanes = [{"s": [select], "a": [address]} for select, address
+                 in zip([1, -1, 1, -1], [0, 11, 11, 0])]
+        for engine in BATCH_ENGINES:
+            run_batch(program, lanes, n_frames=0, engine=engine)
+
+
+
+@pytest.mark.skipif(not NUMPY_AVAILABLE, reason="numpy not installed")
+class TestLaneArithmetic:
+    """The numpy spelling of the fixed-point semantics, evaluated on
+    int64 rows, equals :mod:`repro.fixed` at every width it takes."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data(), width=st.integers(min_value=8, max_value=32))
+    def test_sign_extension_wrap_matches_fixed(self, data, width):
+        batch_module._load_numpy()
         np = batch_module._np
-        for ctx in self.contexts():
-            addresses = np.array([4, -2, 256, 5, 300, 1])[:len(ctx.lanes)]
-            for action in (
-                    lambda: simulator._memory_gather(name, ctx, addresses),
-                    lambda: simulator._memory_scatter(
-                        name, ctx, addresses, 0)):
-                with pytest.raises(SimulationError,
-                                   match=r"address -2 outside memory"):
-                    action()
-            with pytest.raises(SimulationError, match="address 256 outside"):
-                simulator._memory_gather(name, ctx, 256)
+        fmt = FixedFormat(width, data.draw(st.integers(0, width - 1)))
+        low, high = fmt.min_value, fmt.max_value
+        edges = [low, low + 1, -1, 0, 1, high - 1, high]
+        words = edges + data.draw(st.lists(st.integers(low, high),
+                                           max_size=8))
+        # Every pair, so the products at the extremes are all there.
+        a, b = zip(*[(x, y) for x in words for y in words])
+        shift = data.draw(st.integers(0, width - 1))
+        raw = data.draw(st.lists(st.integers(-2 ** 62, 2 ** 62),
+                                 min_size=1, max_size=8))
+        wrap, computed = batch_module._value_templates(fmt, lanes=True)
+        names = {**batch_module._lane_namespace(fmt),
+                 "a": np.array(a), "b": np.array(b), "v": np.array(raw)}
+
+        def lanes(template):
+            text = template.format("a", "b", n=shift, k=0)
+            return eval(text, {"__builtins__": {}}, names).tolist()
+
+        sem = batch_module
+        for code, expected in (
+                (sem.SEM_ADD, fmt.add), (sem.SEM_SUB, fmt.sub),
+                (sem.SEM_MULT, fmt.mult), (sem.SEM_ADD_CLIP, fmt.add_clip)):
+            assert lanes(computed[code]) == list(map(expected, a, b))
+        assert lanes(computed[sem.SEM_ASR]) == \
+            [fmt.asr(x, shift) for x in a]
+        assert lanes(computed[sem.SEM_PASS_CLIP]) == list(map(fmt.clip, a))
+        assert lanes(wrap.format("v")) == list(map(fmt.wrap, raw))
 
 
 class TestShortStreams:

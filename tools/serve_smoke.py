@@ -20,12 +20,14 @@ Run locally with::
     PYTHONPATH=src python tools/serve_smoke.py
 
 Exits 0 on success, 1 with a one-line reason on the first failure.
+The server's cache directory is temporary and removed either way.
 """
 
 from __future__ import annotations
 
 import os
 import re
+import shutil
 import signal
 import subprocess
 import sys
@@ -108,6 +110,13 @@ def cache_cli(action: str, cache_dir: str, *extra: str) -> int:
 
 def main() -> None:
     cache_dir = tempfile.mkdtemp(prefix="repro-serve-smoke-")
+    try:
+        smoke(cache_dir)
+    finally:
+        shutil.rmtree(cache_dir, ignore_errors=True)
+
+
+def smoke(cache_dir: str) -> None:
     process, url = start_server(cache_dir)
     try:
         client = ServeClient(url)
