@@ -50,6 +50,11 @@ WARM_SAMPLES = 41
 #: about 0.37x.
 MAX_RESWEEP_PER_SOURCE_HASH = 0.9
 
+#: Seed and cold staged sweeps, alternating; each side's fastest is
+#: compared, since a single sweep of about 0.06 s is at the mercy of a
+#: shared machine's load.
+SWEEP_ROUNDS = 3
+
 
 def application_set():
     return [
@@ -101,10 +106,6 @@ def test_bench_explore_speedup(monkeypatch, tmp_path):
     dfgs = application_set()
     allocations = allocation_sweep()
 
-    t0 = time.perf_counter()
-    seed_points = seed_explore(dfgs, allocations)
-    seed_seconds = time.perf_counter() - t0
-
     # The sweep memo runs the optimizer; count it where the memo looks
     # it up.
     session_module = importlib.import_module("repro.pipeline.session")
@@ -117,25 +118,33 @@ def test_bench_explore_speedup(monkeypatch, tmp_path):
 
     monkeypatch.setattr(session_module, "optimize_machine_independent",
                         counting)
-    cache = ExploreCache()
-    t0 = time.perf_counter()
-    staged_points = explore(dfgs, allocations, cache=cache)
-    staged_seconds = time.perf_counter() - t0
+    seed_seconds = staged_seconds = float("inf")
+    caches = []
+    for _ in range(SWEEP_ROUNDS):
+        t0 = time.perf_counter()
+        seed_points = seed_explore(dfgs, allocations)
+        seed_seconds = min(seed_seconds, time.perf_counter() - t0)
+        caches.append(ExploreCache())
+        t0 = time.perf_counter()
+        staged_points = explore(dfgs, allocations, cache=caches[-1])
+        staged_seconds = min(staged_seconds, time.perf_counter() - t0)
 
+        # Identical quantitative feedback, point for point.
+        assert [lengths for _, lengths, _ in seed_points] == \
+            [p.schedule_lengths for p in staged_points]
+        assert [n for _, _, n in seed_points] == \
+            [p.n_opus for p in staged_points]
+
+    cache = caches[0]
     t0 = time.perf_counter()
     warm_points = explore(dfgs, allocations, cache=cache)
     warm_seconds = time.perf_counter() - t0
-
-    # Identical quantitative feedback, point for point.
-    assert [lengths for _, lengths, _ in seed_points] == \
-        [p.schedule_lengths for p in staged_points]
-    assert [n for _, _, n in seed_points] == [p.n_opus for p in staged_points]
     assert [p.schedule_lengths for p in warm_points] == \
         [p.schedule_lengths for p in staged_points]
 
-    # Each application optimized exactly once over both sweeps: the warm
-    # sweep reuses the optimized graphs the cache memoized.
-    assert mi_calls == [d.name for d in dfgs]
+    # Each memo optimized each application exactly once, the first over
+    # both its sweeps: the warm sweep reuses the graphs it memoized.
+    assert mi_calls == [d.name for d in dfgs] * SWEEP_ROUNDS
     assert cache.hits == len(allocations)
 
     # Wall clock: the staged sweep must not regress, and the cached
@@ -192,6 +201,7 @@ def test_bench_explore_speedup(monkeypatch, tmp_path):
     results = {
         "applications": [d.name for d in dfgs],
         "n_allocations": len(allocations),
+        "sweep_rounds": SWEEP_ROUNDS,
         "seed_seconds": round(seed_seconds, 4),
         "staged_seconds": round(staged_seconds, 4),
         "warm_cache_seconds": round(warm_seconds, 4),

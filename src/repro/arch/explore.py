@@ -556,13 +556,6 @@ def pareto_front(points: list[ExplorationPoint],
     return front
 
 
-#: Serialization version of :class:`ExplorationPoint` in the disk
-#: cache; bump when the dataclass shape changes.
-#: v2: Allocation.merge_variant, ExplorationPoint.n_rfs/storage_words.
-#: v3: frozen; the two mappings pickle as plain dicts (``__reduce__``).
-EXPLORATION_POINT_VERSION = 3
-
-
 def _evaluate_candidate(dfgs: list[Dfg], allocation: Allocation,
                         options: CompileOptions) -> ExplorationPoint:
     """Evaluate one allocation: synthesize the core, apply its merge

@@ -52,7 +52,7 @@ COUNTERS: dict[str, str] = {
     "diskcache.corrupt": "on-disk entries dropped because they could "
                          "not be read back",
     "diskcache.version_skip": "intact on-disk entries skipped for "
-                              "format/pipeline/schema skew",
+                              "envelope-format or pipeline-version skew",
     "diskcache.write_error": "on-disk stores abandoned (unwritable "
                              "directory, full disk)",
     "diskcache.bytes_read": "envelope bytes the persistent tier read "

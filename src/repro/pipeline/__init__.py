@@ -36,11 +36,9 @@ application set through one shared cache.  See
 from __future__ import annotations
 
 from .artifacts import (
-    ARTIFACT_VERSIONS,
     PIPELINE_VERSION,
     CompileRequest,
     CompileState,
-    artifact_schema,
     core_fingerprint,
     dfg_fingerprint,
     fingerprint,
@@ -64,7 +62,6 @@ from .session import (
 from .stages import PIPELINE_STAGES, STAGE_EXECUTIONS, STAGE_NAMES, Stage
 
 __all__ = [
-    "ARTIFACT_VERSIONS",
     "BatchEntry",
     "BatchResult",
     "CacheBackend",
@@ -85,7 +82,6 @@ __all__ = [
     "STAGE_NAMES",
     "Stage",
     "StageCache",
-    "artifact_schema",
     "core_fingerprint",
     "default_cache_dir",
     "dfg_fingerprint",

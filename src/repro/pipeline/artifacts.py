@@ -39,46 +39,22 @@ from ..lang.dfg import Dfg
 from ..options import CompileOptions
 from ..rtgen.generator import RouteTable, route_table
 
-#: Bump when a stage's semantics change, so stale caches cannot serve
-#: artifacts computed by an older pipeline.
+#: The one version of what the caches keep.  Bump it when a stage's
+#: semantics change *or* when the shape of any cached object changes (a
+#: field of an artifact or of an ``ExplorationPoint`` added, renamed or
+#: given a new invariant): it is folded into every stage key and written
+#: into every persistent entry, so a cache written by other code can
+#: never serve what this code would misread.  ``tests/test_cache_shapes.py``
+#: pins the digest of every cached class's attributes per version.
 #: v2: stage keys chain CompileOptions subset fingerprints instead of
 #: raw request attributes.
 #: v3: -O2 runs the machine-independent half to a fixpoint, then the
 #: core-aware half; its OptReport's pass order and iterations differ.
 #: v4: optimize and rtgen key on the stage before them, not on a graph's
 #: content, so a compile's keys form one chain from parse.
-PIPELINE_VERSION = 4
-
-#: Serialization version of every artifact type the stages produce.
-#: Bump an entry whenever the artifact's Python shape changes (fields
-#: added/renamed, invariants altered) so on-disk entries written by an
-#: older checkout invalidate instead of deserializing into nonsense.
-#: :mod:`repro.pipeline.diskcache` embeds these in every entry.
-ARTIFACT_VERSIONS: dict[str, int] = {
-    "source_dfg": 1,        # parse: repro.lang.dfg.Dfg
-    "dfg": 1,               # optimize: repro.lang.dfg.Dfg
-    "opt_report": 1,        # optimize: repro.opt.OptReport
-    "base_program": 1,      # rtgen: repro.rtgen.program.RTProgram
-    "program": 1,           # merge: repro.rtgen.program.RTProgram
-    "base_rts": 1,          # merge: list[repro.rtgen.rt.RT]
-    "capacities": 1,        # merge: dict[str, int] | None
-    "merged": 1,            # merge: bool
-    "conflict_model": 2,    # impose: repro.core.artificial.ConflictModel
-    "dependence_graph": 1,  # schedule: repro.sched.dependence.DependenceGraph
-    "schedule": 1,          # schedule: repro.sched.schedule.Schedule
-    "allocation": 1,        # regalloc: repro.sched.regalloc.Allocation
-    "binary": 1,            # assemble: repro.encode.assembler.EncodedProgram
-}
-
-
-def artifact_schema(artifacts: dict[str, Any]) -> dict[str, int]:
-    """The ``name -> version`` schema of one artifact snapshot.
-
-    Unknown names (a stage added without a version entry) are pinned at
-    version 0 so they can never silently round-trip across checkouts
-    that disagree about them.
-    """
-    return {name: ARTIFACT_VERSIONS.get(name, 0) for name in artifacts}
+#: v5: the one version: per-artifact and sweep-point versions are gone
+#: (an explore entry of v4 may hold a mutable point).
+PIPELINE_VERSION = 5
 
 
 def fingerprint(*parts: Any) -> str:

@@ -22,13 +22,12 @@ Design constraints, in order:
   bytes, stale pickles, concurrent half-writes — every read failure is
   absorbed, counted on :attr:`DiskCacheStats.corrupt`, and the entry is
   dropped so it cannot fail twice.
-* **Versioned.**  Every entry carries the envelope format version, the
-  pipeline version (:data:`~repro.pipeline.artifacts.PIPELINE_VERSION`)
-  and a per-artifact-type schema (``artifact name -> version`` from
-  :data:`~repro.pipeline.artifacts.ARTIFACT_VERSIONS`).  Any skew is a
-  miss (:attr:`DiskCacheStats.version_skips`), so a cache written by an
-  older checkout can never serve artifacts a newer pipeline would
-  misread.
+* **Versioned.**  Every entry carries the envelope format version and
+  the pipeline version (:data:`~repro.pipeline.artifacts.PIPELINE_VERSION`,
+  the one version of what a cached object means and how it is shaped).
+  Either skew is a miss (:attr:`DiskCacheStats.version_skips`), so a
+  cache written by an older checkout can never serve objects a newer
+  pipeline would misread.
 * **Atomic.**  Entries are written to a temporary file in the target
   directory and published with :func:`os.replace`; concurrent writers
   on one cache directory race benignly (last write wins, readers see
@@ -98,8 +97,8 @@ class CacheEntryError(Exception):
 
 
 class CacheVersionError(CacheEntryError):
-    """Internal: an entry is intact but was written by a different
-    pipeline/format/schema version."""
+    """Internal: an entry is intact but was written under a different
+    envelope format or pipeline version."""
 
 
 def default_cache_dir() -> Path:
@@ -113,7 +112,7 @@ def default_cache_dir() -> Path:
     return base / "repro"
 
 
-def serialize(obj: Any, schema: dict[str, int] | None = None) -> bytes:
+def serialize(obj: Any) -> bytes:
     """Wrap ``obj`` in the versioned envelope described above; a
     ``bytes`` object is the payload as it is."""
     raw = isinstance(obj, bytes)
@@ -123,7 +122,6 @@ def serialize(obj: Any, schema: dict[str, int] | None = None) -> bytes:
         {
             "format": FORMAT_VERSION,
             "pipeline": PIPELINE_VERSION,
-            "schema": schema or {},
             "payload_sha256": hashlib.sha256(payload).hexdigest(),
             "raw": raw,
         },
@@ -132,18 +130,9 @@ def serialize(obj: Any, schema: dict[str, int] | None = None) -> bytes:
     return _MAGIC + len(header).to_bytes(4, "little") + header + payload
 
 
-def deserialize(blob: bytes, expected_schema: dict[str, int] | None = None,
-                any_schema: bool = False) -> Any:
-    """Unwrap an envelope; raise :class:`CacheEntryError` on any defect.
-
-    ``expected_schema`` maps artifact-type name to the version the
-    *current* code writes; the entry is usable when every type it
-    actually contains matches (an entry never has to contain every
-    known type — a partial compile stores a prefix).  ``any_schema``
-    skips that per-artifact comparison (format/pipeline skew still
-    raises) — the integrity pass of :meth:`CacheBackend.verify` asks
-    "can this entry ever be served", not "by my artifact versions".
-    """
+def deserialize(blob: bytes) -> Any:
+    """Unwrap an envelope; raise :class:`CacheVersionError` on format or
+    pipeline skew and :class:`CacheEntryError` on any other defect."""
     if blob[:4] != _MAGIC:
         raise CacheEntryError("bad magic")
     if len(blob) < 8:
@@ -161,14 +150,6 @@ def deserialize(blob: bytes, expected_schema: dict[str, int] | None = None,
         raise CacheVersionError(f"format {header.get('format')!r}")
     if header.get("pipeline") != PIPELINE_VERSION:
         raise CacheVersionError(f"pipeline {header.get('pipeline')!r}")
-    stored_schema = header.get("schema") or {}
-    if not isinstance(stored_schema, dict):
-        raise CacheEntryError("schema is not an object")
-    if not any_schema:
-        expected = expected_schema or {}
-        for name, version in stored_schema.items():
-            if expected.get(name) != version:
-                raise CacheVersionError(f"artifact {name!r} v{version}")
     payload = blob[8 + header_len:]
     if hashlib.sha256(payload).hexdigest() != header.get("payload_sha256"):
         raise CacheEntryError("payload digest mismatch")
@@ -223,7 +204,7 @@ class DiskCacheStats:
     evictions: int = 0
     #: entries dropped because they could not be read back
     corrupt: int = 0
-    #: intact entries skipped because of format/pipeline/schema skew
+    #: intact entries skipped because of format or pipeline skew
     version_skips: int = 0
     #: stores abandoned (unpicklable object, unwritable or full store)
     write_errors: int = 0
@@ -303,7 +284,7 @@ class CacheBackend:
 
     # -- get / put -----------------------------------------------------
 
-    def get(self, key: str, schema: dict[str, int] | None = None) -> Any:
+    def get(self, key: str) -> Any:
         """The object stored under ``key``, or ``None`` on any miss.
 
         A corrupt or version-skewed entry is dropped so it cannot fail
@@ -320,7 +301,7 @@ class CacheBackend:
         blob, token = found
         obs.count("diskcache.bytes_read", len(blob))
         try:
-            obj = deserialize(blob, schema)
+            obj = deserialize(blob)
         except CacheEntryError as exc:
             self._remove(key, token)
             skew = isinstance(exc, CacheVersionError)
@@ -339,8 +320,7 @@ class CacheBackend:
         obs.count("diskcache.hit")
         return obj
 
-    def put(self, key: str, obj: Any,
-            schema: dict[str, int] | None = None) -> None:
+    def put(self, key: str, obj: Any) -> None:
         """Publish ``obj`` under ``key`` and enforce the size bound.
 
         A failed store (unpicklable object, unwritable directory, full
@@ -352,7 +332,7 @@ class CacheBackend:
         visible in ``--timings``/``--trace`` output.
         """
         try:
-            blob = serialize(obj, schema)
+            blob = serialize(obj)
             total = self._write(key, blob)
         except Exception as exc:  # noqa: BLE001 — OSError *or* pickling failure
             with self._lock:
@@ -436,9 +416,6 @@ class CacheBackend:
         Corrupt entries can never be served; version-skewed ones can
         never be served *by this checkout* — both are removed so the
         store holds only entries a compile could actually restore.
-        Version skew is expected across checkouts, so no artifact
-        schema is pinned: verify asks "can this entry ever be served",
-        not "by my artifact versions".
         """
         report = VerifyReport()
         obs = current_telemetry()
@@ -447,7 +424,7 @@ class CacheBackend:
             # An entry that vanished since the listing reads as corrupt.
             blob, token = self._read(key) or (b"", None)
             try:
-                deserialize(blob, any_schema=True)
+                deserialize(blob)
             except CacheVersionError:
                 report.version_skew += 1
             except CacheEntryError:
@@ -468,7 +445,7 @@ class DiskCache(CacheBackend):
     stage snapshot streams under stage keys, and
     :class:`.session.ExploreCache` stores evaluated sweep
     candidates — both through this one store, distinguished by their
-    fingerprint namespaces and their schemas.
+    fingerprint namespaces.
 
     Safe to share one directory between concurrent processes; see the
     module docstring for the guarantees.

@@ -76,15 +76,14 @@ from collections import OrderedDict
 from dataclasses import dataclass, field
 from typing import Any, Sequence
 
-from ..arch.explore import EXPLORATION_POINT_VERSION, ExplorationPoint
+from ..arch.explore import ExplorationPoint
 from ..arch.library import CoreSpec
 from ..lang.dfg import Dfg
 from ..lang.parser import parse_source
 from ..obs import current_telemetry
 from ..opt import optimize_machine_independent
 from ..options import CompileOptions
-from . import artifacts as _artifacts
-from .artifacts import CompileState, artifact_schema, dfg_fingerprint
+from .artifacts import CompileState, dfg_fingerprint
 from .backend import CacheBackend, open_backend
 
 
@@ -276,21 +275,19 @@ class SnapshotStream:
         current_telemetry().count("stagecache.bytes_pickled", end - start)
         return end - start
 
-    def pack(self) -> tuple[str, bytes, dict[str, int]] | None:
-        """``(key, pack, schema)`` of the stream, or None when it wrote
-        no frame (or is closed).
+    def pack(self) -> tuple[str, bytes] | None:
+        """``(key, pack)`` of the stream, or None when it wrote no frame
+        (or is closed).
 
         The pack is the whole stream (a frame refers to every earlier
         one), its header naming every frame, the restored ones too, so
         it restores on its own; it is stored under the key of the
-        first frame written.  ``schema`` is the artifact schema of
-        everything the stream holds.
+        first frame written.
         """
         if self._closed or len(self._frames) == self._restored:
             return None
         pack = encode_pack(self._frames, self._buffer.getvalue())
-        return (self._frames[self._restored][0], pack,
-                artifact_schema(self._written))
+        return self._frames[self._restored][0], pack
 
     def _open(self) -> None:
         """Create the pickler; after a restore it continues the loaded
@@ -365,31 +362,29 @@ class TwoTierCache:
         """
         return True
 
-    def lookup(self, key: str, schema: dict[str, int],
-               ) -> tuple[Any, str | None]:
+    def lookup(self, key: str) -> tuple[Any, str | None]:
         """``(value, "memory" | "disk")`` stored under ``key``, or
-        ``(None, None)``; the backend serves only entries of ``schema``."""
+        ``(None, None)``."""
         with self._lock:
             value = self._entries.get(key)
             if value is not None:
                 self._entries.move_to_end(key)
                 return value, "memory"
         if self.disk is not None:
-            value = self.disk.get(key, schema=schema)
+            value = self.disk.get(key)
             if value is not None:
                 with self._lock:
                     self._insert(key, value)
                 return value, "disk"
         return None, None
 
-    def store(self, key: str, value: Any,
-              schema: dict[str, int] | None) -> None:
+    def store(self, key: str, value: Any) -> None:
         """Store ``value`` under ``key`` in memory and, when layered, in
-        the backend (with ``schema``)."""
+        the backend."""
         with self._lock:
             self._insert(key, value)
         if self.disk is not None:
-            self.disk.put(key, value, schema=schema)
+            self.disk.put(key, value)
 
     def drop(self, key: str) -> None:
         """Remove ``key`` from both tiers."""
@@ -503,9 +498,9 @@ class StageCache(TwoTierCache):
             obs.count("stagecache.miss", misses)
 
     def get_entry(self, key: str) -> tuple[bytes | None, str | None]:
-        """The pack stored under ``key`` and its tier (:meth:`lookup`
-        under the current artifact schema).  Nothing is deserialized."""
-        return self.lookup(key, _artifacts.ARTIFACT_VERSIONS)
+        """The pack stored under ``key`` and its tier (:meth:`lookup`).
+        Nothing is deserialized."""
+        return self.lookup(key)
 
     def restore(self, pack: bytes, keys: Sequence[str],
                 core: CoreSpec) -> SnapshotStream | None:
@@ -521,11 +516,9 @@ class StageCache(TwoTierCache):
         return SnapshotStream.open(pack[start:start + frames[-1][1]],
                                    frames, core)
 
-    def put(self, key: str, pack: bytes,
-            schema: dict[str, int] | None = None) -> None:
-        """Store ``pack`` under ``key`` in both tiers (with ``schema``,
-        the artifact schema of what it holds)."""
-        self.store(key, pack, schema)
+    def put(self, key: str, pack: bytes) -> None:
+        """Store ``pack`` under ``key`` in both tiers."""
+        self.store(key, pack)
         with self._lock:
             self.stats.stores += 1
         obs = current_telemetry()
@@ -540,8 +533,6 @@ class StageCache(TwoTierCache):
 #: Points an :class:`ExploreCache` keeps in memory: more than any
 #: committed sweep evaluates, so a warm re-sweep is served from memory.
 _EXPLORE_MEMORY_POINTS = 4096
-
-_POINT_SCHEMA = {"exploration_point": EXPLORATION_POINT_VERSION}
 
 
 class ExploreCache(TwoTierCache):
@@ -569,7 +560,7 @@ class ExploreCache(TwoTierCache):
         self.disk_hits = 0
 
     def get(self, key: str) -> ExplorationPoint | None:
-        point, tier = self.lookup(key, _POINT_SCHEMA)
+        point, tier = self.lookup(key)
         if point is None:
             self.misses += 1
             return None
@@ -579,7 +570,7 @@ class ExploreCache(TwoTierCache):
         return point
 
     def put(self, key: str, point: ExplorationPoint) -> None:
-        self.store(key, point, _POINT_SCHEMA)
+        self.store(key, point)
 
     def parse(self, text: str) -> Dfg:
         """``text`` parsed, memoized on the text.  The sweep only reads

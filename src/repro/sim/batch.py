@@ -617,9 +617,10 @@ def _generate_steps(plan: DecodedPlan, lanes: bool):
     straight-line block (:func:`_blocks`), and compile it; returns the
     generated ``bind`` function.
 
-    ``bind(sim, registers, memories, rows, streams, cursors, outputs,
-    flags, stack, pending)`` takes one simulator's state, its lists in
-    the plan's index order, and returns, per word, the generator
+    ``bind(run, registers, memories, rows, streams, cursors, outputs,
+    flags, stack, pending)`` takes one simulator's state, ``run`` its
+    :class:`_RunState` and the rest its lists in the plan's index order,
+    and returns, per word, the generator
     function of its block, ``block(cycle, pc)``: entered at word ``pc``
     in cycle ``cycle``, it runs one word per resumption and yields the
     next PC.  In a word a register read is a constant-index load, the
@@ -736,7 +737,7 @@ def _generate_steps(plan: DecodedPlan, lanes: bool):
                 value = x[0]
                 if lanes:
                     value = f"{value}.copy()" if value.startswith("rf") \
-                        else f"full(sim.n_lanes, {value})"
+                        else f"full(run.n_lanes, {value})"
                 body.append(f"out{output_index[op.target]}.append({value})")
                 continue
             results.append((op, value))
@@ -775,7 +776,7 @@ def _generate_steps(plan: DecodedPlan, lanes: bool):
             n = flagged[-1]
             # A flag is a row of lanes even when its value is one scalar,
             # so a CJMP on it never mistakes the scalar for one lane.
-            row = "full(sim.n_lanes, {})" if uniform[n] else "{}"
+            row = "full(run.n_lanes, {})" if uniform[n] else "{}"
             uses[n].append(("flags[0]", row.format(negative)))
             if plan.n_flags > 1:
                 uses[n].append(("flags[1]", row.format(zero)))
@@ -803,7 +804,7 @@ def _generate_steps(plan: DecodedPlan, lanes: bool):
             body.append(f"{', '.join(targets)} = {', '.join(values)}")
         return body + _control_lines(word, w, plan.stack_depth, lanes)
 
-    lines = ["def bind(sim, registers, memories, rows, streams, cursors, "
+    lines = ["def bind(run, registers, memories, rows, streams, cursors, "
              "outputs, flags, stack, pending):"]
     for prefix, parameter, count in (
             ("rf", "registers", len(plan.rf_sizes)),
@@ -853,7 +854,7 @@ def _control_lines(word: WordPlan, w: int, stack_depth: int,
         if lanes:
             # Lanes that disagree: ``~w`` asks the driver to split them.
             return [f"yield {arg} if (taken := count_nonzero({flag})) == "
-                    f"sim.n_lanes else {w + 1} if not taken else {~w}"]
+                    f"run.n_lanes else {w + 1} if not taken else {~w}"]
         return [f"yield {arg} if {flag} else {w + 1}"]
     if ctrl is CtrlOp.LOOP:
         return [f"if len(stack) >= {int(stack_depth)}: stack_overflow()",
@@ -869,15 +870,36 @@ def _control_lines(word: WordPlan, w: int, stack_depth: int,
                 "    stack.pop()",
                 f"    yield {w + 1}"]
     if ctrl is CtrlOp.IDLE:
-        return ["if sim.start_tokens > 0:",
-                "    sim.start_tokens -= 1",
-                "    sim.frame += 1",
+        return ["if run.start_tokens > 0:",
+                "    run.start_tokens -= 1",
+                "    run.frame += 1",
                 f"    yield {w + 1}",
                 "else:",
                 f"    yield {w}"]
     if ctrl is CtrlOp.HALT:
-        return ["sim.halted = True", f"yield {w}"]
+        return ["run.halted = True", f"yield {w}"]
     raise PlanError(f"unhandled controller op {ctrl}")  # pragma: no cover
+
+
+class _RunState:
+    """The run state generated step code reads and writes.  It is kept
+    apart from its simulator, so the code bound to it holds no reference
+    back: a simulator and its arrays are freed as soon as it is dropped,
+    not at the next cyclic garbage collection."""
+
+    __slots__ = ("start_tokens", "frame", "halted", "n_lanes")
+
+    def __init__(self, start_tokens: int, frame: int, n_lanes: int):
+        self.start_tokens = start_tokens
+        self.frame = frame
+        self.halted = False
+        self.n_lanes = n_lanes
+
+
+def _run_state(name: str) -> property:
+    """A simulator's ``name``, held by its :class:`_RunState`."""
+    return property(lambda sim: getattr(sim._run, name),
+                    lambda sim, value: setattr(sim._run, name, value))
 
 
 def _run_blocks(sim, budget: int) -> None:
@@ -887,16 +909,17 @@ def _run_blocks(sim, budget: int) -> None:
     ``~w``, ``w`` the ``CJMP``'s word).  Raises for a PC outside the
     program and a run that stopped anywhere else."""
     blocks = sim._blocks
+    run = sim._run
     idle = sim.plan.idle
     n_words = len(blocks)
     pc, cycle = sim.pc, sim.cycle
     try:
-        while cycle < budget and not sim.halted and pc >= 0:
+        while cycle < budget and not run.halted and pc >= 0:
             # Only a block's first word can be outside the program or an
             # IDLE, and only its last can halt or split.
             if pc >= n_words:
                 raise SimulationError(f"PC {pc} outside the program")
-            if idle[pc] and not sim.start_tokens:
+            if idle[pc] and not run.start_tokens:
                 break
             for pc in blocks[pc](cycle, pc):
                 cycle += 1
@@ -904,11 +927,11 @@ def _run_blocks(sim, budget: int) -> None:
                     break
     finally:
         sim.pc, sim.cycle = pc, cycle
-    if sim.halted or pc < 0:
+    if run.halted or pc < 0:
         return
     if pc >= n_words:
         raise SimulationError(f"PC {pc} outside the program")
-    if not (idle[pc] and sim.start_tokens == 0):
+    if not (idle[pc] and run.start_tokens == 0):
         raise SimulationError(
             f"simulation did not settle within {budget} cycles")
 
@@ -926,6 +949,10 @@ class DecodedSimulator:
     differential suite pins the outputs to
     :func:`repro.lang.reference.run_reference`.
     """
+
+    start_tokens = _run_state("start_tokens")
+    frame = _run_state("frame")
+    halted = _run_state("halted")
 
     def __init__(self, plan: DecodedPlan):
         self.plan = plan
@@ -945,16 +972,14 @@ class DecodedSimulator:
         self.stack: list[tuple[int, int]] = []
         self.flags = [0] * max(1, plan.n_flags)
         self.cycle = 0
-        self.frame = 0
-        self.halted = False
-        self.start_tokens = 0
+        self._run = _RunState(0, 0, 1)
         self.inputs: dict[str, list[int]] = {
             port: [] for port in plan.input_ports}
         self.outputs: dict[str, list[int]] = {
             port: [] for port in plan.output_ports}
         self._cursors = [0] * len(plan.input_ports)
         self._blocks = plan.step_binder(
-            self, list(self.registers.values()),
+            self._run, list(self.registers.values()),
             [self.memories[name] for name in plan.memory_names], (),
             list(self.inputs.values()), self._cursors,
             list(self.outputs.values()), self.flags, self.stack, {})
@@ -966,14 +991,14 @@ class DecodedSimulator:
 
     def run_frames(self, n_frames: int,
                    max_cycles: int | None = None) -> dict[str, list[int]]:
-        self.start_tokens += n_frames
+        self._run.start_tokens += n_frames
         _run_blocks(self, _cycle_budget(self.plan, n_frames, max_cycles))
         return {port: list(values) for port, values in self.outputs.items()
                 if values}
 
     def step(self) -> None:
         """Execute the word at :attr:`pc`: one cycle."""
-        if self.halted:
+        if self._run.halted:
             raise SimulationError("stepping a halted core")
         if self.pc >= len(self._blocks):
             raise SimulationError(f"PC {self.pc} outside the program")
@@ -1022,6 +1047,10 @@ class BatchSimulator:
     re-merge.  When a run ends, every child's registers, RAMs and flags
     are scattered back, so this simulator's hold every lane's.
     """
+
+    start_tokens = _run_state("start_tokens")
+    frame = _run_state("frame")
+    halted = _run_state("halted")
 
     def __init__(self, plan: DecodedPlan, n_lanes: int):
         _load_numpy()
@@ -1094,13 +1123,7 @@ class BatchSimulator:
         work, leaves = [self], []
         while work:
             sim = work.pop()
-            try:
-                _run_blocks(sim, budget)
-            finally:
-                # The bound code holds the simulator: unbound, a simulator
-                # and its arrays are freed as soon as it is dropped, not
-                # at the next cyclic garbage collection.
-                sim._blocks = None
+            _run_blocks(sim, budget)
             sim._flush(results)
             if sim.pc < 0:
                 work += sim._split(~sim.pc)
@@ -1117,16 +1140,15 @@ class BatchSimulator:
         """Set the run state, then bind the plan's numpy step code to
         this simulator's state; a stream is cut to the samples every
         lane has."""
-        self.pc, self.cycle, self.frame = pc, cycle, frame
-        self.halted = False
-        self.start_tokens = start_tokens
+        self.pc, self.cycle = pc, cycle
+        self._run = _RunState(start_tokens, frame, self.n_lanes)
         self.stack = stack
         self._cursors = cursors
         self._pending = pending
         plan = self.plan
         self.outputs = [[] for _ in plan.output_ports]
         self._blocks = plan.batch_binder(
-            self, list(self.registers.values()),
+            self._run, list(self.registers.values()),
             [self.memories[name].reshape(-1) for name in plan.memory_names],
             [_np.arange(0, self.n_lanes * size, size)
              for size in plan.ram_sizes.values()],

@@ -597,17 +597,53 @@ class TestFrozenPoints:
         assert again == point
         assert is_frozen(again)
 
-    def test_v2_entry_is_a_version_skip(self, tmp_path):
-        """An entry written under the previous point schema (mutable
-        dicts) is never served as a frozen point."""
-        from repro.pipeline import DiskCache
+    def test_other_pipeline_version_is_a_version_skip(self, tmp_path,
+                                                       monkeypatch):
+        """A point stored under another ``PIPELINE_VERSION`` is never
+        served: candidate keys do not carry the version, the envelope
+        does."""
+        from repro.pipeline import DiskCache, diskcache
 
+        monkeypatch.setattr(diskcache, "PIPELINE_VERSION",
+                            diskcache.PIPELINE_VERSION - 1)
         disk = DiskCache(tmp_path)
-        disk.put("k", self.point(), schema={"exploration_point": 2})
+        disk.put("k", self.point())
+        monkeypatch.undo()
         cache = ExploreCache(disk=disk)
         assert cache.get("k") is None
         assert (cache.misses, cache.disk_hits) == (1, 0)
         assert disk.stats.version_skips == 1
+        assert len(disk) == 0
+
+    def test_entry_with_a_schema_header_is_a_version_skip(self, tmp_path):
+        """An envelope in the header shape of pipeline 4 (a per-object
+        ``schema`` field; such an explore entry may hold a mutable point)
+        is a version skip to a read, and ``verify`` drops it."""
+        import hashlib
+        import json
+
+        from repro.pipeline import DiskCache, diskcache
+
+        payload = pickle.dumps(self.point(), protocol=pickle.HIGHEST_PROTOCOL)
+        header = json.dumps({
+            "format": diskcache.FORMAT_VERSION,
+            "pipeline": 4,
+            "schema": {"exploration_point": 2},
+            "payload_sha256": hashlib.sha256(payload).hexdigest(),
+            "raw": False,
+        }, sort_keys=True, separators=(",", ":")).encode()
+        blob = diskcache._MAGIC + len(header).to_bytes(4, "little") \
+            + header + payload
+        disk = DiskCache(tmp_path)
+        disk._write("read", blob)
+        disk._write("verified", blob)
+        cache = ExploreCache(disk=disk)
+        assert cache.get("read") is None
+        assert (cache.misses, cache.disk_hits) == (1, 0)
+        assert disk.stats.version_skips == 1
+        report = disk.verify()
+        assert (report.checked, report.version_skew) == (1, 1)
+        assert report.dropped == ["verified"] and len(disk) == 0
 
     def test_sweeps_count_no_stage_cache_event(self):
         """A sweep point goes through the shared two-tier class but is

@@ -109,9 +109,8 @@ class TestTruthiness:
 class TestBackend:
     def test_roundtrip(self, media):
         backend = media()
-        schema = {"x": 1}
-        backend.put("k" * 64, {"x": [1, 2, 3]}, schema)
-        assert backend.get("k" * 64, schema) == {"x": [1, 2, 3]}
+        backend.put("k" * 64, {"x": [1, 2, 3]})
+        assert backend.get("k" * 64) == {"x": [1, 2, 3]}
         assert backend.stats.hits == 1 and backend.stats.stores == 1
 
     def test_miss_is_none(self, media):
@@ -147,9 +146,9 @@ class TestBackend:
 
     def test_version_skew_degrades_to_miss(self, media, monkeypatch):
         backend = media()
-        backend.put("skewed", {"x": 1}, {"x": 1})
+        backend.put("skewed", {"x": 1})
         monkeypatch.setattr(diskcache, "PIPELINE_VERSION", 999)
-        assert backend.get("skewed", {"x": 1}) is None
+        assert backend.get("skewed") is None
         assert backend.stats.version_skips == 1
         assert backend.keys() == []
 
@@ -178,7 +177,7 @@ class TestBackend:
         """The running byte total is kept on every mutation, not
         scanned; it must equal the bytes the medium holds after any
         mix of them."""
-        one = len(diskcache.serialize({"pad": "x" * 100}, {}))
+        one = len(diskcache.serialize({"pad": "x" * 100}))
         backend = media(max_bytes=6 * one)
         steps = [
             lambda: backend.put("a", {"pad": "x" * 100}),
@@ -254,9 +253,9 @@ class TestByteCounters:
         read: list[int] = []
         get = backend.get
 
-        def recording_get(key, schema=None):
+        def recording_get(key):
             read.append(len(backend._entries[key][0]))
-            return get(key, schema)
+            return get(key)
 
         monkeypatch.setattr(backend, "get", recording_get)
         warm = Telemetry()
@@ -311,12 +310,12 @@ class TestGc:
         assert backend.keys() == ["keep"]
 
     def test_bound_eviction_at_put_is_not_an_admin_gc(self, media):
-        one = len(diskcache.serialize({"pad": "x" * 100}, {}))
+        one = len(diskcache.serialize({"pad": "x" * 100}))
         backend = media(max_bytes=3 * one)
         obs = Telemetry()
         with use_telemetry(obs):
             for i in range(5):
-                backend.put(f"{i:02d}" + "0" * 62, {"pad": "x" * 100}, {})
+                backend.put(f"{i:02d}" + "0" * 62, {"pad": "x" * 100})
         assert obs.counters["diskcache.eviction"] == 2
         assert "cache.gc_removed" not in obs.counters
 
@@ -324,7 +323,7 @@ class TestGc:
                                            capsys):
         disk = DiskCache(tmp_path)
         for key in ("a" * 64, "b" * 64):
-            disk.put(key, {"x": 1}, {"x": 1})
+            disk.put(key, {"x": 1})
         obs = Telemetry()
         monkeypatch.setattr(cli, "command_telemetry", lambda args: obs)
         assert cli.main(["cache", "gc", "--cache-dir", str(tmp_path),
@@ -345,7 +344,7 @@ class TestVerify:
     def test_unusable_entries_reported_and_dropped(self, media,
                                                    monkeypatch):
         backend = media()
-        backend.put("good", {"x": 1}, {"x": 1})
+        backend.put("good", {"x": 1})
         backend._write("bad", b"\x00" * 16)
         monkeypatch.setattr(diskcache, "FORMAT_VERSION", 2)
         backend._write("old", diskcache.serialize({"x": 1}))
@@ -359,7 +358,7 @@ class TestVerify:
 
     def test_disk_verify_drops_truncated_entry(self, tmp_path):
         disk = DiskCache(tmp_path)
-        disk.put("a" * 64, {"x": 1}, {"x": 1})
+        disk.put("a" * 64, {"x": 1})
         victim = next(tmp_path.glob("objects/*/*.rpdc"))
         victim.write_bytes(victim.read_bytes()[:10])
         report = disk.verify()
@@ -416,7 +415,7 @@ class TestBackendStats:
 
     def test_disk_stats_shape(self, tmp_path):
         disk = DiskCache(tmp_path)
-        disk.put("a" * 64, {"x": 1}, {"x": 1})
+        disk.put("a" * 64, {"x": 1})
         payload = backend_stats(disk)
         assert payload["backend"] == "DiskCache"
         assert payload["entries"] == 1

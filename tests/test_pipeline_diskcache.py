@@ -18,12 +18,10 @@ import pytest
 
 from repro import Q15, Toolchain, audio_core, run_reference
 from repro.pipeline import (
-    ARTIFACT_VERSIONS,
     STAGE_EXECUTIONS,
     STAGE_NAMES,
     DiskCache,
     StageCache,
-    artifact_schema,
 )
 from repro.pipeline import diskcache
 from repro.pipeline.diskcache import deserialize, serialize
@@ -55,13 +53,14 @@ def toolchain_on(cache_dir, core=None, disk_options=None, **options) -> Toolchai
                      cache=StageCache(disk=disk), **options)
 
 
-def format3_envelope(payload: bytes, schema: dict[str, int]) -> bytes:
-    """An envelope as format 3 wrote it: the stream bytes pickled."""
+def format3_envelope(payload: bytes, names) -> bytes:
+    """An envelope as format 3 wrote it: the stream bytes pickled, the
+    header naming the version of each artifact ``names`` lists."""
     payload = pickle.dumps(payload, protocol=pickle.HIGHEST_PROTOCOL)
     header = json.dumps({
         "format": 3,
         "pipeline": diskcache.PIPELINE_VERSION,
-        "schema": schema,
+        "schema": dict.fromkeys(names, 1),
         "payload_sha256": hashlib.sha256(payload).hexdigest(),
     }, sort_keys=True, separators=(",", ":")).encode()
     return diskcache._MAGIC + len(header).to_bytes(4, "little") + header \
@@ -71,27 +70,15 @@ def format3_envelope(payload: bytes, schema: dict[str, int]) -> bytes:
 class TestEnvelope:
     def test_roundtrip(self):
         obj = {"dfg": [1, 2, 3], "binary": ("words", 42)}
-        schema = {"dfg": 1, "binary": 1}
-        assert deserialize(serialize(obj, schema), schema) == obj
+        assert deserialize(serialize(obj)) == obj
 
     def test_bytes_are_the_payload_as_they_are(self):
         """A snapshot pack is stored as it is, not pickled again."""
         pack = bytes(range(256)) * 4
-        blob = serialize(pack, {"dfg": 1})
+        blob = serialize(pack)
         assert blob.endswith(pack)
         assert len(blob) - len(pack) < 300
-        assert deserialize(blob, {"dfg": 1}) == pack
-
-    def test_schema_subset_is_compatible(self):
-        # An entry holding a prefix of the artifacts (a partial compile)
-        # must deserialize under the full expected table.
-        blob = serialize({"source_dfg": "x"}, {"source_dfg": 1})
-        assert deserialize(blob, ARTIFACT_VERSIONS) == {"source_dfg": "x"}
-
-    def test_schema_skew_rejected(self):
-        blob = serialize({"dfg": "x"}, {"dfg": 1})
-        with pytest.raises(diskcache.CacheVersionError):
-            deserialize(blob, {"dfg": 2})
+        assert deserialize(blob) == pack
 
     def test_corruption_rejected(self):
         blob = serialize({"x": 1})
@@ -111,6 +98,8 @@ class TestEnvelope:
             deserialize(blob)
 
     def test_non_object_schema_rejected(self):
+        """A header field this code no longer reads (the artifact schema
+        of older envelopes), even malformed, never crashes a read."""
         import json as json_module
 
         header = json_module.dumps({
@@ -240,33 +229,6 @@ class TestVersioning:
         assert not any(state.cache_hits.values())
         assert disk.stats.version_skips > 0
 
-    def test_artifact_version_skew_invalidates(self, tmp_path, monkeypatch):
-        toolchain_on(tmp_path, budget=64).compile(SOURCE)
-        bumped = dict(ARTIFACT_VERSIONS, schedule=ARTIFACT_VERSIONS["schedule"] + 1)
-        monkeypatch.setattr("repro.pipeline.artifacts.ARTIFACT_VERSIONS",
-                            bumped)
-        disk = DiskCache(tmp_path)
-        state = Toolchain(audio_core(), cache=StageCache(disk=disk),
-                          budget=64).run_pipeline(SOURCE)
-        # The compile's one pack holds a schedule, so it is skew as a
-        # whole: no stage, not even parse, is served from it.
-        assert not any(state.cache_hits.values())
-        assert disk.stats.version_skips == 1
-
-    def test_stale_conflict_model_is_a_version_skip(self, tmp_path,
-                                                    monkeypatch):
-        """Entries from before the instruction set became a
-        compatibility graph (conflict_model v1) never restore."""
-        monkeypatch.setattr("repro.pipeline.artifacts.ARTIFACT_VERSIONS",
-                            dict(ARTIFACT_VERSIONS, conflict_model=1))
-        toolchain_on(tmp_path, budget=64).compile(SOURCE)
-        monkeypatch.undo()
-        disk = DiskCache(tmp_path)
-        state = Toolchain(audio_core(), cache=StageCache(disk=disk),
-                          budget=64).run_pipeline(SOURCE)
-        assert not any(state.cache_hits.values())
-        assert disk.stats.version_skips == 1
-
     def test_entries_holding_the_artifact_dict_are_version_skips(
             self, tmp_path, monkeypatch):
         """Entries from before stage snapshots were stored serialized
@@ -277,8 +239,7 @@ class TestVersioning:
         monkeypatch.setattr(diskcache, "FORMAT_VERSION", 1)
         old = DiskCache(tmp_path)
         for key in reference.fingerprints.values():
-            old.put(key, reference.artifacts,
-                    schema=artifact_schema(reference.artifacts))
+            old.put(key, reference.artifacts)
         monkeypatch.undo()
         disk = DiskCache(tmp_path)
         state = Toolchain(audio_core(), cache=StageCache(disk=disk),
@@ -304,8 +265,8 @@ class TestVersioning:
         for key in reference.fingerprints.values():
             stream = SnapshotStream()
             stream.dump(key, reference.artifacts)
-            _, pack, schema = stream.pack()
-            old.put(key, pickle.dumps(pack), schema=schema)
+            _, pack = stream.pack()
+            old.put(key, pickle.dumps(pack))
         monkeypatch.undo()
         disk = DiskCache(tmp_path)
         state = Toolchain(audio_core(), cache=StageCache(disk=disk),
@@ -329,13 +290,12 @@ class TestVersioning:
         cache = StageCache()
         reference = Toolchain(audio_core(), cache=cache,
                               budget=64).run_pipeline(SOURCE)
-        schema = artifact_schema(reference.artifacts)
         old = DiskCache(tmp_path)
         for pack in cache._entries.values():
             frames, start = decode_pack(pack)
             for key, end in frames:
                 old._write(key, format3_envelope(pack[start:start + end],
-                                                 schema))
+                                                 reference.artifacts))
         assert len(old) == len(STAGE_NAMES)
         disk = DiskCache(tmp_path)
         state = Toolchain(audio_core(), cache=StageCache(disk=disk),
@@ -388,7 +348,7 @@ class TestConcurrency:
 
 class TestEviction:
     def test_size_bound_evicts_lru(self, tmp_path):
-        one_entry = len(serialize({"payload": "x" * 1000}, {}))
+        one_entry = len(serialize({"payload": "x" * 1000}))
         disk = DiskCache(tmp_path, max_bytes=3 * one_entry)
         for index in range(8):
             disk.put(f"{index:02d}" + "0" * 62, {"payload": "x" * 1000})
@@ -412,7 +372,7 @@ class TestEviction:
         size estimate must track the delta, not the sum — otherwise a
         designer's iterative re-sweeps trigger needless full-scan
         eviction passes (and eventually evict live entries)."""
-        one_entry = len(serialize({"payload": "x" * 1000}, {}))
+        one_entry = len(serialize({"payload": "x" * 1000}))
         disk = DiskCache(tmp_path, max_bytes=4 * one_entry)
         scans = 0
         real_gc = disk.gc
@@ -449,7 +409,7 @@ class TestEviction:
         must not rescan the store on its first put: the estimate is
         per directory and process, so only the first put scans, and
         the bound still holds across the objects."""
-        one_entry = len(serialize({"payload": "x" * 1000}, {}))
+        one_entry = len(serialize({"payload": "x" * 1000}))
         scans = 0
         real_size = DiskCache.size_bytes
 
@@ -467,7 +427,7 @@ class TestEviction:
         assert disk.get("11" + "0" * 62) is not None
 
     def test_reads_refresh_recency(self, tmp_path):
-        one_entry = len(serialize({"payload": "x" * 1000}, {}))
+        one_entry = len(serialize({"payload": "x" * 1000}))
         disk = DiskCache(tmp_path, max_bytes=2 * one_entry + 8)
         import os
         import time

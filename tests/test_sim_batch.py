@@ -356,6 +356,30 @@ class TestLiveState:
         assert {port: values for port, values in stepped.outputs.items()
                 if values} == outputs
 
+    @pytest.mark.parametrize("engine", BATCH_ENGINES)
+    def test_finished_simulator_dies_with_its_last_reference(
+            self, fir_program, engine):
+        # The step code binds the simulator's arrays and run state, not
+        # the simulator, so no reference cycle waits for the collector.
+        plan = decode_program(fir_program)
+        streams = random_streams(["x"], 4, seed=5)
+        gc.collect()
+        gc.disable()
+        try:
+            if engine == "numpy":
+                sim = batch_module.BatchSimulator(plan, 2)
+                sim.load_inputs([streams, streams])
+            else:
+                sim = DecodedSimulator(plan)
+                sim.load_inputs(streams)
+            sim.run_frames(4)
+            assert sim.frame == 4 and not sim.start_tokens
+            ref = weakref.ref(sim)
+            del sim
+            assert ref() is None
+        finally:
+            gc.enable()
+
 
 class TestAddressBounds:
     """The decoded engine tests every address of a word at once: one
@@ -681,9 +705,9 @@ class TestSplits:
 
     @pytest.mark.skipif(not NUMPY_AVAILABLE, reason="numpy not installed")
     def test_simulators_die_with_their_last_reference(self, monkeypatch):
-        # Bound step code refers back to its simulator.  A run unbinds
-        # every simulator it ran, so neither the batch nor a child of
-        # its split waits for the cyclic collector to free its arrays.
+        # Bound step code holds no reference back to its simulator, so
+        # neither the batch nor a child of its split waits for the
+        # cyclic collector to free its arrays.
         made = []
         child = batch_module.BatchSimulator._child
 

@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import enum
 import gc
-import pickle
 import types
 
 import pytest
@@ -231,9 +230,9 @@ class TestEntriesRestore:
         cache = StageCache()
         stream = SnapshotStream()
         stream.dump("k", {"a": [1, 2], "b": "x"})
-        key, pack, schema = stream.pack()
-        assert key == "k" and set(schema) == {"a", "b"}
-        cache.put(key, pack, schema)
+        key, pack = stream.pack()
+        assert key == "k"
+        cache.put(key, pack)
         blob, tier = cache.get_entry("k")
         assert blob is pack and tier == "memory"
         restored = cache.restore(blob, ["k"], audio_core())
