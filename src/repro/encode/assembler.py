@@ -14,7 +14,9 @@ slots are free.
 
 from __future__ import annotations
 
+from collections.abc import Mapping
 from dataclasses import dataclass
+from types import MappingProxyType
 
 from ..arch.controller import CtrlOp
 from ..arch.library import CoreSpec
@@ -32,26 +34,54 @@ from .fields import (
 )
 
 
-@dataclass
+@dataclass(frozen=True)
 class EncodedProgram:
-    """Binary microcode plus everything the simulator needs."""
+    """Binary microcode plus everything the simulator needs.
+
+    Frozen, its containers read-only (tuples and mapping proxies): a
+    changed binary is a new program.  The simulator's decoded plan of a
+    program is therefore built once and kept in the instance
+    ``__dict__`` (:func:`repro.sim.batch.decode_program`), outside the
+    fields and the pickled state.
+    """
 
     core: CoreSpec
     format: InstructionFormat
-    words: list[int]
+    words: tuple[int, ...]
     n_body: int
     body_offset: int
     rom_words: tuple[int, ...]
-    acu_moduli: dict[str, int]
+    acu_moduli: Mapping[str, int]
     #: (input OPU name, body cycle) -> logical input port
-    input_map: dict[tuple[str, int], str]
+    input_map: Mapping[tuple[str, int], str]
     #: (output OPU name, body cycle) -> logical output port
-    output_map: dict[tuple[str, int], str]
-    #: register file -> (pinned register, initial value)
-    initial_registers: dict[str, list[tuple[int, int]]]
+    output_map: Mapping[tuple[str, int], str]
+    #: register file -> (pinned register, initial value) pairs
+    initial_registers: Mapping[str, tuple[tuple[int, int], ...]]
     mode: str = "loop"
     #: body traversals per start signal (mode="repeat")
     repeat_count: int = 1
+
+    def __post_init__(self) -> None:
+        self.__dict__.update(
+            words=tuple(self.words),
+            rom_words=tuple(self.rom_words),
+            acu_moduli=MappingProxyType(dict(self.acu_moduli)),
+            input_map=MappingProxyType(dict(self.input_map)),
+            output_map=MappingProxyType(dict(self.output_map)),
+            initial_registers=MappingProxyType({
+                rf: tuple(map(tuple, inits))
+                for rf, inits in self.initial_registers.items()}),
+        )
+
+    def __reduce__(self):
+        # A mapping proxy does not pickle: ship plain dicts.  Only the
+        # fields travel, so the decoded plan stays out.
+        return EncodedProgram, (
+            self.core, self.format, self.words, self.n_body,
+            self.body_offset, self.rom_words, dict(self.acu_moduli),
+            dict(self.input_map), dict(self.output_map),
+            dict(self.initial_registers), self.mode, self.repeat_count)
 
     @property
     def word_width(self) -> int:
@@ -191,7 +221,7 @@ def assemble(
         n_body=schedule.length,
         body_offset=body_offset,
         rom_words=program.rom.words if program.rom is not None else (),
-        acu_moduli=dict(program.acu_moduli),
+        acu_moduli=program.acu_moduli,
         input_map=input_map,
         output_map=output_map,
         initial_registers=initial_registers,

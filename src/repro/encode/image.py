@@ -48,43 +48,74 @@ def program_to_dict(program: EncodedProgram) -> dict[str, Any]:
 
 
 def program_from_dict(data: dict[str, Any]) -> EncodedProgram:
+    """Inverse of :func:`program_to_dict`.  A malformed image raises
+    :class:`EncodingError` naming the field."""
+    if not isinstance(data, dict):
+        raise EncodingError("a microcode image must be a JSON object")
     version = data.get("image_format_version")
     if version != IMAGE_FORMAT_VERSION:
         raise EncodingError(
             f"unsupported microcode image version {version!r} "
             f"(this library reads version {IMAGE_FORMAT_VERSION})"
         )
-    core = core_from_dict(data["core"])
+    core = _read(data, "core", core_from_dict)
     fmt = derive_format(core)
-    if fmt.width != data["word_width"]:
+    width = _read(data, "word_width", _int)
+    if fmt.width != width:
         raise EncodingError(
-            f"image word width {data['word_width']} does not match the "
+            f"image word width {width} does not match the "
             f"core's derived format ({fmt.width} bits); core and image "
             f"disagree"
         )
-    return EncodedProgram(
-        core=core,
-        format=fmt,
-        words=[int(word, 16) for word in data["words"]],
-        n_body=data["n_body"],
-        body_offset=data["body_offset"],
-        rom_words=tuple(data["rom_words"]),
-        acu_moduli=dict(data["acu_moduli"]),
-        input_map={
-            (entry["opu"], entry["cycle"]): entry["port"]
-            for entry in data["input_map"]
-        },
-        output_map={
-            (entry["opu"], entry["cycle"]): entry["port"]
-            for entry in data["output_map"]
-        },
-        initial_registers={
-            rf: [(register, value) for register, value in inits]
-            for rf, inits in data["initial_registers"].items()
-        },
-        mode=data["mode"],
-        repeat_count=data["repeat_count"],
-    )
+    return EncodedProgram(core=core, format=fmt, **{
+        name: _read(data, name, read) for name, read in _FIELDS.items()})
+
+
+def _read(data: dict[str, Any], name: str, read) -> Any:
+    """``read(data[name])``; a missing or malformed field raises
+    :class:`EncodingError` naming it."""
+    if name not in data:
+        raise EncodingError(f"microcode image lacks the field {name!r}")
+    try:
+        return read(data[name])
+    except (AttributeError, KeyError, TypeError, ValueError) as exc:
+        raise EncodingError(f"microcode image field {name!r} is "
+                            f"malformed: {exc}") from None
+
+
+def _typed(kind: type):
+    def check(value: Any) -> Any:
+        if not isinstance(value, kind) or isinstance(value, bool):
+            raise TypeError(f"expected {kind.__name__}, got {value!r}")
+        return value
+    return check
+
+
+_int, _str, _list, _dict = map(_typed, (int, str, list, dict))
+
+
+def _port_map(entries: Any) -> dict[tuple[str, int], str]:
+    return {(_str(entry["opu"]), _int(entry["cycle"])): _str(entry["port"])
+            for entry in _list(entries)}
+
+
+#: Image field -> how it is read into the :class:`EncodedProgram` field.
+_FIELDS = {
+    "words": lambda words: [int(_str(word), 16) for word in _list(words)],
+    "n_body": _int,
+    "body_offset": _int,
+    "rom_words": lambda words: [_int(word) for word in _list(words)],
+    "acu_moduli": lambda moduli: {
+        _str(acu): _int(modulus) for acu, modulus in _dict(moduli).items()},
+    "input_map": _port_map,
+    "output_map": _port_map,
+    "initial_registers": lambda files: {
+        rf: [(_int(register), _int(value))
+             for register, value in _list(inits)]
+        for rf, inits in _dict(files).items()},
+    "mode": _str,
+    "repeat_count": _int,
+}
 
 
 def dump_program(program: EncodedProgram) -> str:
@@ -94,4 +125,8 @@ def dump_program(program: EncodedProgram) -> str:
 
 def load_program(text: str) -> EncodedProgram:
     """Load a microcode image from :func:`dump_program` output."""
-    return program_from_dict(json.loads(text))
+    try:
+        data = json.loads(text)
+    except ValueError as exc:
+        raise EncodingError(f"a microcode image must be JSON: {exc}") from None
+    return program_from_dict(data)

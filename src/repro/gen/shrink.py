@@ -52,7 +52,7 @@ def _rebuild(dfg: Dfg, drop: set[int], reroute: dict[int, int]) -> Dfg:
         nodes=nodes,
         params={name: value for name, value in dfg.params.items()
                 if name in param_names},
-        inputs=[name for name in dict.fromkeys(inputs)],
+        inputs=dict.fromkeys(inputs),
         outputs=outputs,
         states={name: spec for name, spec in dfg.states.items()
                 if name in state_names},

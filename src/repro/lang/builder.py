@@ -128,11 +128,11 @@ class DfgBuilder:
     def build(self) -> Dfg:
         dfg = Dfg(
             name=self.name,
-            nodes=list(self._nodes),
-            params=dict(self._params),
-            inputs=list(self._inputs),
-            outputs=list(self._outputs),
-            states=dict(self._states),
+            nodes=self._nodes,
+            params=self._params,
+            inputs=self._inputs,
+            outputs=self._outputs,
+            states=self._states,
         )
         dfg.validate()
         return dfg

@@ -25,7 +25,9 @@ write, regardless of textual order.  Histories start at zero.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
+from collections.abc import Mapping
+from dataclasses import dataclass
+from types import MappingProxyType
 
 from ..errors import SemanticError
 
@@ -68,23 +70,38 @@ class StateSpec:
     depth: int
 
 
-@dataclass
+@dataclass(frozen=True)
 class Dfg:
-    """A validated time-loop application."""
+    """A validated time-loop application.
+
+    Frozen, its containers read-only (tuples and mapping proxies): a
+    pass that changes a graph builds a new one.  What is derived from a
+    graph (its consumer index, its content digest) is therefore computed
+    once and kept in the instance ``__dict__``, outside the fields, so
+    it stays out of equality, ``repr`` and the pickled state.
+    """
 
     name: str
-    nodes: list[Node]
-    params: dict[str, float]
-    inputs: list[str]
-    outputs: list[str]
-    states: dict[str, StateSpec]
-    #: Lazily-built consumer index (node id -> consuming nodes).  Keyed
-    #: on the node-list length so append/remove rebuilds automatically;
-    #: replacing a node in place must call :meth:`invalidate_consumers`.
-    _consumer_cache: dict[int, tuple[Node, ...]] | None = field(
-        default=None, init=False, repr=False, compare=False)
-    _consumer_cache_len: int = field(
-        default=-1, init=False, repr=False, compare=False)
+    nodes: tuple[Node, ...]
+    params: Mapping[str, float]
+    inputs: tuple[str, ...]
+    outputs: tuple[str, ...]
+    states: Mapping[str, StateSpec]
+
+    def __post_init__(self) -> None:
+        self.__dict__.update(
+            nodes=tuple(self.nodes),
+            params=MappingProxyType(dict(self.params)),
+            inputs=tuple(self.inputs),
+            outputs=tuple(self.outputs),
+            states=MappingProxyType(dict(self.states)),
+        )
+
+    def __reduce__(self):
+        # A mapping proxy does not pickle: ship plain dicts.  Only the
+        # fields travel, so what was derived stays out.
+        return Dfg, (self.name, self.nodes, dict(self.params), self.inputs,
+                     self.outputs, dict(self.states))
 
     def node(self, node_id: int) -> Node:
         return self.nodes[node_id]
@@ -98,36 +115,21 @@ class Dfg:
         order (each consumer listed once, even when it reads the value
         on several operand positions).
 
-        Built in one O(nodes + edges) sweep and cached; repeated
+        Built once per graph in one O(nodes + edges) sweep; repeated
         consumer queries — the optimizer and the RT generator's route
         planning ask for every node's readers — stay linear instead of
         the quadratic per-node scan.
         """
-        if (self._consumer_cache is None
-                or self._consumer_cache_len != len(self.nodes)):
-            index: dict[int, list[Node]] = {n.id: [] for n in self.nodes}
+        index = self.__dict__.get("_consumers")
+        if index is None:
+            readers: dict[int, list[Node]] = {n.id: [] for n in self.nodes}
             for node in self.nodes:
                 for arg in dict.fromkeys(node.args):
-                    index[arg].append(node)
-            self._consumer_cache = {
-                node_id: tuple(readers) for node_id, readers in index.items()
+                    readers[arg].append(node)
+            index = self.__dict__["_consumers"] = {
+                node_id: tuple(nodes) for node_id, nodes in readers.items()
             }
-            self._consumer_cache_len = len(self.nodes)
-        return self._consumer_cache
-
-    def __getstate__(self) -> dict:
-        # The consumer index is derived and filled in place by whichever
-        # stage asks first; pickled, it would make one DFG serialize
-        # differently before and after a later stage read it.
-        state = self.__dict__.copy()
-        state["_consumer_cache"] = None
-        state["_consumer_cache_len"] = -1
-        return state
-
-    def invalidate_consumers(self) -> None:
-        """Drop the cached consumer index after nodes were replaced in place."""
-        self._consumer_cache = None
-        self._consumer_cache_len = -1
+        return index
 
     def consumers(self, node_id: int) -> list[Node]:
         return list(self.consumer_index().get(node_id, ()))

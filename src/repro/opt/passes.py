@@ -35,7 +35,7 @@ only use its fixed-point format.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 from ..fixed import Q15, FixedFormat
 from ..lang.dfg import Dfg, Node, NodeKind
@@ -116,14 +116,8 @@ def _rewired(node: Node, args: tuple[int, ...]) -> Node:
 def _with_nodes(dfg: Dfg, nodes: list[Node],
                 params: dict[str, float] | None = None) -> Dfg:
     """A fresh Dfg sharing ports/states but with rewritten nodes."""
-    return Dfg(
-        name=dfg.name,
-        nodes=nodes,
-        params=dict(dfg.params) if params is None else params,
-        inputs=list(dfg.inputs),
-        outputs=list(dfg.outputs),
-        states=dict(dfg.states),
-    )
+    return replace(
+        dfg, nodes=nodes, params=dfg.params if params is None else params)
 
 
 def _intern_constant(params: dict[str, float], fmt: FixedFormat,
@@ -490,12 +484,10 @@ class DcePass(Pass):
             n.name for n in nodes
             if n.kind in (NodeKind.DELAY, NodeKind.STATE_WRITE)
         }
-        pruned = Dfg(
-            name=dfg.name,
+        pruned = replace(
+            dfg,
             nodes=nodes,
             params={k: v for k, v in dfg.params.items() if k in live_params},
-            inputs=list(dfg.inputs),
-            outputs=list(dfg.outputs),
             states={k: v for k, v in dfg.states.items() if k in live_states},
         )
         return pruned, stats

@@ -14,19 +14,16 @@ artifacts, which is what makes the stage cache
 Fingerprints are deliberately *content*-keyed rather than
 identity-keyed: two cores that serialize identically share every
 core-dependent stage, and an equal graph handed in twice shares every
-stage.  :func:`dfg_fingerprint` remembers a graph's digest per graph
-object, which changes how often a graph is rendered, never what its
-digest is.
+stage.  A graph is immutable, so :func:`dfg_fingerprint` renders each
+graph object once and keeps the digest with it.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
-import operator
-import weakref
 from dataclasses import dataclass, field
-from functools import cached_property, partial
+from functools import cached_property
 from typing import Any
 
 from ..arch.library import CoreSpec
@@ -54,7 +51,9 @@ from ..rtgen.generator import RouteTable, route_table
 #: content, so a compile's keys form one chain from parse.
 #: v5: the one version: per-artifact and sweep-point versions are gone
 #: (an explore entry of v4 may hold a mutable point).
-PIPELINE_VERSION = 5
+#: v6: ``Dfg`` and ``EncodedProgram`` are frozen; their pickled state
+#: holds the fields only, tuples and plain dicts.
+PIPELINE_VERSION = 6
 
 
 def fingerprint(*parts: Any) -> str:
@@ -64,65 +63,29 @@ def fingerprint(*parts: Any) -> str:
     return hashlib.sha256(payload.encode("utf-8")).hexdigest()
 
 
-#: ``id(dfg)`` -> (weak reference to the graph, its strings, its
-#: immutable parts, its digest): see :func:`_render_token`.  The weak
-#: reference's callback drops the entry when the graph is collected.
-_DFG_DIGESTS: dict[int, tuple[weakref.ref, tuple, tuple, str]] = {}
-
-
-def _render_token(dfg: Dfg) -> tuple[tuple, tuple]:
-    """Everything :func:`dfg_fingerprint` renders of ``dfg``: the
-    strings (name, parameter names, port lists), compared by value, and
-    the immutable parts (nodes, parameter values, state windows),
-    compared by identity, since an immutable object renders the same
-    every time.  A parameter set from ``0.0`` to ``-0.0``, or from
-    ``1.0`` to ``1``, is a new object, so such an edit cannot pass for
-    the equal value it replaced."""
-    return ((dfg.name, tuple(dfg.params), tuple(dfg.inputs),
-             tuple(dfg.outputs)),
-            (*dfg.nodes, *dfg.params.values(), *dfg.states.values()))
-
-
-def _forget_digest(key: int, ref: weakref.ref) -> None:
-    entry = _DFG_DIGESTS.get(key)
-    if entry is not None and entry[0] is ref:
-        del _DFG_DIGESTS[key]
-
-
 def dfg_fingerprint(dfg: Dfg) -> str:
     """Content key of a data-flow graph.
 
     Covers everything downstream stages can observe: node structure,
     parameter values, port lists, state windows and source labels.
 
-    A graph is rendered once: later calls return the same digest for as
-    long as the graph lives and is unchanged.  A ``Dfg`` is mutable, so
-    each call first checks it against what was rendered
-    (:func:`_render_token`): the same name, parameter names and ports,
-    and the same node, parameter-value and state objects.  An in-place
-    edit is rendered again.
+    A graph is immutable, so it is rendered once: it keeps its digest in
+    its instance ``__dict__`` and every later call returns it.
     """
-    key = id(dfg)
-    strings, parts = _render_token(dfg)
-    entry = _DFG_DIGESTS.get(key)
-    if (entry is not None and entry[0]() is dfg and entry[1] == strings
-            and len(entry[2]) == len(parts)
-            and all(map(operator.is_, entry[2], parts))):
-        return entry[3]
-    digest = fingerprint(
-        "dfg",
-        dfg.name,
-        [
-            (n.id, n.kind.value, n.name, list(n.args), n.delay, n.label)
-            for n in dfg.nodes
-        ],
-        sorted((k, repr(v)) for k, v in dfg.params.items()),
-        list(dfg.inputs),
-        list(dfg.outputs),
-        sorted((s.name, s.depth) for s in dfg.states.values()),
-    )
-    ref = weakref.ref(dfg, partial(_forget_digest, key))
-    _DFG_DIGESTS[key] = (ref, strings, parts, digest)
+    digest = dfg.__dict__.get("_fingerprint")
+    if digest is None:
+        digest = dfg.__dict__["_fingerprint"] = fingerprint(
+            "dfg",
+            dfg.name,
+            [
+                (n.id, n.kind.value, n.name, list(n.args), n.delay, n.label)
+                for n in dfg.nodes
+            ],
+            sorted((k, repr(v)) for k, v in dfg.params.items()),
+            list(dfg.inputs),
+            list(dfg.outputs),
+            sorted((s.name, s.depth) for s in dfg.states.values()),
+        )
     return digest
 
 

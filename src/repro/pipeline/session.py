@@ -36,9 +36,9 @@ from the uncached compile.  A stage that needs a changed artifact
 builds a new object (impose returns a new ``program`` instead of
 writing artificial resources into the lowering); facts several later
 stages need are written by the stage that creates the objects, before
-its frame (rtgen annotates every RT's class); a derived index filled
-lazily on a shared object stays out of its pickled state (the DFG's
-consumer index).
+its frame (rtgen annotates every RT's class); a value derived lazily
+on a shared object stays out of its pickled state (a graph's digest
+and consumer index, a binary's decoded plan).
 
 Every stage key chains onto the one before it, from the parse key on,
 so the toolchain knows a compile's eight keys from the request and

@@ -40,7 +40,8 @@ stages.
 Cache placement is *server policy*: the configured backend spec
 (``--cache``) overrides whatever placement the request's options
 carry, so every job shares one artifact store and the admin endpoints
-operate on the store jobs actually use.
+operate on the store jobs actually use.  A server without one
+(``--no-cache``) runs every job without a persistent tier.
 """
 
 from __future__ import annotations
@@ -98,7 +99,8 @@ class ServerConfig:
     rate_limit: float | None = None
     rate_burst: int = 10
     #: Cache-backend spec shared by every job (path | ``memory:<name>``);
-    #: None leaves requests' own cache placement untouched.
+    #: None serves every job without a persistent tier, whatever
+    #: placement its request carries.
     cache: str | None = None
     #: Restrict served cores to this subset of the registry.
     cores: frozenset[str] | None = None
@@ -427,11 +429,11 @@ class CompileServer:
         parsed = parse_compile_request(
             body, allowed_cores=self.config.cores,
             max_source_bytes=self.config.max_source_bytes)
-        options = parsed["options"]
-        if self.config.cache is not None:
-            # Cache placement is server policy (module docstring).
-            options = options.replace(disk_cache=True,
-                                      cache_dir=self.config.cache)
+        # Cache placement is server policy (module docstring): without
+        # a server cache, a job gets no persistent tier either.
+        options = parsed["options"].replace(
+            disk_cache=self.config.cache is not None,
+            cache_dir=self.config.cache)
         payload = job_payload(parsed["source"], parsed["core"], options,
                               parsed["io_binding"], parsed["name"])
         job = self.store.submit(parsed["core"], parsed["name"], options,

@@ -26,9 +26,8 @@ Execution has two phases:
    or a sign-extended immediate), fixed-point semantic codes, pipeline
    due-offsets and bus names, and the destination writes with their
    mux-selected source bus.  Nothing is looked up per cycle.  A program
-   the plan cannot express raises :class:`PlanError`.  Each program's
-   plan is memoized for as long as the program lives, and decoded again
-   when the program is edited in place.
+   the plan cannot express raises :class:`PlanError`.  A program is
+   immutable, so it keeps its plan and is decoded once.
 2. **Step** — both engines run code generated from the plan: on a
    plan's first run on an engine it is specialized into Python source,
    one generator per straight-line block of words, and built with
@@ -59,7 +58,6 @@ from __future__ import annotations
 
 import functools
 import importlib.util
-import weakref
 from dataclasses import dataclass
 
 from ..arch.controller import CtrlOp
@@ -177,9 +175,9 @@ class DecodedPlan:
     Everything the per-cycle loop needs, resolved exactly once:
     decoded words, register-file/memory shapes, the fixed-point format
     and the controller envelope.  The plan is immutable and reusable —
-    decode once, simulate any number of stimulus batches.  It holds no
-    reference to its program, so :func:`decode_program`'s memo entry
-    dies with the program, and with it the step code the engines
+    decode once, simulate any number of stimulus batches.  Its program
+    keeps it (:func:`decode_program`), and it holds no reference back,
+    so it dies with the program, and with it the step code the engines
     generate from the plan (:attr:`step_binder`, :attr:`batch_binder`).
     """
 
@@ -198,10 +196,7 @@ class DecodedPlan:
                 contents = list(program.rom_words)
                 contents += [0] * (opu.memory_size - len(contents))
                 self.rom_contents[opu.name] = tuple(contents)
-        self.initial_registers = {
-            rf: tuple(inits)
-            for rf, inits in program.initial_registers.items()
-        }
+        self.initial_registers = program.initial_registers
         self.stack_depth = core.controller.stack_depth
         self.n_flags = core.controller.n_flags
         tables = _decode_tables(program)
@@ -440,51 +435,19 @@ def _write_buses(dp, rf) -> tuple[str | None, tuple[str, ...] | str]:
     return None, "sink without a bus"
 
 
-#: ``id(program)`` -> (weak reference to the program, its decode token,
-#: its plan).  The weak reference's callback drops the entry when the
-#: program is collected, so a plan never outlives its program.
-_PLANS: dict[int, tuple[weakref.ref, tuple, DecodedPlan]] = {}
-
-
-def _decode_token(program: EncodedProgram) -> tuple:
-    """Everything :class:`DecodedPlan` reads from ``program``, by value:
-    a memo hit must find it unchanged."""
-    return (
-        program.core, program.format, tuple(program.words),
-        program.body_offset, tuple(program.rom_words),
-        tuple(program.acu_moduli.items()),
-        tuple(program.input_map.items()),
-        tuple(program.output_map.items()),
-        tuple((rf, tuple(inits))
-              for rf, inits in program.initial_registers.items()),
-    )
-
-
-def _forget(key: int, ref: weakref.ref) -> None:
-    entry = _PLANS.get(key)
-    if entry is not None and entry[0] is ref:
-        del _PLANS[key]
-
-
 def decode_program(program: EncodedProgram) -> DecodedPlan:
     """The reusable :class:`DecodedPlan` of an encoded program.
 
-    A program is decoded once: later calls return the same plan for as
-    long as the program lives and its words, ROM, maps and initial
-    registers are unchanged (an edited program is decoded again).
-    Every real decode counts ``sim.decodes``.  Raises
-    :class:`PlanError` (a :class:`SimulationError`) when the program
-    uses something the plan cannot express.
+    A program is decoded once: it is immutable, so its plan is kept in
+    its instance ``__dict__`` and every later call returns it.  Every
+    real decode counts ``sim.decodes``.  Raises :class:`PlanError` (a
+    :class:`SimulationError`) when the program uses something the plan
+    cannot express.
     """
-    key = id(program)
-    token = _decode_token(program)
-    entry = _PLANS.get(key)
-    if entry is not None and entry[0]() is program and entry[1] == token:
-        return entry[2]
-    plan = DecodedPlan(program)
-    current_telemetry().count("sim.decodes")
-    ref = weakref.ref(program, functools.partial(_forget, key))
-    _PLANS[key] = (ref, token, plan)
+    plan = program.__dict__.get("_plan")
+    if plan is None:
+        plan = program.__dict__["_plan"] = DecodedPlan(program)
+        current_telemetry().count("sim.decodes")
     return plan
 
 

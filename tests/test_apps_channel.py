@@ -18,7 +18,7 @@ def tone(n, amplitude=0.4, period=8.0, offset=0.1):
 class TestChannelFrontend:
     def test_builds_and_validates(self):
         dfg = channel_frontend_application()
-        assert dfg.inputs == ["rf_in"]
+        assert dfg.inputs == ("rf_in",)
         assert set(dfg.outputs) == {"sym", "corr", "rssi"}
         assert set(dfg.states) == {"dc", "mfline", "symline", "energy"}
 

@@ -363,15 +363,14 @@ class TestExploration:
         assert hashed == ["explore"] * len(allocations)
         assert warm == cold
 
-    def test_source_edited_in_place_is_optimized_again(
-            self, optimizer_calls):
+    def test_edited_source_is_optimized_again(self, optimizer_calls):
         dfgs = app_set()
         allocations = [Allocation(), Allocation(n_alu=2)]
         cache = ExploreCache()
         before = explore(dfgs, allocations, cache=cache)
-        fir = dfgs[1]
         # Two zero taps fold away: the schedule gets shorter.
-        fir.params["h1"] = fir.params["h2"] = 0.0
+        fir = dfgs[1] = dataclasses.replace(
+            dfgs[1], params={**dfgs[1].params, "h1": 0.0, "h2": 0.0})
         edited = explore(dfgs, allocations, cache=cache)
         assert optimizer_calls == [d.name for d in dfgs] + [fir.name]
         fresh = explore(dfgs, allocations, cache=ExploreCache())

@@ -26,7 +26,7 @@ from repro.pipeline.session import _SNAPSHOT_REDUCERS
 
 #: ``PIPELINE_VERSION`` -> digest of :func:`cached_shapes`.
 SHAPE_DIGESTS = {
-    5: "a651e3a42c30614ccfefecca70fa6c78b08099f10f4d97cc01f06b1407f7e408",
+    6: "408807cd547f7a139dd024211b9e092b499ba73a11e14529442e1951cb8fd925",
 }
 
 

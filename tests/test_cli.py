@@ -777,6 +777,55 @@ class TestCheckCommand:
         assert "nothing to check" in capsys.readouterr().err
 
 
+def drop_n_body(image):
+    del image["n_body"]
+
+
+def bad_word(image):
+    image["words"][1] = "zz"
+
+
+def scalar_input_map(image):
+    image["input_map"] = 5
+
+
+def text_rom(image):
+    image["rom_words"] = "abc"
+
+
+class TestMalformedImage:
+    """A malformed image is refused with an error naming the field, by
+    every command that loads one, never with a traceback."""
+
+    DAMAGE = {
+        "missing_n_body": (drop_n_body, "n_body"),
+        "word_not_hex": (bad_word, "words"),
+        "input_map_not_an_array": (scalar_input_map, "input_map"),
+        "rom_words_not_an_array": (text_rom, "rom_words"),
+    }
+    COMMANDS = {
+        "run-image": lambda path: ["run-image", path, "--input", "i=1,2"],
+        "check": lambda path: ["check", "--image", path],
+    }
+
+    @pytest.mark.parametrize("command", sorted(COMMANDS))
+    @pytest.mark.parametrize("damage", sorted(DAMAGE))
+    def test_refused_naming_the_field(self, source_file, tmp_path, capsys,
+                                      command, damage):
+        path = tmp_path / "prog.json"
+        assert main(["compile", source_file, "--core", "fir",
+                     "--out", str(path)]) == 0
+        capsys.readouterr()
+        image = json.loads(path.read_text())
+        edit, field = self.DAMAGE[damage]
+        edit(image)
+        path.write_text(json.dumps(image))
+        assert main(self.COMMANDS[command](str(path))) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: microcode image")
+        assert f"field {field!r}" in err
+
+
 class TestVerifyFlag:
     def test_compile_accepts_verify_strict(self, source_file, capsys):
         assert main(["compile", source_file, "--core", "fir",

@@ -593,8 +593,8 @@ class TestParser:
         dfg = parse_source(TREBLE)
         assert dfg.name == "treble"
         assert list(dfg.params) == ["d1", "d2", "e1"]
-        assert dfg.inputs == ["IN"]
-        assert dfg.outputs == ["out"]
+        assert dfg.inputs == ("IN",)
+        assert dfg.outputs == ("out",)
         assert [(s.name, s.depth) for s in dfg.states.values()] == [
             ("u", 2), ("v", 2)]
         # One node per statement of the body, plus three PARAM nodes

@@ -8,6 +8,7 @@ output sample.
 """
 
 import random
+from dataclasses import replace
 
 import pytest
 
@@ -16,7 +17,7 @@ from repro.arch import ControllerSpec, CoreSpec, Datapath, Operation, OpuKind
 from repro.arch.library import ClassDef
 from repro.arch.opu import standard_shift_operations
 from repro.lang import DfgBuilder
-from repro.lang.dfg import NodeKind
+from repro.lang.dfg import Node, NodeKind
 from repro.opt import (
     AlgebraicSimplifyPass,
     ConstantFoldingPass,
@@ -365,7 +366,7 @@ class TestDce:
         b.input("unused")
         b.output("y", b.op("pass", b.input("x")))
         cleaned, _ = self.run_dce(b.build())
-        assert cleaned.inputs == ["unused", "x"]
+        assert cleaned.inputs == ("unused", "x")
         assert all(n.name != "unused" for n in cleaned.nodes)
 
     def test_renumbered_ids_stay_dense_and_topological(self):
@@ -634,20 +635,24 @@ class TestConsumerIndex:
         dfg = self.build()
         assert dfg.consumer_index() is dfg.consumer_index()
 
-    def test_append_rebuilds_automatically(self):
-        from repro.lang.dfg import Node
-
+    def test_appended_copy_gets_its_own_index(self):
         dfg = self.build()
         first = dfg.consumer_index()
-        dfg.outputs.append("y2")
-        dfg.nodes.append(Node(id=len(dfg.nodes), kind=NodeKind.OUTPUT,
-                              name="y2", args=(0,)))
-        second = dfg.consumer_index()
+        y2 = Node(id=len(dfg.nodes), kind=NodeKind.OUTPUT, name="y2",
+                  args=(0,))
+        copy = replace(dfg, outputs=(*dfg.outputs, "y2"),
+                       nodes=(*dfg.nodes, y2))
+        second = copy.consumer_index()
         assert second is not first
         assert any(n.name == "y2" for n in second[0])
+        assert dfg.consumer_index() is first
+        assert not any(n.name == "y2" for n in first[0])
 
-    def test_explicit_invalidation(self):
+    def test_replaced_node_copy_gets_its_own_index(self):
         dfg = self.build()
         first = dfg.consumer_index()
-        dfg.invalidate_consumers()
-        assert dfg.consumer_index() is not first
+        add = dfg.nodes[-2]
+        copy = replace(dfg, nodes=(*dfg.nodes[:-2],
+                                   replace(add, args=(0, 0)), dfg.nodes[-1]))
+        assert [n.name for n in copy.consumer_index()[0]] == ["mult", "add"]
+        assert [n.name for n in first[0]] == ["mult"]

@@ -7,14 +7,12 @@ binaries between cached and cold compiles, and the
 the cache keys rest on.
 """
 
-import copy
 import dataclasses
-import gc
 import json
 import os
+import pickle
 import subprocess
 import sys
-import weakref
 from pathlib import Path
 
 import pytest
@@ -49,6 +47,7 @@ from repro.pipeline import artifacts as artifacts_module
 from repro.pipeline import stages as stages_module
 from repro.pipeline.session import encode_pack
 from repro.pipeline.stages import chain_keys
+from repro.sim import decode_program
 
 from builtin_apps import BUILTIN_APPS
 
@@ -86,13 +85,13 @@ def words_of(compiled) -> tuple[list, list]:
 
 def deep_edit(compiled) -> None:
     """Vandalize a compiled program deep inside, in place: cycles,
-    an RT's resource uses, the register allocation, the binary."""
+    an RT's resource uses, the register allocation (the graph and the
+    binary are immutable)."""
     for rt in compiled.schedule.cycle_of:
         compiled.schedule.cycle_of[rt] += 3
     compiled.rt_program.rts[0].uses = ()
     compiled.allocation.register_of.clear()
     compiled.allocation.pressure.clear()
-    compiled.binary.words.clear()
 
 
 class TestToolchainBasics:
@@ -212,7 +211,6 @@ class TestStageCache:
         tc = toolchain(budget=64)
         first = tc.compile(SOURCE)
         first.rt_program.rts.clear()
-        first.binary.words.clear()
         second = tc.compile(SOURCE)
         assert second.binary.words
         assert second.run(stimulus()) == \
@@ -457,9 +455,7 @@ def dfg_renders(monkeypatch):
 
 def fresh_digest(dfg) -> str:
     """The digest of an equal graph that was never fingerprinted."""
-    twin = copy.deepcopy(dfg)
-    assert id(twin) not in artifacts_module._DFG_DIGESTS
-    return dfg_fingerprint(twin)
+    return dfg_fingerprint(dataclasses.replace(dfg))
 
 
 #: Graphs the digest memo is checked over: every builtin application
@@ -471,57 +467,114 @@ MEMO_GRAPHS = {
 }
 
 
-def edit_append_node(dfg):
-    dfg.nodes.append(Node(id=len(dfg.nodes), kind=NodeKind.OUTPUT,
-                          name=dfg.outputs[0], args=(0,)))
+def first_param(dfg) -> str:
+    return next(iter(dfg.params))
 
 
-def edit_replace_node(dfg):
+def first_state(dfg) -> StateSpec:
+    return next(iter(dfg.states.values()))
+
+
+def copy_append_node(dfg):
+    node = Node(id=len(dfg.nodes), kind=NodeKind.OUTPUT,
+                name=dfg.outputs[0], args=(0,))
+    return dataclasses.replace(dfg, nodes=(*dfg.nodes, node))
+
+
+def copy_replace_node(dfg):
     node = dfg.nodes[-1]
-    dfg.nodes[-1] = dataclasses.replace(node, label=(node.label or "") + "_")
-    dfg.invalidate_consumers()
+    node = dataclasses.replace(node, label=(node.label or "") + "_")
+    return dataclasses.replace(dfg, nodes=(*dfg.nodes[:-1], node))
 
 
-def set_param(value):
+def copy_set_param(value):
     def edit(dfg):
-        dfg.params[next(iter(dfg.params))] = value
+        return dataclasses.replace(
+            dfg, params={**dfg.params, first_param(dfg): value})
     return edit
 
 
-def edit_rename_param(dfg):
-    name = next(iter(dfg.params))
+def copy_rename_param(dfg):
+    params = dict(dfg.params)
+    name = first_param(dfg)
+    params[name + "_"] = params.pop(name)
+    return dataclasses.replace(dfg, params=params)
+
+
+def copy_rename_graph(dfg):
+    return dataclasses.replace(dfg, name=dfg.name + "_")
+
+
+def copy_reorder_ports(dfg):
+    return dataclasses.replace(
+        dfg, inputs=(*dfg.inputs[1:], dfg.inputs[0]),
+        outputs=(*dfg.outputs[1:], dfg.outputs[0]))
+
+
+def copy_rename_port(dfg):
+    return dataclasses.replace(
+        dfg, outputs=(dfg.outputs[0] + "_", *dfg.outputs[1:]))
+
+
+def copy_state_depth(dfg):
+    spec = first_state(dfg)
+    return dataclasses.replace(dfg, states={
+        **dfg.states, spec.name: StateSpec(spec.name, spec.depth + 1)})
+
+
+#: Edits of the audio graph that change what its digest renders, each
+#: spelled as a copy ...
+EDITED_COPIES = {
+    "append_node": copy_append_node,
+    "replace_node": copy_replace_node,
+    "param_negative_zero": copy_set_param(-0.0),
+    "param_int": copy_set_param(1),
+    "rename_param": copy_rename_param,
+    "rename_graph": copy_rename_graph,
+    "reorder_ports": copy_reorder_ports,
+    "rename_port": copy_rename_port,
+    "state_depth": copy_state_depth,
+}
+
+
+def set_param_in_place(dfg, value):
+    dfg.params[first_param(dfg)] = value
+
+
+def rename_param_in_place(dfg):
+    name = first_param(dfg)
     dfg.params[name + "_"] = dfg.params.pop(name)
 
 
-def edit_rename_graph(dfg):
+def rename_graph_in_place(dfg):
     dfg.name += "_"
 
 
-def edit_reorder_ports(dfg):
+def reorder_ports_in_place(dfg):
     dfg.inputs.append(dfg.inputs.pop(0))
     dfg.outputs.append(dfg.outputs.pop(0))
 
 
-def edit_rename_port(dfg):
+def rename_port_in_place(dfg):
     dfg.outputs[0] += "_"
 
 
-def edit_state_depth(dfg):
-    name, spec = next(iter(dfg.states.items()))
-    dfg.states[name] = StateSpec(name, spec.depth + 1)
+def state_depth_in_place(dfg):
+    spec = first_state(dfg)
+    dfg.states[spec.name] = StateSpec(spec.name, spec.depth + 1)
 
 
-#: In-place edits of the audio graph that change what its digest renders.
+#: ... and in place, which a graph refuses.
 IN_PLACE_EDITS = {
-    "append_node": edit_append_node,
-    "replace_node": edit_replace_node,
-    "param_negative_zero": set_param(-0.0),
-    "param_int": set_param(1),
-    "rename_param": edit_rename_param,
-    "rename_graph": edit_rename_graph,
-    "reorder_ports": edit_reorder_ports,
-    "rename_port": edit_rename_port,
-    "state_depth": edit_state_depth,
+    "append_node": lambda dfg: dfg.nodes.append(dfg.nodes[0]),
+    "replace_node": lambda dfg: dfg.nodes.__setitem__(-1, dfg.nodes[0]),
+    "param_negative_zero": lambda dfg: set_param_in_place(dfg, -0.0),
+    "param_int": lambda dfg: set_param_in_place(dfg, 1),
+    "rename_param": rename_param_in_place,
+    "rename_graph": rename_graph_in_place,
+    "reorder_ports": reorder_ports_in_place,
+    "rename_port": rename_port_in_place,
+    "state_depth": state_depth_in_place,
 }
 
 
@@ -530,9 +583,9 @@ def edit_base(name):
     from the parameter values they must be told apart from."""
     dfg = audio_application()
     if name == "param_negative_zero":
-        set_param(0.0)(dfg)
-    elif name == "param_int":
-        set_param(1.0)(dfg)
+        return copy_set_param(0.0)(dfg)
+    if name == "param_int":
+        return copy_set_param(1.0)(dfg)
     return dfg
 
 
@@ -561,35 +614,49 @@ class TestFingerprints:
         assert dfg_renders == [dfg.name]
         assert fresh_digest(dfg) == first
 
-    @pytest.mark.parametrize("name", sorted(IN_PLACE_EDITS))
-    def test_an_in_place_edit_is_rendered_again(self, name, dfg_renders):
+    @pytest.mark.parametrize("name", sorted(EDITED_COPIES))
+    def test_an_edited_copy_is_rendered_once(self, name, dfg_renders):
         dfg = edit_base(name)
         before = dfg_fingerprint(dfg)
-        IN_PLACE_EDITS[name](dfg)
-        after = dfg_fingerprint(dfg)
-        assert len(dfg_renders) == 2
+        edited = EDITED_COPIES[name](dfg)
+        after = dfg_fingerprint(edited)
         assert after != before
-        assert after == fresh_digest(dfg)
-        assert dfg_fingerprint(dfg) == after
+        assert dfg_fingerprint(edited) == after
+        assert dfg_fingerprint(dfg) == before
+        assert len(dfg_renders) == 2
+        assert fresh_digest(edited) == after
         assert len(dfg_renders) == 3  # the fresh twin only
+
+    @pytest.mark.parametrize("name", sorted(IN_PLACE_EDITS))
+    def test_an_in_place_edit_raises(self, name):
+        dfg = edit_base(name)
+        before = dfg_fingerprint(dfg)
+        with pytest.raises((AttributeError, TypeError)):
+            IN_PLACE_EDITS[name](dfg)
+        assert dfg == edit_base(name)
+        assert dfg_fingerprint(dfg) == before
 
     def test_an_equal_replacement_node_is_rendered_again(self, dfg_renders):
         dfg = audio_application()
         before = dfg_fingerprint(dfg)
-        dfg.nodes[0] = dataclasses.replace(dfg.nodes[0])
-        assert dfg_fingerprint(dfg) == before
+        twin = dataclasses.replace(
+            dfg, nodes=(dataclasses.replace(dfg.nodes[0]), *dfg.nodes[1:]))
+        assert dfg_fingerprint(twin) == before
         assert len(dfg_renders) == 2
 
-    def test_digest_dies_with_its_graph(self):
-        dfg = audio_application()
+    def test_derived_values_stay_out_of_pickles(self):
+        """A graph's digest and consumer index and a program's decoded
+        plan are kept on the object but never pickled: a stage cache
+        frame is the same whether a later stage read them or not."""
+        compiled = Toolchain(audio_core(), cache=None, budget=64).compile(
+            audio_application(), io_binding=audio_io_binding())
+        dfg, program = compiled.dfg, compiled.binary
+        twins = [dataclasses.replace(dfg), dataclasses.replace(program)]
         dfg_fingerprint(dfg)
-        key = id(dfg)
-        graph = weakref.ref(dfg)
-        assert key in artifacts_module._DFG_DIGESTS
-        del dfg
-        gc.collect()
-        assert graph() is None
-        assert key not in artifacts_module._DFG_DIGESTS
+        dfg.consumer_index()
+        decode_program(program)
+        assert [pickle.dumps(obj) for obj in (dfg, program)] == \
+            [pickle.dumps(twin) for twin in twins]
 
 
 # ----------------------------------------------------------------------

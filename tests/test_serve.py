@@ -363,6 +363,25 @@ class TestRoundTrip:
             assert client.cache_gc(max_bytes=0)["removed"] == 2
             assert client.stats()["counters"]["cache.gc_removed"] == 2
 
+    def test_uncached_server_writes_no_cache(self, tmp_path, monkeypatch):
+        """``repro serve --no-cache`` (``cache=None``): no job opens a
+        persistent tier, whatever placement its request carries."""
+        monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / "env"))
+        memory = fresh_memory("t-uncached")
+        placements = [{"cache_dir": str(tmp_path / "asked")}, None,
+                      {"cache_dir": memory}]
+        config = ServerConfig(workers=1, executor="thread", cache=None,
+                              rate_limit=None)
+        with start_in_thread(config) as handle:
+            client = ServeClient(handle.url)
+            jobs = [client.submit(SOURCE, "audio", options)
+                    for options in placements]
+            finals = [client.wait(job["id"], timeout=60) for job in jobs]
+        assert [final["state"] for final in finals] == ["done"] * 3
+        assert not (tmp_path / "asked").exists()
+        assert not (tmp_path / "env").exists()
+        assert "t-uncached" not in _MEMORY_BACKENDS
+
     def test_rejections_are_counted(self, server):
         client = ServeClient(server.url)
         before = client.stats()["counters"].get("serve.rejections", 0)

@@ -120,11 +120,16 @@ def lms_program(lms_compiled):
 
 
 def fresh_copy(program):
-    """An undecoded copy of ``program`` with its own words and maps."""
-    return dataclasses.replace(
-        program, words=list(program.words),
-        input_map=dict(program.input_map),
-        output_map=dict(program.output_map))
+    """An undecoded copy of ``program``."""
+    return dataclasses.replace(program)
+
+
+def cont_at(program, index):
+    """A copy of ``program`` whose word ``index`` is a bare CONT."""
+    words = list(program.words)
+    words[index] = program.format.encode(
+        {"ctrl.op": CTRL_OPCODES[CtrlOp.CONT]})
+    return dataclasses.replace(program, words=words)
 
 
 def count_decodes(action, counter="sim.decodes"):
@@ -149,8 +154,8 @@ class TestDecodePlan:
 
 
 class TestPlanMemo:
-    """``decode_program`` decodes a program once for as long as it lives
-    and stays unchanged."""
+    """``decode_program`` decodes a program once: a program is immutable
+    and keeps its plan, and a changed binary is a new program."""
 
     @pytest.mark.parametrize("engine", BATCH_ENGINES)
     def test_repeated_runs_decode_once(self, fir_program, engine):
@@ -171,20 +176,26 @@ class TestPlanMemo:
         first = decode_program(program)
         assert decode_program(program) is first
         index = next(w.index for w in first.words if w.ops)
-        program.words[index] = program.format.encode(
-            {"ctrl.op": CTRL_OPCODES[CtrlOp.CONT]})
-        decodes, second = count_decodes(lambda: decode_program(program))
+        with pytest.raises(TypeError):
+            program.words[index] = 0
+        edited = cont_at(program, index)
+        decodes, second = count_decodes(lambda: decode_program(edited))
         assert decodes == 1
         assert second is not first
         assert second.words[index].ops == ()
-        assert decode_program(program) is second
+        assert decode_program(edited) is second
+        assert decode_program(program) is first
 
     def test_map_edit_is_never_served_a_stale_plan(self, fir_program):
         program = fresh_copy(fir_program)
         decode_program(program)
-        program.input_map.clear()
+        for edit in (lambda: program.input_map.clear(),
+                     lambda: program.input_map.__setitem__(("i", 0), "x"),
+                     lambda: setattr(program, "input_map", {})):
+            with pytest.raises((AttributeError, TypeError)):
+                edit()
         with pytest.raises(PlanError, match="no logical port"):
-            decode_program(program)
+            decode_program(dataclasses.replace(program, input_map={}))
 
     def test_replaced_copy_gets_its_own_plan(self, fir_program):
         program = fresh_copy(fir_program)
@@ -192,17 +203,6 @@ class TestPlanMemo:
         copy = dataclasses.replace(program)
         assert count_decodes(lambda: decode_program(copy))[0] == 1
         assert decode_program(copy) is not plan
-
-    def test_plan_dies_with_its_program(self, fir_program):
-        program = fresh_copy(fir_program)
-        run_program(program, random_streams(["x"], 4, seed=2))
-        plan = weakref.ref(decode_program(program))
-        key = id(program)
-        assert key in batch_module._PLANS
-        del program
-        gc.collect()
-        assert plan() is None
-        assert key not in batch_module._PLANS
 
     def test_ten_runs_generate_once(self, fir_program):
         program = fresh_copy(fir_program)
@@ -220,8 +220,7 @@ class TestPlanMemo:
         first = decode_program(program)
         code = first.step_binder
         index = next(w.index for w in first.words if w.ops)
-        program.words[index] = program.format.encode(
-            {"ctrl.op": CTRL_OPCODES[CtrlOp.CONT]})
+        program = cont_at(program, index)
         codegens, second = count_decodes(
             lambda: decode_program(program).step_binder, "sim.codegens")
         assert codegens == 1

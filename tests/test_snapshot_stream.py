@@ -471,7 +471,7 @@ class TestRestoreGarbage:
         stream = cache.restore(pack, header_keys(pack), toolchain.core)
         assert stream.pending == len(PIPELINE_STAGES)
         loaded(stream)
-        assert isinstance(stream.artifacts["source_dfg"].nodes, list)
+        assert isinstance(stream.artifacts["source_dfg"].nodes, tuple)
         del stream
         assert gc.collect() == 0
 
