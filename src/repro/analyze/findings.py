@@ -95,7 +95,7 @@ CHECK_CODES: dict[str, str] = {
     "dfg.edge-cycle": "no node consumes a value defined later in the frame",
     "dfg.dangling-edge": "every edge references an existing producer node",
     "dfg.delay-window": "delay reads stay inside the declared state depth",
-    "dfg.unknown-name": "inputs/outputs/params resolve to declared names",
+    "dfg.unknown-name": "inputs/outputs/params/states resolve to declared names",
     "dfg.state-rewrite": "each state element is written at most once per frame",
     "dfg.state-unwritten": "every state that is read is also written",
     # -- RT-program legality (rtgen boundary) --------------------------
@@ -105,7 +105,7 @@ CHECK_CODES: dict[str, str] = {
     "rt.no-route": "a datapath route exists from the OPU to each destination",
     "rt.undefined-value": "every value read is produced or live-in",
     # -- schedule legality (schedule boundary) -------------------------
-    "sched.unscheduled": "every RT of the dependence graph has a cycle",
+    "sched.unscheduled": "the schedule's RTs are exactly the dependence graph's",
     "sched.negative-cycle": "no RT is scheduled before cycle 0",
     "sched.overrun": "no RT's resource usage spills past the schedule length",
     "sched.dependence": "dependence edges (incl. OPU latency) are respected",

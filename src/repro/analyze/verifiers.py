@@ -1,10 +1,12 @@
 """Stage-boundary verifiers: pure invariant checks on pipeline artifacts.
 
 Each pipeline stage (see ``repro.pipeline.stages``) hands its successor
-an artifact it trusts to be legal; these functions re-derive that
-legality independently, LLVM-verifier style, and report violations as
+an artifact it trusts to be legal; these functions state that legality,
+LLVM-verifier style, and report violations as
 :class:`~repro.analyze.findings.Finding` lists instead of crashing
-somewhere downstream.  They never mutate their inputs and never raise
+somewhere downstream.  The DFG, schedule and datapath rules live here
+only: ``Dfg.validate``, ``Schedule.validate`` and ``CoreSpec`` raise
+on the error findings.  They never mutate their inputs and never raise
 on malformed artifacts — a corrupted schedule yields findings, not a
 ``KeyError`` — so they are safe to run over adversarial fixtures.
 
@@ -36,84 +38,85 @@ __all__ = [
 
 
 def verify_dfg(dfg) -> list[Finding]:
-    """Well-formedness of a :class:`repro.lang.Dfg`.
+    """Well-formedness of a :class:`repro.lang.Dfg`, the one copy of its
+    rules: ``Dfg.validate`` raises on these findings.
 
-    Mirrors ``Dfg.validate`` but collects *all* violations as findings:
-    unique node ids, definition-before-use (which is exactly acyclicity
-    of the within-frame dataflow — cross-iteration feedback must go
-    through DELAY states), delay windows, declared names and the
-    single-write-per-frame state discipline.
+    Checks unique node ids, definition-before-use (which is exactly
+    acyclicity of the within-frame dataflow — cross-iteration feedback
+    must go through DELAY states), delay windows, declared names and
+    the single-write-per-frame state discipline.
     """
+    from ..lang.dfg import NodeKind
+
     findings: list[Finding] = []
-    all_ids = {n.id for n in dfg.nodes}
+    states = dfg.states
     defined: set[int] = set()
+    all_ids: set[int] | None = None
+    read_states: set[str] = set()
     state_writes: set[str] = set()
     for node in dfg.nodes:
-        where = f"node n{node.id}"
-        if node.id in defined:
+        node_id, name, kind = node.id, node.name, node.kind
+        if node_id in defined:
             findings.append(error(
                 "dfg.duplicate-id",
-                f"node id {node.id} is defined twice", where))
+                f"node id {node_id} is defined twice", f"node n{node_id}"))
         for arg in node.args:
-            if arg not in all_ids:
+            if arg in defined:
+                continue
+            if all_ids is None:
+                all_ids = {n.id for n in dfg.nodes}
+            if arg in all_ids:
+                findings.append(error(
+                    "dfg.edge-cycle",
+                    f"node n{node_id} ({name}) uses n{arg} before its "
+                    f"definition", f"node n{node_id}",
+                    hint="route cross-iteration feedback through a state"))
+            else:
                 findings.append(error(
                     "dfg.dangling-edge",
-                    f"{node.name} consumes n{arg}, which no node produces",
-                    where, hint="remove the edge or add the producer"))
-            elif arg not in defined and arg != node.id:
-                findings.append(error(
-                    "dfg.edge-cycle",
-                    f"{node.name} consumes n{arg} before its definition — "
-                    f"a cycle in the frame's dataflow",
-                    where,
-                    hint="route cross-iteration feedback through a state"))
-            elif arg == node.id:
-                findings.append(error(
-                    "dfg.edge-cycle",
-                    f"{node.name} consumes its own result", where))
-        defined.add(node.id)
-        if node.kind.name == "DELAY":
-            spec = dfg.states.get(node.name)
+                    f"node n{node_id} ({name}) uses n{arg}, which no node "
+                    f"produces", f"node n{node_id}",
+                    hint="remove the edge or add the producer"))
+        defined.add(node_id)
+        if kind is NodeKind.OP:
+            continue
+        if kind is NodeKind.DELAY:
+            read_states.add(name)
+            spec = states.get(name)
             if spec is None:
-                findings.append(error(
-                    "dfg.unknown-state",
-                    f"delay of unknown state {node.name!r}", where))
+                findings.append(_unknown_name("delay of unknown state", node))
             elif not 1 <= node.delay <= spec.depth:
                 findings.append(error(
                     "dfg.delay-window",
-                    f"delay {node.name}@{node.delay} outside the state's "
-                    f"window [1, {spec.depth}]", where))
-        elif node.kind.name == "STATE_WRITE":
-            if node.name not in dfg.states:
-                findings.append(error(
-                    "dfg.unknown-state",
-                    f"write to unknown state {node.name!r}", where))
-            elif node.name in state_writes:
+                    f"delay {name}@{node.delay} outside the state's "
+                    f"window [1, {spec.depth}]", f"node n{node_id}"))
+        elif kind is NodeKind.STATE_WRITE:
+            if name not in states:
+                findings.append(_unknown_name("write to unknown state", node))
+            elif name in state_writes:
                 findings.append(error(
                     "dfg.state-rewrite",
-                    f"state {node.name!r} written twice in one iteration",
-                    where))
-            state_writes.add(node.name)
-        elif node.kind.name == "PARAM" and node.name not in dfg.params:
-            findings.append(error(
-                "dfg.unknown-name",
-                f"unknown parameter {node.name!r}", where))
-        elif node.kind.name == "INPUT" and node.name not in dfg.inputs:
-            findings.append(error(
-                "dfg.unknown-name",
-                f"unknown input port {node.name!r}", where))
-        elif node.kind.name == "OUTPUT" and node.name not in dfg.outputs:
-            findings.append(error(
-                "dfg.unknown-name",
-                f"unknown output port {node.name!r}", where))
-    read_states = {n.name for n in dfg.nodes if n.kind.name == "DELAY"}
+                    f"state {name!r} written twice in one iteration",
+                    f"node n{node_id}"))
+            state_writes.add(name)
+        elif kind is NodeKind.PARAM and name not in dfg.params:
+            findings.append(_unknown_name("unknown parameter", node))
+        elif kind is NodeKind.INPUT and name not in dfg.inputs:
+            findings.append(_unknown_name("unknown input port", node))
+        elif kind is NodeKind.OUTPUT and name not in dfg.outputs:
+            findings.append(_unknown_name("unknown output port", node))
     for name in sorted(read_states - state_writes):
-        if name in dfg.states:
+        if name in states:
             findings.append(error(
                 "dfg.state-unwritten",
                 f"state {name!r} is read but never written",
                 hint="add the state_write or drop the delay"))
     return findings
+
+
+def _unknown_name(what: str, node) -> Finding:
+    return error("dfg.unknown-name", f"{what} {node.name!r}",
+                 f"node n{node.id}")
 
 
 # ----------------------------------------------------------------------
@@ -209,66 +212,78 @@ def verify_rt_program(program) -> list[Finding]:
 
 
 def verify_schedule(program, schedule, graph) -> list[Finding]:
-    """Legality of a schedule against its dependence graph.
+    """Legality of a schedule against its dependence graph, the one copy
+    of its rules: ``Schedule.validate`` raises on these findings.
 
-    Re-derives what ``Schedule.validate`` asserts, as findings: every
-    RT scheduled at a non-negative cycle, no usage spilling past the
-    schedule length, every dependence edge (whose RAW delays encode the
-    producing OPU's latency) respected at iteration distance 0, no
-    resource carrying two *different* usages in the same cycle (the
-    paper's sharing rule: same usage may share), and the cycle budget.
+    Checks that the scheduled RTs are exactly the graph's, each at a
+    non-negative cycle, no usage spilling past the schedule length,
+    every dependence edge (whose RAW delays encode the producing OPU's
+    latency) respected at iteration distance 0, no resource carrying
+    two *different* usages in the same cycle (the paper's sharing rule:
+    same usage may share), and the cycle budget.
     """
     findings: list[Finding] = []
-    for rt in graph.rts:
-        if rt not in schedule.cycle_of:
+    cycle_of, length = schedule.cycle_of, schedule.length
+    bookings = graph.bookings
+    slots: dict[tuple[str, int], str] = {}
+    for rt, cycle in cycle_of.items():
+        uses = bookings.get(rt)
+        if uses is None:
+            from ..sched.dependence import booking
+
             findings.append(error(
                 "sched.unscheduled",
-                f"RT {rt.opu}/{rt.uid} ({rt.operation}) has no cycle",
-                f"rt {rt.opu}/{rt.uid}"))
-    slots: dict[tuple[str, int], tuple[str, object]] = {}
-    for rt, cycle in schedule.cycle_of.items():
-        where = f"cycle {cycle}"
+                f"RT {rt.opu}/{rt.uid} is scheduled but not in the "
+                f"dependence graph", f"cycle {cycle}"))
+            uses = booking(rt)
         if cycle < 0:
             findings.append(error(
                 "sched.negative-cycle",
-                f"RT {rt.opu}/{rt.uid} scheduled at cycle {cycle}", where))
+                f"RT {rt.opu}/{rt.uid} scheduled at negative cycle {cycle}",
+                f"cycle {cycle}"))
             continue
-        if cycle + rt.max_offset >= schedule.length:
-            findings.append(error(
-                "sched.overrun",
-                f"RT {rt.opu}/{rt.uid} occupies cycle "
-                f"{cycle + rt.max_offset}, past schedule length "
-                f"{schedule.length}", where))
-        for use in rt.uses:
-            key = (use.resource, cycle + use.offset)
-            held = slots.get(key)
-            if held is not None and held[0] != use.usage:
+        last = cycle
+        for resource, offset, usage in uses:
+            at = cycle + offset
+            held = slots.setdefault((resource, at), usage)
+            if held != usage:
                 findings.append(error(
                     "sched.double-booking",
-                    f"resource {use.resource!r} holds {held[0]!r} and "
-                    f"{use.usage!r} in cycle {key[1]}", f"cycle {key[1]}",
+                    f"resource conflict in cycle {at}: {resource!r} holds "
+                    f"{held!r} and {usage!r}", f"cycle {at}",
                     hint="two RTs with conflicting usage share a cycle"))
-            else:
-                slots[key] = (use.usage, rt)
-    for edge in graph.edges:
-        if edge.distance != 0:
-            continue
-        if edge.src not in schedule.cycle_of or edge.dst not in schedule.cycle_of:
-            continue
-        src, dst = schedule.cycle_of[edge.src], schedule.cycle_of[edge.dst]
-        if dst < src + edge.delay:
+            if at > last:
+                last = at
+        if last >= length:
             findings.append(error(
-                "sched.dependence",
-                f"{edge.kind.value} edge {edge.src.opu}/{edge.src.uid} -> "
-                f"{edge.dst.opu}/{edge.dst.uid} needs {edge.delay} cycle(s) "
-                f"but got {dst - src}", f"cycle {dst}",
-                hint="the consumer starts before the producer's result "
-                     "matures"))
-    if schedule.budget is not None and schedule.length > schedule.budget:
+                "sched.overrun",
+                f"RT {rt.opu}/{rt.uid} at cycle {cycle} spills past the "
+                f"schedule length {length} (it occupies cycle {last})",
+                f"cycle {cycle}"))
+    for rt in graph.rts:
+        if rt not in cycle_of:
+            findings.append(error(
+                "sched.unscheduled",
+                f"RT {rt.opu}/{rt.uid} ({rt.operation}) was never "
+                f"scheduled", f"rt {rt.opu}/{rt.uid}"))
+    for edge in graph.edges:
+        if edge.distance:
+            continue
+        src, dst = cycle_of.get(edge.src), cycle_of.get(edge.dst)
+        if src is None or dst is None or dst >= src + edge.delay:
+            continue
+        findings.append(error(
+            "sched.dependence",
+            f"dependence violated: {edge.kind.value} edge "
+            f"{edge.src.opu}/{edge.src.uid} -> {edge.dst.opu}/{edge.dst.uid} "
+            f"needs {edge.delay} cycle(s) but got {dst - src}",
+            f"cycle {dst}",
+            hint="the consumer starts before the producer's result "
+                 "matures"))
+    if schedule.budget is not None and length > schedule.budget:
         findings.append(error(
             "sched.budget",
-            f"schedule length {schedule.length} exceeds budget "
-            f"{schedule.budget}"))
+            f"schedule length {length} exceeds budget {schedule.budget}"))
     return findings
 
 

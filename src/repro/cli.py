@@ -599,6 +599,7 @@ def cmd_fuzz(args: argparse.Namespace) -> int:
               f"engines={','.join(report.engines)}")
         print(f"{report.n_cases} cases in {report.seconds:.2f}s: "
               f"{report.n_ok} ok, {report.n_infeasible} infeasible, "
+              f"{report.n_level_gaps} level gaps, "
               f"{len(report.failures)} failures")
         for failure in report.failures:
             print(f"\nFAILURE seed={failure.seed} [{failure.status}] "

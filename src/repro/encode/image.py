@@ -14,6 +14,7 @@ from typing import Any
 
 from ..arch.serialize import core_from_dict, core_to_dict
 from ..errors import EncodingError
+from ..options import MODES
 from .assembler import EncodedProgram
 from .fields import derive_format
 
@@ -48,8 +49,9 @@ def program_to_dict(program: EncodedProgram) -> dict[str, Any]:
 
 
 def program_from_dict(data: dict[str, Any]) -> EncodedProgram:
-    """Inverse of :func:`program_to_dict`.  A malformed image raises
-    :class:`EncodingError` naming the field."""
+    """Inverse of :func:`program_to_dict`.  A malformed image — a field
+    missing, of the wrong type, or out of range against the words —
+    raises :class:`EncodingError` naming the field."""
     if not isinstance(data, dict):
         raise EncodingError("a microcode image must be a JSON object")
     version = data.get("image_format_version")
@@ -67,8 +69,20 @@ def program_from_dict(data: dict[str, Any]) -> EncodedProgram:
             f"core's derived format ({fmt.width} bits); core and image "
             f"disagree"
         )
-    return EncodedProgram(core=core, format=fmt, **{
-        name: _read(data, name, read) for name, read in _FIELDS.items()})
+    fields = {name: _read(data, name, read) for name, read in _FIELDS.items()}
+    n_words, offset = len(fields["words"]), fields["body_offset"]
+    for name, ok, expected in (
+        ("body_offset", 0 <= offset < n_words, f"in [0, {n_words})"),
+        ("n_body", 1 <= fields["n_body"] <= n_words - offset,
+         f"in [1, {n_words - offset}]"),
+        ("mode", fields["mode"] in MODES, f"one of {MODES}"),
+        ("repeat_count", fields["repeat_count"] >= 1, ">= 1"),
+    ):
+        if not ok:
+            raise EncodingError(
+                f"microcode image field {name!r} is out of range: "
+                f"{fields[name]!r}, expected {expected}")
+    return EncodedProgram(core=core, format=fmt, **fields)
 
 
 def _read(data: dict[str, Any], name: str, read) -> Any:

@@ -142,6 +142,9 @@ class FuzzReport:
     n_cases: int = 0
     n_ok: int = 0
     n_infeasible: int = 0
+    #: Cases that compile at ``-O0`` but not at some requested higher
+    #: level (not failures: every compiled level still ran the matrix).
+    n_level_gaps: int = 0
     seconds: float = 0.0
     failures: list[FuzzFailure] = field(default_factory=list)
 
@@ -159,6 +162,7 @@ class FuzzReport:
             "n_cases": self.n_cases,
             "n_ok": self.n_ok,
             "n_infeasible": self.n_infeasible,
+            "n_level_gaps": self.n_level_gaps,
             "n_failures": len(self.failures),
             "seconds": round(self.seconds, 3),
             "failures": [failure.to_dict() for failure in self.failures],
@@ -386,6 +390,9 @@ def fuzz(config: FuzzConfig, progress=None) -> FuzzReport:
             stimulus_seed=seed, inject=config.inject, lint=config.lint)
         report.n_cases += 1
         obs.count("fuzz.cases")
+        compiled = set(result.levels_compiled)
+        if 0 in compiled and not compiled.issuperset(config.levels):
+            report.n_level_gaps += 1
         if result.status == "ok":
             report.n_ok += 1
         elif result.status == "infeasible":

@@ -143,47 +143,14 @@ class Dfg:
         return histogram
 
     def validate(self) -> None:
-        """Check single-assignment, delay bounds and dangling references."""
-        ids = set()
-        state_writes: dict[str, int] = {}
-        for node in self.nodes:
-            if node.id in ids:
-                raise SemanticError(f"duplicate node id {node.id}")
-            for arg in node.args:
-                if arg not in ids:
-                    raise SemanticError(
-                        f"node n{node.id} ({node.name}) uses n{arg} before "
-                        f"its definition"
-                    )
-            ids.add(node.id)
-            if node.kind is NodeKind.DELAY:
-                spec = self.states.get(node.name)
-                if spec is None:
-                    raise SemanticError(f"delay of unknown state {node.name!r}")
-                if not 1 <= node.delay <= spec.depth:
-                    raise SemanticError(
-                        f"delay {node.name}@{node.delay} outside the state's "
-                        f"window [1, {spec.depth}]"
-                    )
-            if node.kind is NodeKind.STATE_WRITE:
-                if node.name not in self.states:
-                    raise SemanticError(f"write to unknown state {node.name!r}")
-                if node.name in state_writes:
-                    raise SemanticError(
-                        f"state {node.name!r} written twice in one iteration"
-                    )
-                state_writes[node.name] = node.id
-            if node.kind is NodeKind.PARAM and node.name not in self.params:
-                raise SemanticError(f"unknown parameter {node.name!r}")
-            if node.kind is NodeKind.INPUT and node.name not in self.inputs:
-                raise SemanticError(f"unknown input port {node.name!r}")
-            if node.kind is NodeKind.OUTPUT and node.name not in self.outputs:
-                raise SemanticError(f"unknown output port {node.name!r}")
-        read_states = {
-            n.name for n in self.nodes if n.kind is NodeKind.DELAY
-        }
-        unwritten = read_states - set(state_writes)
-        if unwritten:
-            raise SemanticError(
-                f"states read but never written: {sorted(unwritten)}"
-            )
+        """Raise :class:`SemanticError` listing the error findings of
+        :func:`repro.analyze.verify_dfg`, which holds the graph's rules
+        (single assignment, definition before use, delay windows,
+        declared names, one write per state and frame)."""
+        # Imported here: the verifiers import repro.arch, which would
+        # cycle at module level.
+        from ..analyze.verifiers import verify_dfg
+
+        errors = [f.message for f in verify_dfg(self) if f.is_error]
+        if errors:
+            raise SemanticError("; ".join(errors))

@@ -1,4 +1,10 @@
-"""Schedule representation, validation and instruction extraction."""
+"""Schedule representation, reservation tables and instruction
+extraction.
+
+The schedule's legality rules live in
+:func:`repro.analyze.verify_schedule`; :meth:`Schedule.validate` raises
+on its error findings.
+"""
 
 from __future__ import annotations
 
@@ -161,36 +167,15 @@ class Schedule:
         return busy
 
     def validate(self, graph: DependenceGraph) -> None:
-        """Re-check every constraint from scratch (tests lean on this)."""
-        table = ReservationTable()
-        bookings = graph.bookings
-        for rt, cycle in self.cycle_of.items():
-            if rt not in bookings:
-                raise SchedulingError(f"{rt!r} is not in the block")
-            if cycle < 0:
-                raise SchedulingError(f"{rt!r} scheduled at negative cycle")
-            if cycle + rt.max_offset >= self.length:
-                raise SchedulingError(
-                    f"{rt!r} at cycle {cycle} spills past the schedule "
-                    f"length {self.length}"
-                )
-            try:
-                table.place(bookings[rt], cycle)
-            except SchedulingError as exc:
-                raise SchedulingError(f"placing {rt!r}: {exc}") from None
-        for rt in graph.rts:
-            if rt not in self.cycle_of:
-                raise SchedulingError(f"{rt!r} was never scheduled")
-        for edge in graph.edges:
-            if edge.distance != 0:
-                continue
-            src, dst = self.cycle_of[edge.src], self.cycle_of[edge.dst]
-            if dst < src + edge.delay:
-                raise SchedulingError(
-                    f"dependence violated: {edge.dst!r} at {dst} before "
-                    f"{edge.src!r}+{edge.delay} ({edge.kind.value})"
-                )
-        if self.budget is not None and self.length > self.budget:
-            raise SchedulingError(
-                f"schedule length {self.length} exceeds budget {self.budget}"
-            )
+        """Raise :class:`SchedulingError` listing the error findings of
+        :func:`repro.analyze.verify_schedule`, which holds the schedule's
+        rules (exactly the graph's RTs, cycles inside ``[0, length)``,
+        dependences, the resource-sharing rule, the budget)."""
+        # Imported here: the verifiers import repro.arch, which would
+        # cycle at module level.
+        from ..analyze.verifiers import verify_schedule
+
+        errors = [f.message for f in verify_schedule(None, self, graph)
+                  if f.is_error]
+        if errors:
+            raise SchedulingError("; ".join(errors))

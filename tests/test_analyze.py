@@ -39,8 +39,12 @@ from repro.apps import (
     stress_application,
 )
 from repro.arch import audio_core, datapath_findings, fir_datapath
-from repro.errors import OptionsError
+from repro.errors import OptionsError, SchedulingError, SemanticError
+from repro.lang.dfg import Dfg, Node, NodeKind, StateSpec
 from repro.options import SEMANTIC_FIELDS, CompileOptions
+from repro.rtgen import RT, ResourceUse
+from repro.sched import DependenceGraph, Schedule
+from repro.sched.dependence import Edge, EdgeKind
 from repro.sched.regalloc import compute_intervals
 from repro.sim.batch import SEM_ROM_READ, decode_program
 from repro.toolchain import Toolchain
@@ -67,6 +71,86 @@ def audio_state():
 
 def codes(findings) -> set[str]:
     return {f.code for f in findings}
+
+
+def small_dfg(edit=None) -> Dfg:
+    """``o = i + s@1; s = o``, optionally with its node list edited."""
+    nodes = [Node(0, NodeKind.INPUT, "i"),
+             Node(1, NodeKind.PARAM, "p"),
+             Node(2, NodeKind.DELAY, "s", delay=1),
+             Node(3, NodeKind.OP, "add", (0, 2)),
+             Node(4, NodeKind.STATE_WRITE, "s", (3,)),
+             Node(5, NodeKind.OUTPUT, "o", (3,))]
+    if edit is not None:
+        edit(nodes)
+    return Dfg(name="small", nodes=nodes, params={"p": 0.5}, inputs=["i"],
+               outputs=["o"], states={"s": StateSpec("s", 1)})
+
+
+def renamed(index, **changes):
+    def edit(nodes):
+        nodes[index] = dataclasses.replace(nodes[index], **changes)
+    return edit
+
+
+#: One hand-built defect per DFG error code: (edit, code).
+DFG_DEFECTS = {
+    "duplicate-id": (renamed(5, id=4), "dfg.duplicate-id"),
+    "use-before-definition": (renamed(3, args=(0, 4)), "dfg.edge-cycle"),
+    "dangling-edge": (renamed(3, args=(0, 9)), "dfg.dangling-edge"),
+    "delay-past-window": (renamed(2, delay=2), "dfg.delay-window"),
+    "unknown-parameter": (renamed(1, name="q"), "dfg.unknown-name"),
+    "unknown-input": (renamed(0, name="j"), "dfg.unknown-name"),
+    "unknown-output": (renamed(5, name="z"), "dfg.unknown-name"),
+    "undeclared-state-delay": (renamed(2, name="t"), "dfg.unknown-name"),
+    "undeclared-state-write": (renamed(4, name="t"), "dfg.unknown-name"),
+    "state-written-twice": (lambda nodes: nodes.append(
+        Node(6, NodeKind.STATE_WRITE, "s", (3,))), "dfg.state-rewrite"),
+    "state-never-written": (renamed(4, kind=NodeKind.OP, name="pass"),
+                            "dfg.state-unwritten"),
+}
+
+
+def rt_using(*uses):
+    return RT(opu="alu", operation="op", operands=(), destinations=(),
+              uses=tuple(ResourceUse(*use) for use in uses), latency=1)
+
+
+def small_schedule(defect=None):
+    """``a -> b`` (RAW, one cycle) at cycles 0 and 1, optionally with
+    one defect planted: returns ``(schedule, graph)``."""
+    a, b = rt_using(("alu", "add")), rt_using(("mult", "mult"))
+    rts, cycle_of, length, budget = [a, b], {a: 0, b: 1}, 2, None
+    if defect == "unscheduled":
+        del cycle_of[b]
+    elif defect == "foreign":
+        cycle_of[rt_using(("bus", "v1"))] = 0
+    elif defect == "negative":
+        cycle_of[a] = -1
+    elif defect == "overrun":
+        cycle_of[b] = 2
+    elif defect == "dependence":
+        cycle_of = {a: 1, b: 0}
+    elif defect == "double-booking":
+        c = rt_using(("alu", "sub"))
+        rts.append(c)
+        cycle_of[c] = 0
+    elif defect == "budget":
+        budget = 1
+    graph = DependenceGraph(rts=rts, edges=[Edge(a, b, 1, EdgeKind.RAW)])
+    return Schedule(cycle_of=cycle_of, length=length, budget=budget), graph
+
+
+#: One hand-built defect per schedule error code: defect -> code.
+SCHEDULE_DEFECTS = {
+    "unscheduled": "sched.unscheduled",
+    "foreign": "sched.unscheduled",
+    "negative": "sched.negative-cycle",
+    "overrun": "sched.overrun",
+    "dependence": "sched.dependence",
+    "double-booking": "sched.double-booking",
+    "budget": "sched.budget",
+}
 
 
 class TestFindingSchema:
@@ -111,7 +195,42 @@ class TestFindingSchema:
 
 
 class TestAdversarialCorruption:
-    """Six artifact classes, one hand-planted defect each."""
+    """One hand-planted defect per DFG and schedule error code, and one
+    per other artifact class.  The verifiers are the only copy of the
+    DFG and schedule rules: ``validate`` raises on their findings."""
+
+    @pytest.mark.parametrize("defect", sorted(DFG_DEFECTS))
+    def test_dfg_defect(self, defect):
+        edit, code = DFG_DEFECTS[defect]
+        dfg = small_dfg(edit)
+        finding = next(f for f in verify_dfg(dfg) if f.code == code)
+        with pytest.raises(SemanticError) as err:
+            dfg.validate()
+        assert finding.message in str(err.value)
+
+    @pytest.mark.parametrize("defect", sorted(SCHEDULE_DEFECTS))
+    def test_schedule_defect(self, defect):
+        schedule, graph = small_schedule(defect)
+        code = SCHEDULE_DEFECTS[defect]
+        finding = next(f for f in verify_schedule(None, schedule, graph)
+                       if f.code == code)
+        with pytest.raises(SchedulingError) as err:
+            schedule.validate(graph)
+        assert finding.message in str(err.value)
+
+    def test_valid_small_artifacts_pass(self):
+        dfg = small_dfg()
+        assert verify_dfg(dfg) == []
+        dfg.validate()
+        schedule, graph = small_schedule()
+        assert verify_schedule(None, schedule, graph) == []
+        schedule.validate(graph)
+
+    def test_every_dfg_and_schedule_code_has_a_row(self):
+        rows = ({code for _, code in DFG_DEFECTS.values()}
+                | set(SCHEDULE_DEFECTS.values()))
+        assert rows == {code for code in CHECK_CODES
+                        if code.startswith(("dfg.", "sched."))}
 
     def test_dfg_edge_cycle(self, audio_state):
         dfg = audio_state.artifacts["dfg"]

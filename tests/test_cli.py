@@ -665,6 +665,12 @@ class TestFuzzCommand:
         assert "5 cases" in out
         assert "0 failures" in out
 
+    def test_level_gap_in_the_summary_line(self, capsys):
+        assert main(["fuzz", "--core", "fir", "--seed", "22",
+                     "--count", "1"]) == 0
+        assert ("1 ok, 0 infeasible, 1 level gaps, 0 failures"
+                in capsys.readouterr().out)
+
     def test_injected_failure_reports_and_exits_one(self, tmp_path, capsys):
         report_path = tmp_path / "fuzz_report.json"
         code = main(["fuzz", "--core", "fir", "--count", "6",
@@ -793,6 +799,12 @@ def text_rom(image):
     image["rom_words"] = "abc"
 
 
+def set_field(name, value):
+    def edit(image):
+        image[name] = value
+    return edit
+
+
 class TestMalformedImage:
     """A malformed image is refused with an error naming the field, by
     every command that loads one, never with a traceback."""
@@ -802,6 +814,12 @@ class TestMalformedImage:
         "word_not_hex": (bad_word, "words"),
         "input_map_not_an_array": (scalar_input_map, "input_map"),
         "rom_words_not_an_array": (text_rom, "rom_words"),
+        "n_body_negative": (set_field("n_body", -5), "n_body"),
+        "n_body_past_the_words": (set_field("n_body", 1000000), "n_body"),
+        "body_offset_past_the_words": (set_field("body_offset", 99),
+                                       "body_offset"),
+        "unknown_mode": (set_field("mode", "zz"), "mode"),
+        "repeat_count_zero": (set_field("repeat_count", 0), "repeat_count"),
     }
     COMMANDS = {
         "run-image": lambda path: ["run-image", path, "--input", "i=1,2"],

@@ -83,6 +83,17 @@ class TestFuzzCampaign:
         assert set(payload["engines"]) == set(available_engines())
         assert payload["spec"]["max_ops"] == SMALL.max_ops
 
+    def test_level_gap_is_counted_not_failed(self):
+        # fir seed 22 compiles at -O0 only: a level gap, still ok.
+        report = fuzz(FuzzConfig(core="fir", seed=22, count=1))
+        assert (report.n_ok, report.n_level_gaps) == (1, 1)
+        assert report.ok
+        assert report.to_dict()["n_level_gaps"] == 1
+
+    def test_no_gap_without_a_higher_level_requested(self):
+        report = fuzz(FuzzConfig(core="fir", seed=22, count=1, levels=(0,)))
+        assert (report.n_ok, report.n_level_gaps) == (1, 0)
+
     def test_campaign_needs_a_budget(self):
         with pytest.raises(ReproError, match="count or a time budget"):
             fuzz(FuzzConfig(count=None, time_budget=None))

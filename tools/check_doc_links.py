@@ -16,7 +16,10 @@ It also checks two code/doc lockstep tables:
   code can emit is documented, and no documented counter has been
   removed from the code;
 * the diagnostic-code table in ``docs/analysis.md`` matches
-  ``repro.analyze.CHECK_CODES`` the same way.
+  ``repro.analyze.CHECK_CODES`` the same way, and every string
+  constant in ``src/repro/analyze/*.py`` shaped like a check code
+  (``<dfg|rt|sched|regalloc|arch|mc>.<name>``) is registered there, so
+  a checker cannot emit a code that ``Finding`` refuses at run time.
 
 External schemes (``http://``, ``https://``, ``mailto:``) are ignored
 — this guards the repository's own docs tree, not the internet.
@@ -31,6 +34,7 @@ link as ``file:line: message``).
 
 from __future__ import annotations
 
+import ast
 import re
 import sys
 from pathlib import Path
@@ -178,7 +182,8 @@ def documented_codes(doc: Path) -> set[str]:
 
 
 def check_code_table(root: Path, problems: list[str]) -> None:
-    """``docs/analysis.md`` tables == ``repro.analyze.CHECK_CODES``."""
+    """``docs/analysis.md`` tables == ``repro.analyze.CHECK_CODES``, which
+    holds every code the checkers in ``src/repro/analyze`` spell out."""
     doc = root / "docs" / "analysis.md"
     src = root / "src"
     if not doc.is_file() or not (src / "repro" / "analyze").is_dir():
@@ -201,6 +206,27 @@ def check_code_table(root: Path, problems: list[str]) -> None:
             f"{shown}: documented check code {name!r} does not exist in "
             f"repro.analyze.CHECK_CODES"
         )
+    for path in sorted((src / "repro" / "analyze").glob("*.py")):
+        for line, name in spelled_codes(path):
+            if name not in canonical:
+                problems.append(
+                    f"{path.relative_to(root)}:{line}: check code {name!r} "
+                    f"is not registered in repro.analyze.CHECK_CODES"
+                )
+
+
+#: A string constant shaped like a check code, ``<family>.<name>``.
+CODE_CONSTANT = re.compile(r"(?:dfg|rt|sched|regalloc|arch|mc)\.[a-z0-9-]+")
+
+
+def spelled_codes(path: Path) -> list[tuple[int, str]]:
+    """``(line, constant)`` for each string constant in a checker module
+    that looks like a check code, in line order."""
+    tree = ast.parse(path.read_text(encoding="utf-8"), str(path))
+    return sorted((node.lineno, node.value) for node in ast.walk(tree)
+                  if isinstance(node, ast.Constant)
+                  and isinstance(node.value, str)
+                  and CODE_CONSTANT.fullmatch(node.value))
 
 
 def main(argv: list[str]) -> int:
